@@ -7,6 +7,12 @@ masks equals lexicographic order on graph6 bitstreams.  All kernels work on
 contiguous mask ranges in numpy batches; n <= 8 keeps every intermediate
 array small.
 
+The reconstructions are evaluated per vertex, on the (graphs, n) arrays of
+neighborhood and distance-2 degrees, rather than over a per-graph histogram
+of every possible degree value.  Summing per vertex instead of per
+histogram bin changes the floating-point summation order, so instances
+within a few ulps of the tolerance can change verdict.
+
 The sweep kernel mirrors the scalar operations in :mod:`nbzagreb.indices`,
 :mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check,
 including the skip-reason accounting, so that reports from both engines are
@@ -21,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .graphs import _g6_pairs
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 CHUNK_BITS = 15
@@ -50,29 +57,22 @@ CHECK_NAMES = (
 FAILURE_CAP_PER_CHUNK = 200
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
 def mask_of_edges(n: int, edges) -> int:
     npairs = pair_count(n)
-    index = {}
-    for k, (i, j) in enumerate(pair_list(n)):
-        index[(i, j)] = k
     mask = 0
     for u, v in edges:
-        k = index[(min(u, v), max(u, v))]
-        mask |= 1 << (npairs - 1 - k)
+        i, j = min(u, v), max(u, v)
+        mask |= 1 << (npairs - 1 - (j * (j - 1) // 2 + i))
     return mask
 
 
 def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
     npairs = pair_count(n)
-    pairs = pair_list(n)
+    pairs = _g6_pairs(n)
     return [pairs[k] for k in range(npairs) if (mask >> (npairs - 1 - k)) & 1]
 
 
@@ -137,7 +137,7 @@ def _bits_of(masks: np.ndarray, npairs: int) -> np.ndarray:
 
 
 def _adj_of(bits: np.ndarray, n: int) -> np.ndarray:
-    pairs = pair_list(n)
+    pairs = _g6_pairs(n)
     rows = np.array([p[0] for p in pairs], dtype=np.int64)
     cols = np.array([p[1] for p in pairs], dtype=np.int64)
     adj = np.zeros((bits.shape[0], n, n), dtype=np.uint8)
@@ -192,25 +192,28 @@ def batched_power_iteration(
     rayleigh_out = np.zeros(b)
     iterations = np.zeros(b, dtype=np.int64)
     residual = np.zeros(b)
+    # shifted, v and prev hold the unfinished rows only; active maps them
+    # back to the batch.  They are compacted when some row finishes.
     active = np.arange(b)
     it = 0
     while active.size and it < max_iter:
         it += 1
-        w = np.matmul(shifted[active], v[active][:, :, None])[:, :, 0]
-        ray = np.einsum("bi,bi->b", v[active], w)
-        change = np.abs(ray - prev[active])
+        w = np.matmul(shifted, v[:, :, None])[:, :, 0]
+        ray = np.einsum("bi,bi->b", v, w)
+        change = np.abs(ray - prev)
         done = change < tol
         if done.any():
             hit = active[done]
             rayleigh_out[hit] = ray[done]
             iterations[hit] = it
             residual[hit] = change[done]
-        cont = ~done
-        keep = active[cont]
-        prev[keep] = ray[cont]
-        wk = w[cont]
-        v[keep] = wk / np.linalg.norm(wk, axis=1, keepdims=True)
-        active = keep
+            cont = ~done
+            active = active[cont]
+            shifted = shifted[cont]
+            ray = ray[cont]
+            w = w[cont]
+        prev = ray
+        v = w / np.linalg.norm(w, axis=1, keepdims=True)
     converged = iterations > 0
     return rayleigh_out - 1.0, iterations, residual, converged
 
@@ -226,7 +229,7 @@ def _row_hist(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _powers(width: int, alpha: float) -> np.ndarray:
-    # Slot 0 stays 0; callers only use it where the count is zero.
+    # Slot 0 stays 0; no row that reaches a reconstruction has a zero degree.
     pw = np.zeros(width)
     if width > 1:
         pw[1:] = np.arange(1, width, dtype=np.float64) ** alpha
@@ -250,6 +253,15 @@ def _tolerances(tolerance: float, reference: np.ndarray) -> np.ndarray:
     return tolerance * np.maximum(1.0, np.abs(reference))
 
 
+def _line_excess_sum(x, pw, lo, rate, first, last) -> np.ndarray:
+    """Per row of the (graphs, n) degree array x, the sum over vertices with
+    first <= x_v <= last of x_v**alpha - lo**alpha - (x_v - lo) * rate,
+    where pw[k] = k**alpha."""
+    terms = pw[x] - pw[lo][:, None] - (x - lo[:, None]) * rate[:, None]
+    inside = (x >= first[:, None]) & (x <= last[:, None])
+    return np.where(inside, terms, 0.0).sum(axis=1)
+
+
 def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
     for row in np.nonzero(rows)[0]:
         tally.fail(
@@ -259,6 +271,33 @@ def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
             got(row) if callable(got) else got,
             alpha=alpha,
         )
+
+
+def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, pw, tolerance, alpha):
+    """Secant and unit reconstructions of sum_v x_v**alpha on rows whose
+    degrees span lo < hi, with excess = sum_v x_v - n * lo.  Returns the
+    direct sums, their tolerances, lo**alpha, the secant slope, the unit
+    step and the two reconstruction bases, which the bounds reuse."""
+    direct = pw[x].sum(axis=1)
+    tol = _tolerances(tolerance, direct)
+    lo_pow = pw[lo]
+    slope = (pw[hi] - lo_pow) / (hi - lo)
+    step = pw[lo + 1] - lo_pow
+    base_secant = n * lo_pow + excess * slope
+    base_unit = n * lo_pow + excess * step
+    for form, base, rate, first, last in (
+        ("secant", base_secant, slope, lo + 1, hi - 1),
+        ("unit", base_unit, step, lo + 2, hi),
+    ):
+        check = f"{prefix}_reconstruct_{form}"
+        recon = base + _line_excess_sum(x, pw, lo, rate, first, last)
+        tally.checks[check] += x.shape[0]
+        bad = np.abs(recon - direct) > tol
+        _report_rows(
+            tally, check, masks, n, bad,
+            lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
+        )
+    return direct, tol, lo_pow, slope, step, base_secant, base_unit
 
 
 def sweep_chunk(
@@ -304,7 +343,6 @@ def sweep_chunk(
     width = n * (n - 1) + 1
     hist = _row_hist(nbr, width)
     hist_cum = hist.cumsum(axis=1)
-    hist2 = _row_hist(d2, width)
 
     # --- M1 identity: sum of neighborhood degrees equals sum of deg^2.
     tally.checks["m1_identity"] += b
@@ -368,8 +406,22 @@ def sweep_chunk(
         )
 
         idx_sel = np.nonzero(sel)[0]
-        idx_occ = np.nonzero(occupied)[0]
-        vals = np.arange(width, dtype=np.int64)
+        masks_s = masks[idx_sel]
+        nbr_s = nbr[idx_sel]
+        lo = delta[idx_sel]
+        hi = big_delta[idx_sel]
+        excess_s = excess[idx_sel]
+        h_hi = hist_hi[idx_sel]
+        bi_support = hist_lo[idx_sel] + h_hi == n
+        interior2 = _interval_sum(hist_cum, delta + 2, big_delta - 1)[idx_sel]
+        # Occupied rows are a subset of idx_sel (gap >= 2); occ indexes into it.
+        occ = np.nonzero(occupied[idx_sel])[0]
+        masks_c = masks_s[occ]
+        r_c = rem[idx_sel][occ]
+        lo_r_c = lo[occ] + r_c
+        pattern = (
+            (hist_hi == quot) & (_gather(hist, delta + rem) == 1) & (hist_lo == n - quot - 1)
+        )[idx_sel][occ]
         for alpha in alphas:
             upper = alpha < 0.0 or alpha > 1.0
             for check in nm_checks:
@@ -378,110 +430,59 @@ def sweep_chunk(
             tally.skip("nm_bound_congruence", "non_positive_quotient", n_no_quot)
             tally.skip("nm_bound_congruence", "remainder_zero", n_rem_zero)
             tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc)
-            if idx_sel.size:
-                pw = _powers(width, alpha)
-                h = hist[idx_sel]
-                lo = delta[idx_sel]
-                hi = big_delta[idx_sel]
-                nvert = float(n)
-                m1_s = m1[idx_sel]
-                direct = h @ pw
-                tol = _tolerances(tolerance, direct)
-                lo_pow = pw[lo]
-                hi_pow = pw[hi]
-                slope = (hi_pow - lo_pow) / (hi - lo)
-                step = pw[lo + 1] - lo_pow
-                base_secant = nvert * lo_pow + (m1_s - n * lo) * slope
-                base_unit = nvert * lo_pow + (m1_s - n * lo) * step
+            if not idx_sel.size:
+                continue
+            pw = _powers(width, alpha)
+            direct, tol, lo_pow, slope, step, base_secant, base_unit = _check_reconstructions(
+                tally, "nm", masks_s, n, nbr_s, lo, hi, excess_s, pw, tolerance, alpha
+            )
 
-                coef = pw[None, :] - lo_pow[:, None] - (vals[None, :] - lo[:, None]) * slope[:, None]
-                inner = (vals[None, :] > lo[:, None]) & (vals[None, :] < hi[:, None])
-                recon_s = base_secant + (h * coef * inner).sum(axis=1)
-                tally.checks["nm_reconstruct_secant"] += idx_sel.size
-                bad = np.abs(recon_s - direct) > tol
-                _report_rows(
-                    tally, "nm_reconstruct_secant", masks[idx_sel], n, bad,
-                    lambda r: float(direct[r]), lambda r: float(recon_s[r]), alpha,
-                )
+            # Secant-form bound; equality demanded exactly on bi-supported rows.
+            tally.checks["nm_bound_secant"] += idx_sel.size
+            if upper:
+                ok = direct <= base_secant + tol
+            else:
+                ok = direct >= base_secant - tol
+            ok &= ~bi_support | (np.abs(direct - base_secant) <= tol)
+            _report_rows(
+                tally, "nm_bound_secant", masks_s, n, ~ok,
+                lambda r: f"{'<=' if upper else '>='} {float(base_secant[r])!r}"
+                + (" with equality" if bi_support[r] else ""),
+                lambda r: float(direct[r]), alpha,
+            )
 
-                coef = pw[None, :] - lo_pow[:, None] - (vals[None, :] - lo[:, None]) * step[:, None]
-                inner = (vals[None, :] >= (lo + 2)[:, None]) & (vals[None, :] <= hi[:, None])
-                recon_u = base_unit + (h * coef * inner).sum(axis=1)
-                tally.checks["nm_reconstruct_unit"] += idx_sel.size
-                bad = np.abs(recon_u - direct) > tol
-                _report_rows(
-                    tally, "nm_reconstruct_unit", masks[idx_sel], n, bad,
-                    lambda r: float(direct[r]), lambda r: float(recon_u[r]), alpha,
-                )
+            # Unit-form bound with the top histogram term.
+            tally.checks["nm_bound_unit"] += idx_sel.size
+            bound_u = base_unit + h_hi * (pw[hi] - lo_pow - (hi - lo) * step)
+            if upper:
+                ok = direct >= bound_u - tol
+            else:
+                ok = direct <= bound_u + tol
+            ok &= (interior2 != 0) | (np.abs(direct - bound_u) <= tol)
+            _report_rows(
+                tally, "nm_bound_unit", masks_s, n, ~ok,
+                lambda r: f"{'>=' if upper else '<='} {float(bound_u[r])!r}"
+                + ("" if interior2[r] else " with equality"),
+                lambda r: float(direct[r]), alpha,
+            )
 
-                # Secant-form bound; equality demanded exactly on bi-supported rows.
-                tally.checks["nm_bound_secant"] += idx_sel.size
-                if upper:
-                    ok = direct <= base_secant + tol
-                else:
-                    ok = direct >= base_secant - tol
-                h_lo = _gather(hist, delta)[idx_sel]
-                h_hi = _gather(hist, big_delta)[idx_sel]
-                bi_support = h_lo + h_hi == n
-                ok &= ~bi_support | (np.abs(direct - base_secant) <= tol)
-                _report_rows(
-                    tally, "nm_bound_secant", masks[idx_sel], n, ~ok,
-                    lambda r: f"{'<=' if upper else '>='} {float(base_secant[r])!r}"
-                    + (" with equality" if bi_support[r] else ""),
-                    lambda r: float(direct[r]), alpha,
-                )
-
-                # Unit-form bound with the top histogram term.
-                tally.checks["nm_bound_unit"] += idx_sel.size
-                bound_u = base_unit + h_hi * (hi_pow - lo_pow - (hi - lo) * step)
-                if upper:
-                    ok = direct >= bound_u - tol
-                else:
-                    ok = direct <= bound_u + tol
-                interior2 = _interval_sum(hist_cum, delta + 2, big_delta - 1)[idx_sel]
-                ok &= (interior2 != 0) | (np.abs(direct - bound_u) <= tol)
-                _report_rows(
-                    tally, "nm_bound_unit", masks[idx_sel], n, ~ok,
-                    lambda r: f"{'>=' if upper else '<='} {float(bound_u[r])!r}"
-                    + ("" if interior2[r] else " with equality"),
-                    lambda r: float(direct[r]), alpha,
-                )
-
-            if idx_occ.size:
-                pw = _powers(width, alpha)
-                h = hist[idx_occ]
-                lo = delta[idx_occ]
-                hi = big_delta[idx_occ]
-                r_c = rem[idx_occ]
-                q_c = quot[idx_occ]
-                direct = h @ pw
-                tol = _tolerances(tolerance, direct)
-                lo_pow = pw[lo]
-                slope = (pw[hi] - lo_pow) / (hi - lo)
-                bound_c = (
-                    n * lo_pow
-                    + (m1[idx_occ] - n * lo) * slope
-                    + pw[lo + r_c]
-                    - lo_pow
-                    - r_c * slope
-                )
-                tally.checks["nm_bound_congruence"] += idx_occ.size
-                if upper:
-                    ok = direct <= bound_c + tol
-                else:
-                    ok = direct >= bound_c - tol
-                pattern = (
-                    (_gather(hist, big_delta)[idx_occ] == q_c)
-                    & (_gather(hist, delta + rem)[idx_occ] == 1)
-                    & (_gather(hist, delta)[idx_occ] == n - q_c - 1)
-                )
-                ok &= ~pattern | (np.abs(direct - bound_c) <= tol)
-                _report_rows(
-                    tally, "nm_bound_congruence", masks[idx_occ], n, ~ok,
-                    lambda r: f"{'<=' if upper else '>='} {float(bound_c[r])!r}"
-                    + (" with equality" if pattern[r] else ""),
-                    lambda r: float(direct[r]), alpha,
-                )
+            if not occ.size:
+                continue
+            direct_c = direct[occ]
+            tol_c = tol[occ]
+            bound_c = base_secant[occ] + pw[lo_r_c] - lo_pow[occ] - r_c * slope[occ]
+            tally.checks["nm_bound_congruence"] += occ.size
+            if upper:
+                ok = direct_c <= bound_c + tol_c
+            else:
+                ok = direct_c >= bound_c - tol_c
+            ok &= ~pattern | (np.abs(direct_c - bound_c) <= tol_c)
+            _report_rows(
+                tally, "nm_bound_congruence", masks_c, n, ~ok,
+                lambda r: f"{'<=' if upper else '>='} {float(bound_c[r])!r}"
+                + (" with equality" if pattern[r] else ""),
+                lambda r: float(direct_c[r]), alpha,
+            )
 
     # --- Distance-2 identities (diameter exactly 2).
     n_diam2 = int(diam2.sum())
@@ -499,44 +500,21 @@ def sweep_chunk(
     n_zero_min = int((diam2 & (d2_min == 0)).sum())
     n_d2_regular = int((diam2 & (d2_min >= 1) & (d2_min == d2_max)).sum())
     idx2 = np.nonzero(elig2)[0]
-    vals = np.arange(width, dtype=np.int64)
+    masks2 = masks[idx2]
+    d2_s = d2[idx2]
+    lo2 = d2_min[idx2]
+    hi2 = d2_max[idx2]
+    excess2 = total2[idx2] - n * lo2
     for alpha in alphas:
         for check in ("nm2_reconstruct_secant", "nm2_reconstruct_unit"):
             tally.skip(check, "not_diameter_two", b - n_diam2)
             tally.skip(check, "zero_min_dist2_degree", n_zero_min)
             tally.skip(check, "dist2_regular", n_d2_regular)
-        if not idx2.size:
-            continue
-        pw = _powers(width, alpha)
-        h = hist2[idx2]
-        lo = d2_min[idx2]
-        hi = d2_max[idx2]
-        tot = total2[idx2]
-        direct = h @ pw
-        tol = _tolerances(tolerance, direct)
-        lo_pow = pw[lo]
-        slope = (pw[hi] - lo_pow) / (hi - lo)
-        step = pw[lo + 1] - lo_pow
-
-        coef = pw[None, :] - lo_pow[:, None] - (vals[None, :] - lo[:, None]) * slope[:, None]
-        inner = (vals[None, :] > lo[:, None]) & (vals[None, :] < hi[:, None])
-        recon = n * lo_pow + (tot - n * lo) * slope + (h * coef * inner).sum(axis=1)
-        tally.checks["nm2_reconstruct_secant"] += idx2.size
-        bad = np.abs(recon - direct) > tol
-        _report_rows(
-            tally, "nm2_reconstruct_secant", masks[idx2], n, bad,
-            lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
-        )
-
-        coef = pw[None, :] - lo_pow[:, None] - (vals[None, :] - lo[:, None]) * step[:, None]
-        inner = (vals[None, :] >= (lo + 2)[:, None]) & (vals[None, :] <= hi[:, None])
-        recon = n * lo_pow + (tot - n * lo) * step + (h * coef * inner).sum(axis=1)
-        tally.checks["nm2_reconstruct_unit"] += idx2.size
-        bad = np.abs(recon - direct) > tol
-        _report_rows(
-            tally, "nm2_reconstruct_unit", masks[idx2], n, bad,
-            lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
-        )
+        if idx2.size:
+            _check_reconstructions(
+                tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2,
+                _powers(width, alpha), tolerance, alpha,
+            )
 
     # --- Spectral chain and regular-graph equalities.
     if n == 1:

@@ -55,7 +55,7 @@ from .errors import (
     UnknownBoundSource,
     UnoccupiedRemainderDegree,
 )
-from .graphs import Graph, degree_profile, encode_graph6, is_path
+from .graphs import Graph, _g6_pairs, degree_profile, encode_graph6, is_path
 from .indices import (
     MID,
     Alpha,
@@ -104,7 +104,7 @@ def _mask_of_graph(g: Graph) -> int:
 @lru_cache(maxsize=8)
 def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Edge-slot permutation table (n!, npairs) and lex weights."""
-    pairs = _bulk.pair_list(n)
+    pairs = _g6_pairs(n)
     npairs = len(pairs)
     index = np.zeros((n, n), dtype=np.int64)
     for k, (i, j) in enumerate(pairs):

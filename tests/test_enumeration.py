@@ -1,6 +1,9 @@
 from itertools import islice
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
 from nbzagreb import (
@@ -15,6 +18,7 @@ from nbzagreb import (
     path_graph,
     verify_all,
 )
+from nbzagreb import _bulk
 from nbzagreb._bulk import graph6_of_mask, mask_of_edges
 from nbzagreb.errors import ForbiddenAlpha, NTooLarge, UnknownBoundSource
 
@@ -148,6 +152,75 @@ class TestVerifyAll:
             "graphs_checked", "graphs_checked_by_n", "checks_run", "skips",
             "failure_count", "failures", "elapsed",
         }
+
+
+RECONSTRUCT_CHECKS = (
+    "nm_reconstruct_secant",
+    "nm_reconstruct_unit",
+    "nm2_reconstruct_secant",
+    "nm2_reconstruct_unit",
+)
+
+
+def _grid_excess_sum(x, alpha, lo, rate, first, last):
+    """The histogram-grid form of the per-vertex sum: bin the degrees, then
+    weight each degree value's term by its count."""
+    width = int(x.max()) + 1
+    hist = np.bincount(x, minlength=width)
+    vals = np.arange(width)
+    pw = np.zeros(width)
+    pw[1:] = vals[1:].astype(np.float64) ** alpha
+    coef = pw - pw[lo] - (vals - lo) * rate
+    inner = (vals >= first) & (vals <= last)
+    terms = hist * coef * inner
+    return float(terms.sum()), float(np.abs(terms).sum())
+
+
+class TestBulkReconstructionKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8).flatmap(
+            lambda n: st.lists(
+                st.integers(min_value=1, max_value=n * (n - 1)), min_size=n, max_size=n
+            )
+        ),
+        st.one_of(
+            st.sampled_from([-1.0, 0.5, 2.0, 3.0]),
+            st.floats(min_value=-4.0, max_value=4.0).filter(
+                lambda a: abs(a) > 1e-3 and abs(a - 1.0) > 1e-3
+            ),
+        ),
+        st.sampled_from(["secant", "unit"]),
+    )
+    def test_per_vertex_sum_matches_histogram_grid(self, degrees, alpha, form):
+        x = np.array(degrees, dtype=np.int64)
+        lo, hi = int(x.min()), int(x.max())
+        assume(lo < hi)
+        pw = np.zeros(hi + 1)
+        pw[1:] = np.arange(1, hi + 1, dtype=np.float64) ** alpha
+        if form == "secant":
+            rate, first, last = (pw[hi] - pw[lo]) / (hi - lo), lo + 1, hi - 1
+        else:
+            rate, first, last = pw[lo + 1] - pw[lo], lo + 2, hi
+        got = _bulk._line_excess_sum(
+            x[None, :], pw, np.array([lo]), np.array([rate]),
+            np.array([first]), np.array([last]),
+        )[0]
+        expected, scale = _grid_excess_sum(x, alpha, lo, rate, first, last)
+        # Same terms summed in another order: relative to their total size.
+        assert abs(got - expected) <= 1e-12 * scale
+
+    def test_reconstruction_checks_compare(self, monkeypatch):
+        # Shifting the per-vertex sum by 1.0 must fail every reconstruction
+        # instance and nothing else, so the checks cannot pass vacuously.
+        real = _bulk._line_excess_sum
+        monkeypatch.setattr(_bulk, "_line_excess_sum", lambda *args: real(*args) + 1.0)
+        report = verify_all(5, (-1, 0.5, 2, 3))
+        expected = sum(report.checks_run[c] for c in RECONSTRUCT_CHECKS)
+        assert expected > 0
+        assert report.failure_count == expected
+        assert report.failures
+        assert {f["check"] for f in report.failures} <= set(RECONSTRUCT_CHECKS)
 
 
 class TestCoefficientSignGrid:

@@ -15,6 +15,14 @@ from nbzagreb import (
     spectral_radius,
     spectral_report,
 )
+from nbzagreb._bulk import (
+    _adj_of,
+    _bits_of,
+    batched_power_iteration,
+    connected_masks,
+    edges_of_mask,
+    pair_count,
+)
 from nbzagreb.errors import Disconnected, EmptyGraph, NoConvergence
 
 
@@ -67,6 +75,36 @@ class TestSpectralRadius:
         assert r.residual < 1e-10
         assert r.rho_squared == r.rho * r.rho
         assert r.bound_nm2_ratio is None
+
+
+def _connected_adjacency(n: int, stride: int = 1):
+    masks = connected_masks(n, 0, 1 << pair_count(n))[::stride]
+    return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
+
+
+class TestBatchedPowerIteration:
+    @pytest.mark.parametrize("n,stride", [(2, 1), (3, 1), (4, 1), (5, 7), (6, 499)])
+    def test_batch_equals_each_row_alone(self, n, stride):
+        # Rows finish at different iterations, so the batch is compacted
+        # while other rows still run; no row may notice.
+        _masks, adj = _connected_adjacency(n, stride)
+        batch = batched_power_iteration(adj)
+        if n >= 4:
+            assert np.unique(batch[1]).size > 1
+        for row in range(adj.shape[0]):
+            alone = batched_power_iteration(adj[row : row + 1])
+            for got, want in zip(batch, alone):
+                assert got[row] == want[0]
+
+    def test_matches_scalar_power_iteration(self):
+        for n in range(2, 6):
+            masks, adj = _connected_adjacency(n)
+            rho, iterations, _residual, converged = batched_power_iteration(adj)
+            assert converged.all()
+            for row, mask in enumerate(masks):
+                scalar = spectral_radius(Graph.from_edges(n, edges_of_mask(n, int(mask))))
+                assert iterations[row] == scalar.iterations
+                assert abs(rho[row] - scalar.rho) <= 1e-12
 
 
 class TestLowerBounds:
