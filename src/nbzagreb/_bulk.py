@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import _g6_pairs
+from .graphs import _g6_pack, _g6_pairs
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 CHUNK_BITS = 15
@@ -79,16 +79,7 @@ def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
 def graph6_of_mask(n: int, mask: int) -> str:
     """graph6 string of a mask; matches graphs.encode_graph6."""
     npairs = pair_count(n)
-    bits = [(mask >> (npairs - 1 - k)) & 1 for k in range(npairs)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    return _g6_pack(n, [(mask >> (npairs - 1 - k)) & 1 for k in range(npairs)])
 
 
 @dataclass
@@ -103,7 +94,10 @@ class Tally:
 
     def skip(self, check: str, reason: str, count: int = 1) -> None:
         if count:
-            self.skips.setdefault(check, Counter())[reason] += count
+            reasons = self.skips.get(check)
+            if reasons is None:
+                reasons = self.skips[check] = Counter()
+            reasons[reason] += count
 
     def fail(self, graph6, check, expected, got, alpha=None) -> None:
         self.failure_count += 1

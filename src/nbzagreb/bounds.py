@@ -22,6 +22,7 @@ sweeps cross-check them against the numeric slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -122,6 +123,12 @@ def unit_coefficient(p: int, i: int, a: float | Alpha) -> float:
     return _pow(p + i, alpha) - p_pow - i * (_pow(p + 1, alpha) - p_pow)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """An infinite tolerance passes every comparison and NaN fails every one."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+
+
 def _report(
     source: str,
     alpha: Alpha,
@@ -161,6 +168,7 @@ def nm_bound_secant(
     extreme values.
     """
     alpha = as_alpha(a)
+    _check_tolerance(tolerance)
     lo, hi = p.delta_min, p.delta_max
     if lo == hi:
         raise NeighborhoodRegular("all neighborhood degrees are equal")
@@ -182,6 +190,7 @@ def nm_bound_unit(
     (paths in particular).
     """
     alpha = as_alpha(a)
+    _check_tolerance(tolerance)
     lo, hi = p.delta_min, p.delta_max
     if lo == hi:
         raise NeighborhoodRegular("all neighborhood degrees are equal")
@@ -235,6 +244,7 @@ def nm_bound_congruence(
     the histogram {hi: q, lo + r: 1, lo: n - q - 1}.
     """
     alpha = as_alpha(a)
+    _check_tolerance(tolerance)
     cd = congruence_classify(p)
     lo, hi = p.delta_min, p.delta_max
     if cd.r == 0:

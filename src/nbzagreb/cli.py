@@ -15,26 +15,19 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from ._bulk import RHO_CHAIN_EPS
-from .bounds import (
-    BOUND_SOURCES,
-    congruence_classify,
-    nm_bound_congruence,
-    nm_bound_secant,
-    nm_bound_unit,
-)
-from .enumeration import find_equality_graphs, verify_all
+from .bounds import BOUND_SOURCES, congruence_classify
+from .enumeration import _SOURCE_OPS, find_equality_graphs, verify_all
 from .errors import (
     ConfigError,
-    NbZagrebError,
     NoConvergence,
     ParseError,
     PreconditionError,
+    reason,
 )
 from .graphs import degree_profile, is_connected, parse_edge_list, parse_graph6
 from .indices import (
@@ -91,13 +84,6 @@ def dumps_stable(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_SNAKE = re.compile(r"(?<!^)(?=[A-Z])")
-
-
-def _reason(exc: NbZagrebError) -> str:
-    return _SNAKE.sub("_", type(exc).__name__).lower()
-
-
 # ---------------------------------------------------------------------------
 # Input handling
 
@@ -143,7 +129,7 @@ def cmd_compute(parser, args):
             entry["nm_alpha"] = nm_direct(p, alpha)
         except PreconditionError as exc:
             entry["nm_alpha"] = None
-            entry["nm_alpha_inapplicable"] = _reason(exc)
+            entry["nm_alpha_inapplicable"] = reason(exc)
         try:
             rep = index_report(p, alpha)
             entry["reconstruction"] = {
@@ -154,12 +140,12 @@ def cmd_compute(parser, args):
                 "residual_unit": rep.residual_unit,
             }
         except PreconditionError as exc:
-            entry["reconstruction"] = {"inapplicable": _reason(exc)}
+            entry["reconstruction"] = {"inapplicable": reason(exc)}
         try:
             entry["nm2_alpha"] = nm2_direct(p, alpha)
         except PreconditionError as exc:
             entry["nm2_alpha"] = None
-            entry["nm2_alpha_inapplicable"] = _reason(exc)
+            entry["nm2_alpha_inapplicable"] = reason(exc)
         try:
             direct2 = nm2_direct(p, alpha)
             via_s = nm2_reconstruct_secant(p, alpha)
@@ -171,7 +157,7 @@ def cmd_compute(parser, args):
                 "residual_unit": abs(via_u - direct2),
             }
         except PreconditionError as exc:
-            entry["reconstruction_dist2"] = {"inapplicable": _reason(exc)}
+            entry["reconstruction_dist2"] = {"inapplicable": reason(exc)}
         entries.append(entry)
     doc = {
         "command": "compute",
@@ -212,20 +198,16 @@ def cmd_bounds(parser, args):
         cd = congruence_classify(p)
         congruence_doc = asdict(cd)
     except PreconditionError as exc:
-        congruence_doc = {"inapplicable": _reason(exc)}
+        congruence_doc = {"inapplicable": reason(exc)}
     alpha_docs = []
     for alpha in alphas:
         reports = []
         inapplicable = []
-        for source, fn in (
-            ("secant", nm_bound_secant),
-            ("unit", nm_bound_unit),
-            ("congruence", nm_bound_congruence),
-        ):
+        for source, fn in _SOURCE_OPS.items():
             try:
                 reports.append(asdict(fn(p, alpha, args.tolerance)))
             except PreconditionError as exc:
-                inapplicable.append({"source": source, "reason": _reason(exc)})
+                inapplicable.append({"source": source, "reason": reason(exc)})
         alpha_docs.append(
             {"alpha": alpha.value, "bounds": reports, "inapplicable": inapplicable}
         )
@@ -313,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--alpha", type=float, action="append", default=[],
                 help="index exponent, repeatable (not 0 or 1)",
             )
-        sp.add_argument("--tolerance", type=float, default=1e-9,
-                        help="relative comparison tolerance (default 1e-9)")
 
     sp = sub.add_parser("compute", help="profiles, indices and reconstructions")
     add_input_flags(sp)
@@ -324,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="bound reports and congruence data")
     add_input_flags(sp)
-    sp.add_argument("--output", choices=("json",), default="json")
+    sp.add_argument("--tolerance", type=float, default=1e-9,
+                    help="relative comparison tolerance (default 1e-9)")
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("spectral", help="spectral radius and lower bounds")
@@ -332,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--power-tol", type=float, default=DEFAULT_TOL,
                     help="power-iteration convergence tolerance")
     sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    sp.add_argument("--output", choices=("json",), default="json")
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("verify", help="exhaustive sweep over all connected graphs")
@@ -343,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-n8", action="store_true",
                     help="permit the 2^28-mask sweep at n = 8")
     sp.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")
-    sp.add_argument("--output", choices=("json",), default="json")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("extremal", help="equality-attaining graph search")
@@ -352,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--source", required=True,
                     help=f"bound source: one of {', '.join(BOUND_SOURCES)}")
     sp.add_argument("--allow-n8", action="store_true")
-    sp.add_argument("--dedup", action="store_true",
-                    help="one record per isomorphism class (always on)")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--output", choices=("json",), default="json")
     sp.set_defaults(func=cmd_extremal)
     return parser
 

@@ -7,8 +7,10 @@ precondition skips into a report; nothing is ever skipped silently.
 
 Two engines produce identical reports: ``bulk`` runs the vectorized kernels
 from :mod:`nbzagreb._bulk`, ``scalar`` routes every graph through the
-public per-graph operations.  The scalar engine is the reference; the bulk
-engine is what makes n = 7 sweeps take seconds instead of hours.
+public per-graph operations and reports the precondition an operation
+raises as the skip reason (see :func:`nbzagreb.errors.reason`).  The scalar
+engine is the reference; the bulk engine is what makes n = 7 sweeps take
+seconds instead of hours.
 
 Isomorphism dedup is by full permutation minimization: the canonical form
 of a graph is the lexicographically smallest adjacency bitstring over all
@@ -38,6 +40,7 @@ from ._bulk import (
 )
 from .bounds import (
     BOUND_SOURCES,
+    _check_tolerance,
     congruence_classify,
     nm_bound_congruence,
     nm_bound_secant,
@@ -46,16 +49,13 @@ from .bounds import (
     unit_coefficient,
 )
 from .errors import (
-    GapTooSmall,
     NoConvergence,
-    NonPositiveQuotient,
     NTooLarge,
-    NeighborhoodRegular,
-    RemainderZero,
+    PreconditionError,
     UnknownBoundSource,
-    UnoccupiedRemainderDegree,
+    reason,
 )
-from .graphs import Graph, _g6_pairs, degree_profile, encode_graph6, is_path
+from .graphs import DegreeProfile, Graph, _g6_pairs, degree_profile, encode_graph6, is_path
 from .indices import (
     MID,
     Alpha,
@@ -210,139 +210,122 @@ def coefficient_sign_grid(
 
 # ---------------------------------------------------------------------------
 # Scalar engine
+#
+# Every check that has a per-graph op runs that op, and a PreconditionError
+# it raises becomes the skip reason (the exception's snake_case name).  The
+# engine names only not_diameter_two for the distance-2 identity, no_edges
+# and not_regular, which no op decides, and n_lt_3: for n <= 2 the ops would
+# raise neighborhood_regular or gap_too_small, but the bulk engine reports
+# n_lt_3 there, and both engines must give the same report.
+
+_NM_OPS = {
+    "nm_reconstruct_secant": nm_reconstruct_secant,
+    "nm_reconstruct_unit": nm_reconstruct_unit,
+}
+
+_NM2_OPS = {
+    "nm2_reconstruct_secant": nm2_reconstruct_secant,
+    "nm2_reconstruct_unit": nm2_reconstruct_unit,
+}
+
+_SOURCE_OPS = {
+    "secant": nm_bound_secant,
+    "unit": nm_bound_unit,
+    "congruence": nm_bound_congruence,
+}
+
+
+def _run_ops(tally: Tally, ops: dict, p: DegreeProfile, alphas: list[Alpha], *args) -> dict:
+    """Each op's results at every exponent, keyed by check.
+
+    On a connected graph no precondition depends on the exponent, so an op
+    that raises is skipped at every exponent under one reason.
+    """
+    results = {}
+    for check, op in ops.items():
+        try:
+            results[check] = [op(p, alpha, *args) for alpha in alphas]
+        except PreconditionError as exc:
+            tally.skip(check, reason(exc), len(alphas))
+        else:
+            tally.checks[check] += len(alphas)
+    return results
+
+
+def _compare_identities(tally: Tally, g: Graph, recon: dict, i: int, alpha: Alpha,
+                        direct: float, tolerance: float) -> None:
+    tol = tolerance * max(1.0, abs(direct))
+    for check, values in recon.items():
+        if abs(values[i] - direct) > tol:
+            tally.fail(encode_graph6(g), check, direct, values[i], alpha=alpha.value)
 
 
 def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally: Tally):
     p = degree_profile(g)
     n = p.n
-    g6 = encode_graph6(g)
     nalpha = len(alphas)
 
     tally.checks["m1_identity"] += 1
     nbr_total = sum(p.nbr_deg)
     if nbr_total != p.m1:
-        tally.fail(g6, "m1_identity", f"sum nbr_deg == {p.m1}", nbr_total)
+        tally.fail(encode_graph6(g), "m1_identity", f"sum nbr_deg == {p.m1}", nbr_total)
 
-    nm_checks = (
-        "nm_reconstruct_secant",
-        "nm_reconstruct_unit",
-        "nm_bound_secant",
-        "nm_bound_unit",
-    )
     if n < 3:
-        for check in nm_checks + ("nm_bound_congruence",):
+        for check in (*_NM_OPS, *(f"nm_bound_{source}" for source in _SOURCE_OPS)):
             tally.skip(check, "n_lt_3", nalpha)
         tally.skip("congruence_classify", "n_lt_3", 1)
     else:
-        lo, hi = p.delta_min, p.delta_max
-        regular = lo == hi
-        gap = hi - lo
-        excess = p.m1 - n * lo
-
-        if gap < 2:
-            tally.skip("congruence_classify", "gap_too_small", 1)
-        elif excess < gap:
-            tally.skip("congruence_classify", "non_positive_quotient", 1)
+        try:
+            cd = congruence_classify(p)
+        except PreconditionError as exc:
+            tally.skip("congruence_classify", reason(exc), 1)
         else:
             tally.checks["congruence_classify"] += 1
-            cd = congruence_classify(p)
+            lo, hi = p.delta_min, p.delta_max
             if cd.is_bi_degree_case and set(p.nbr_hist) != {lo, hi}:
                 tally.fail(
-                    g6, "congruence_classify",
+                    encode_graph6(g), "congruence_classify",
                     "bi-degree case implies support {min, max}",
                     sorted(p.nbr_hist),
                 )
             if cd.r >= 1 and p.nbr_hist.get(hi, 0) == cd.q and not cd.part2_constraints_hold:
                 tally.fail(
-                    g6, "congruence_classify",
+                    encode_graph6(g), "congruence_classify",
                     "top-count q forces empty interior above min+r and at most one vertex at min+r",
                     dict(p.nbr_hist),
                 )
 
-        for alpha in alphas:
-            if regular:
-                for check in nm_checks:
-                    tally.skip(check, "neighborhood_regular", 1)
-            else:
-                direct = nm_direct(p, alpha)
-                tol = tolerance * max(1.0, abs(direct))
-                for check, fn in (
-                    ("nm_reconstruct_secant", nm_reconstruct_secant),
-                    ("nm_reconstruct_unit", nm_reconstruct_unit),
-                ):
-                    tally.checks[check] += 1
-                    value = fn(p, alpha)
-                    if abs(value - direct) > tol:
-                        tally.fail(g6, check, direct, value, alpha=alpha.value)
-                for check, fn in (
-                    ("nm_bound_secant", nm_bound_secant),
-                    ("nm_bound_unit", nm_bound_unit),
-                ):
-                    tally.checks[check] += 1
-                    rep = fn(p, alpha, tolerance)
-                    ok = rep.holds and (not rep.equality or rep.slack <= rep.tolerance)
-                    if not ok:
-                        tally.fail(
-                            g6, check,
-                            f"{rep.direction} bound {rep.bound!r}"
-                            + (" with equality" if rep.equality else ""),
-                            rep.computed,
-                            alpha=alpha.value,
-                        )
-            if gap < 2:
-                tally.skip("nm_bound_congruence", "gap_too_small", 1)
-            elif excess < gap:
-                tally.skip("nm_bound_congruence", "non_positive_quotient", 1)
-            else:
-                quot, rem = divmod(excess, gap)
-                if rem == 0:
-                    tally.skip("nm_bound_congruence", "remainder_zero", 1)
-                elif p.nbr_hist.get(lo + rem, 0) == 0:
-                    tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", 1)
-                else:
-                    tally.checks["nm_bound_congruence"] += 1
-                    rep = nm_bound_congruence(p, alpha, tolerance)
-                    ok = rep.holds and (not rep.equality or rep.slack <= rep.tolerance)
-                    if not ok:
-                        tally.fail(
-                            g6, "nm_bound_congruence",
-                            f"{rep.direction} bound {rep.bound!r}"
-                            + (" with equality" if rep.equality else ""),
-                            rep.computed,
-                            alpha=alpha.value,
-                        )
+        recon = _run_ops(tally, _NM_OPS, p, alphas)
+        bound_ops = {f"nm_bound_{source}": op for source, op in _SOURCE_OPS.items()}
+        bounds = _run_ops(tally, bound_ops, p, alphas, tolerance)
+        for i, alpha in enumerate(alphas):
+            if recon:
+                _compare_identities(tally, g, recon, i, alpha, nm_direct(p, alpha), tolerance)
+            for check, reps in bounds.items():
+                rep = reps[i]
+                if not (rep.holds and (not rep.equality or rep.slack <= rep.tolerance)):
+                    tally.fail(
+                        encode_graph6(g), check,
+                        f"{rep.direction} bound {rep.bound!r}"
+                        + (" with equality" if rep.equality else ""),
+                        rep.computed,
+                        alpha=alpha.value,
+                    )
 
     if p.diameter != 2:
         tally.skip("dist2_identity", "not_diameter_two", 1)
-        for check in ("nm2_reconstruct_secant", "nm2_reconstruct_unit"):
-            tally.skip(check, "not_diameter_two", nalpha)
     else:
         tally.checks["dist2_identity"] += 1
         total2 = 2 * p.m * (n - 1) - p.m1
         d2_total = sum(p.dist2_deg)
         if d2_total != total2:
-            tally.fail(g6, "dist2_identity", f"sum dist2_deg == {total2}", d2_total)
-        if p.d2_min == 0:
-            reason = "zero_min_dist2_degree"
-        elif p.d2_min == p.d2_max:
-            reason = "dist2_regular"
-        else:
-            reason = None
-        for alpha in alphas:
-            if reason is not None:
-                tally.skip("nm2_reconstruct_secant", reason, 1)
-                tally.skip("nm2_reconstruct_unit", reason, 1)
-                continue
-            direct = nm2_direct(p, alpha)
-            tol = tolerance * max(1.0, abs(direct))
-            for check, fn in (
-                ("nm2_reconstruct_secant", nm2_reconstruct_secant),
-                ("nm2_reconstruct_unit", nm2_reconstruct_unit),
-            ):
-                tally.checks[check] += 1
-                value = fn(p, alpha)
-                if abs(value - direct) > tol:
-                    tally.fail(g6, check, direct, value, alpha=alpha.value)
+            tally.fail(
+                encode_graph6(g), "dist2_identity", f"sum dist2_deg == {total2}", d2_total
+            )
+    recon2 = _run_ops(tally, _NM2_OPS, p, alphas)
+    if recon2:
+        for i, alpha in enumerate(alphas):
+            _compare_identities(tally, g, recon2, i, alpha, nm2_direct(p, alpha), tolerance)
 
     if p.m1 == 0:
         tally.skip("spectral_chain", "no_edges", 1)
@@ -353,7 +336,7 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         sr = spectral_radius(g)
     except NoConvergence:
         sr = None
-        tally.fail(g6, "spectral_chain", "convergence", "no_convergence")
+        tally.fail(encode_graph6(g), "spectral_chain", "convergence", "no_convergence")
     ratio_bound = sum(d * d for d in p.nbr_deg) / p.m1
     lo = p.delta_min
     min_nbr_bound = (p.m1 * (2 * lo + 1) - n * lo * lo - n * lo) / p.m1
@@ -364,14 +347,14 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         )
         if not ok:
             tally.fail(
-                g6, "spectral_chain",
+                encode_graph6(g), "spectral_chain",
                 f"rho^2 >= {ratio_bound!r} >= {min_nbr_bound!r}",
                 sr.rho_squared,
             )
     if min(p.deg) == max(p.deg):
         tally.checks["spectral_regular"] += 1
         if sr is None:
-            tally.fail(g6, "spectral_regular", "convergence", "no_convergence")
+            tally.fail(encode_graph6(g), "spectral_regular", "convergence", "no_convergence")
         else:
             k = float(p.deg[0])
             ok = (
@@ -381,7 +364,7 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
             )
             if not ok:
                 tally.fail(
-                    g6, "spectral_regular",
+                    encode_graph6(g), "spectral_regular",
                     f"rho == {k!r} and both bounds == {k * k!r}",
                     f"rho={sr.rho!r}, ratio={ratio_bound!r}, min_nbr={min_nbr_bound!r}",
                 )
@@ -457,8 +440,9 @@ def verify_all(
     alpha_objs = [as_alpha(a) for a in alphas]
     if not alpha_objs:
         raise ValueError("need at least one exponent")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     if engine not in ("bulk", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
@@ -554,21 +538,6 @@ class ExtremalRecord:
         }
 
 
-_SOURCE_OPS = {
-    "secant": nm_bound_secant,
-    "unit": nm_bound_unit,
-    "congruence": nm_bound_congruence,
-}
-
-_SOURCE_SKIPS = (
-    NeighborhoodRegular,
-    GapTooSmall,
-    NonPositiveQuotient,
-    RemainderZero,
-    UnoccupiedRemainderDegree,
-)
-
-
 def find_equality_graphs(
     n: int, alpha, source: str, *, allow_n8: bool = False
 ) -> list[ExtremalRecord]:
@@ -586,7 +555,7 @@ def find_equality_graphs(
         p = degree_profile(g)
         try:
             rep = op(p, a)
-        except _SOURCE_SKIPS:
+        except PreconditionError:
             continue
         if not rep.equality:
             continue

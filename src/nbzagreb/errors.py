@@ -4,7 +4,13 @@ Three groups matter to callers: input/usage problems (``ParseError``,
 ``ConfigError``), violated mathematical preconditions (``PreconditionError``),
 and iterative non-convergence (``NoConvergence``).  The CLI maps these to
 exit codes 2, 3 and 4 respectively.
+
+``reason`` names a violated precondition the same way everywhere: the CLI
+reports it as "inapplicable" and the sweeps count skips under it.
 """
+
+import re
+from functools import lru_cache
 
 
 class NbZagrebError(Exception):
@@ -105,3 +111,16 @@ class EmptyGraph(PreconditionError):
 
 class NoConvergence(NbZagrebError):
     """Iteration budget exhausted before reaching tolerance."""
+
+
+_SNAKE = re.compile(r"(?<!^)(?=[A-Z])")
+
+
+@lru_cache(maxsize=None)
+def _snake_name(cls: type) -> str:
+    return _SNAKE.sub("_", cls.__name__).lower()
+
+
+def reason(exc: NbZagrebError) -> str:
+    """Snake_case name of the exception's class, e.g. ``neighborhood_regular``."""
+    return _snake_name(type(exc))

@@ -353,21 +353,24 @@ def parse_graph6(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def encode_graph6(g: Graph) -> str:
-    """Encode a graph in short-form graph6 (requires n <= 62)."""
-    if g.n > 62:
-        raise InvalidGraph6("short-form graph6 supports at most 62 vertices")
-    pairs = _g6_pairs(g.n)
-    bits = [1 if g.has_edge(i, j) else 0 for i, j in pairs]
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(63 + g.n)]
+def _g6_pack(n: int, bits: list[int]) -> str:
+    """Short-form graph6 text of n vertices and one 0/1 bit per pair in
+    ``_g6_pairs`` order."""
+    bits = bits + [0] * (-len(bits) % 6)
+    chars = [chr(63 + n)]
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k : k + 6]:
             val = (val << 1) | b
         chars.append(chr(63 + val))
     return "".join(chars)
+
+
+def encode_graph6(g: Graph) -> str:
+    """Encode a graph in short-form graph6 (requires n <= 62)."""
+    if g.n > 62:
+        raise InvalidGraph6("short-form graph6 supports at most 62 vertices")
+    return _g6_pack(g.n, [1 if g.has_edge(i, j) else 0 for i, j in _g6_pairs(g.n)])
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,12 @@ class TestEqualitySoundness:
                     assert set(p.nbr_hist) == {p.delta_min, p.delta_max}
                 if cd.r >= 1 and p.nbr_hist.get(p.delta_max, 0) == cd.q:
                     assert cd.part2_constraints_hold
+
+
+@pytest.mark.parametrize("op", [nm_bound_secant, nm_bound_unit, nm_bound_congruence])
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1e-9])
+def test_tolerance_must_be_finite_and_positive(op, tolerance):
+    # Checked before any precondition, so a regular star is rejected too.
+    for g in (path_graph(5), star_graph(3)):
+        with pytest.raises(ValueError):
+            op(degree_profile(g), 2.0, tolerance)

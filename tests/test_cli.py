@@ -105,6 +105,18 @@ class TestBounds:
         inapplicable = doc["alphas"][0]["inapplicable"]
         assert {"source": "congruence", "reason": "remainder_zero"} in inapplicable
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_2(self, capsys, tmp_path, value):
+        star = tmp_path / "star.edges"
+        star.write_text("0 1\n0 2\n0 3\n")
+        for path in (FIG2, str(star)):
+            code, out, err = run(
+                capsys, "bounds", "--input", path, "--alpha", "2", "--tolerance", value
+            )
+            assert code == 2
+            assert out == ""
+            assert "ValueError" in err
+
     def test_star_all_inapplicable(self, capsys, tmp_path):
         star = tmp_path / "star.edges"
         star.write_text("0 1\n0 2\n0 3\n")
@@ -182,6 +194,19 @@ class TestVerify:
         assert code == 2
         assert "ValueError" in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--tolerance", "inf"), ("--tolerance", "nan"),
+                       ("--jobs", "0"), ("--jobs", "-5")],
+    )
+    def test_vacuous_configuration_exits_2(self, capsys, flag, value):
+        # An infinite tolerance passes every comparison; NaN fails them all.
+        code, out, err = run(
+            capsys, "verify", "--n-max", "3", "--alpha", "2", "--alpha", "0.5", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert "ValueError" in err
+
 
 class TestExtremal:
     def test_unit_form_contains_p4(self, capsys):
@@ -234,6 +259,27 @@ class TestFixtureResiduals:
             capsys, "bounds", "--input", FIG2, "--alpha", "2", "--output", "csv"
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--input", FIG2, "--alpha", "2", "--tolerance", "1e-9"],
+        ["spectral", "--input", FIG2, "--tolerance", "1e-9"],
+        ["extremal", "--n", "4", "--alpha", "2", "--source", "unit", "--dedup"],
+        ["extremal", "--n", "4", "--alpha", "2", "--source", "unit", "--jobs", "2"],
+        ["bounds", "--input", FIG2, "--alpha", "2", "--output", "json"],
+        ["spectral", "--input", FIG2, "--output", "json"],
+        ["verify", "--n-max", "3", "--alpha", "2", "--output", "json"],
+        ["extremal", "--n", "4", "--alpha", "2", "--source", "unit", "--output", "json"],
+    ],
+    ids=lambda argv: f"{argv[0]}{[a for a in argv if a.startswith('--')][-1]}",
+)
+def test_removed_flag_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 class TestSerialization:

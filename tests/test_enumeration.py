@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import numpy as np
@@ -18,9 +19,18 @@ from nbzagreb import (
     path_graph,
     verify_all,
 )
-from nbzagreb import _bulk
+from nbzagreb import _bulk, enumeration
 from nbzagreb._bulk import graph6_of_mask, mask_of_edges
-from nbzagreb.errors import ForbiddenAlpha, NTooLarge, UnknownBoundSource
+from nbzagreb.errors import (
+    ForbiddenAlpha,
+    NeighborhoodRegular,
+    NTooLarge,
+    PreconditionError,
+    UnknownBoundSource,
+    UnoccupiedRemainderDegree,
+    ZeroMinDist2Degree,
+    reason,
+)
 
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 CLASSES_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -143,6 +153,10 @@ class TestVerifyAll:
             verify_all(3, [2.0], engine="quantum")
         with pytest.raises(ValueError):
             verify_all(3, [2.0], tolerance=0.0)
+        # An infinite tolerance passes every comparison, NaN fails them all.
+        for kwargs in ({"tolerance": math.inf}, {"tolerance": math.nan}, {"jobs": 0}, {"jobs": -5}):
+            with pytest.raises(ValueError):
+                verify_all(3, [2.0], **kwargs)
 
     def test_report_to_dict_shape(self):
         doc = verify_all(3, [2.0]).to_dict()
@@ -152,6 +166,33 @@ class TestVerifyAll:
             "graphs_checked", "graphs_checked_by_n", "checks_run", "skips",
             "failure_count", "failures", "elapsed",
         }
+
+
+class TestSkipReasons:
+    @pytest.mark.parametrize(
+        "exc,name",
+        [
+            (NeighborhoodRegular, "neighborhood_regular"),
+            (UnoccupiedRemainderDegree, "unoccupied_remainder_degree"),
+            (ZeroMinDist2Degree, "zero_min_dist2_degree"),
+        ],
+    )
+    def test_reason_is_snake_case_class_name(self, exc, name):
+        assert reason(exc("message")) == name
+
+    def test_scalar_engine_records_the_op_precondition(self, monkeypatch):
+        # The engine asks the op, so whatever precondition the op raises is
+        # the skip reason; only n <= 2 is decided before the op runs.
+        class Synthetic(PreconditionError):
+            pass
+
+        def raise_synthetic(*args):
+            raise Synthetic("raised by the test")
+
+        monkeypatch.setitem(enumeration._SOURCE_OPS, "unit", raise_synthetic)
+        report = verify_all(4, [2.0, 0.5], engine="scalar")
+        assert report.skips["nm_bound_unit"] == {"n_lt_3": 4, "synthetic": 84}
+        assert report.checks_run["nm_bound_unit"] == 0
 
 
 RECONSTRUCT_CHECKS = (
