@@ -54,7 +54,7 @@ CHECK_NAMES = (
     "coefficient_sign_grid",
 )
 
-FAILURE_CAP_PER_CHUNK = 200
+FAILURE_CAP = 1000
 
 
 def pair_count(n: int) -> int:
@@ -84,7 +84,8 @@ def graph6_of_mask(n: int, mask: int) -> str:
 
 @dataclass
 class Tally:
-    """Mergeable per-chunk result: counts, skip reasons and failures."""
+    """Mergeable per-chunk result: counts, skip reasons, the exact failure
+    count and the first FAILURE_CAP failure records in sweep order."""
 
     graphs: int = 0
     checks: Counter = field(default_factory=Counter)
@@ -101,7 +102,7 @@ class Tally:
 
     def fail(self, graph6, check, expected, got, alpha=None) -> None:
         self.failure_count += 1
-        if len(self.failures) < FAILURE_CAP_PER_CHUNK:
+        if len(self.failures) < FAILURE_CAP:
             self.failures.append(
                 {
                     "graph6": graph6,
@@ -117,7 +118,7 @@ class Tally:
         self.checks.update(other.checks)
         for check, reasons in other.skips.items():
             self.skips.setdefault(check, Counter()).update(reasons)
-        self.failures.extend(other.failures)
+        self.failures.extend(other.failures[: FAILURE_CAP - len(self.failures)])
         self.failure_count += other.failure_count
 
 
@@ -267,6 +268,24 @@ def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
         )
 
 
+def bound_expected(upper: bool, bound: float, equality: bool) -> str:
+    """The ``expected`` field of a failed bound check, in both engines."""
+    return f"{'<=' if upper else '>='} {bound!r}" + (" with equality" if equality else "")
+
+
+def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, alpha):
+    """Per row, direct must lie below bound (upper) or above it, and within
+    tol of it on rows whose structural equality flag is set."""
+    tally.checks[check] += direct.size
+    ok = direct <= bound + tol if upper else direct >= bound - tol
+    ok &= ~equality | (np.abs(direct - bound) <= tol)
+    _report_rows(
+        tally, check, masks, n, ~ok,
+        lambda r: bound_expected(upper, float(bound[r]), bool(equality[r])),
+        lambda r: float(direct[r]), alpha,
+    )
+
+
 def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, pw, tolerance, alpha):
     """Secant and unit reconstructions of sum_v x_v**alpha on rows whose
     degrees span lo < hi, with excess = sum_v x_v - n * lo.  Returns the
@@ -382,12 +401,15 @@ def sweep_chunk(
         tally.skip("congruence_classify", "non_positive_quotient", n_no_quot)
         hist_hi = _gather(hist, big_delta)
         hist_lo = _gather(hist, delta)
+
+        def nbr_hist(r):
+            return {d: c for d, c in enumerate(hist[r].tolist()) if c}
+
         bi_rows = pos_q & (rem == 0) & (hist_hi == quot)
         bad = bi_rows & (hist_lo + hist_hi != n)
         _report_rows(
             tally, "congruence_classify", masks, n, bad,
-            "bi-degree case implies support {min, max}",
-            lambda r: f"support mass {int(hist_lo[r] + hist_hi[r])} of {n}",
+            "bi-degree case implies support {min, max}", nbr_hist,
         )
         p2_rows = rem_pos & (hist_hi == quot)
         interior = _interval_sum(hist_cum, delta + rem + 1, big_delta - 1)
@@ -396,7 +418,7 @@ def sweep_chunk(
         _report_rows(
             tally, "congruence_classify", masks, n, bad,
             "top-count q forces empty interior above min+r and at most one vertex at min+r",
-            lambda r: f"interior={int(interior[r])}, at_rem={int(at_rem[r])}",
+            nbr_hist,
         )
 
         idx_sel = np.nonzero(sel)[0]
@@ -416,66 +438,33 @@ def sweep_chunk(
         pattern = (
             (hist_hi == quot) & (_gather(hist, delta + rem) == 1) & (hist_lo == n - quot - 1)
         )[idx_sel][occ]
+        for check in nm_checks:
+            tally.skip(check, "neighborhood_regular", n_regular * nalpha)
+        tally.skip("nm_bound_congruence", "gap_too_small", n_gap_small * nalpha)
+        tally.skip("nm_bound_congruence", "non_positive_quotient", n_no_quot * nalpha)
+        tally.skip("nm_bound_congruence", "remainder_zero", n_rem_zero * nalpha)
+        tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc * nalpha)
         for alpha in alphas:
             upper = alpha < 0.0 or alpha > 1.0
-            for check in nm_checks:
-                tally.skip(check, "neighborhood_regular", n_regular)
-            tally.skip("nm_bound_congruence", "gap_too_small", n_gap_small)
-            tally.skip("nm_bound_congruence", "non_positive_quotient", n_no_quot)
-            tally.skip("nm_bound_congruence", "remainder_zero", n_rem_zero)
-            tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc)
-            if not idx_sel.size:
-                continue
             pw = _powers(width, alpha)
             direct, tol, lo_pow, slope, step, base_secant, base_unit = _check_reconstructions(
                 tally, "nm", masks_s, n, nbr_s, lo, hi, excess_s, pw, tolerance, alpha
             )
-
-            # Secant-form bound; equality demanded exactly on bi-supported rows.
-            tally.checks["nm_bound_secant"] += idx_sel.size
-            if upper:
-                ok = direct <= base_secant + tol
-            else:
-                ok = direct >= base_secant - tol
-            ok &= ~bi_support | (np.abs(direct - base_secant) <= tol)
-            _report_rows(
-                tally, "nm_bound_secant", masks_s, n, ~ok,
-                lambda r: f"{'<=' if upper else '>='} {float(base_secant[r])!r}"
-                + (" with equality" if bi_support[r] else ""),
-                lambda r: float(direct[r]), alpha,
+            # Secant form: equality exactly on bi-supported rows.
+            _check_bound(
+                tally, "nm_bound_secant", masks_s, n, direct, base_secant, tol,
+                upper, bi_support, alpha,
             )
-
-            # Unit-form bound with the top histogram term.
-            tally.checks["nm_bound_unit"] += idx_sel.size
+            # Unit form with the top histogram term; the direction flips.
             bound_u = base_unit + h_hi * (pw[hi] - lo_pow - (hi - lo) * step)
-            if upper:
-                ok = direct >= bound_u - tol
-            else:
-                ok = direct <= bound_u + tol
-            ok &= (interior2 != 0) | (np.abs(direct - bound_u) <= tol)
-            _report_rows(
-                tally, "nm_bound_unit", masks_s, n, ~ok,
-                lambda r: f"{'>=' if upper else '<='} {float(bound_u[r])!r}"
-                + ("" if interior2[r] else " with equality"),
-                lambda r: float(direct[r]), alpha,
+            _check_bound(
+                tally, "nm_bound_unit", masks_s, n, direct, bound_u, tol,
+                not upper, interior2 == 0, alpha,
             )
-
-            if not occ.size:
-                continue
-            direct_c = direct[occ]
-            tol_c = tol[occ]
             bound_c = base_secant[occ] + pw[lo_r_c] - lo_pow[occ] - r_c * slope[occ]
-            tally.checks["nm_bound_congruence"] += occ.size
-            if upper:
-                ok = direct_c <= bound_c + tol_c
-            else:
-                ok = direct_c >= bound_c - tol_c
-            ok &= ~pattern | (np.abs(direct_c - bound_c) <= tol_c)
-            _report_rows(
-                tally, "nm_bound_congruence", masks_c, n, ~ok,
-                lambda r: f"{'<=' if upper else '>='} {float(bound_c[r])!r}"
-                + (" with equality" if pattern[r] else ""),
-                lambda r: float(direct_c[r]), alpha,
+            _check_bound(
+                tally, "nm_bound_congruence", masks_c, n, direct[occ], bound_c, tol[occ],
+                upper, pattern, alpha,
             )
 
     # --- Distance-2 identities (diameter exactly 2).
@@ -499,16 +488,15 @@ def sweep_chunk(
     lo2 = d2_min[idx2]
     hi2 = d2_max[idx2]
     excess2 = total2[idx2] - n * lo2
+    for check in ("nm2_reconstruct_secant", "nm2_reconstruct_unit"):
+        tally.skip(check, "not_diameter_two", (b - n_diam2) * nalpha)
+        tally.skip(check, "zero_min_dist2_degree", n_zero_min * nalpha)
+        tally.skip(check, "dist2_regular", n_d2_regular * nalpha)
     for alpha in alphas:
-        for check in ("nm2_reconstruct_secant", "nm2_reconstruct_unit"):
-            tally.skip(check, "not_diameter_two", b - n_diam2)
-            tally.skip(check, "zero_min_dist2_degree", n_zero_min)
-            tally.skip(check, "dist2_regular", n_d2_regular)
-        if idx2.size:
-            _check_reconstructions(
-                tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2,
-                _powers(width, alpha), tolerance, alpha,
-            )
+        _check_reconstructions(
+            tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2,
+            _powers(width, alpha), tolerance, alpha,
+        )
 
     # --- Spectral chain and regular-graph equalities.
     if n == 1:

@@ -5,12 +5,12 @@ enumerated as edge-subset bitmasks.  ``verify_all`` replays every identity,
 bound and spectral check over the whole space and aggregates failures and
 precondition skips into a report; nothing is ever skipped silently.
 
-Two engines produce identical reports: ``bulk`` runs the vectorized kernels
-from :mod:`nbzagreb._bulk`, ``scalar`` routes every graph through the
-public per-graph operations and reports the precondition an operation
-raises as the skip reason (see :func:`nbzagreb.errors.reason`).  The scalar
-engine is the reference; the bulk engine is what makes n = 7 sweeps take
-seconds instead of hours.
+Two engines run the same checks and word failures alike: ``bulk`` runs
+the vectorized kernels from :mod:`nbzagreb._bulk`, ``scalar`` routes every
+graph through the public per-graph operations and reports the precondition
+an operation raises as the skip reason (see :func:`nbzagreb.errors.reason`).
+The scalar engine is the reference; the bulk engine is what makes n = 7
+sweeps take seconds instead of hours.
 
 Isomorphism dedup is by full permutation minimization: the canonical form
 of a graph is the lexicographically smallest adjacency bitstring over all
@@ -37,9 +37,11 @@ from ._bulk import (
     REGULAR_RHO_EPS,
     RHO_CHAIN_EPS,
     Tally,
+    bound_expected,
 )
 from .bounds import (
     BOUND_SOURCES,
+    UPPER,
     _check_tolerance,
     congruence_classify,
     nm_bound_congruence,
@@ -67,7 +69,7 @@ from .indices import (
     nm_reconstruct_secant,
     nm_reconstruct_unit,
 )
-from .spectral import spectral_radius
+from .spectral import _min_nbr_bound, _ratio_bound, spectral_radius
 
 __all__ = [
     "VerificationReport",
@@ -81,7 +83,6 @@ __all__ = [
 ]
 
 MAX_UNGATED_N = 7
-FAILURE_CAP = 1000
 
 
 def _check_n(n: int, allow_n8: bool) -> None:
@@ -286,7 +287,7 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
                 tally.fail(
                     encode_graph6(g), "congruence_classify",
                     "bi-degree case implies support {min, max}",
-                    sorted(p.nbr_hist),
+                    dict(p.nbr_hist),
                 )
             if cd.r >= 1 and p.nbr_hist.get(hi, 0) == cd.q and not cd.part2_constraints_hold:
                 tally.fail(
@@ -306,8 +307,7 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
                 if not (rep.holds and (not rep.equality or rep.slack <= rep.tolerance)):
                     tally.fail(
                         encode_graph6(g), check,
-                        f"{rep.direction} bound {rep.bound!r}"
-                        + (" with equality" if rep.equality else ""),
+                        bound_expected(rep.direction == UPPER, rep.bound, rep.equality),
                         rep.computed,
                         alpha=alpha.value,
                     )
@@ -337,9 +337,8 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
     except NoConvergence:
         sr = None
         tally.fail(encode_graph6(g), "spectral_chain", "convergence", "no_convergence")
-    ratio_bound = sum(d * d for d in p.nbr_deg) / p.m1
-    lo = p.delta_min
-    min_nbr_bound = (p.m1 * (2 * lo + 1) - n * lo * lo - n * lo) / p.m1
+    ratio_bound = _ratio_bound(p)
+    min_nbr_bound = _min_nbr_bound(p)
     if sr is not None:
         ok = (
             sr.rho_squared + RHO_CHAIN_EPS >= ratio_bound
@@ -382,8 +381,8 @@ class VerificationReport:
 
     ``checks_run`` counts evaluated (graph, alpha) instances per check;
     ``skips`` names the violated precondition for everything not checked.
-    ``failures`` keeps the first FAILURE_CAP records, ``failure_count`` is
-    exact.
+    ``failures`` keeps the first FAILURE_CAP records in sweep order,
+    ``failure_count`` is exact.
     """
 
     n_range: tuple[int, ...]
@@ -483,8 +482,7 @@ def verify_all(
     grid_count, grid_violations = coefficient_sign_grid(alpha_objs)
     total.checks["coefficient_sign_grid"] += grid_count
     for violation in grid_violations:
-        total.failure_count += 1
-        total.failures.append(violation)
+        total.fail(**violation)
 
     checks_run = {name: total.checks.get(name, 0) for name in CHECK_NAMES}
     skips = {
@@ -502,7 +500,7 @@ def verify_all(
         graphs_checked_by_n=by_n,
         checks_run=checks_run,
         skips=skips,
-        failures=tuple(total.failures[:FAILURE_CAP]),
+        failures=tuple(total.failures),
         failure_count=total.failure_count,
         elapsed=time.perf_counter() - start,
     )
@@ -516,10 +514,11 @@ def verify_all(
 class ExtremalRecord:
     """An isomorphism-class representative attaining a bound exactly.
 
-    ``structural_match`` records membership in the expected equality family
-    of the bound: two-valued histogram support for the secant form, paths
-    for the unit form, the {hi: q, min+r: 1, min: n-q-1} histogram for the
-    congruence form.
+    ``structural_match`` records membership in the named equality family of
+    the bound.  For the secant and congruence forms that family is the
+    structural equality flag itself (two-valued histogram support, the
+    {hi: q, min+r: 1, min: n-q-1} histogram), so every record matches; for
+    the unit form it says whether the graph is a path.
     """
 
     graph: str
@@ -559,25 +558,13 @@ def find_equality_graphs(
             continue
         if not rep.equality:
             continue
-        if source == "secant":
-            structural = set(p.nbr_hist) == {p.delta_min, p.delta_max}
-        elif source == "unit":
-            structural = is_path(g)
-        else:
-            cd = congruence_classify(p)
-            expected = {
-                p.delta_max: cd.q,
-                p.delta_min + cd.r: 1,
-                p.delta_min: p.n - cd.q - 1,
-            }
-            structural = p.nbr_hist == {d: c for d, c in expected.items() if c > 0}
         records.append(
             ExtremalRecord(
                 graph=encode_graph6(g),
                 bound_source=source,
                 alpha=a.value,
                 slack=rep.slack,
-                structural_match=structural,
+                structural_match=source != "unit" or is_path(g),
             )
         )
     records.sort(key=lambda r: r.graph)

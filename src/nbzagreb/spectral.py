@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import Disconnected, EmptyGraph, NoConvergence
-from .graphs import Graph, degree_profile, is_connected
+from .graphs import DegreeProfile, Graph, degree_profile, is_connected
 
 __all__ = [
     "SpectralResult",
@@ -88,13 +88,23 @@ def spectral_radius(
     raise NoConvergence(f"no convergence within {max_iter} iterations (tol={tol})")
 
 
+def _ratio_bound(p: DegreeProfile) -> float:
+    """NM_2 / M1 of a profile with M1 > 0."""
+    return sum(d * d for d in p.nbr_deg) / p.m1
+
+
+def _min_nbr_bound(p: DegreeProfile) -> float:
+    """(M1*(2*lo + 1) - n*lo**2 - n*lo) / M1 of a profile with M1 > 0."""
+    lo = p.delta_min
+    return (p.m1 * (2 * lo + 1) - p.n * lo * lo - p.n * lo) / p.m1
+
+
 def nm2_ratio_lower_bound(g: Graph) -> float:
     """Lower bound NM_2 / M1 on rho**2; needs at least one edge."""
     p = degree_profile(g)
     if p.m1 == 0:
         raise EmptyGraph("the ratio bound needs at least one edge")
-    nm2 = sum(d * d for d in p.nbr_deg)
-    return nm2 / p.m1
+    return _ratio_bound(p)
 
 
 def min_nbr_lower_bound(g: Graph) -> float:
@@ -103,8 +113,7 @@ def min_nbr_lower_bound(g: Graph) -> float:
     p = degree_profile(g)
     if p.m1 == 0:
         raise EmptyGraph("the minimum-degree bound needs at least one edge")
-    lo = p.delta_min
-    return (p.m1 * (2 * lo + 1) - p.n * lo * lo - p.n * lo) / p.m1
+    return _min_nbr_bound(p)
 
 
 def spectral_report(

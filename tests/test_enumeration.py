@@ -19,7 +19,7 @@ from nbzagreb import (
     path_graph,
     verify_all,
 )
-from nbzagreb import _bulk, enumeration
+from nbzagreb import _bulk, bounds, enumeration, indices
 from nbzagreb._bulk import graph6_of_mask, mask_of_edges
 from nbzagreb.errors import (
     ForbiddenAlpha,
@@ -158,6 +158,14 @@ class TestVerifyAll:
             with pytest.raises(ValueError):
                 verify_all(3, [2.0], **kwargs)
 
+    @pytest.mark.parametrize("engine,count", [("bulk", 1981), ("scalar", 2100)])
+    def test_failures_capped_once(self, engine, count):
+        # A tolerance below one ulp fails every inexact instance; the report
+        # keeps the first FAILURE_CAP records of the whole sweep.
+        report = verify_all(5, (-1, 0.5, 2, 3), tolerance=1e-300, engine=engine)
+        assert report.failure_count == count
+        assert len(report.failures) == _bulk.FAILURE_CAP == 1000
+
     def test_report_to_dict_shape(self):
         doc = verify_all(3, [2.0]).to_dict()
         assert doc["graphs_checked"] == 6
@@ -262,6 +270,39 @@ class TestBulkReconstructionKernel:
         assert report.failure_count == expected
         assert report.failures
         assert {f["check"] for f in report.failures} <= set(RECONSTRUCT_CHECKS)
+
+
+class TestEngineParity:
+    FIELDS = ("graph6", "check", "alpha", "expected", "got")
+
+    def test_failing_run_under_fault(self, monkeypatch):
+        # Raise 3**alpha by 100 in both engines.  The reconstructions hold
+        # for any power table; the bounds and the sign grid rest on
+        # convexity and fail, and both engines must report the same records.
+        pow_, powersum, powers = indices._pow, indices._powersum, _bulk._powers
+
+        def faulty_pow(base, a):
+            return pow_(base, a) + (100.0 if base == 3 else 0.0)
+
+        def faulty_powersum(values, a, what):
+            return powersum(values, a, what) + 100.0 * values.count(3)
+
+        def faulty_powers(width, alpha):
+            pw = powers(width, alpha)
+            pw[3:4] += 100.0
+            return pw
+
+        monkeypatch.setattr(indices, "_pow", faulty_pow)
+        monkeypatch.setattr(bounds, "_pow", faulty_pow)
+        monkeypatch.setattr(indices, "_powersum", faulty_powersum)
+        monkeypatch.setattr(_bulk, "_powers", faulty_powers)
+
+        def records(engine):
+            report = verify_all(5, (2.0,), engine=engine)
+            assert report.failure_count == len(report.failures) == 243
+            return sorted((tuple(f[k] for k in self.FIELDS) for f in report.failures), key=repr)
+
+        assert records("bulk") == records("scalar")
 
 
 class TestCoefficientSignGrid:
