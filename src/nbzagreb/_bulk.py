@@ -61,25 +61,38 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _slot_shifts(npairs: int) -> np.ndarray:
+    """Bit position of each edge slot in a mask: slot k sits at bit npairs-1-k."""
+    return np.arange(npairs - 1, -1, -1, dtype=np.int64)
+
+
+def _bits_of(masks: np.ndarray, npairs: int) -> np.ndarray:
+    """(len(masks), npairs) 0/1 slot bits of a 1-D array of masks."""
+    return ((masks[:, None] >> _slot_shifts(npairs)) & 1).astype(np.uint8)
+
+
+def _masks_of(bits: np.ndarray) -> np.ndarray:
+    """Masks of 0/1 slot bits along the last axis; inverse of _bits_of."""
+    return bits @ (1 << _slot_shifts(bits.shape[-1]))
+
+
 def mask_of_edges(n: int, edges) -> int:
-    npairs = pair_count(n)
-    mask = 0
+    bits = np.zeros(pair_count(n), dtype=np.uint8)
     for u, v in edges:
         i, j = min(u, v), max(u, v)
-        mask |= 1 << (npairs - 1 - (j * (j - 1) // 2 + i))
-    return mask
+        bits[j * (j - 1) // 2 + i] = 1
+    return int(_masks_of(bits))
 
 
 def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
-    npairs = pair_count(n)
     pairs = _g6_pairs(n)
-    return [pairs[k] for k in range(npairs) if (mask >> (npairs - 1 - k)) & 1]
+    bits = _bits_of(np.array([mask]), len(pairs))[0].tolist()
+    return [pair for pair, bit in zip(pairs, bits) if bit]
 
 
 def graph6_of_mask(n: int, mask: int) -> str:
     """graph6 string of a mask; matches graphs.encode_graph6."""
-    npairs = pair_count(n)
-    return _g6_pack(n, [(mask >> (npairs - 1 - k)) & 1 for k in range(npairs)])
+    return _g6_pack(n, _bits_of(np.array([mask]), pair_count(n))[0].tolist())
 
 
 @dataclass
@@ -123,12 +136,27 @@ class Tally:
 
 
 # ---------------------------------------------------------------------------
+# Failure wording, shared by both engines
+
+BI_DEGREE_SUPPORT = "bi-degree case implies support {min, max}"
+TOP_COUNT_PATTERN = (
+    "top-count q forces empty interior above min+r and at most one vertex at min+r"
+)
+NO_CONVERGENCE = ("convergence", "no_convergence")  # (expected, got)
+# Templates filled with str.format:
+SUM_EXPECTED = "sum {} == {}"  # degree name, exact total
+CHAIN_EXPECTED = "rho^2 >= {!r} >= {!r}"  # ratio bound, min-nbr bound
+REGULAR_EXPECTED = "rho == {!r} and both bounds == {!r}"  # k, k*k
+REGULAR_GOT = "rho={!r}, ratio={!r}, min_nbr={!r}"  # rho, ratio bound, min-nbr bound
+
+
+def bound_expected(upper: bool, bound: float, equality: bool) -> str:
+    """The ``expected`` field of a failed bound check."""
+    return f"{'<=' if upper else '>='} {bound!r}" + (" with equality" if equality else "")
+
+
+# ---------------------------------------------------------------------------
 # Batch construction
-
-
-def _bits_of(masks: np.ndarray, npairs: int) -> np.ndarray:
-    shifts = (npairs - 1 - np.arange(npairs)).astype(np.int64)
-    return ((masks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
 def _adj_of(bits: np.ndarray, n: int) -> np.ndarray:
@@ -159,10 +187,15 @@ def iter_mask_ranges(n: int):
         yield lo, min(lo + step, total)
 
 
+def _decode(n: int, mask_lo: int, mask_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks in [mask_lo, mask_hi) and their (masks, n, n) adjacency."""
+    masks = np.arange(mask_lo, mask_hi, dtype=np.int64)
+    return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
+
+
 def connected_masks(n: int, mask_lo: int, mask_hi: int) -> np.ndarray:
     """Ascending array of connected masks within [mask_lo, mask_hi)."""
-    masks = np.arange(mask_lo, mask_hi, dtype=np.int64)
-    adj = _adj_of(_bits_of(masks, pair_count(n)), n)
+    masks, adj = _decode(n, mask_lo, mask_hi)
     return masks[_connected(adj)]
 
 
@@ -268,11 +301,6 @@ def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
         )
 
 
-def bound_expected(upper: bool, bound: float, equality: bool) -> str:
-    """The ``expected`` field of a failed bound check, in both engines."""
-    return f"{'<=' if upper else '>='} {bound!r}" + (" with equality" if equality else "")
-
-
 def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, alpha):
     """Per row, direct must lie below bound (upper) or above it, and within
     tol of it on rows whose structural equality flag is set."""
@@ -322,12 +350,9 @@ def sweep_chunk(
 ) -> Tally:
     """Run every applicable check on all connected masks in a range."""
     tally = Tally()
-    npairs = pair_count(n)
-    masks = np.arange(mask_lo, mask_hi, dtype=np.int64)
-    adj = _adj_of(_bits_of(masks, npairs), n)
+    masks, adj = _decode(n, mask_lo, mask_hi)
     keep = _connected(adj)
-    masks = masks[keep]
-    adj = adj[keep]
+    masks, adj = masks[keep], adj[keep]
     b = masks.size
     tally.graphs = b
     if b == 0:
@@ -362,7 +387,7 @@ def sweep_chunk(
     bad = nbr.sum(axis=1) != m1
     _report_rows(
         tally, "m1_identity", masks, n, bad,
-        lambda r: f"sum nbr_deg == {int(m1[r])}",
+        lambda r: SUM_EXPECTED.format("nbr_deg", int(m1[r])),
         lambda r: int(nbr.sum(axis=1)[r]),
     )
 
@@ -409,16 +434,14 @@ def sweep_chunk(
         bad = bi_rows & (hist_lo + hist_hi != n)
         _report_rows(
             tally, "congruence_classify", masks, n, bad,
-            "bi-degree case implies support {min, max}", nbr_hist,
+            BI_DEGREE_SUPPORT, nbr_hist,
         )
         p2_rows = rem_pos & (hist_hi == quot)
         interior = _interval_sum(hist_cum, delta + rem + 1, big_delta - 1)
         at_rem = _gather(hist, delta + np.clip(rem, 0, width - 1 - delta))
         bad = p2_rows & ((interior != 0) | (at_rem > 1))
         _report_rows(
-            tally, "congruence_classify", masks, n, bad,
-            "top-count q forces empty interior above min+r and at most one vertex at min+r",
-            nbr_hist,
+            tally, "congruence_classify", masks, n, bad, TOP_COUNT_PATTERN, nbr_hist,
         )
 
         idx_sel = np.nonzero(sel)[0]
@@ -475,7 +498,7 @@ def sweep_chunk(
     bad = diam2 & (d2.sum(axis=1) != total2)
     _report_rows(
         tally, "dist2_identity", masks, n, bad,
-        lambda r: f"sum dist2_deg == {int(total2[r])}",
+        lambda r: SUM_EXPECTED.format("dist2_deg", int(total2[r])),
         lambda r: int(d2.sum(axis=1)[r]),
     )
 
@@ -509,16 +532,14 @@ def sweep_chunk(
     min_nbr_bound = (m1 * (2 * lo_f + 1) - n * lo_f * lo_f - n * lo_f) / m1
 
     tally.checks["spectral_chain"] += b
-    _report_rows(
-        tally, "spectral_chain", masks, n, ~converged, "convergence", "no_convergence"
-    )
+    _report_rows(tally, "spectral_chain", masks, n, ~converged, *NO_CONVERGENCE)
     chain_ok = (rho * rho + RHO_CHAIN_EPS >= ratio_bound) & (
         ratio_bound >= min_nbr_bound - BOUND_CHAIN_EPS
     )
     bad = converged & ~chain_ok
     _report_rows(
         tally, "spectral_chain", masks, n, bad,
-        lambda r: f"rho^2 >= {float(ratio_bound[r])!r} >= {float(min_nbr_bound[r])!r}",
+        lambda r: CHAIN_EXPECTED.format(float(ratio_bound[r]), float(min_nbr_bound[r])),
         lambda r: float(rho[r] * rho[r]),
     )
 
@@ -535,11 +556,13 @@ def sweep_chunk(
     bad = regular & converged & ~reg_ok
     _report_rows(
         tally, "spectral_regular", masks, n, bad,
-        lambda r: f"rho == {float(k[r])!r} and both bounds == {float(k[r] * k[r])!r}",
-        lambda r: f"rho={float(rho[r])!r}, ratio={float(ratio_bound[r])!r}, min_nbr={float(min_nbr_bound[r])!r}",
+        lambda r: REGULAR_EXPECTED.format(float(k[r]), float(k[r] * k[r])),
+        lambda r: REGULAR_GOT.format(
+            float(rho[r]), float(ratio_bound[r]), float(min_nbr_bound[r])
+        ),
     )
     bad = regular & ~converged
-    _report_rows(tally, "spectral_regular", masks, n, bad, "convergence", "no_convergence")
+    _report_rows(tally, "spectral_regular", masks, n, bad, *NO_CONVERGENCE)
     return tally
 
 
@@ -550,12 +573,10 @@ def sweep_chunk(
 def m1_identity_all_graphs(n: int) -> tuple[int, int]:
     """Check sum(nbr_deg) == M1 over ALL graphs on n vertices, connected or
     not.  Returns (graphs checked, mismatches)."""
-    npairs = pair_count(n)
     mismatches = 0
     total = 0
     for lo, hi in iter_mask_ranges(n):
-        masks = np.arange(lo, hi, dtype=np.int64)
-        adj = _adj_of(_bits_of(masks, npairs), n)
+        masks, adj = _decode(n, lo, hi)
         deg = adj.sum(axis=2, dtype=np.int64)
         m1 = (deg * deg).sum(axis=1)
         nbr_total = np.matmul(adj.astype(np.int64), deg[:, :, None])[:, :, 0].sum(axis=1)

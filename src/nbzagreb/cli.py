@@ -20,7 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from ._bulk import RHO_CHAIN_EPS
-from .bounds import BOUND_SOURCES, congruence_classify
+from .bounds import BOUND_SOURCES, DEFAULT_TOLERANCE, congruence_classify
 from .enumeration import _SOURCE_OPS, find_equality_graphs, verify_all
 from .errors import (
     ConfigError,
@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     reason,
 )
-from .graphs import degree_profile, is_connected, parse_edge_list, parse_graph6
+from .graphs import degree_profile, parse_edge_list, parse_graph6
 from .indices import (
     as_alpha,
     index_report,
@@ -142,12 +142,7 @@ def cmd_compute(parser, args):
         except PreconditionError as exc:
             entry["reconstruction"] = {"inapplicable": reason(exc)}
         try:
-            entry["nm2_alpha"] = nm2_direct(p, alpha)
-        except PreconditionError as exc:
-            entry["nm2_alpha"] = None
-            entry["nm2_alpha_inapplicable"] = reason(exc)
-        try:
-            direct2 = nm2_direct(p, alpha)
+            direct2 = entry["nm2_alpha"] = nm2_direct(p, alpha)
             via_s = nm2_reconstruct_secant(p, alpha)
             via_u = nm2_reconstruct_unit(p, alpha)
             entry["reconstruction_dist2"] = {
@@ -157,6 +152,9 @@ def cmd_compute(parser, args):
                 "residual_unit": abs(via_u - direct2),
             }
         except PreconditionError as exc:
+            if "nm2_alpha" not in entry:  # nm2_direct itself raised
+                entry["nm2_alpha"] = None
+                entry["nm2_alpha_inapplicable"] = reason(exc)
             entry["reconstruction_dist2"] = {"inapplicable": reason(exc)}
         entries.append(entry)
     doc = {
@@ -165,7 +163,7 @@ def cmd_compute(parser, args):
         "format": args.format,
         "n": g.n,
         "m": g.m,
-        "connected": is_connected(g),
+        "connected": p.diameter != math.inf,
         "diameter": p.diameter,
         "m1": p.m1,
         "profile": {
@@ -286,6 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lower bounds, exhaustive verification and extremal search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerance_flag = dict(
+        type=float, default=DEFAULT_TOLERANCE,
+        help=f"relative comparison tolerance (default {DEFAULT_TOLERANCE:g})",
+    )
 
     def add_input_flags(sp, with_alpha=True):
         sp.add_argument("--input", required=True, help="graph file, or '-' for stdin")
@@ -304,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="bound reports and congruence data")
     add_input_flags(sp)
-    sp.add_argument("--tolerance", type=float, default=1e-9,
-                    help="relative comparison tolerance (default 1e-9)")
+    sp.add_argument("--tolerance", **tolerance_flag)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("spectral", help="spectral radius and lower bounds")
@@ -318,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="exhaustive sweep over all connected graphs")
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--alpha", type=float, action="append", default=[])
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--tolerance", **tolerance_flag)
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes (either engine)")
     sp.add_argument("--allow-n8", action="store_true",
                     help="permit the 2^28-mask sweep at n = 8")
     sp.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")

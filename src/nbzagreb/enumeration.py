@@ -10,7 +10,10 @@ the vectorized kernels from :mod:`nbzagreb._bulk`, ``scalar`` routes every
 graph through the public per-graph operations and reports the precondition
 an operation raises as the skip reason (see :func:`nbzagreb.errors.reason`).
 The scalar engine is the reference; the bulk engine is what makes n = 7
-sweeps take seconds instead of hours.
+sweeps take seconds instead of hours.  Everything around the checks is
+shared: each engine is one function over a range of masks, and
+``verify_all`` builds one task list of ranges, runs it sequentially or on
+a process pool, and merges the results in range order.
 
 Isomorphism dedup is by full permutation minimization: the canonical form
 of a graph is the lexicographically smallest adjacency bitstring over all
@@ -21,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -31,16 +34,24 @@ import numpy as np
 
 from . import _bulk
 from ._bulk import (
+    BI_DEGREE_SUPPORT,
     BOUND_CHAIN_EPS,
+    CHAIN_EXPECTED,
     CHECK_NAMES,
+    NO_CONVERGENCE,
     REGULAR_BOUND_EPS,
+    REGULAR_EXPECTED,
+    REGULAR_GOT,
     REGULAR_RHO_EPS,
     RHO_CHAIN_EPS,
+    SUM_EXPECTED,
+    TOP_COUNT_PATTERN,
     Tally,
     bound_expected,
 )
 from .bounds import (
     BOUND_SOURCES,
+    DEFAULT_TOLERANCE,
     UPPER,
     _check_tolerance,
     congruence_classify,
@@ -98,43 +109,32 @@ def _graph_of_mask(n: int, mask: int) -> Graph:
     return Graph.from_edges(n, _bulk.edges_of_mask(n, mask))
 
 
-def _mask_of_graph(g: Graph) -> int:
-    return _bulk.mask_of_edges(g.n, g.edges())
-
-
 @lru_cache(maxsize=8)
-def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-slot permutation table (n!, npairs) and lex weights."""
+def _perm_table(n: int) -> np.ndarray:
+    """Edge-slot permutation table (n!, npairs)."""
     pairs = _g6_pairs(n)
-    npairs = len(pairs)
     index = np.zeros((n, n), dtype=np.int64)
     for k, (i, j) in enumerate(pairs):
         index[i, j] = index[j, i] = k
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    table = np.empty((perms.shape[0], npairs), dtype=np.int64)
+    table = np.empty((perms.shape[0], len(pairs)), dtype=np.int64)
     for k, (i, j) in enumerate(pairs):
         table[:, k] = index[perms[:, i], perms[:, j]]
-    weights = (1 << (npairs - 1 - np.arange(npairs, dtype=np.int64))).astype(np.int64)
-    return table, weights
+    return table
 
 
 def _orbit_keys(n: int, mask: int) -> np.ndarray:
     """Masks of every relabeling of the graph encoded by ``mask``."""
-    table, weights = _perm_tables(n)
-    npairs = weights.size
-    bits = np.array(
-        [(mask >> (npairs - 1 - k)) & 1 for k in range(npairs)], dtype=np.int64
-    )
-    if npairs == 0:
-        return np.zeros(1, dtype=np.int64)
-    return bits[table] @ weights
+    table = _perm_table(n)
+    bits = _bulk._bits_of(np.array([mask]), table.shape[1])[0]
+    return _bulk._masks_of(bits[table])
 
 
 def canonical_form(g: Graph) -> Graph:
     """Representative with the lexicographically smallest adjacency
     bitstring (hence smallest graph6 string) over all relabelings."""
     _check_n(g.n, allow_n8=True)
-    keys = _orbit_keys(g.n, _mask_of_graph(g))
+    keys = _orbit_keys(g.n, _bulk.mask_of_edges(g.n, g.edges()))
     return _graph_of_mask(g.n, int(keys.min()))
 
 
@@ -253,12 +253,12 @@ def _run_ops(tally: Tally, ops: dict, p: DegreeProfile, alphas: list[Alpha], *ar
     return results
 
 
-def _compare_identities(tally: Tally, g: Graph, recon: dict, i: int, alpha: Alpha,
-                        direct: float, tolerance: float) -> None:
+def _compare_identities(fail, recon: dict, i: int, alpha: Alpha, direct: float,
+                        tolerance: float) -> None:
     tol = tolerance * max(1.0, abs(direct))
     for check, values in recon.items():
         if abs(values[i] - direct) > tol:
-            tally.fail(encode_graph6(g), check, direct, values[i], alpha=alpha.value)
+            fail(check, direct, values[i], alpha=alpha.value)
 
 
 def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally: Tally):
@@ -266,10 +266,13 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
     n = p.n
     nalpha = len(alphas)
 
+    def fail(check, expected, got, alpha=None):
+        tally.fail(encode_graph6(g), check, expected, got, alpha=alpha)
+
     tally.checks["m1_identity"] += 1
     nbr_total = sum(p.nbr_deg)
     if nbr_total != p.m1:
-        tally.fail(encode_graph6(g), "m1_identity", f"sum nbr_deg == {p.m1}", nbr_total)
+        fail("m1_identity", SUM_EXPECTED.format("nbr_deg", p.m1), nbr_total)
 
     if n < 3:
         for check in (*_NM_OPS, *(f"nm_bound_{source}" for source in _SOURCE_OPS)):
@@ -284,33 +287,21 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
             tally.checks["congruence_classify"] += 1
             lo, hi = p.delta_min, p.delta_max
             if cd.is_bi_degree_case and set(p.nbr_hist) != {lo, hi}:
-                tally.fail(
-                    encode_graph6(g), "congruence_classify",
-                    "bi-degree case implies support {min, max}",
-                    dict(p.nbr_hist),
-                )
+                fail("congruence_classify", BI_DEGREE_SUPPORT, dict(p.nbr_hist))
             if cd.r >= 1 and p.nbr_hist.get(hi, 0) == cd.q and not cd.part2_constraints_hold:
-                tally.fail(
-                    encode_graph6(g), "congruence_classify",
-                    "top-count q forces empty interior above min+r and at most one vertex at min+r",
-                    dict(p.nbr_hist),
-                )
+                fail("congruence_classify", TOP_COUNT_PATTERN, dict(p.nbr_hist))
 
         recon = _run_ops(tally, _NM_OPS, p, alphas)
         bound_ops = {f"nm_bound_{source}": op for source, op in _SOURCE_OPS.items()}
         bounds = _run_ops(tally, bound_ops, p, alphas, tolerance)
         for i, alpha in enumerate(alphas):
             if recon:
-                _compare_identities(tally, g, recon, i, alpha, nm_direct(p, alpha), tolerance)
+                _compare_identities(fail, recon, i, alpha, nm_direct(p, alpha), tolerance)
             for check, reps in bounds.items():
                 rep = reps[i]
                 if not (rep.holds and (not rep.equality or rep.slack <= rep.tolerance)):
-                    tally.fail(
-                        encode_graph6(g), check,
-                        bound_expected(rep.direction == UPPER, rep.bound, rep.equality),
-                        rep.computed,
-                        alpha=alpha.value,
-                    )
+                    expected = bound_expected(rep.direction == UPPER, rep.bound, rep.equality)
+                    fail(check, expected, rep.computed, alpha=alpha.value)
 
     if p.diameter != 2:
         tally.skip("dist2_identity", "not_diameter_two", 1)
@@ -319,13 +310,11 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         total2 = 2 * p.m * (n - 1) - p.m1
         d2_total = sum(p.dist2_deg)
         if d2_total != total2:
-            tally.fail(
-                encode_graph6(g), "dist2_identity", f"sum dist2_deg == {total2}", d2_total
-            )
+            fail("dist2_identity", SUM_EXPECTED.format("dist2_deg", total2), d2_total)
     recon2 = _run_ops(tally, _NM2_OPS, p, alphas)
     if recon2:
         for i, alpha in enumerate(alphas):
-            _compare_identities(tally, g, recon2, i, alpha, nm2_direct(p, alpha), tolerance)
+            _compare_identities(fail, recon2, i, alpha, nm2_direct(p, alpha), tolerance)
 
     if p.m1 == 0:
         tally.skip("spectral_chain", "no_edges", 1)
@@ -336,7 +325,7 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         sr = spectral_radius(g)
     except NoConvergence:
         sr = None
-        tally.fail(encode_graph6(g), "spectral_chain", "convergence", "no_convergence")
+        fail("spectral_chain", *NO_CONVERGENCE)
     ratio_bound = _ratio_bound(p)
     min_nbr_bound = _min_nbr_bound(p)
     if sr is not None:
@@ -345,15 +334,12 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
             and ratio_bound >= min_nbr_bound - BOUND_CHAIN_EPS
         )
         if not ok:
-            tally.fail(
-                encode_graph6(g), "spectral_chain",
-                f"rho^2 >= {ratio_bound!r} >= {min_nbr_bound!r}",
-                sr.rho_squared,
-            )
+            expected = CHAIN_EXPECTED.format(ratio_bound, min_nbr_bound)
+            fail("spectral_chain", expected, sr.rho_squared)
     if min(p.deg) == max(p.deg):
         tally.checks["spectral_regular"] += 1
         if sr is None:
-            tally.fail(encode_graph6(g), "spectral_regular", "convergence", "no_convergence")
+            fail("spectral_regular", *NO_CONVERGENCE)
         else:
             k = float(p.deg[0])
             ok = (
@@ -362,17 +348,37 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
                 and abs(min_nbr_bound - k * k) <= REGULAR_BOUND_EPS
             )
             if not ok:
-                tally.fail(
-                    encode_graph6(g), "spectral_regular",
-                    f"rho == {k!r} and both bounds == {k * k!r}",
-                    f"rho={sr.rho!r}, ratio={ratio_bound!r}, min_nbr={min_nbr_bound!r}",
+                fail(
+                    "spectral_regular", REGULAR_EXPECTED.format(k, k * k),
+                    REGULAR_GOT.format(sr.rho, ratio_bound, min_nbr_bound),
                 )
     else:
         tally.skip("spectral_regular", "not_regular", 1)
 
 
+def _scalar_chunk(
+    n: int, mask_lo: int, mask_hi: int, alphas: tuple[float, ...], tolerance: float
+) -> Tally:
+    """The scalar engine on the connected masks of one range; same
+    signature and result as :func:`nbzagreb._bulk.sweep_chunk`."""
+    alpha_objs = [as_alpha(a) for a in alphas]
+    tally = Tally()
+    for mask in _bulk.connected_masks(n, mask_lo, mask_hi).tolist():
+        tally.graphs += 1
+        _scalar_graph_checks(_graph_of_mask(n, mask), alpha_objs, tolerance, tally)
+    return tally
+
+
 # ---------------------------------------------------------------------------
 # Whole-space verification
+
+# Per-chunk function of each engine: (n, mask_lo, mask_hi, alphas, tolerance) -> Tally.
+_ENGINES = {"bulk": _bulk.sweep_chunk, "scalar": _scalar_chunk}
+
+
+def _report_doc(fields) -> dict:
+    """``asdict`` factory with JSON-shaped values: tuples become lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in fields}
 
 
 @dataclass(frozen=True)
@@ -394,8 +400,8 @@ class VerificationReport:
     graphs_checked_by_n: dict[int, int]
     checks_run: dict[str, int]
     skips: dict[str, dict[str, int]]
-    failures: tuple[dict, ...]
     failure_count: int
+    failures: tuple[dict, ...]
     elapsed: float
 
     @property
@@ -403,37 +409,27 @@ class VerificationReport:
         return self.failure_count == 0
 
     def to_dict(self) -> dict:
-        return {
-            "n_range": list(self.n_range),
-            "alpha_set": list(self.alpha_set),
-            "engine": self.engine,
-            "jobs": self.jobs,
-            "tolerance": self.tolerance,
-            "graphs_checked": self.graphs_checked,
-            "graphs_checked_by_n": {str(k): v for k, v in self.graphs_checked_by_n.items()},
-            "checks_run": dict(self.checks_run),
-            "skips": {k: dict(v) for k, v in self.skips.items()},
-            "failure_count": self.failure_count,
-            "failures": list(self.failures),
-            "elapsed": self.elapsed,
-        }
+        doc = asdict(self, dict_factory=_report_doc)
+        doc["graphs_checked_by_n"] = {str(k): v for k, v in self.graphs_checked_by_n.items()}
+        return doc
 
 
 def verify_all(
     n_max: int,
     alphas,
     *,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
     jobs: int = 1,
     allow_n8: bool = False,
     engine: str = "bulk",
 ) -> VerificationReport:
     """Run every applicable check on every connected graph with n <= n_max.
 
-    The coefficient sign grid (graph-independent) runs once per call with
-    the same exponents.  With ``jobs`` > 1 the mask space is partitioned
-    into ranges processed by worker processes; reports are merged in range
-    order, so results are identical to a sequential run.
+    The mask space of each n is split into ranges (``_bulk.iter_mask_ranges``)
+    and the engine's chunk function runs once per range, in worker processes
+    when ``jobs`` > 1.  Chunk results are merged in range order, so the
+    report does not depend on ``jobs``.  The coefficient sign grid
+    (graph-independent) runs once per call with the same exponents.
     """
     _check_n(n_max, allow_n8)
     alpha_objs = [as_alpha(a) for a in alphas]
@@ -442,40 +438,22 @@ def verify_all(
     _check_tolerance(tolerance)
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    if engine not in ("bulk", "scalar"):
+    chunk = _ENGINES.get(engine)
+    if chunk is None:
         raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
+    alpha_values = tuple(a.value for a in alpha_objs)
+    ns, los, his = zip(
+        *((n, lo, hi) for n in range(1, n_max + 1) for lo, hi in _bulk.iter_mask_ranges(n))
+    )
     total = Tally()
     by_n: dict[int, int] = {}
-
-    if engine == "scalar":
-        for n in range(1, n_max + 1):
-            tally = Tally()
-            for g in enumerate_connected(n, allow_n8=allow_n8):
-                tally.graphs += 1
-                _scalar_graph_checks(g, alpha_objs, tolerance, tally)
-            by_n[n] = tally.graphs
-            total.merge(tally)
-    else:
-        alpha_values = tuple(a.value for a in alpha_objs)
-        tasks = [
-            (n, lo, hi)
-            for n in range(1, n_max + 1)
-            for lo, hi in _bulk.iter_mask_ranges(n)
-        ]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(_bulk.sweep_chunk, n, lo, hi, alpha_values, tolerance)
-                    for n, lo, hi in tasks
-                ]
-                tallies = [f.result() for f in futures]
-        else:
-            tallies = [
-                _bulk.sweep_chunk(n, lo, hi, alpha_values, tolerance)
-                for n, lo, hi in tasks
-            ]
-        for (n, _lo, _hi), tally in zip(tasks, tallies):
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        tallies = mapper(
+            chunk, ns, los, his, itertools.repeat(alpha_values), itertools.repeat(tolerance)
+        )
+        for n, tally in zip(ns, tallies):
             by_n[n] = by_n.get(n, 0) + tally.graphs
             total.merge(tally)
 
@@ -486,7 +464,7 @@ def verify_all(
 
     checks_run = {name: total.checks.get(name, 0) for name in CHECK_NAMES}
     skips = {
-        name: dict(sorted(total.skips.get(name, Counter()).items()))
+        name: dict(sorted(total.skips[name].items()))
         for name in CHECK_NAMES
         if name in total.skips
     }
@@ -528,13 +506,7 @@ class ExtremalRecord:
     structural_match: bool
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "bound_source": self.bound_source,
-            "alpha": self.alpha,
-            "slack": self.slack,
-            "structural_match": self.structural_match,
-        }
+        return asdict(self)
 
 
 def find_equality_graphs(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     DuplicateEdge,
@@ -316,9 +316,10 @@ def parse_edge_list(text: str) -> Graph:
 # graph6 short form
 
 
-def _g6_pairs(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _g6_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Upper-triangle pairs in graph6 bit order: (0,1),(0,2),(1,2),(0,3),..."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 
 import pytest
 
@@ -293,3 +295,30 @@ class TestSerialization:
     def test_twelve_significant_digits(self):
         assert dumps_stable(7.333333333333333) == "7.33333333333"
         assert dumps_stable(1e-10) == "1e-10"
+
+
+def readme_commands():
+    """The ``nbzagreb ...`` lines of the first bash block under README's
+    "Command line" heading."""
+    readme = (FIXTURES.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("nbzagreb ")
+    ]
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in readme_commands()} == {
+        "compute", "bounds", "spectral", "verify", "extremal",
+    }
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(capsys, monkeypatch, argv):
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 from itertools import islice
 
 import numpy as np
@@ -90,6 +91,22 @@ class TestCanonicalForm:
         mask = mask_of_edges(g.n, g.edges())
         assert graph6_of_mask(g.n, mask) == encode_graph6(g)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mask_codec_round_trip(self, n):
+        # Slot 0, the pair (0, 1), is the most significant bit of a mask.
+        npairs = _bulk.pair_count(n)
+        rng = np.random.default_rng(n)
+        masks = np.unique(np.r_[0, (1 << npairs) - 1, rng.integers(0, 1 << npairs, 500)])
+        bits = _bulk._bits_of(masks, npairs)
+        np.testing.assert_array_equal(_bulk._masks_of(bits), masks)
+        for mask, row in zip(masks.tolist()[:50], bits):
+            assert _bulk.edges_of_mask(n, mask) == [
+                pair for pair, bit in zip(_bulk._g6_pairs(n), row) if bit
+            ]
+            assert mask_of_edges(n, _bulk.edges_of_mask(n, mask)) == mask
+        if n > 1:
+            assert _bulk.edges_of_mask(n, 1 << (npairs - 1)) == [(0, 1)]
+
 
 class TestVerifyAll:
     def test_small_sweep_passes(self):
@@ -125,13 +142,50 @@ class TestVerifyAll:
         assert bulk.skips == scalar.skips
         assert bulk.failures == scalar.failures == ()
 
-    def test_parallel_matches_sequential(self):
-        seq = verify_all(4, [2.0, 0.5], jobs=1)
-        par = verify_all(4, [2.0, 0.5], jobs=2)
+    @pytest.mark.parametrize("engine", ["bulk", "scalar"])
+    def test_parallel_matches_sequential(self, engine):
+        seq = verify_all(4, [2.0, 0.5], jobs=1, engine=engine)
+        par = verify_all(4, [2.0, 0.5], jobs=2, engine=engine)
         assert seq.graphs_checked == par.graphs_checked
         assert seq.checks_run == par.checks_run
         assert seq.skips == par.skips
         assert seq.failures == par.failures
+
+    def test_scalar_engine_dispatches_chunks_to_the_pool(self, monkeypatch):
+        chunks = []
+
+        class RecordingPool:
+            """Runs tasks in-process and records the (n, lo, hi) of each."""
+
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                chunks.append(args[:3])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def map(self, fn, *iterables):
+                return [self.submit(fn, *args).result() for args in zip(*iterables)]
+
+        sequential = verify_all(4, [2.0, 0.5], engine="scalar").to_dict()
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        pooled = verify_all(4, [2.0, 0.5], engine="scalar", jobs=2).to_dict()
+        assert chunks == [
+            (n, lo, hi) for n in range(1, 5) for lo, hi in _bulk.iter_mask_ranges(n)
+        ]
+        assert pooled.pop("jobs") == 2
+        for doc in (sequential, pooled):
+            doc.pop("elapsed")
+        sequential.pop("jobs")
+        assert pooled == sequential
 
     def test_skip_reasons_are_named(self):
         report = verify_all(4, [2.0])
@@ -139,6 +193,22 @@ class TestVerifyAll:
             for reason, count in reasons.items():
                 assert reason
                 assert count > 0
+
+    def test_skip_reasons_name_a_precondition(self):
+        # The bulk engine writes its reasons as literals; each must be the
+        # name of a PreconditionError subclass, or one of the three reasons
+        # that no op decides.
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        known = {reason(sub()) for sub in subclasses(PreconditionError)}
+        known |= {"n_lt_3", "no_edges", "not_regular"}
+        report = verify_all(6, (-1, 0.5, 2, 3))
+        used = {name for reasons in report.skips.values() for name in reasons}
+        assert used <= known
+        assert {"n_lt_3", "no_edges", "not_regular", "neighborhood_regular"} <= used
 
     def test_validation(self):
         with pytest.raises(NTooLarge):
