@@ -5,10 +5,14 @@ Lower-bounding the adjacency spectral radius
 The squared spectral radius of any graph with an edge is at least
 NM_2 / M1, and that ratio is in turn at least the closed form
 (M1*(2*lo + 1) - n*lo**2 - n*lo) / M1 built from the minimum neighborhood
-degree lo alone.  Both bounds are tight exactly on regular graphs.
+degree lo alone.  The first bound is tight exactly when A**2 d is parallel
+to the degree vector d, which ``ratio_bound_exact`` decides in integers:
+regular graphs, but also stars and the path P3.
 
 rho itself is estimated by deterministic power iteration on A + I (the
-shift keeps bipartite spectra from oscillating).
+shift keeps bipartite spectra from oscillating).  On the tight graphs it
+lands a hair below NM_2 / M1, which is why the equality is certified in
+integers rather than read off the estimate.
 """
 
 import math
@@ -28,7 +32,7 @@ def show(tag, g):
     print(
         f"{tag:<14} rho={r.rho:<12.8f} rho^2={r.rho_squared:<12.8f} "
         f"NM2/M1={r.bound_nm2_ratio:<12.8f} closed-form={r.bound_min_nbr:<12.8f} "
-        f"({r.iterations} iterations)"
+        f"exact={r.ratio_bound_exact} ({r.iterations} iterations)"
     )
 
 
@@ -44,9 +48,13 @@ petersen = Graph.from_edges(
 )
 show("Petersen", petersen)
 
-# Irregular graphs keep the chain strict.
-show("P4", path_graph(4))
+# Stars and P3 are irregular, yet A**2 d = (NM_2 / M1) d: the ratio bound
+# is tight.
+show("P3", path_graph(3))
 show("star K_{1,5}", star_graph(5))
+
+# Most irregular graphs keep the chain strict.
+show("P4", path_graph(4))
 
 # Paths have the closed-form radius 2*cos(pi / (n+1)).
 for n in (3, 4, 7):

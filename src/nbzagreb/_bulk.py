@@ -32,12 +32,6 @@ from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 CHUNK_BITS = 15
 
-# Fixed slacks of the spectral chain and the regular-graph equalities.
-RHO_CHAIN_EPS = 1e-7
-BOUND_CHAIN_EPS = 1e-9
-REGULAR_RHO_EPS = 1e-8
-REGULAR_BOUND_EPS = 1e-9
-
 CHECK_NAMES = (
     "m1_identity",
     "nm_reconstruct_secant",
@@ -146,8 +140,8 @@ NO_CONVERGENCE = ("convergence", "no_convergence")  # (expected, got)
 # Templates filled with str.format:
 SUM_EXPECTED = "sum {} == {}"  # degree name, exact total
 CHAIN_EXPECTED = "rho^2 >= {!r} >= {!r}"  # ratio bound, min-nbr bound
-REGULAR_EXPECTED = "rho == {!r} and both bounds == {!r}"  # k, k*k
-REGULAR_GOT = "rho={!r}, ratio={!r}, min_nbr={!r}"  # rho, ratio bound, min-nbr bound
+REGULAR_EXPECTED = "both bounds == {!r}"  # k*k
+REGULAR_GOT = "ratio={!r}, min_nbr={!r}"  # ratio bound, min-nbr bound
 
 
 def bound_expected(upper: bool, bound: float, equality: bool) -> str:
@@ -200,50 +194,97 @@ def connected_masks(n: int, mask_lo: int, mask_hi: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched power iteration (same semantics as spectral.spectral_radius)
+# Spectral chain certificates
+
+
+def _nm2(nbr: np.ndarray) -> np.ndarray:
+    """NM_2, the sum of squared neighborhood degrees, per row."""
+    return (nbr * nbr).sum(axis=1)
+
+
+def ratio_is_exact(adj64, deg, nbr, m1, nm2) -> np.ndarray:
+    """Rows on which rho**2 == NM_2 / M1 exactly, decided in integers.
+
+    With d the degree vector and nbr = A d, the test is A nbr * M1 ==
+    NM_2 * d on every vertex, i.e. A**2 d = (NM_2 / M1) d; see
+    :func:`nbzagreb.spectral.ratio_bound_is_exact` for why that pins rho.
+    """
+    x3 = np.matmul(adj64, nbr[:, :, None])[:, :, 0]
+    return (x3 * m1[:, None] == nm2[:, None] * deg).all(axis=1)
 
 
 def batched_power_iteration(
-    adj: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+    adj: np.ndarray,
+    ratio: np.ndarray,
+    exact: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """Per-graph dominant eigenvalue of A + I minus one.
+    """Certify rho**2 >= ratio per graph by power iteration on A + I.
 
-    Returns (rho, iterations, residual, converged); rows that never reach
-    tolerance have converged=False.
+    Rows flagged ``exact`` are certified already and take no step.  Every
+    other row starts from the all-ones vector and stops at the first step
+    whose Rayleigh quotient theta of A + I satisfies theta - 1 > 0 and
+    (theta - 1)**2 >= ratio * (1 + guard), or else changed by less than
+    ``tol`` since the previous step (the stopping rule of
+    :func:`nbzagreb.spectral.spectral_radius`).
+
+    A Rayleigh quotient of A + I never exceeds its top eigenvalue rho + 1,
+    so theta - 1 <= rho and the first condition proves rho**2 >= ratio.
+    The guard covers rounding, with u the float64 unit roundoff: the
+    matvec and the dot product are sums of at most n non-negative terms
+    and the normalized iterate has squared norm within (n + 4) u of 1, so
+    the computed theta exceeds the exact quotient by a relative
+    (3n + 4) u at most; with rho >= 1 that becomes 2(3n + 4) u on
+    theta - 1 and twice that on its square, and the subtraction, the
+    squaring, NM_2 / M1 and the product add a few u more.
+    guard = 16 (n + 2) u exceeds the (12n + 21) u total.
+
+    Returns (rho, steps, certified, converged) per row: rho is theta - 1
+    at the stop, a lower bound on rho for certified rows (sqrt(ratio) on
+    exact rows); steps counts matvecs, 0 on exact rows; converged marks
+    rows stopped by ``tol`` without a certificate.  Rows with neither flag
+    ran out of ``max_iter`` steps.
     """
     b, n, _ = adj.shape
-    shifted = adj.astype(np.float64)
+    guard = 16 * (n + 2) * (np.finfo(np.float64).eps / 2)
+    rho = np.where(exact, np.sqrt(ratio), 0.0)
+    steps = np.zeros(b, dtype=np.int64)
+    certified = exact.copy()
+    converged = np.zeros(b, dtype=bool)
+    # shifted, target, v and prev hold the unfinished rows only; active maps
+    # them back to the batch.  They are compacted when some row finishes.
+    active = np.nonzero(~exact)[0]
+    shifted = adj[active].astype(np.float64)
     diag = np.arange(n)
     shifted[:, diag, diag] += 1.0
-    v = np.full((b, n), 1.0 / np.sqrt(n))
-    prev = np.full(b, np.inf)
-    rayleigh_out = np.zeros(b)
-    iterations = np.zeros(b, dtype=np.int64)
-    residual = np.zeros(b)
-    # shifted, v and prev hold the unfinished rows only; active maps them
-    # back to the batch.  They are compacted when some row finishes.
-    active = np.arange(b)
+    target = ratio[active] * (1.0 + guard)
+    v = np.full((active.size, n), 1.0 / np.sqrt(n))
+    prev = np.full(active.size, np.inf)
     it = 0
     while active.size and it < max_iter:
         it += 1
         w = np.matmul(shifted, v[:, :, None])[:, :, 0]
         ray = np.einsum("bi,bi->b", v, w)
-        change = np.abs(ray - prev)
-        done = change < tol
+        lower = ray - 1.0
+        cert = (lower > 0.0) & (lower * lower >= target)
+        done = cert | (np.abs(ray - prev) < tol)
         if done.any():
             hit = active[done]
-            rayleigh_out[hit] = ray[done]
-            iterations[hit] = it
-            residual[hit] = change[done]
+            rho[hit] = lower[done]
+            steps[hit] = it
+            certified[hit] = cert[done]
+            converged[hit] = ~cert[done]
             cont = ~done
             active = active[cont]
             shifted = shifted[cont]
+            target = target[cont]
             ray = ray[cont]
             w = w[cont]
         prev = ray
         v = w / np.linalg.norm(w, axis=1, keepdims=True)
-    converged = iterations > 0
-    return rayleigh_out - 1.0, iterations, residual, converged
+    steps[active] = it
+    return rho, steps, certified, converged
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +403,8 @@ def sweep_chunk(
     deg = adj.sum(axis=2, dtype=np.int64)
     m = deg.sum(axis=1) // 2
     m1 = (deg * deg).sum(axis=1)
-    nbr = np.matmul(adj.astype(np.int64), deg[:, :, None])[:, :, 0]
-    nm2_exact = (nbr * nbr).sum(axis=1)
+    adj64 = adj.astype(np.int64)
+    nbr = np.matmul(adj64, deg[:, :, None])[:, :, 0]
     delta = nbr.min(axis=1)
     big_delta = nbr.max(axis=1)
 
@@ -521,48 +562,42 @@ def sweep_chunk(
             _powers(width, alpha), tolerance, alpha,
         )
 
-    # --- Spectral chain and regular-graph equalities.
+    # --- Spectral chain and regular-graph equalities.  The links between
+    # the two bounds are integer comparisons over the common denominator M1.
     if n == 1:
         tally.skip("spectral_chain", "no_edges", b)
         tally.skip("spectral_regular", "no_edges", b)
         return tally
-    rho, _iters, _resid, converged = batched_power_iteration(adj)
-    ratio_bound = nm2_exact / m1
-    lo_f = delta.astype(np.float64)
-    min_nbr_bound = (m1 * (2 * lo_f + 1) - n * lo_f * lo_f - n * lo_f) / m1
+    nm2 = _nm2(nbr)
+    ratio_bound = nm2 / m1
+    min_nbr_num = m1 * (2 * delta + 1) - n * delta * delta - n * delta
+    min_nbr_bound = min_nbr_num / m1
+    exact = ratio_is_exact(adj64, deg, nbr, m1, nm2)
+    rho, _steps, certified, converged = batched_power_iteration(adj, ratio_bound, exact)
+    rho_sq = np.where(exact, ratio_bound, rho * rho)
 
     tally.checks["spectral_chain"] += b
-    _report_rows(tally, "spectral_chain", masks, n, ~converged, *NO_CONVERGENCE)
-    chain_ok = (rho * rho + RHO_CHAIN_EPS >= ratio_bound) & (
-        ratio_bound >= min_nbr_bound - BOUND_CHAIN_EPS
-    )
-    bad = converged & ~chain_ok
+    _report_rows(tally, "spectral_chain", masks, n, ~certified & ~converged, *NO_CONVERGENCE)
+    bad = converged | (certified & (nm2 < min_nbr_num))
     _report_rows(
         tally, "spectral_chain", masks, n, bad,
         lambda r: CHAIN_EXPECTED.format(float(ratio_bound[r]), float(min_nbr_bound[r])),
-        lambda r: float(rho[r] * rho[r]),
+        lambda r: float(rho_sq[r]),
     )
 
+    # A connected k-regular graph has A 1 = k 1, so rho = k: only the two
+    # bounds need checking.
     regular = deg.min(axis=1) == deg.max(axis=1)
     n_regular_deg = int(regular.sum())
     tally.checks["spectral_regular"] += n_regular_deg
     tally.skip("spectral_regular", "not_regular", b - n_regular_deg)
-    k = deg[:, 0].astype(np.float64)
-    reg_ok = (
-        (np.abs(rho - k) <= REGULAR_RHO_EPS)
-        & (np.abs(ratio_bound - k * k) <= REGULAR_BOUND_EPS)
-        & (np.abs(min_nbr_bound - k * k) <= REGULAR_BOUND_EPS)
-    )
-    bad = regular & converged & ~reg_ok
+    k2 = deg[:, 0] * deg[:, 0]
+    bad = regular & ((nm2 != k2 * m1) | (min_nbr_num != k2 * m1))
     _report_rows(
         tally, "spectral_regular", masks, n, bad,
-        lambda r: REGULAR_EXPECTED.format(float(k[r]), float(k[r] * k[r])),
-        lambda r: REGULAR_GOT.format(
-            float(rho[r]), float(ratio_bound[r]), float(min_nbr_bound[r])
-        ),
+        lambda r: REGULAR_EXPECTED.format(int(k2[r])),
+        lambda r: REGULAR_GOT.format(float(ratio_bound[r]), float(min_nbr_bound[r])),
     )
-    bad = regular & ~converged
-    _report_rows(tally, "spectral_regular", masks, n, bad, *NO_CONVERGENCE)
     return tally
 
 

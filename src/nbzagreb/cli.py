@@ -19,7 +19,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from ._bulk import RHO_CHAIN_EPS
 from .bounds import BOUND_SOURCES, DEFAULT_TOLERANCE, congruence_classify
 from .enumeration import _SOURCE_OPS, find_equality_graphs, verify_all
 from .errors import (
@@ -31,12 +30,14 @@ from .errors import (
 )
 from .graphs import degree_profile, parse_edge_list, parse_graph6
 from .indices import (
+    _pow,
     as_alpha,
-    index_report,
     nm2_direct,
     nm2_reconstruct_secant,
     nm2_reconstruct_unit,
     nm_direct,
+    nm_reconstruct_secant,
+    nm_reconstruct_unit,
 )
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_report
 
@@ -118,6 +119,29 @@ def _hist_doc(hist: dict[int, int]) -> dict:
     return {str(k): v for k, v in hist.items()}
 
 
+def _index_entry(entry, key, recon_key, p, alpha, direct_op, secant_op, unit_op,
+                 extra=dict):
+    """Fill ``entry[key]`` with the direct index and ``entry[recon_key]``
+    with both reconstructions and their residuals against that one direct
+    sum, or with the reason the ops raised."""
+    try:
+        direct = entry[key] = direct_op(p, alpha)
+        via_s = secant_op(p, alpha)
+        via_u = unit_op(p, alpha)
+        entry[recon_key] = {
+            **extra(),
+            "secant": via_s,
+            "unit": via_u,
+            "residual_secant": abs(via_s - direct),
+            "residual_unit": abs(via_u - direct),
+        }
+    except PreconditionError as exc:
+        if key not in entry:  # the direct sum itself raised
+            entry[key] = None
+            entry[f"{key}_inapplicable"] = reason(exc)
+        entry[recon_key] = {"inapplicable": reason(exc)}
+
+
 def cmd_compute(parser, args):
     alphas = _require_alphas(parser, args)
     g = _load_graph(args)
@@ -125,37 +149,16 @@ def cmd_compute(parser, args):
     entries = []
     for alpha in alphas:
         entry: dict = {"alpha": alpha.value}
-        try:
-            entry["nm_alpha"] = nm_direct(p, alpha)
-        except PreconditionError as exc:
-            entry["nm_alpha"] = None
-            entry["nm_alpha_inapplicable"] = reason(exc)
-        try:
-            rep = index_report(p, alpha)
-            entry["reconstruction"] = {
-                "s_alpha": rep.s_alpha,
-                "secant": rep.via_secant,
-                "unit": rep.via_unit,
-                "residual_secant": rep.residual_secant,
-                "residual_unit": rep.residual_unit,
-            }
-        except PreconditionError as exc:
-            entry["reconstruction"] = {"inapplicable": reason(exc)}
-        try:
-            direct2 = entry["nm2_alpha"] = nm2_direct(p, alpha)
-            via_s = nm2_reconstruct_secant(p, alpha)
-            via_u = nm2_reconstruct_unit(p, alpha)
-            entry["reconstruction_dist2"] = {
-                "secant": via_s,
-                "unit": via_u,
-                "residual_secant": abs(via_s - direct2),
-                "residual_unit": abs(via_u - direct2),
-            }
-        except PreconditionError as exc:
-            if "nm2_alpha" not in entry:  # nm2_direct itself raised
-                entry["nm2_alpha"] = None
-                entry["nm2_alpha_inapplicable"] = reason(exc)
-            entry["reconstruction_dist2"] = {"inapplicable": reason(exc)}
+        _index_entry(
+            entry, "nm_alpha", "reconstruction", p, alpha,
+            nm_direct, nm_reconstruct_secant, nm_reconstruct_unit,
+            lambda: {"s_alpha": (_pow(p.delta_max, alpha) - _pow(p.delta_min, alpha))
+                     / (p.delta_max - p.delta_min)},
+        )
+        _index_entry(
+            entry, "nm2_alpha", "reconstruction_dist2", p, alpha,
+            nm2_direct, nm2_reconstruct_secant, nm2_reconstruct_unit,
+        )
         entries.append(entry)
     doc = {
         "command": "compute",
@@ -227,6 +230,7 @@ def cmd_bounds(parser, args):
 def cmd_spectral(parser, args):
     g = _load_graph(args)
     result = spectral_report(g, tol=args.power_tol, max_iter=args.max_iter)
+    ratio_holds = result.ratio_bound_exact or result.rho_squared >= result.bound_nm2_ratio
     doc = {
         "command": "spectral",
         "input": args.input,
@@ -239,8 +243,9 @@ def cmd_spectral(parser, args):
         "residual": result.residual,
         "bound_nm2_ratio": result.bound_nm2_ratio,
         "bound_min_nbr": result.bound_min_nbr,
-        "ratio_bound_holds": result.rho_squared + RHO_CHAIN_EPS >= result.bound_nm2_ratio,
-        "min_nbr_bound_holds": result.rho_squared + RHO_CHAIN_EPS >= result.bound_min_nbr,
+        "ratio_bound_holds": ratio_holds,
+        "min_nbr_bound_holds": (ratio_holds and result.bounds_ordered)
+        or result.rho_squared >= result.bound_min_nbr,
     }
     return dumps_stable(doc) + "\n", EXIT_OK
 

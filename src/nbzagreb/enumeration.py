@@ -35,15 +35,11 @@ import numpy as np
 from . import _bulk
 from ._bulk import (
     BI_DEGREE_SUPPORT,
-    BOUND_CHAIN_EPS,
     CHAIN_EXPECTED,
     CHECK_NAMES,
     NO_CONVERGENCE,
-    REGULAR_BOUND_EPS,
     REGULAR_EXPECTED,
     REGULAR_GOT,
-    REGULAR_RHO_EPS,
-    RHO_CHAIN_EPS,
     SUM_EXPECTED,
     TOP_COUNT_PATTERN,
     Tally,
@@ -80,7 +76,14 @@ from .indices import (
     nm_reconstruct_secant,
     nm_reconstruct_unit,
 )
-from .spectral import _min_nbr_bound, _ratio_bound, spectral_radius
+from .spectral import (
+    _min_nbr_bound,
+    _min_nbr_numerator,
+    _nm2,
+    _ratio_bound,
+    ratio_bound_is_exact,
+    spectral_radius,
+)
 
 __all__ = [
     "VerificationReport",
@@ -320,38 +323,35 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         tally.skip("spectral_chain", "no_edges", 1)
         tally.skip("spectral_regular", "no_edges", 1)
         return
+    # The chain holds by the integer certificate or by the converged rho,
+    # and its second link and the regular-graph equalities are integer
+    # comparisons over the common denominator M1.
     tally.checks["spectral_chain"] += 1
     try:
         sr = spectral_radius(g)
     except NoConvergence:
         sr = None
-        fail("spectral_chain", *NO_CONVERGENCE)
+    nm2, min_nbr_num = _nm2(p), _min_nbr_numerator(p)
     ratio_bound = _ratio_bound(p)
     min_nbr_bound = _min_nbr_bound(p)
-    if sr is not None:
-        ok = (
-            sr.rho_squared + RHO_CHAIN_EPS >= ratio_bound
-            and ratio_bound >= min_nbr_bound - BOUND_CHAIN_EPS
-        )
-        if not ok:
-            expected = CHAIN_EXPECTED.format(ratio_bound, min_nbr_bound)
-            fail("spectral_chain", expected, sr.rho_squared)
+    if ratio_bound_is_exact(g, p):
+        rho_squared = ratio_bound
+    elif sr is None:
+        fail("spectral_chain", *NO_CONVERGENCE)
+        rho_squared = None
+    else:
+        rho_squared = sr.rho_squared
+    if rho_squared is not None and not (rho_squared >= ratio_bound and nm2 >= min_nbr_num):
+        fail("spectral_chain", CHAIN_EXPECTED.format(ratio_bound, min_nbr_bound), rho_squared)
     if min(p.deg) == max(p.deg):
+        # A connected k-regular graph has A 1 = k 1, so rho = k.
         tally.checks["spectral_regular"] += 1
-        if sr is None:
-            fail("spectral_regular", *NO_CONVERGENCE)
-        else:
-            k = float(p.deg[0])
-            ok = (
-                abs(sr.rho - k) <= REGULAR_RHO_EPS
-                and abs(ratio_bound - k * k) <= REGULAR_BOUND_EPS
-                and abs(min_nbr_bound - k * k) <= REGULAR_BOUND_EPS
+        k2 = p.deg[0] * p.deg[0]
+        if not (nm2 == k2 * p.m1 and min_nbr_num == k2 * p.m1):
+            fail(
+                "spectral_regular", REGULAR_EXPECTED.format(k2),
+                REGULAR_GOT.format(ratio_bound, min_nbr_bound),
             )
-            if not ok:
-                fail(
-                    "spectral_regular", REGULAR_EXPECTED.format(k, k * k),
-                    REGULAR_GOT.format(sr.rho, ratio_bound, min_nbr_bound),
-                )
     else:
         tally.skip("spectral_regular", "not_regular", 1)
 

@@ -9,12 +9,17 @@ the all-ones start vector converges unconditionally and deterministically.
 The two lower bounds on rho**2, both expressed through the first Zagreb
 index M1 and the minimum neighborhood degree lo:
 
-* the ratio bound NM_2 / M1;
+* the ratio bound NM_2 / M1, the Rayleigh quotient of A**2 at the degree
+  vector d;
 * the closed-form bound (M1*(2*lo + 1) - n*lo**2 - n*lo) / M1, which is
   the ratio bound weakened through the unit-form lower bound on NM_2 and
   therefore never exceeds it.
 
-Both are tight on regular graphs.
+The ratio bound is tight exactly when A**2 d is parallel to d, which
+:func:`ratio_bound_is_exact` decides in integers.  Regular graphs are one
+such family, but not the only one: the path P3 and the star K1,3 are
+tight too.  Both links between the bounds compare integers over the
+common denominator M1.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "spectral_radius",
     "nm2_ratio_lower_bound",
     "min_nbr_lower_bound",
+    "ratio_bound_is_exact",
     "spectral_report",
     "DEFAULT_TOL",
     "DEFAULT_MAX_ITER",
@@ -46,6 +52,9 @@ class SpectralResult:
 
     ``residual`` is the last absolute change of the Rayleigh quotient.  The
     bound fields are None when only the radius was requested.
+    ``ratio_bound_exact`` says rho**2 == bound_nm2_ratio exactly (see
+    :func:`ratio_bound_is_exact`); ``bounds_ordered`` says
+    bound_nm2_ratio >= bound_min_nbr, compared in integers.
     """
 
     rho: float
@@ -54,6 +63,8 @@ class SpectralResult:
     residual: float
     bound_nm2_ratio: float | None = None
     bound_min_nbr: float | None = None
+    ratio_bound_exact: bool | None = None
+    bounds_ordered: bool | None = None
 
 
 def spectral_radius(
@@ -88,15 +99,45 @@ def spectral_radius(
     raise NoConvergence(f"no convergence within {max_iter} iterations (tol={tol})")
 
 
+def _nm2(p: DegreeProfile) -> int:
+    """NM_2, the sum of squared neighborhood degrees."""
+    return sum(d * d for d in p.nbr_deg)
+
+
+def _min_nbr_numerator(p: DegreeProfile) -> int:
+    """M1*(2*lo + 1) - n*lo**2 - n*lo, the closed-form bound times M1."""
+    lo = p.delta_min
+    return p.m1 * (2 * lo + 1) - p.n * lo * lo - p.n * lo
+
+
 def _ratio_bound(p: DegreeProfile) -> float:
     """NM_2 / M1 of a profile with M1 > 0."""
-    return sum(d * d for d in p.nbr_deg) / p.m1
+    return _nm2(p) / p.m1
 
 
 def _min_nbr_bound(p: DegreeProfile) -> float:
     """(M1*(2*lo + 1) - n*lo**2 - n*lo) / M1 of a profile with M1 > 0."""
-    lo = p.delta_min
-    return (p.m1 * (2 * lo + 1) - p.n * lo * lo - p.n * lo) / p.m1
+    return _min_nbr_numerator(p) / p.m1
+
+
+def ratio_bound_is_exact(g: Graph, p: DegreeProfile) -> bool:
+    """True when rho**2 == NM_2 / M1 exactly; ``p`` is the profile of ``g``.
+
+    With d the degree vector, A d is the neighborhood-degree vector, so
+    the test A(A d) * M1 == NM_2 * d on every vertex is exact integer
+    arithmetic.  It says A**2 d = (NM_2 / M1) d.  NM_2 / M1 is the Rayleigh
+    quotient of A**2 at d, so it never exceeds rho**2, and on every
+    component with an edge d is positive, where Collatz-Wielandt
+    (rho(B) <= max_i (B x)_i / x_i for non-negative B and positive x)
+    bounds that component's rho**2 by NM_2 / M1 from above (Horn and
+    Johnson, Matrix Analysis, section 8.1).  Needs at least one edge.
+    """
+    if p.m1 == 0:
+        raise EmptyGraph("the ratio bound needs at least one edge")
+    nm2, nbr = _nm2(p), p.nbr_deg
+    return all(
+        sum(nbr[v] for v in g.adjacency[u]) * p.m1 == nm2 * p.deg[u] for u in range(p.n)
+    )
 
 
 def nm2_ratio_lower_bound(g: Graph) -> float:
@@ -119,10 +160,17 @@ def min_nbr_lower_bound(g: Graph) -> float:
 def spectral_report(
     g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SpectralResult:
-    """Radius estimate together with both lower bounds."""
+    """Radius estimate together with both lower bounds and their
+    integer certificates."""
     base = spectral_radius(g, tol=tol, max_iter=max_iter)
+    # Two profile builds per call: the per_graph benchmark pins that count,
+    # and building the profile once is a change of its own.
+    bound_nm2_ratio = nm2_ratio_lower_bound(g)
+    p = degree_profile(g)
     return replace(
         base,
-        bound_nm2_ratio=nm2_ratio_lower_bound(g),
-        bound_min_nbr=min_nbr_lower_bound(g),
+        bound_nm2_ratio=bound_nm2_ratio,
+        bound_min_nbr=_min_nbr_bound(p),
+        ratio_bound_exact=ratio_bound_is_exact(g, p),
+        bounds_ordered=_nm2(p) >= _min_nbr_numerator(p),
     )

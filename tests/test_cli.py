@@ -5,7 +5,9 @@ import shlex
 import pytest
 
 from conftest import FIXTURES
+from nbzagreb import cli, indices
 from nbzagreb.cli import dumps_stable, main
+from nbzagreb.indices import nm_direct
 
 FIG1 = str(FIXTURES / "figure1.edges")
 FIG2 = str(FIXTURES / "figure2.edges")
@@ -33,6 +35,22 @@ class TestCompute:
         doc = json.loads(out)
         assert doc["m1"] == 22
         assert doc["indices"][0]["nm_alpha"] == 100
+
+    def test_one_direct_sum_per_exponent(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_nm_direct(p, alpha):
+            calls.append(alpha)
+            return nm_direct(p, alpha)
+
+        monkeypatch.setattr(cli, "nm_direct", counting_nm_direct)
+        monkeypatch.setattr(indices, "nm_direct", counting_nm_direct)
+        code, out, _ = run(capsys, "compute", "--input", FIG1, "--alpha", "2", "--alpha", "0.5")
+        assert code == 0
+        assert len(calls) == 2
+        for entry in json.loads(out)["indices"]:
+            recon = entry["reconstruction"]
+            assert recon["residual_unit"] == pytest.approx(abs(recon["unit"] - entry["nm_alpha"]))
 
     def test_forbidden_alpha_exits_3(self, capsys):
         code, _, err = run(capsys, "compute", "--input", FIG2, "--alpha", "1")
@@ -149,6 +167,19 @@ class TestSpectral:
         doc = json.loads(out)
         assert code == 0
         assert doc["rho_squared"] >= doc["bound_nm2_ratio"] >= doc["bound_min_nbr"]
+
+    @pytest.mark.parametrize("graph6", ["CF", "BW"])  # K1,3 and P3
+    def test_non_regular_equality_graphs_hold(self, capsys, tmp_path, graph6):
+        # rho**2 == NM_2 / M1 exactly, and power iteration lands just below
+        # it; the integer certificate decides both fields.
+        path = tmp_path / "g.g6"
+        path.write_text(graph6 + "\n")
+        code, out, _ = run(capsys, "spectral", "--input", str(path), "--format", "graph6")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["bound_nm2_ratio"] == doc["bound_min_nbr"]
+        assert doc["ratio_bound_holds"] is True
+        assert doc["min_nbr_bound_holds"] is True
 
     def test_disconnected_exits_3(self, capsys, tmp_path):
         two_edges = tmp_path / "pair.edges"

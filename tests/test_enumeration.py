@@ -20,7 +20,7 @@ from nbzagreb import (
     path_graph,
     verify_all,
 )
-from nbzagreb import _bulk, bounds, enumeration, indices
+from nbzagreb import _bulk, bounds, enumeration, indices, spectral
 from nbzagreb._bulk import graph6_of_mask, mask_of_edges
 from nbzagreb.errors import (
     ForbiddenAlpha,
@@ -373,6 +373,31 @@ class TestEngineParity:
             return sorted((tuple(f[k] for k in self.FIELDS) for f in report.failures), key=repr)
 
         assert records("bulk") == records("scalar")
+
+    def test_spectral_failures_under_fault(self, monkeypatch):
+        # Raise NM_2 by 1 wherever either engine reads it.  No equality
+        # certificate and no regular-graph equality survives, and strict
+        # instances with rho**2 * M1 - NM_2 < 1 fail the ratio link too.
+        # Both engines must fail the same instances; got is each engine's
+        # own rho**2 estimate, so it agrees to rounding only.
+        bulk_nm2, scalar_nm2 = _bulk._nm2, spectral._nm2
+        monkeypatch.setattr(_bulk, "_nm2", lambda nbr: bulk_nm2(nbr) + 1)
+        monkeypatch.setattr(spectral, "_nm2", lambda p: scalar_nm2(p) + 1)
+        monkeypatch.setattr(enumeration, "_nm2", spectral._nm2)
+
+        def records(engine):
+            report = verify_all(5, (2.0,), engine=engine)
+            assert report.failure_count == len(report.failures) == 375
+            return sorted(report.failures, key=lambda f: repr([f[k] for k in self.FIELDS[:4]]))
+
+        bulk, scalar = records("bulk"), records("scalar")
+        assert {f["check"] for f in bulk} == {"spectral_chain", "spectral_regular"}
+        for b, s in zip(bulk, scalar):
+            assert [b[k] for k in self.FIELDS[:4]] == [s[k] for k in self.FIELDS[:4]]
+            if isinstance(b["got"], float):
+                assert b["got"] == pytest.approx(s["got"], rel=1e-9)
+            else:
+                assert b["got"] == s["got"]
 
 
 class TestCoefficientSignGrid:

@@ -11,7 +11,9 @@ from nbzagreb import (
     enumerate_connected,
     min_nbr_lower_bound,
     nm2_ratio_lower_bound,
+    parse_graph6,
     path_graph,
+    ratio_bound_is_exact,
     spectral_radius,
     spectral_report,
 )
@@ -20,8 +22,8 @@ from nbzagreb._bulk import (
     _bits_of,
     batched_power_iteration,
     connected_masks,
-    edges_of_mask,
     pair_count,
+    ratio_is_exact,
 )
 from nbzagreb.errors import Disconnected, EmptyGraph, NoConvergence
 
@@ -82,29 +84,114 @@ def _connected_adjacency(n: int, stride: int = 1):
     return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
 
 
+def _chain_batch(n: int, stride: int = 1):
+    """Adjacency, NM_2 / M1 and the exact flag of connected n-vertex graphs."""
+    _masks, adj = _connected_adjacency(n, stride)
+    adj64 = adj.astype(np.int64)
+    deg = adj64.sum(axis=2)
+    nbr = np.matmul(adj64, deg[:, :, None])[:, :, 0]
+    m1 = (deg * deg).sum(axis=1)
+    nm2 = (nbr * nbr).sum(axis=1)
+    return adj, nm2 / m1, ratio_is_exact(adj64, deg, nbr, m1, nm2)
+
+
 class TestBatchedPowerIteration:
     @pytest.mark.parametrize("n,stride", [(2, 1), (3, 1), (4, 1), (5, 7), (6, 499)])
     def test_batch_equals_each_row_alone(self, n, stride):
         # Rows finish at different iterations, so the batch is compacted
         # while other rows still run; no row may notice.
-        _masks, adj = _connected_adjacency(n, stride)
-        batch = batched_power_iteration(adj)
+        adj, ratio, exact = _chain_batch(n, stride)
+        batch = batched_power_iteration(adj, ratio, exact)
         if n >= 4:
             assert np.unique(batch[1]).size > 1
         for row in range(adj.shape[0]):
-            alone = batched_power_iteration(adj[row : row + 1])
+            alone = batched_power_iteration(
+                adj[row : row + 1], ratio[row : row + 1], exact[row : row + 1]
+            )
             for got, want in zip(batch, alone):
                 assert got[row] == want[0]
 
-    def test_matches_scalar_power_iteration(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_certificates_against_eigvalsh(self, n):
+        adj, ratio, exact = _chain_batch(n)
+        rho, steps, certified, converged = batched_power_iteration(adj, ratio, exact)
+        eig_rho = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1]
+        assert certified.all() and not converged.any()
+        assert (rho <= eig_rho + 1e-12).all()
+        assert ((steps == 0) == exact).all()
+        assert (exact == (np.abs(eig_rho**2 - ratio) <= 1e-12)).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_guard_never_certifies_an_equality(self, n):
+        # On equality rows rho**2 == ratio, so no Rayleigh quotient may
+        # clear ratio * (1 + guard), however close rounding brings it.
+        adj, ratio, exact = _chain_batch(n)
+        rho, _steps, certified, converged = batched_power_iteration(
+            adj[exact], ratio[exact], np.zeros(int(exact.sum()), dtype=bool)
+        )
+        assert exact.any()
+        assert not certified.any() and converged.all()
+        assert np.allclose(rho * rho, ratio[exact], rtol=1e-9)
+
+    def test_exact_family_is_not_only_regular(self):
+        adj, _ratio, exact = _chain_batch(4)
+        deg = adj.sum(axis=2)
+        assert (exact & (deg.min(axis=1) != deg.max(axis=1))).any()
+
+    def test_uncertifiable_row_converges_without_certificate(self):
+        # P3 has rho**2 == 2; asking for 2.5 can only end by the tolerance.
+        adj, ratio, exact = _chain_batch(3)
+        rho, steps, certified, converged = batched_power_iteration(
+            adj, ratio + 0.5, np.zeros_like(exact)
+        )
+        assert not certified.any() and converged.all()
+        assert (steps > 1).all()
+        eig_rho = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1]
+        assert np.allclose(rho, eig_rho, atol=1e-8)
+
+    def test_exhausted_budget_has_neither_flag(self):
+        adj, ratio, exact = _chain_batch(4)
+        _rho, steps, certified, converged = batched_power_iteration(
+            adj, ratio + 100.0, np.zeros_like(exact), max_iter=1
+        )
+        assert not certified.any() and not converged.any()
+        assert (steps == 1).all()
+
+
+class TestRatioCertificate:
+    @pytest.mark.parametrize("g6,exact", [
+        ("BW", True),  # P3
+        ("CF", True),  # K1,3
+        ("C~", True),  # K4
+        ("Ch", False),  # P4
+    ])
+    def test_named_graphs(self, g6, exact):
+        g = parse_graph6(g6)
+        assert ratio_bound_is_exact(g, degree_profile(g)) is exact
+
+    def test_agrees_with_eigvalsh_exhaustively(self):
         for n in range(2, 6):
-            masks, adj = _connected_adjacency(n)
-            rho, iterations, _residual, converged = batched_power_iteration(adj)
-            assert converged.all()
-            for row, mask in enumerate(masks):
-                scalar = spectral_radius(Graph.from_edges(n, edges_of_mask(n, int(mask))))
-                assert iterations[row] == scalar.iterations
-                assert abs(rho[row] - scalar.rho) <= 1e-12
+            for g in enumerate_connected(n):
+                p = degree_profile(g)
+                rho = float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+                tight = abs(rho * rho - nm2_ratio_lower_bound(g)) <= 1e-12
+                assert ratio_bound_is_exact(g, p) == tight
+
+    def test_figure1_is_strict(self, figure1):
+        assert not ratio_bound_is_exact(figure1, degree_profile(figure1))
+
+    def test_empty_graph_rejected(self):
+        lonely = Graph.from_edges(1, [])
+        with pytest.raises(EmptyGraph):
+            ratio_bound_is_exact(lonely, degree_profile(lonely))
+
+    def test_report_carries_the_certificates(self):
+        rep = spectral_report(parse_graph6("CF"))
+        # Power iteration lands just below rho**2 == 3; the certificate
+        # decides the equality.
+        assert rep.rho_squared < rep.bound_nm2_ratio == 3.0
+        assert rep.ratio_bound_exact and rep.bounds_ordered
+        assert spectral_radius(parse_graph6("CF")).ratio_bound_exact is None
 
 
 class TestLowerBounds:
