@@ -30,7 +30,6 @@ from .errors import (
 )
 from .graphs import degree_profile, parse_edge_list, parse_graph6
 from .indices import (
-    _pow,
     as_alpha,
     nm2_direct,
     nm2_reconstruct_secant,
@@ -38,6 +37,7 @@ from .indices import (
     nm_direct,
     nm_reconstruct_secant,
     nm_reconstruct_unit,
+    secant_slope,
 )
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_report
 
@@ -119,29 +119,6 @@ def _hist_doc(hist: dict[int, int]) -> dict:
     return {str(k): v for k, v in hist.items()}
 
 
-def _index_entry(entry, key, recon_key, p, alpha, direct_op, secant_op, unit_op,
-                 extra=dict):
-    """Fill ``entry[key]`` with the direct index and ``entry[recon_key]``
-    with both reconstructions and their residuals against that one direct
-    sum, or with the reason the ops raised."""
-    try:
-        direct = entry[key] = direct_op(p, alpha)
-        via_s = secant_op(p, alpha)
-        via_u = unit_op(p, alpha)
-        entry[recon_key] = {
-            **extra(),
-            "secant": via_s,
-            "unit": via_u,
-            "residual_secant": abs(via_s - direct),
-            "residual_unit": abs(via_u - direct),
-        }
-    except PreconditionError as exc:
-        if key not in entry:  # the direct sum itself raised
-            entry[key] = None
-            entry[f"{key}_inapplicable"] = reason(exc)
-        entry[recon_key] = {"inapplicable": reason(exc)}
-
-
 def cmd_compute(parser, args):
     alphas = _require_alphas(parser, args)
     g = _load_graph(args)
@@ -149,16 +126,37 @@ def cmd_compute(parser, args):
     entries = []
     for alpha in alphas:
         entry: dict = {"alpha": alpha.value}
-        _index_entry(
-            entry, "nm_alpha", "reconstruction", p, alpha,
-            nm_direct, nm_reconstruct_secant, nm_reconstruct_unit,
-            lambda: {"s_alpha": (_pow(p.delta_max, alpha) - _pow(p.delta_min, alpha))
-                     / (p.delta_max - p.delta_min)},
-        )
-        _index_entry(
-            entry, "nm2_alpha", "reconstruction_dist2", p, alpha,
-            nm2_direct, nm2_reconstruct_secant, nm2_reconstruct_unit,
-        )
+        try:
+            direct = entry["nm_alpha"] = nm_direct(p, alpha)
+            via_s = nm_reconstruct_secant(p, alpha)
+            via_u = nm_reconstruct_unit(p, alpha)
+            entry["reconstruction"] = {
+                "s_alpha": secant_slope(p, alpha),
+                "secant": via_s,
+                "unit": via_u,
+                "residual_secant": abs(via_s - direct),
+                "residual_unit": abs(via_u - direct),
+            }
+        except PreconditionError as exc:
+            if "nm_alpha" not in entry:  # nm_direct itself raised
+                entry["nm_alpha"] = None
+                entry["nm_alpha_inapplicable"] = reason(exc)
+            entry["reconstruction"] = {"inapplicable": reason(exc)}
+        try:
+            direct2 = entry["nm2_alpha"] = nm2_direct(p, alpha)
+            via_s = nm2_reconstruct_secant(p, alpha)
+            via_u = nm2_reconstruct_unit(p, alpha)
+            entry["reconstruction_dist2"] = {
+                "secant": via_s,
+                "unit": via_u,
+                "residual_secant": abs(via_s - direct2),
+                "residual_unit": abs(via_u - direct2),
+            }
+        except PreconditionError as exc:
+            if "nm2_alpha" not in entry:  # nm2_direct itself raised
+                entry["nm2_alpha"] = None
+                entry["nm2_alpha_inapplicable"] = reason(exc)
+            entry["reconstruction_dist2"] = {"inapplicable": reason(exc)}
         entries.append(entry)
     doc = {
         "command": "compute",

@@ -46,6 +46,7 @@ __all__ = [
     "nm2_reconstruct_secant",
     "nm2_reconstruct_unit",
     "index_report",
+    "secant_slope",
     "chemical_tree_m1",
 ]
 
@@ -166,6 +167,14 @@ def _reconstruct(
     return value
 
 
+def secant_slope(p: DegreeProfile, a: float | Alpha) -> float:
+    """The secant slope s_a = (hi**a - lo**a) / (hi - lo) between the
+    extreme neighborhood degrees; requires delta_min != delta_max."""
+    alpha = as_alpha(a)
+    lo, hi = p.delta_min, p.delta_max
+    return (_pow(hi, alpha) - _pow(lo, alpha)) / (hi - lo)
+
+
 def nm_reconstruct_secant(p: DegreeProfile, a: float | Alpha) -> float:
     """NM_a from (n, M1, histogram) via the secant-slope identity."""
     alpha = as_alpha(a)
@@ -213,7 +222,6 @@ def index_report(p: DegreeProfile, a: float | Alpha) -> IndexReport:
     direct = nm_direct(p, alpha)
     via_s = nm_reconstruct_secant(p, alpha)
     via_u = nm_reconstruct_unit(p, alpha)
-    lo, hi = p.delta_min, p.delta_max
     return IndexReport(
         alpha=alpha.value,
         direct=direct,
@@ -221,7 +229,7 @@ def index_report(p: DegreeProfile, a: float | Alpha) -> IndexReport:
         via_unit=via_u,
         residual_secant=abs(via_s - direct),
         residual_unit=abs(via_u - direct),
-        s_alpha=(_pow(hi, alpha) - _pow(lo, alpha)) / (hi - lo),
+        s_alpha=secant_slope(p, alpha),
     )
 
 

@@ -1,7 +1,7 @@
 """Time the spectral-chain stage of the bulk sweep kernel.
 
-Runs ``_bulk.sweep_chunk`` over every mask chunk of one n (7 by default)
-with the nbzagreb package found under ``--src``, and times the calls to
+Runs ``_bulk.sweep_chunk`` over every mask chunk of n = 7 with the
+nbzagreb package found under ``--src``, and times the calls to
 ``_bulk.batched_power_iteration`` (plus ``_bulk.ratio_is_exact``, the
 integer certificate, where the package has one) from outside, so the same
 script measures any version of the kernel:
@@ -27,6 +27,7 @@ from pathlib import Path
 
 ALPHAS = (-1.0, 0.5, 2.0, 3.0)
 TOLERANCE = 1e-9
+N = 7
 STAGE = ("batched_power_iteration", "ratio_is_exact")
 
 
@@ -73,7 +74,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="directory holding the nbzagreb package")
     parser.add_argument("--label", required=True, help="name of this run, e.g. before or after")
-    parser.add_argument("--n", type=int, default=7)
     parser.add_argument("--record", help="JSON file whose 'runs' list receives the result")
     args = parser.parse_args(argv)
 
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
 
     result = {
         "label": args.label,
-        **measure(args.n),
+        **measure(N),
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
