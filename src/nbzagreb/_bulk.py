@@ -217,7 +217,6 @@ def batched_power_iteration(
     adj: np.ndarray,
     ratio: np.ndarray,
     exact: np.ndarray,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
     """Certify rho**2 >= ratio per graph by power iteration on A + I.
@@ -226,7 +225,7 @@ def batched_power_iteration(
     other row starts from the all-ones vector and stops at the first step
     whose Rayleigh quotient theta of A + I satisfies theta - 1 > 0 and
     (theta - 1)**2 >= ratio * (1 + guard), or else changed by less than
-    ``tol`` since the previous step (the stopping rule of
+    ``DEFAULT_TOL`` since the previous step (the stopping rule of
     :func:`nbzagreb.spectral.spectral_radius`).
 
     A Rayleigh quotient of A + I never exceeds its top eigenvalue rho + 1,
@@ -243,8 +242,8 @@ def batched_power_iteration(
     Returns (rho, steps, certified, converged) per row: rho is theta - 1
     at the stop, a lower bound on rho for certified rows (sqrt(ratio) on
     exact rows); steps counts matvecs, 0 on exact rows; converged marks
-    rows stopped by ``tol`` without a certificate.  Rows with neither flag
-    ran out of ``max_iter`` steps.
+    rows stopped by the tolerance without a certificate.  Rows with neither
+    flag ran out of ``max_iter`` steps.
     """
     b, n, _ = adj.shape
     guard = 16 * (n + 2) * (np.finfo(np.float64).eps / 2)
@@ -268,7 +267,7 @@ def batched_power_iteration(
         ray = np.einsum("bi,bi->b", v, w)
         lower = ray - 1.0
         cert = (lower > 0.0) & (lower * lower >= target)
-        done = cert | (np.abs(ray - prev) < tol)
+        done = cert | (np.abs(ray - prev) < DEFAULT_TOL)
         if done.any():
             hit = active[done]
             rho[hit] = lower[done]
@@ -448,30 +447,29 @@ def sweep_chunk(
         n_regular = int(b - sel.sum())
         gap = big_delta - delta
         excess = m1 - n * delta
+        # No quotient is non-positive: excess = sum_v (nbr_v - lo) >= hi - lo,
+        # the vertex at hi alone contributing that much.
         gap_ok = gap >= 2
-        pos_q = gap_ok & (excess >= gap)
         safe_gap = np.maximum(gap, 1)
-        quot = np.where(pos_q, excess // safe_gap, 0)
-        rem = np.where(pos_q, excess - quot * safe_gap, 0)
-        rem_pos = pos_q & (rem >= 1)
+        quot = np.where(gap_ok, excess // safe_gap, 0)
+        rem = np.where(gap_ok, excess - quot * safe_gap, 0)
+        rem_pos = gap_ok & (rem >= 1)
         occupied = rem_pos & (_gather(hist, delta + rem) >= 1)
 
         n_gap_small = int((~gap_ok).sum())
-        n_no_quot = int((gap_ok & ~pos_q).sum())
-        n_rem_zero = int((pos_q & (rem == 0)).sum())
+        n_rem_zero = int((gap_ok & (rem == 0)).sum())
         n_unocc = int((rem_pos & ~occupied).sum())
 
         # Classification consistency (alpha-independent).
-        tally.checks["congruence_classify"] += int(pos_q.sum())
+        tally.checks["congruence_classify"] += int(gap_ok.sum())
         tally.skip("congruence_classify", "gap_too_small", n_gap_small)
-        tally.skip("congruence_classify", "non_positive_quotient", n_no_quot)
         hist_hi = _gather(hist, big_delta)
         hist_lo = _gather(hist, delta)
 
         def nbr_hist(r):
             return {d: c for d, c in enumerate(hist[r].tolist()) if c}
 
-        bi_rows = pos_q & (rem == 0) & (hist_hi == quot)
+        bi_rows = gap_ok & (rem == 0) & (hist_hi == quot)
         bad = bi_rows & (hist_lo + hist_hi != n)
         _report_rows(
             tally, "congruence_classify", masks, n, bad,
@@ -505,7 +503,6 @@ def sweep_chunk(
         for check in nm_checks:
             tally.skip(check, "neighborhood_regular", n_regular * nalpha)
         tally.skip("nm_bound_congruence", "gap_too_small", n_gap_small * nalpha)
-        tally.skip("nm_bound_congruence", "non_positive_quotient", n_no_quot * nalpha)
         tally.skip("nm_bound_congruence", "remainder_zero", n_rem_zero * nalpha)
         tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc * nalpha)
         for alpha in alphas:

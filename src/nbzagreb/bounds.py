@@ -1,20 +1,19 @@
 """Sharp bounds on NM_a with structural equality detection.
 
-Dropping the interior correction terms of either reconstruction identity
-turns it into a bound whose direction depends on the exponent regime:
+Each bound is a reconstruction of :mod:`nbzagreb.indices` that keeps only
+some histogram entries, so direct - bound is the sum of n_d * coefficient
+over the dropped entries, whose sign is fixed by the exponent regime:
 
-* secant form: the interior coefficients are <= 0 for a < 0 or a > 1 and
-  >= 0 for 0 < a < 1, so the base term alone is an upper (resp. lower)
-  bound, attained exactly by graphs whose neighborhood degrees take only
-  the two extreme values;
-* unit form: the coefficient signs flip, the base term plus the top
-  histogram term bounds NM_a from below (resp. above), with equality on
-  paths and more generally whenever no interior entry carries a nonzero
-  coefficient;
-* congruence form: writing M1 - n*lo = q*(hi - lo) + r, a single interior
-  correction at degree lo + r sharpens the secant bound whenever r >= 1
-  and that degree is occupied; equality needs the histogram to be exactly
-  {hi: q, lo + r: 1, lo: n - q - 1}.
+* secant form, keeping no entry: the coefficients are <= 0 for a < 0 or
+  a > 1 and >= 0 for 0 < a < 1, so it is an upper (resp. lower) bound,
+  attained exactly on two-valued neighborhood-degree histograms;
+* unit form, keeping the top entry {hi: n_hi}: the coefficient signs flip,
+  so it bounds NM_a from below (resp. above), with equality on paths and
+  whenever no entry lies strictly between lo + 1 and hi;
+* congruence form, the secant form keeping one vertex at lo + r: writing
+  M1 - n*lo = q*(hi - lo) + r, that correction sharpens the secant bound
+  whenever r >= 1 and the degree lo + r is occupied; equality needs the
+  histogram to be exactly {hi: q, lo + r: 1, lo: n - q - 1}.
 
 Equality flags are structural (decided from the histogram), not numeric;
 sweeps cross-check them against the numeric slack.
@@ -27,14 +26,15 @@ from dataclasses import dataclass
 
 from .errors import (
     GapTooSmall,
-    NeighborhoodRegular,
     NonPositiveQuotient,
     OutOfRangeIndex,
     RemainderZero,
     UnoccupiedRemainderDegree,
 )
 from .graphs import DegreeProfile
-from .indices import HIGH, LOW, Alpha, _pow, as_alpha, nm_direct
+from .indices import (
+    HIGH, LOW, Alpha, _correction, _line, _nbr_extremes, _pow, _reconstruct, as_alpha, nm_direct,
+)
 
 __all__ = [
     "BoundReport",
@@ -52,8 +52,6 @@ __all__ = [
 
 UPPER = "UPPER"
 LOWER = "LOWER"
-
-BOUND_SOURCES = ("secant", "unit", "congruence")
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -95,7 +93,7 @@ class CongruenceData:
 
 def secant_coefficient(p: int, q: int, i: int, a: float | Alpha) -> float:
     """Interior coefficient of the secant identity:
-    (p+i)**a - p**a - i*(q**a - p**a)/(q - p).
+    (p+i)**a - p**a - i*s with s = (q**a - p**a)/(q - p).
 
     Nonpositive for a < 0 or a > 1, nonnegative for 0 < a < 1.
     """
@@ -104,8 +102,7 @@ def secant_coefficient(p: int, q: int, i: int, a: float | Alpha) -> float:
         raise OutOfRangeIndex(f"need 1 <= p < q, got p={p}, q={q}")
     if not 1 <= i <= q - p - 1:
         raise OutOfRangeIndex(f"need 1 <= i <= q-p-1, got i={i} for p={p}, q={q}")
-    p_pow = _pow(p, alpha)
-    return _pow(p + i, alpha) - p_pow - i * (_pow(q, alpha) - p_pow) / (q - p)
+    return _correction(p + i, p, *_line(p, q, alpha), alpha)
 
 
 def unit_coefficient(p: int, i: int, a: float | Alpha) -> float:
@@ -119,8 +116,7 @@ def unit_coefficient(p: int, i: int, a: float | Alpha) -> float:
         raise OutOfRangeIndex(f"need p >= 1, got p={p}")
     if i < 2:
         raise OutOfRangeIndex(f"need i >= 2, got i={i}")
-    p_pow = _pow(p, alpha)
-    return _pow(p + i, alpha) - p_pow - i * (_pow(p + 1, alpha) - p_pow)
+    return _correction(p + i, p, *_line(p, p + 1, alpha), alpha)
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -161,7 +157,7 @@ def _report(
 def nm_bound_secant(
     p: DegreeProfile, a: float | Alpha, tolerance: float = DEFAULT_TOLERANCE
 ) -> BoundReport:
-    """Secant-form bound n*lo**a + (M1 - n*lo)*s_a.
+    """Secant-form bound n*lo**a + (M1 - n*lo)*s_a: the secant form keeping no entry.
 
     Upper bound for a < 0 or a > 1, lower bound for 0 < a < 1; equality
     exactly when the neighborhood-degree histogram is supported on the two
@@ -169,12 +165,8 @@ def nm_bound_secant(
     """
     alpha = as_alpha(a)
     _check_tolerance(tolerance)
-    lo, hi = p.delta_min, p.delta_max
-    if lo == hi:
-        raise NeighborhoodRegular("all neighborhood degrees are equal")
-    lo_pow = _pow(lo, alpha)
-    slope = (_pow(hi, alpha) - lo_pow) / (hi - lo)
-    bound = p.n * lo_pow + (p.m1 - p.n * lo) * slope
+    lo, hi = _nbr_extremes(p)
+    bound = _reconstruct({}, p.n, p.m1, lo, hi, alpha)
     direction = UPPER if alpha.regime in (LOW, HIGH) else LOWER
     equality = set(p.nbr_hist) == {lo, hi}
     return _report("secant", alpha, direction, bound, nm_direct(p, alpha), equality, tolerance)
@@ -183,7 +175,7 @@ def nm_bound_secant(
 def nm_bound_unit(
     p: DegreeProfile, a: float | Alpha, tolerance: float = DEFAULT_TOLERANCE
 ) -> BoundReport:
-    """Unit-form bound n*lo**a + (M1 - n*lo)*step + n_hi*(hi**a - lo**a - (hi-lo)*step).
+    """Unit-form bound: the unit form keeping only the top entry {hi: n_hi}.
 
     Lower bound for a < 0 or a > 1, upper bound for 0 < a < 1; equality
     whenever no histogram entry strictly between lo + 1 and hi exists
@@ -191,17 +183,8 @@ def nm_bound_unit(
     """
     alpha = as_alpha(a)
     _check_tolerance(tolerance)
-    lo, hi = p.delta_min, p.delta_max
-    if lo == hi:
-        raise NeighborhoodRegular("all neighborhood degrees are equal")
-    lo_pow = _pow(lo, alpha)
-    step = _pow(lo + 1, alpha) - lo_pow
-    n_hi = p.nbr_hist.get(hi, 0)
-    bound = (
-        p.n * lo_pow
-        + (p.m1 - p.n * lo) * step
-        + n_hi * (_pow(hi, alpha) - lo_pow - (hi - lo) * step)
-    )
+    lo, hi = _nbr_extremes(p)
+    bound = _reconstruct({hi: p.nbr_hist.get(hi, 0)}, p.n, p.m1, lo, lo + 1, alpha)
     direction = LOWER if alpha.regime in (LOW, HIGH) else UPPER
     equality = all(p.nbr_hist.get(lo + i, 0) == 0 for i in range(2, hi - lo))
     return _report("unit", alpha, direction, bound, nm_direct(p, alpha), equality, tolerance)
@@ -237,7 +220,7 @@ def congruence_classify(p: DegreeProfile) -> CongruenceData:
 def nm_bound_congruence(
     p: DegreeProfile, a: float | Alpha, tolerance: float = DEFAULT_TOLERANCE
 ) -> BoundReport:
-    """Congruence-refined secant bound with the lo + r correction term.
+    """Congruence-refined bound: the secant form keeping one vertex at lo + r.
 
     Requires gap >= 2, remainder r >= 1 and an occupied degree lo + r.
     Upper bound for a < 0 or a > 1, lower bound for 0 < a < 1; equality for
@@ -251,18 +234,23 @@ def nm_bound_congruence(
         raise RemainderZero("remainder is 0; the secant bound is already tight here")
     if p.nbr_hist.get(lo + cd.r, 0) == 0:
         raise UnoccupiedRemainderDegree(f"no vertex has neighborhood degree {lo + cd.r}")
-    lo_pow = _pow(lo, alpha)
-    slope = (_pow(hi, alpha) - lo_pow) / (hi - lo)
-    bound = (
-        p.n * lo_pow
-        + (p.m1 - p.n * lo) * slope
-        + _pow(lo + cd.r, alpha)
-        - lo_pow
-        - cd.r * slope
-    )
+    base = _reconstruct({}, p.n, p.m1, lo, hi, alpha)
+    lo_pow, slope = _line(lo, hi, alpha)
+    # The lo + r correction is added term by term, in the bulk kernel's order.
+    bound = base + _pow(lo + cd.r, alpha) - lo_pow - cd.r * slope
     direction = UPPER if alpha.regime in (LOW, HIGH) else LOWER
     expected_hist = {hi: cd.q, lo + cd.r: 1, lo: p.n - cd.q - 1}
     equality = p.nbr_hist == {d: c for d, c in expected_hist.items() if c > 0}
     return _report(
         "congruence", alpha, direction, bound, nm_direct(p, alpha), equality, tolerance
     )
+
+
+# Every bound form by source name.
+_SOURCE_OPS = {
+    "secant": nm_bound_secant,
+    "unit": nm_bound_unit,
+    "congruence": nm_bound_congruence,
+}
+
+BOUND_SOURCES = tuple(_SOURCE_OPS)

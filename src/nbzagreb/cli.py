@@ -19,8 +19,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import BOUND_SOURCES, DEFAULT_TOLERANCE, congruence_classify
-from .enumeration import _SOURCE_OPS, find_equality_graphs, verify_all
+from .bounds import BOUND_SOURCES, DEFAULT_TOLERANCE, _SOURCE_OPS, congruence_classify
+from .enumeration import find_equality_graphs, verify_all
 from .errors import (
     ConfigError,
     NoConvergence,

@@ -49,11 +49,9 @@ from .bounds import (
     BOUND_SOURCES,
     DEFAULT_TOLERANCE,
     UPPER,
+    _SOURCE_OPS,
     _check_tolerance,
     congruence_classify,
-    nm_bound_congruence,
-    nm_bound_secant,
-    nm_bound_unit,
     secant_coefficient,
     unit_coefficient,
 )
@@ -171,14 +169,15 @@ def enumerate_connected(
 # Coefficient sign grid
 
 
-def coefficient_sign_grid(
-    alphas, p_max: int = 12, sign_tol: float = 1e-12
-) -> tuple[int, list[dict]]:
+SIGN_TOL = 1e-12
+
+
+def coefficient_sign_grid(alphas, p_max: int = 12) -> tuple[int, list[dict]]:
     """Exhaustively check the coefficient signs for all 1 <= p < q <= p_max.
 
     Secant coefficients must be <= 0 for a < 0 or a > 1 and >= 0 for
     0 < a < 1; unit coefficients the other way around.  A violation needs
-    magnitude above ``sign_tol``.  Returns (evaluations, violations).
+    magnitude above ``SIGN_TOL``.  Returns (evaluations, violations).
     """
     alphas = [as_alpha(a) for a in alphas]
     evaluations = 0
@@ -202,12 +201,12 @@ def coefficient_sign_grid(
                 for i in range(1, q - p):
                     value = secant_coefficient(p, q, i, alpha)
                     evaluations += 1
-                    if (value > sign_tol) if not mid else (value < -sign_tol):
+                    if (value > SIGN_TOL) if not mid else (value < -SIGN_TOL):
                         record("secant", p, q, i, alpha, value)
                 for i in range(2, q - p + 1):
                     value = unit_coefficient(p, i, alpha)
                     evaluations += 1
-                    if (value < -sign_tol) if not mid else (value > sign_tol):
+                    if (value < -SIGN_TOL) if not mid else (value > SIGN_TOL):
                         record("unit", p, q, i, alpha, value)
     return evaluations, violations
 
@@ -230,12 +229,6 @@ _NM_OPS = {
 _NM2_OPS = {
     "nm2_reconstruct_secant": nm2_reconstruct_secant,
     "nm2_reconstruct_unit": nm2_reconstruct_unit,
-}
-
-_SOURCE_OPS = {
-    "secant": nm_bound_secant,
-    "unit": nm_bound_unit,
-    "congruence": nm_bound_congruence,
 }
 
 
@@ -514,13 +507,13 @@ def find_equality_graphs(
 ) -> list[ExtremalRecord]:
     """All isomorphism classes on n vertices attaining the named bound with
     equality, sorted by graph6 encoding."""
-    if source not in BOUND_SOURCES:
+    op = _SOURCE_OPS.get(source)
+    if op is None:
         raise UnknownBoundSource(
             f"unknown bound source {source!r}; expected one of {', '.join(BOUND_SOURCES)}"
         )
     _check_n(n, allow_n8)
     a = as_alpha(alpha)
-    op = _SOURCE_OPS[source]
     records = []
     for g in enumerate_connected(n, dedup=True, allow_n8=allow_n8):
         p = degree_profile(g)

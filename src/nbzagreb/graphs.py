@@ -16,6 +16,7 @@ Input formats:
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -302,9 +303,14 @@ def parse_edge_list(text: str) -> Graph:
         if not ids:
             raise MalformedLine("empty input: no edges and no 'n <count>' header")
         n = max(ids) + 1
-        if ids != set(range(n)):
-            missing = sorted(set(range(n)) - ids)
-            raise NonContiguousIds(f"ids must cover 0..{n - 1}; missing {missing}")
+        # Distinct non-negative ids cover 0..n-1 exactly when there are n of
+        # them; the first few gaps are named, scanning at most len(ids) + 5 ids.
+        if len(ids) != n:
+            gaps = (i for i in range(n) if i not in ids)
+            raise NonContiguousIds(
+                f"ids must cover 0..{n - 1}; {n - len(ids)} missing, "
+                f"first {list(itertools.islice(gaps, 5))}"
+            )
     else:
         n = declared_n
         if ids and max(ids) >= n:

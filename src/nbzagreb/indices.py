@@ -5,13 +5,16 @@ is ``NM_a = sum_u nbr_deg(u)**a`` and the 2-distance variant is
 ``NM2_a = sum_u dist2_deg(u)**a``.
 
 Both admit exact reconstructions from nothing but the vertex count, the
-first Zagreb index M1 and the degree histogram, in two flavours:
+first Zagreb index M1 and the degree histogram.  Each follows the line
+through ``(lo, lo**a)`` and ``(top, top**a)`` and corrects every histogram
+entry ``d`` off those two points by ``d**a - lo**a - (d - lo) * rate``:
 
-* the *secant* form interpolates between the extreme degrees ``lo`` and
-  ``hi`` with the slope ``s = (hi**a - lo**a) / (hi - lo)`` and corrects
-  every interior histogram entry;
-* the *unit* form uses the first unit step ``(lo+1)**a - lo**a`` instead
-  and corrects entries from ``lo+2`` upward.
+* the *secant* form takes ``top = hi``, so the rate is the slope
+  ``s = (hi**a - lo**a) / (hi - lo)`` and the interior entries are corrected;
+* the *unit* form takes ``top = lo + 1``, so the rate is the first unit
+  step ``(lo+1)**a - lo**a`` and entries from ``lo+2`` upward are corrected.
+
+The bounds of :mod:`nbzagreb.bounds` are the same sums with entries dropped.
 
 The 2-distance reconstructions require diameter exactly 2, where the total
 2-distance degree satisfies ``sum_u dist2_deg(u) = 2m(n-1) - M1``.
@@ -142,78 +145,87 @@ def two_distance_index(g: Graph, a: float | Alpha) -> float:
     return nm2_direct(degree_profile(g), a)
 
 
-def _reconstruct(
-    hist: dict[int, int], n: int, total: int, lo: int, hi: int, a: Alpha, form: str
-) -> float:
-    """Shared core of both reconstruction flavours.
-
-    ``total`` is the degree mass sum(i * hist[i]); for neighborhood degrees
-    it equals M1, for 2-distance degrees on a diameter-2 graph it equals
-    2m(n-1) - M1.  Callers guarantee lo != hi.
-    """
+def _line(lo: int, top: int, a: Alpha) -> tuple[float, float]:
+    """lo**a and the rate (top**a - lo**a) / (top - lo) of the line through
+    (lo, lo**a) and (top, top**a)."""
     lo_pow = _pow(lo, a)
-    if form == "secant":
-        slope = (_pow(hi, a) - lo_pow) / (hi - lo)
-        value = n * lo_pow + (total - n * lo) * slope
-        for d, cnt in hist.items():
-            if lo < d < hi:
-                value += cnt * (_pow(d, a) - lo_pow - (d - lo) * slope)
-        return value
-    step = _pow(lo + 1, a) - lo_pow
-    value = n * lo_pow + (total - n * lo) * step
-    for d, cnt in hist.items():
-        if d >= lo + 2:
-            value += cnt * (_pow(d, a) - lo_pow - (d - lo) * step)
+    return lo_pow, (_pow(top, a) - lo_pow) / (top - lo)
+
+
+def _correction(d: int, lo: int, lo_pow: float, rate: float, a: Alpha) -> float:
+    """Correction coefficient d**a - lo**a - (d - lo)*rate of an entry at d."""
+    return _pow(d, a) - lo_pow - (d - lo) * rate
+
+
+def _reconstruct(
+    kept: dict[int, int], n: int, total: int, lo: int, top: int, a: Alpha
+) -> float:
+    """n*lo**a + (total - n*lo)*rate plus the corrections of the ``kept``
+    histogram entries off the line (entries at lo and top lie on it); the
+    whole histogram gives the reconstruction.
+
+    ``total`` is the degree mass sum(d * hist[d]); for neighborhood degrees
+    it equals M1, for 2-distance degrees on a diameter-2 graph it equals
+    2m(n-1) - M1.  Callers guarantee lo != top.
+    """
+    lo_pow, rate = _line(lo, top, a)
+    value = n * lo_pow + (total - n * lo) * rate
+    for d, cnt in kept.items():
+        if d != lo and d != top:
+            value += cnt * _correction(d, lo, lo_pow, rate, a)
     return value
+
+
+def _nbr_extremes(p: DegreeProfile) -> tuple[int, int]:
+    """(delta_min, delta_max), for the operations that need them distinct."""
+    if p.delta_min == p.delta_max:
+        raise NeighborhoodRegular("all neighborhood degrees are equal")
+    return p.delta_min, p.delta_max
 
 
 def secant_slope(p: DegreeProfile, a: float | Alpha) -> float:
     """The secant slope s_a = (hi**a - lo**a) / (hi - lo) between the
     extreme neighborhood degrees; requires delta_min != delta_max."""
     alpha = as_alpha(a)
-    lo, hi = p.delta_min, p.delta_max
-    return (_pow(hi, alpha) - _pow(lo, alpha)) / (hi - lo)
+    lo, hi = _nbr_extremes(p)
+    return _line(lo, hi, alpha)[1]
 
 
 def nm_reconstruct_secant(p: DegreeProfile, a: float | Alpha) -> float:
     """NM_a from (n, M1, histogram) via the secant-slope identity."""
     alpha = as_alpha(a)
-    if p.delta_min == p.delta_max:
-        raise NeighborhoodRegular("all neighborhood degrees are equal")
-    return _reconstruct(p.nbr_hist, p.n, p.m1, p.delta_min, p.delta_max, alpha, "secant")
+    lo, hi = _nbr_extremes(p)
+    return _reconstruct(p.nbr_hist, p.n, p.m1, lo, hi, alpha)
 
 
 def nm_reconstruct_unit(p: DegreeProfile, a: float | Alpha) -> float:
     """NM_a from (n, M1, histogram) via the unit-step identity."""
     alpha = as_alpha(a)
-    if p.delta_min == p.delta_max:
-        raise NeighborhoodRegular("all neighborhood degrees are equal")
-    return _reconstruct(p.nbr_hist, p.n, p.m1, p.delta_min, p.delta_max, alpha, "unit")
+    lo, _hi = _nbr_extremes(p)
+    return _reconstruct(p.nbr_hist, p.n, p.m1, lo, lo + 1, alpha)
 
 
-def _check_dist2_preconditions(p: DegreeProfile) -> None:
+def _dist2_total(p: DegreeProfile) -> int:
+    """2m(n-1) - M1, once the 2-distance reconstructions apply."""
     if p.diameter != 2:
         raise NotDiameterTwo(f"diameter is {p.diameter}, need exactly 2")
     if p.d2_min == 0:
         raise ZeroMinDist2Degree("a vertex has 2-distance degree 0")
     if p.d2_min == p.d2_max:
         raise Dist2Regular("all 2-distance degrees are equal")
+    return 2 * p.m * (p.n - 1) - p.m1
 
 
 def nm2_reconstruct_secant(p: DegreeProfile, a: float | Alpha) -> float:
     """NM2_a via the secant identity; diameter-2 graphs only."""
     alpha = as_alpha(a)
-    _check_dist2_preconditions(p)
-    total = 2 * p.m * (p.n - 1) - p.m1
-    return _reconstruct(p.dist2_hist, p.n, total, p.d2_min, p.d2_max, alpha, "secant")
+    return _reconstruct(p.dist2_hist, p.n, _dist2_total(p), p.d2_min, p.d2_max, alpha)
 
 
 def nm2_reconstruct_unit(p: DegreeProfile, a: float | Alpha) -> float:
     """NM2_a via the unit-step identity; diameter-2 graphs only."""
     alpha = as_alpha(a)
-    _check_dist2_preconditions(p)
-    total = 2 * p.m * (p.n - 1) - p.m1
-    return _reconstruct(p.dist2_hist, p.n, total, p.d2_min, p.d2_max, alpha, "unit")
+    return _reconstruct(p.dist2_hist, p.n, _dist2_total(p), p.d2_min, p.d2_min + 1, alpha)
 
 
 def index_report(p: DegreeProfile, a: float | Alpha) -> IndexReport:

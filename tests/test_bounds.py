@@ -21,11 +21,13 @@ from nbzagreb.errors import (
     NeighborhoodRegular,
     NonPositiveQuotient,
     OutOfRangeIndex,
+    PreconditionError,
     RemainderZero,
     UnoccupiedRemainderDegree,
 )
 
 SIGN_TOL = 1e-12
+UNIT_ROUNDOFF = 2.0**-53
 
 
 class TestCoefficients:
@@ -232,6 +234,73 @@ class TestEqualitySoundness:
                     assert set(p.nbr_hist) == {p.delta_min, p.delta_max}
                 if cd.r >= 1 and p.nbr_hist.get(p.delta_max, 0) == cd.q:
                     assert cd.part2_constraints_hold
+
+
+def _dropped(p, source):
+    """The histogram entries a bound leaves out, {d: n_d}, and the public
+    coefficient of an entry at d."""
+    lo, hi = p.delta_min, p.delta_max
+    interior = {d: c for d, c in p.nbr_hist.items() if lo < d < hi}
+    if source == "unit":
+        # Entries at lo + 1 carry no correction, and the top entry is kept.
+        dropped = {d: c for d, c in interior.items() if d >= lo + 2}
+        return dropped, lambda d, a: unit_coefficient(lo, d - lo, a)
+    if source == "congruence":
+        # The secant form keeping one vertex at lo + r.
+        r = (p.m1 - p.n * lo) % (hi - lo)
+        interior[lo + r] -= 1
+    return interior, lambda d, a: secant_coefficient(lo, hi, d - lo, a)
+
+
+class TestBoundsAreReconstructionsWithEntriesDropped:
+    """direct - bound equals the sum of n_d times the public coefficient
+    over the entries each bound drops, and has the regime's sign."""
+
+    SOURCES = (
+        ("secant", nm_bound_secant, 1.0),
+        ("unit", nm_bound_unit, -1.0),
+        ("congruence", nm_bound_congruence, 1.0),
+    )
+
+    def test_every_connected_graph_up_to_6(self):
+        # One graph per isomorphism class: the bounds read only n, M1 and
+        # the histogram, and the allowance covers any summation order.
+        checked = {source: 0 for source, _op, _sign in self.SOURCES}
+        strict = dict(checked)
+        for n in range(3, 7):
+            for g in enumerate_connected(n, dedup=True):
+                p = degree_profile(g)
+                lo, hi = p.delta_min, p.delta_max
+                for alpha in (-1.0, 0.5, 2.0, 3.0):
+                    # Every term either side adds is at most max(lo**a, hi**a)
+                    # per vertex times 5 + 4(hi - lo) in all (the corrections
+                    # hold (d - lo) * rate with |rate| <= 2 max(...)), and both
+                    # sides are sums of at most 3n + 6 terms each within a few
+                    # ulps.
+                    scale = n * max(lo**alpha, hi**alpha) * (5 + 4 * (hi - lo))
+                    allowance = 2 * (3 * n + 10) * UNIT_ROUNDOFF * scale
+                    # Secant coefficients are <= 0 for a < 0 or a > 1, unit
+                    # ones the other way around, and all flip for 0 < a < 1.
+                    regime = -1.0 if alpha < 0 or alpha > 1 else 1.0
+                    for source, op, sign in self.SOURCES:
+                        try:
+                            rep = op(p, alpha)
+                        except PreconditionError:
+                            continue
+                        dropped, coefficient = _dropped(p, source)
+                        expected = 0.0
+                        for d, count in dropped.items():
+                            coef = coefficient(d, alpha)
+                            assert coef * sign * regime > 0
+                            expected += count * coef
+                        delta = rep.computed - rep.bound
+                        assert abs(delta - expected) <= allowance, (source, g.adjacency, alpha)
+                        assert delta * sign * regime >= -allowance
+                        assert rep.equality == (sum(dropped.values()) == 0)
+                        checked[source] += 1
+                        strict[source] += not rep.equality
+        assert all(strict.values()), strict
+        assert checked == {"secant": 500, "unit": 500, "congruence": 108}, checked
 
 
 @pytest.mark.parametrize("op", [nm_bound_secant, nm_bound_unit, nm_bound_congruence])

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_graphs,
@@ -29,6 +32,7 @@ from nbzagreb.errors import (
     InvalidGraph6,
     MalformedLine,
     NonContiguousIds,
+    ParseError,
     SelfLoop,
 )
 
@@ -73,6 +77,18 @@ class TestParseEdgeList:
         with pytest.raises(NonContiguousIds):
             parse_edge_list("0 2")
 
+    def test_large_id_gap_in_bounded_memory(self):
+        # Contiguity is decided by counting, and only a few gaps are named.
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonContiguousIds) as info:
+                parse_edge_list("0 1000000\n")
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert str(info.value) == "ids must cover 0..1000000; 999999 missing, first [1, 2, 3, 4, 5]"
+
     def test_id_beyond_declared_count(self):
         with pytest.raises(NonContiguousIds):
             parse_edge_list("n 2\n0 5")
@@ -113,6 +129,50 @@ class TestGraph6:
         for n in (6, 7):
             for g in sample_connected(n, 40):
                 assert parse_graph6(encode_graph6(g)).adjacency == g.adjacency
+
+
+# Edge-list documents: a header with a small count, edge lines over small
+# ids, and lines without any digit (so no large count can appear).
+_EDGE_LINES = st.one_of(
+    st.builds("n {}".format, st.integers(-2, 12)),
+    st.builds("{} {}".format, st.integers(-1, 12), st.integers(-1, 12)),
+    st.builds("{} {} {}".format, st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
+)
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 62).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80),
+        )
+    ))
+    def test_graph6_round_trip(self, n_pairs):
+        n, pairs = n_pairs
+        g = Graph.from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        text = encode_graph6(g)
+        assert parse_graph6(text).adjacency == g.adjacency
+        assert encode_graph6(parse_graph6(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=40))
+    def test_graph6_parses_or_raises_parse_error(self, text):
+        try:
+            g = parse_graph6(text)
+        except ParseError:
+            return
+        assert 1 <= g.n <= 62
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_EDGE_LINES, max_size=12))
+    def test_edge_list_parses_or_raises_parse_error(self, lines):
+        try:
+            g = parse_edge_list("\n".join(lines))
+        except ParseError:
+            return
+        assert g.n >= 1 and g.m <= len(lines)
 
 
 class TestDegreeProfile:

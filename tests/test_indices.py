@@ -24,6 +24,7 @@ from nbzagreb import (
     nm_reconstruct_unit,
     parse_edge_list,
     path_graph,
+    secant_slope,
     star_graph,
     two_distance_index,
 )
@@ -122,6 +123,11 @@ class TestReconstructions:
             nm_reconstruct_secant(p, 2)
         with pytest.raises(NeighborhoodRegular):
             nm_reconstruct_unit(p, 2)
+
+    def test_secant_slope_needs_two_extremes(self):
+        assert secant_slope(degree_profile(path_graph(5)), 2) == (16 - 4) / 2
+        with pytest.raises(NeighborhoodRegular):
+            secant_slope(degree_profile(cycle_graph(5)), 2)
 
     def test_fractional_alpha_figure2(self, figure2):
         p = degree_profile(figure2)

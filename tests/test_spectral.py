@@ -177,6 +177,20 @@ class TestRatioCertificate:
                 tight = abs(rho * rho - nm2_ratio_lower_bound(g)) <= 1e-12
                 assert ratio_bound_is_exact(g, p) == tight
 
+    def test_equality_family_on_isomorphism_classes(self):
+        # Tight exactly when A**2 d is parallel to d: at n <= 7 that is 33
+        # classes, and only 15 of them are regular.
+        tight = regular = 0
+        for n in range(2, 8):
+            for g in enumerate_connected(n, dedup=True):
+                p = degree_profile(g)
+                rho = float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+                exact = ratio_bound_is_exact(g, p)
+                assert exact == (abs(rho * rho - nm2_ratio_lower_bound(g)) <= 1e-12)
+                tight += exact
+                regular += exact and min(p.deg) == max(p.deg)
+        assert (tight, regular) == (33, 15)
+
     def test_figure1_is_strict(self, figure1):
         assert not ratio_bound_is_exact(figure1, degree_profile(figure1))
 

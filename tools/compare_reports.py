@@ -1,0 +1,175 @@
+"""Diff every deterministic report of two nbzagreb source trees.
+
+    python tools/compare_reports.py --src /path/to/old/checkout/src --src src
+
+Each tree runs in a fresh interpreter, which prints one JSON object of
+named outputs; the script then compares the two objects name by name:
+
+* ``verify_all(n, (-1, 0.5, 2, 3))`` ``to_dict()`` without ``elapsed``,
+  failure records included: both engines at n <= 6 with tolerance 1e-9
+  and 1e-13, both engines at n <= 5 with tolerance 1e-300 (every inexact
+  instance fails), and bulk at n <= 7 with tolerance 1e-9;
+* ``find_equality_graphs`` at n = 5 and 6 for every bound source and the
+  same four exponents;
+* CLI ``compute`` (JSON and CSV), ``bounds`` and ``spectral`` stdout, exit
+  code and stderr on every fixture and on seeded graphs (random ones,
+  disconnected ones among them, plus cycles and stars), fed through stdin
+  so that the documents do not embed a path.
+
+Prints the names that differ with a short diff of each, and exits 1 if
+any output differs, 0 otherwise.  One tree takes about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+ALPHAS = (-1.0, 0.5, 2.0, 3.0)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SEEDED = 60
+DIFF_LINES = 20
+
+
+def _verify_outputs(verify_all) -> dict[str, str]:
+    runs = [
+        (engine, n, tol)
+        for engine in ("bulk", "scalar")
+        for n, tol in ((6, 1e-9), (6, 1e-13), (5, 1e-300))
+    ]
+    runs.append(("bulk", 7, 1e-9))
+    out = {}
+    for engine, n, tol in runs:
+        doc = verify_all(n, ALPHAS, tolerance=tol, engine=engine).to_dict()
+        del doc["elapsed"]
+        out[f"verify/{engine}/n{n}/tol{tol:g}"] = json.dumps(doc, indent=1)
+    return out
+
+
+def _extremal_outputs(find_equality_graphs) -> dict[str, str]:
+    out = {}
+    for n in (5, 6):
+        for source in ("secant", "unit", "congruence"):
+            for alpha in ALPHAS:
+                records = [r.to_dict() for r in find_equality_graphs(n, alpha, source)]
+                out[f"extremal/{source}/n{n}/a{alpha:g}"] = json.dumps(records, indent=1)
+    return out
+
+
+def _seeded_graphs() -> dict[str, str]:
+    """Edge-list documents with an ``n <count>`` header, keyed by name."""
+    docs = {}
+    for seed in range(SEEDED):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        density = rng.random()
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
+        docs[f"random{seed}"] = "".join([f"n {n}\n", *(f"{u} {v}\n" for u, v in edges)])
+    for n in range(3, 9):
+        docs[f"cycle{n}"] = "".join(f"{u} {(u + 1) % n}\n" for u in range(n))
+        docs[f"star{n}"] = "".join(f"0 {v}\n" for v in range(1, n))
+    return docs
+
+
+def _cli_outputs(main) -> dict[str, str]:
+    inputs = {
+        str(path.relative_to(FIXTURES)): (
+            path.read_text(), "graph6" if path.suffix == ".g6" else "edges"
+        )
+        for path in sorted(FIXTURES.rglob("*"))
+        if path.is_file()
+    }
+    inputs.update((name, (text, "edges")) for name, text in _seeded_graphs().items())
+    alpha_flags = [flag for a in ALPHAS for flag in ("--alpha", repr(a))]
+    commands = {
+        "compute": ["compute", *alpha_flags],
+        "compute-csv": ["compute", *alpha_flags, "--output", "csv"],
+        "bounds": ["bounds", *alpha_flags],
+        "spectral": ["spectral"],
+    }
+    out = {}
+    for name, (text, fmt) in inputs.items():
+        for label, argv in commands.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            sys.stdin = io.StringIO(text)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--input", "-", "--format", fmt])
+            out[f"cli/{label}/{name}"] = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
+    sys.stdin = sys.__stdin__
+    return out
+
+
+def emit() -> int:
+    import nbzagreb
+    from nbzagreb.cli import main
+    from nbzagreb.enumeration import find_equality_graphs, verify_all
+
+    outputs = {
+        **_verify_outputs(verify_all),
+        **_extremal_outputs(find_equality_graphs),
+        **_cli_outputs(main),
+    }
+    json.dump({"package": nbzagreb.__file__, "outputs": outputs}, sys.stdout)
+    return 0
+
+
+def _diff(a: str | None, b: str | None) -> list[str]:
+    if a is None or b is None:
+        return [f"  only in {'second' if a is None else 'first'} tree"]
+    lines = list(difflib.unified_diff(a.splitlines(), b.splitlines(), lineterm="", n=1))
+    return [f"  {line}" for line in lines[2 : 2 + DIFF_LINES]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", default=[],
+                        help="directory holding the nbzagreb package; give exactly two")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        return emit()
+    if len(args.src) != 2:
+        parser.error("give --src exactly twice")
+    srcs = [Path(s).resolve() for s in args.src]
+    for src in srcs:
+        if not (src / "nbzagreb" / "__init__.py").is_file():
+            parser.error(f"no nbzagreb package under {src}")
+
+    procs = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--emit"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+        )
+        for src in srcs
+    ]
+    docs = []
+    for src, proc in zip(srcs, procs):
+        stdout, _ = proc.communicate()
+        if proc.returncode:
+            print(f"{src}: probe exited with {proc.returncode}")
+            return 2
+        docs.append(json.loads(stdout))
+    for doc in docs:
+        print(f"tree: {doc['package']}")
+
+    first, second = (doc["outputs"] for doc in docs)
+    names = sorted(first.keys() | second.keys())
+    differ = [name for name in names if first.get(name) != second.get(name)]
+    for name in differ:
+        print(f"DIFFERS {name}")
+        print("\n".join(_diff(first.get(name), second.get(name))))
+    print(f"{len(names) - len(differ)} of {len(names)} outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
