@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -205,38 +205,53 @@ def degree_profile(g: Graph) -> DegreeProfile:
     )
 
 
-def _bfs_eccentricity(g: Graph, src: int) -> tuple[int, int]:
-    """Return (eccentricity, number of reached vertices) from ``src``."""
-    dist = [-1] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    ecc = 0
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                ecc = max(ecc, dist[v])
-                reached += 1
-                queue.append(v)
-    return ecc, reached
-
-
 def diameter(g: Graph) -> int | float:
-    """Largest shortest-path distance; ``math.inf`` when disconnected."""
-    best = 0
-    for src in range(g.n):
-        ecc, reached = _bfs_eccentricity(g, src)
-        if reached != g.n:
-            return math.inf
-        best = max(best, ecc)
-    return best
+    """Largest shortest-path distance; ``math.inf`` when disconnected.
+
+    Grows the ball of every vertex in lockstep on bitsets: ball_1(u) is the
+    closed neighborhood of u, and each round ORs the previous round's balls
+    of u's neighbors into it.  Only balls that are not yet the whole vertex
+    set take part in a round, and the diameter is the number of rounds
+    until every ball is full.  The cost is O(diam * m) big-int ORs of n
+    bits and n**2/8 bytes of transient memory on a connected graph, twice
+    that while a round replaces the balls; ``Graph.neighbor_bits`` takes
+    the same order on a path.
+
+    The connectivity check runs first, in O(n + m) time and memory: on a
+    disconnected graph the balls never fill, and a header-declared graph
+    such as ``n 200000`` with one edge would otherwise allocate O(n**2)
+    bits for the balls of its isolated vertices.
+    """
+    if not is_connected(g):
+        return math.inf
+    full = (1 << g.n) - 1
+    adjacency = g.adjacency
+    balls = [bits | 1 << u for u, bits in enumerate(g.neighbor_bits)]
+    growing = [u for u in range(g.n) if balls[u] != full]
+    rounds = 1 if g.n > 1 else 0  # at n = 1, ball_0 = {0} is already full
+    while growing:
+        prev = balls[:]
+        for u in growing:
+            ball = prev[u]
+            for v in adjacency[u]:
+                ball |= prev[v]
+            balls[u] = ball
+        growing = [u for u in growing if balls[u] != full]
+        rounds += 1
+    return rounds
 
 
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0."""
-    return _bfs_eccentricity(g, 0)[1] == g.n
+    seen = bytearray(g.n)
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        for v in g.adjacency[stack.pop()]:
+            if not seen[v]:
+                seen[v] = 1
+                stack.append(v)
+    return 0 not in seen
 
 
 def is_path(g: Graph) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_graphs,
     load_fixture,
+    oracle_bfs_distances,
     oracle_dist2_degrees,
     oracle_nbr_degrees,
     sample_connected,
@@ -141,17 +142,23 @@ _EDGE_LINES = st.one_of(
 )
 
 
+def _graph(n: int, pairs) -> Graph:
+    return Graph.from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+def _graphs(max_n: int, max_pairs: int):
+    """Graphs on 1..max_n vertices from up to max_pairs vertex pairs."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_pairs
+        ).map(lambda pairs: _graph(n, pairs))
+    )
+
+
 class TestParserProperties:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 62).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80),
-        )
-    ))
-    def test_graph6_round_trip(self, n_pairs):
-        n, pairs = n_pairs
-        g = Graph.from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    @given(_graphs(62, 80))
+    def test_graph6_round_trip(self, g):
         text = encode_graph6(g)
         assert parse_graph6(text).adjacency == g.adjacency
         assert encode_graph6(parse_graph6(text)) == text
@@ -234,6 +241,18 @@ class TestDegreeProfile:
             p.m1 = 0
 
 
+def oracle_diameter(g: Graph) -> int | float:
+    """One BFS from every vertex: the largest distance, or inf when some
+    vertex is unreachable."""
+    best = 0
+    for src in range(g.n):
+        dist = oracle_bfs_distances(g, src)
+        if min(dist) < 0:
+            return math.inf
+        best = max(best, max(dist))
+    return best
+
+
 class TestDiameterConnectivity:
     def test_complete_graph(self):
         assert diameter(complete_graph(4)) == 1
@@ -252,6 +271,36 @@ class TestDiameterConnectivity:
 
     def test_figure1_connected(self, figure1):
         assert is_connected(figure1)
+
+    def test_edge_cases(self):
+        assert diameter(Graph.from_edges(1, [])) == 0
+        assert diameter(complete_graph(2)) == 1
+        assert math.isinf(diameter(Graph.from_edges(2, [])))
+
+    def test_matches_oracle_on_every_labeled_graph_up_to_6(self):
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                want = oracle_diameter(g)
+                assert diameter(g) == want
+                assert is_connected(g) == (want != math.inf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graphs(40, 120))
+    def test_matches_oracle_on_random_graphs(self, g):
+        assert diameter(g) == oracle_diameter(g)
+
+    def test_sparse_disconnected_in_bounded_memory(self):
+        # Connectivity is checked before any ball is built: the balls of
+        # 200,000 isolated vertices would take O(n**2) bits.
+        g = Graph.from_edges(200_000, [(0, 1)])
+        tracemalloc.start()
+        try:
+            d = diameter(g)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isinf(d)
+        assert peak < 8_000_000
 
 
 class TestHelpers:

@@ -14,7 +14,11 @@ named outputs; the script then compares the two objects name by name:
 * CLI ``compute`` (JSON and CSV), ``bounds`` and ``spectral`` stdout, exit
   code and stderr on every fixture and on seeded graphs (random ones,
   disconnected ones among them, plus cycles and stars), fed through stdin
-  so that the documents do not embed a path.
+  so that the documents do not embed a path;
+* CLI ``compute`` (JSON) on larger seeded graphs: paths, random trees and
+  trees with about n extra edges of 200 to 1000 vertices, and one
+  disconnected graph of 3000 vertices, where the ``diameter`` and
+  ``connected`` fields come from more than a few BFS levels.
 
 Prints the names that differ with a short diff of each, and exits 1 if
 any output differs, 0 otherwise.  One tree takes about a minute.
@@ -79,6 +83,40 @@ def _seeded_graphs() -> dict[str, str]:
     return docs
 
 
+def _edge_doc(n: int, edges, rng: random.Random) -> str:
+    """Edge-list document with an ``n <count>`` header and shuffled labels."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return "".join([f"n {n}\n", *(f"{perm[u]} {perm[v]}\n" for u, v in edges)])
+
+
+def _large_graphs() -> dict[str, str]:
+    rng = random.Random(0)
+    docs = {}
+    for n in (200, 500, 1000):
+        docs[f"path{n}"] = _edge_doc(n, [(v - 1, v) for v in range(1, n)], rng)
+    for n in (300, 1000):
+        docs[f"tree{n}"] = _edge_doc(n, [(rng.randrange(v), v) for v in range(1, n)], rng)
+    for n in (300, 800):
+        have = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(have) < 2 * n - 1:
+            u, v = sorted(rng.sample(range(n), 2))
+            have.add((u, v))
+        docs[f"tree_plus_n{n}"] = _edge_doc(n, sorted(have), rng)
+    docs["forest3000"] = _edge_doc(
+        3000, [(rng.randrange(v), v) for v in range(1, 3000) if v % 1000], rng
+    )
+    return docs
+
+
+def _run_cli(main, argv, text: str) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
+
+
 def _cli_outputs(main) -> dict[str, str]:
     inputs = {
         str(path.relative_to(FIXTURES)): (
@@ -98,11 +136,10 @@ def _cli_outputs(main) -> dict[str, str]:
     out = {}
     for name, (text, fmt) in inputs.items():
         for label, argv in commands.items():
-            stdout, stderr = io.StringIO(), io.StringIO()
-            sys.stdin = io.StringIO(text)
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([*argv, "--input", "-", "--format", fmt])
-            out[f"cli/{label}/{name}"] = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
+            args = [*argv, "--input", "-", "--format", fmt]
+            out[f"cli/{label}/{name}"] = _run_cli(main, args, text)
+    for name, text in _large_graphs().items():
+        out[f"cli/compute/{name}"] = _run_cli(main, [*commands["compute"], "--input", "-"], text)
     sys.stdin = sys.__stdin__
     return out
 
