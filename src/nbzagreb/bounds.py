@@ -58,7 +58,8 @@ DEFAULT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound: value, direction, slack and equality flags."""
+    """One evaluated bound.  ``holds``: on the bound's side and, when
+    ``equality`` is set, at the bound, both within ``tolerance``."""
 
     source: str
     alpha: float
@@ -136,10 +137,7 @@ def _report(
 ) -> BoundReport:
     tol = tolerance * max(1.0, abs(computed))
     slack = abs(computed - bound)
-    if direction == UPPER:
-        holds = computed <= bound + tol
-    else:
-        holds = computed >= bound - tol
+    on_side = computed <= bound + tol if direction == UPPER else computed >= bound - tol
     return BoundReport(
         source=source,
         alpha=alpha.value,
@@ -149,7 +147,7 @@ def _report(
         computed=computed,
         slack=slack,
         tolerance=tol,
-        holds=holds,
+        holds=on_side and (not equality or slack <= tol),
         equality=equality,
     )
 

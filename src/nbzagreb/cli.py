@@ -119,6 +119,22 @@ def _hist_doc(hist: dict[int, int]) -> dict:
     return {str(k): v for k, v in hist.items()}
 
 
+def _index_doc(entry: dict, key: str, recon_key: str, p, alpha, direct, secant, unit,
+               slope=None) -> None:
+    """The direct sum under ``key`` and its reconstructions under ``recon_key``."""
+    try:
+        value = entry[key] = direct(p, alpha)
+        via_s, via_u = secant(p, alpha), unit(p, alpha)
+        recon = entry[recon_key] = {} if slope is None else {"s_alpha": slope(p, alpha)}
+        recon.update(secant=via_s, unit=via_u, residual_secant=abs(via_s - value),
+                     residual_unit=abs(via_u - value))
+    except PreconditionError as exc:
+        if key not in entry:  # the direct sum itself raised
+            entry[key] = None
+            entry[f"{key}_inapplicable"] = reason(exc)
+        entry[recon_key] = {"inapplicable": reason(exc)}
+
+
 def cmd_compute(parser, args):
     alphas = _require_alphas(parser, args)
     g = _load_graph(args)
@@ -126,37 +142,10 @@ def cmd_compute(parser, args):
     entries = []
     for alpha in alphas:
         entry: dict = {"alpha": alpha.value}
-        try:
-            direct = entry["nm_alpha"] = nm_direct(p, alpha)
-            via_s = nm_reconstruct_secant(p, alpha)
-            via_u = nm_reconstruct_unit(p, alpha)
-            entry["reconstruction"] = {
-                "s_alpha": secant_slope(p, alpha),
-                "secant": via_s,
-                "unit": via_u,
-                "residual_secant": abs(via_s - direct),
-                "residual_unit": abs(via_u - direct),
-            }
-        except PreconditionError as exc:
-            if "nm_alpha" not in entry:  # nm_direct itself raised
-                entry["nm_alpha"] = None
-                entry["nm_alpha_inapplicable"] = reason(exc)
-            entry["reconstruction"] = {"inapplicable": reason(exc)}
-        try:
-            direct2 = entry["nm2_alpha"] = nm2_direct(p, alpha)
-            via_s = nm2_reconstruct_secant(p, alpha)
-            via_u = nm2_reconstruct_unit(p, alpha)
-            entry["reconstruction_dist2"] = {
-                "secant": via_s,
-                "unit": via_u,
-                "residual_secant": abs(via_s - direct2),
-                "residual_unit": abs(via_u - direct2),
-            }
-        except PreconditionError as exc:
-            if "nm2_alpha" not in entry:  # nm2_direct itself raised
-                entry["nm2_alpha"] = None
-                entry["nm2_alpha_inapplicable"] = reason(exc)
-            entry["reconstruction_dist2"] = {"inapplicable": reason(exc)}
+        _index_doc(entry, "nm_alpha", "reconstruction", p, alpha, nm_direct,
+                   nm_reconstruct_secant, nm_reconstruct_unit, secant_slope)
+        _index_doc(entry, "nm2_alpha", "reconstruction_dist2", p, alpha, nm2_direct,
+                   nm2_reconstruct_secant, nm2_reconstruct_unit)
         entries.append(entry)
     doc = {
         "command": "compute",

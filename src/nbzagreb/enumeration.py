@@ -295,7 +295,7 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
                 _compare_identities(fail, recon, i, alpha, nm_direct(p, alpha), tolerance)
             for check, reps in bounds.items():
                 rep = reps[i]
-                if not (rep.holds and (not rep.equality or rep.slack <= rep.tolerance)):
+                if not rep.holds:
                     expected = bound_expected(rep.direction == UPPER, rep.bound, rep.equality)
                     fail(check, expected, rep.computed, alpha=alpha.value)
 

@@ -49,6 +49,10 @@ class NTooLarge(ConfigError):
     pass
 
 
+class VertexCountTooLarge(ConfigError):
+    pass
+
+
 class UnknownBoundSource(ConfigError):
     pass
 

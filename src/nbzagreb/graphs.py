@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -28,6 +29,7 @@ from .errors import (
     MalformedLine,
     NonContiguousIds,
     SelfLoop,
+    VertexCountTooLarge,
 )
 
 __all__ = [
@@ -46,6 +48,9 @@ __all__ = [
     "star_graph",
 ]
 
+# Largest vertex count an edge-list header may declare.
+MAX_DECLARED_N = 1_000_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -60,41 +65,46 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        """Check every invariant once, in O((n + m) log n): each row increases
+        strictly within 0..n-1, skips its own vertex and, by bisection, is
+        mirrored in the rows it names."""
+        n, adjacency = self.n, self.adjacency
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.adjacency) != self.n:
+        if len(adjacency) != n:
             raise ValueError("adjacency length does not match n")
-        deg_total = 0
-        for u, nbrs in enumerate(self.adjacency):
-            deg_total += len(nbrs)
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"duplicate neighbor entries at vertex {u}")
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"neighbor {v} out of range")
+        for u in itertools.compress(range(n), adjacency):
+            prev = -1
+            for v in adjacency[u]:
+                if not prev < v < n:
+                    if not 0 <= v < n:
+                        raise ValueError(f"neighbor {v} out of range")
+                    problem = "duplicate neighbor entries" if v == prev else "unsorted neighbors"
+                    raise ValueError(f"{problem} at vertex {u}")
                 if v == u:
                     raise ValueError(f"self-loop at vertex {u}")
-                if u not in self.adjacency[v]:
+                row = adjacency[v]
+                i = bisect_left(row, u)
+                if i == len(row) or row[i] != u:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        if deg_total != 2 * self.m:
+                prev = v
+        if sum(map(len, adjacency)) != 2 * self.m:
             raise ValueError("edge count m inconsistent with adjacency")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs."""
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        """Build a graph from (u, v) pairs; isolated vertices share the empty tuple."""
+        rows: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if v in nbrs[u]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-            m += 1
-        return cls(n, m, tuple(tuple(sorted(s)) for s in nbrs))
+            rows[u].append(v)
+            rows[v].append(u)
+        adjacency = [()] * n
+        for u, row in rows.items():
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {u} out of range for n={n}")
+            row.sort()
+            adjacency[u] = tuple(row)
+        return cls(n, sum(map(len, adjacency)) // 2, tuple(adjacency))
 
     @cached_property
     def neighbor_bits(self) -> tuple[int, ...]:
@@ -162,31 +172,32 @@ class DegreeProfile:
     diameter: int | float
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def degree_profile(g: Graph) -> DegreeProfile:
     """Compute all degree-like quantities of ``g``.
 
     The distance-2 set of u is the union of the neighbors' neighborhoods
     minus the closed neighborhood of u, i.e. exactly the vertices at
-    shortest-path distance 2.
+    shortest-path distance 2.  Its degree sum is sum_d d * |N2(u) & V_d|,
+    one popcount per nonzero degree class V_d.
     """
-    deg = tuple(len(nbrs) for nbrs in g.adjacency)
+    adjacency = g.adjacency
+    deg = tuple(map(len, adjacency))
     bits = g.neighbor_bits
-    nbr_deg = tuple(sum(deg[v] for v in g.adjacency[u]) for u in range(g.n))
-    dist2_deg = []
-    for u in range(g.n):
-        two_hop = 0
-        for v in g.adjacency[u]:
+    linked = list(itertools.compress(range(g.n), deg))  # the others keep 0 in both sums
+    class_bits: dict[int, int] = {}
+    for u in linked:
+        class_bits[deg[u]] = class_bits.get(deg[u], 0) | 1 << u
+    classes = list(class_bits.items())
+    nbr_deg, dist2_deg = [0] * g.n, [0] * g.n
+    for u in linked:
+        two_hop = total = 0
+        for v in adjacency[u]:
             two_hop |= bits[v]
-        two_hop &= ~(bits[u] | (1 << u))
-        dist2_deg.append(sum(deg[w] for w in _iter_bits(two_hop)))
-    dist2_deg = tuple(dist2_deg)
+            total += deg[v]
+        nbr_deg[u] = total
+        two_hop &= ~(bits[u] | 1 << u)
+        dist2_deg[u] = sum([d * (two_hop & mask).bit_count() for d, mask in classes])
+    nbr_deg, dist2_deg = tuple(nbr_deg), tuple(dist2_deg)
     return DegreeProfile(
         n=g.n,
         m=g.m,
@@ -256,12 +267,8 @@ def is_connected(g: Graph) -> bool:
 
 def is_path(g: Graph) -> bool:
     """True when the graph is a simple path (includes single vertices)."""
-    if g.n == 1:
-        return g.m == 0
-    if g.m != g.n - 1 or not is_connected(g):
-        return False
-    degs = sorted(len(nbrs) for nbrs in g.adjacency)
-    return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
+    # A connected graph with n - 1 edges is a tree; its maximum degree is 2 on a path.
+    return g.m == g.n - 1 and max(map(len, g.adjacency)) <= 2 and is_connected(g)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +279,11 @@ def parse_edge_list(text: str) -> Graph:
     """Parse an edge-list document into a :class:`Graph`.
 
     An optional first line ``n <count>`` declares the vertex count, which
-    permits isolated vertices.  Without it, ids must cover 0..max exactly.
+    permits isolated vertices; a count above ``MAX_DECLARED_N`` raises
+    ``VertexCountTooLarge``.  Without it, ids must cover 0..max exactly.
     """
     declared_n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    ids: set[int] = set()
+    edges: set[tuple[int, int]] = set()
     first_content = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -294,6 +300,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise MalformedLine(f"line {lineno}: bad vertex count {tokens[1]!r}")
             if declared_n < 1:
                 raise MalformedLine(f"line {lineno}: vertex count must be >= 1")
+            if declared_n > MAX_DECLARED_N:
+                raise VertexCountTooLarge(
+                    f"line {lineno}: vertex count {declared_n} exceeds {MAX_DECLARED_N}"
+                )
             continue
         first_content = False
         if len(tokens) != 2:
@@ -307,13 +317,11 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
         key = (min(u, v), max(u, v))
-        if key in seen:
+        if key in edges:
             raise DuplicateEdge(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append((u, v))
-        ids.add(u)
-        ids.add(v)
+        edges.add(key)
 
+    ids = set(itertools.chain.from_iterable(edges))
     if declared_n is None:
         if not ids:
             raise MalformedLine("empty input: no edges and no 'n <count>' header")
@@ -371,8 +379,7 @@ def parse_graph6(text: str) -> Graph:
         if not 0 <= val <= 63:
             raise InvalidGraph6(f"bad data character {ch!r}")
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = [pairs[k] for k in range(len(pairs)) if bits[k]]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, itertools.compress(pairs, bits))
 
 
 def _g6_pack(n: int, bits: list[int]) -> str:

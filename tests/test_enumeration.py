@@ -400,6 +400,78 @@ class TestEngineParity:
                 assert b["got"] == s["got"]
 
 
+def _shift_bounds_off_tightness(monkeypatch):
+    # Move every bound away from NM_a on its own side by 1e-6 relative:
+    # no direction flips, but flagged equalities are no longer tight.
+    report = bounds._report
+
+    def shifted(source, alpha, direction, bound, computed, equality, tolerance):
+        shift = 1e-6 * max(1.0, abs(computed))
+        bound += shift if direction == bounds.UPPER else -shift
+        return report(source, alpha, direction, bound, computed, equality, tolerance)
+
+    monkeypatch.setattr(bounds, "_report", shifted)
+
+
+def _shift_corrections(monkeypatch):
+    # Every histogram entry off the reconstruction line is miscorrected, so
+    # reconstructions with interior entries and the unit bound fail.
+    correction = indices._correction
+    monkeypatch.setattr(indices, "_correction", lambda *args: correction(*args) + 1e-3)
+
+
+def _raise_power_of_three(monkeypatch):
+    # 3**alpha raised by 100 breaks the convexity the bound directions rest on.
+    pow_, powersum = indices._pow, indices._powersum
+    monkeypatch.setattr(indices, "_pow", lambda b, a: pow_(b, a) + (100.0 if b == 3 else 0.0))
+    monkeypatch.setattr(bounds, "_pow", indices._pow)
+    monkeypatch.setattr(
+        indices, "_powersum", lambda v, a, what: powersum(v, a, what) + 100.0 * v.count(3)
+    )
+
+
+class TestReplay:
+    """Every bound and reconstruction failure record of a scalar sweep
+    replays from its graph6 through the per-graph op it names."""
+
+    @pytest.mark.parametrize(
+        "fault, replayed_checks",
+        [
+            (_shift_bounds_off_tightness, {"nm_bound_secant", "nm_bound_unit",
+                                           "nm_bound_congruence"}),
+            (_shift_corrections, {"nm_reconstruct_secant", "nm_reconstruct_unit",
+                                  "nm2_reconstruct_secant", "nm2_reconstruct_unit",
+                                  "nm_bound_unit"}),
+            (_raise_power_of_three, {"nm_bound_secant", "nm_bound_unit"}),
+        ],
+    )
+    def test_failure_records_replay_to_failing_verdicts(self, monkeypatch, fault,
+                                                         replayed_checks):
+        fault(monkeypatch)
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)  # keep every record
+        tolerance = 1e-9
+        report = verify_all(5, (-1.0, 0.5, 2.0, 3.0), tolerance=tolerance, engine="scalar")
+        assert report.failure_count == len(report.failures)
+        replayed = set()
+        for record in report.failures:
+            check = record["check"]
+            if not check.startswith("nm_bound_") and "_reconstruct_" not in check:
+                continue
+            p = degree_profile(parse_graph6(record["graph6"]))
+            alpha = record["alpha"]
+            if check.startswith("nm_bound_"):
+                op = bounds._SOURCE_OPS[check.removeprefix("nm_bound_")]
+                assert not op(p, alpha, tolerance).holds, record
+            else:
+                direct = (indices.nm_direct if check.startswith("nm_") else indices.nm2_direct)(
+                    p, alpha
+                )
+                residual = abs(getattr(indices, check)(p, alpha) - direct)
+                assert residual > tolerance * max(1.0, abs(direct)), record
+            replayed.add(check)
+        assert replayed == replayed_checks
+
+
 class TestCoefficientSignGrid:
     def test_full_grid_has_no_violations(self):
         evaluations, violations = coefficient_sign_grid([-1.0, 0.5, 2.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -28,6 +29,7 @@ from nbzagreb import (
     path_graph,
     star_graph,
 )
+from nbzagreb.cli import main
 from nbzagreb.errors import (
     DuplicateEdge,
     InvalidGraph6,
@@ -35,7 +37,9 @@ from nbzagreb.errors import (
     NonContiguousIds,
     ParseError,
     SelfLoop,
+    VertexCountTooLarge,
 )
+from nbzagreb.graphs import MAX_DECLARED_N
 
 
 class TestParseEdgeList:
@@ -89,6 +93,43 @@ class TestParseEdgeList:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert str(info.value) == "ids must cover 0..1000000; 999999 missing, first [1, 2, 3, 4, 5]"
+
+    def test_declared_count_above_limit_in_bounded_memory(self):
+        # The header is rejected before any per-vertex storage exists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(VertexCountTooLarge):
+                parse_edge_list(f"n {MAX_DECLARED_N + 1}\n0 1\n")
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_declared_count_above_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.edges"
+        path.write_text(f"n {MAX_DECLARED_N + 1}\n0 1\n")
+        assert main(["compute", "--input", str(path), "--alpha", "2"]) == 2
+        assert "VertexCountTooLarge" in capsys.readouterr().err
+
+    def test_declared_count_at_limit_builds_and_profiles(self):
+        # One pointer per isolated vertex, which costs O(1) in the profile.
+        assert MAX_DECLARED_N == 1_000_000
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            p = degree_profile(parse_edge_list("n 1000000\n0 1\n"))
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Measured at about 5 s and 56 MB under tracing on 2 cores; the
+        # bounds leave room for a slower machine but not for a per-vertex
+        # set (over 200 MB) or a per-vertex n-bit mask (minutes).
+        assert time.perf_counter() - start < 60
+        assert peak < 100_000_000
+        assert (p.n, p.m, p.m1, p.nbr_hist, p.dist2_hist) == (
+            1_000_000, 1, 2, {0: 999_998, 1: 2}, {0: 1_000_000}
+        )
+        assert math.isinf(p.diameter)
 
     def test_id_beyond_declared_count(self):
         with pytest.raises(NonContiguousIds):
@@ -235,6 +276,20 @@ class TestDegreeProfile:
                 if p.diameter == 2:
                     assert sum(p.dist2_deg) == 2 * p.m * (p.n - 1) - p.m1
 
+    def test_large_star_in_linear_time(self):
+        # Distance-2 sums by degree class: each leaf sees the other leaves
+        # through two popcounts, not one big-int step per leaf.
+        start = time.perf_counter()
+        g = star_graph(5000)
+        p = degree_profile(g)
+        assert time.perf_counter() - start < 5
+        assert list(p.nbr_deg) == oracle_nbr_degrees(g)
+        for u in (0, 1, 2500, 5000):
+            dist = oracle_bfs_distances(g, u)
+            assert p.dist2_deg[u] == sum(g.degree(v) for v in range(g.n) if dist[v] == 2)
+        assert p.dist2_hist == {0: 1, 4999: 5000}
+        assert p.diameter == 2
+
     def test_profile_is_frozen(self, figure1):
         p = degree_profile(figure1)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -320,6 +375,18 @@ class TestHelpers:
             Graph.from_edges(2, [(0, 5)])
         with pytest.raises(ValueError):
             Graph(0, 0, ())
+        for n, m, adjacency in [
+            (2, 1, ((1,), ())),  # an entry above the diagonal without its mirror
+            (2, 1, ((), (0,))),  # an entry below the diagonal without its mirror
+            (2, 1, ((5,), (0,))),
+            (2, 1, ((-1,), (0,))),
+            (2, 1, ((0, 1), (0,))),  # self-loop
+            (3, 2, ((2, 1), (0,), (0,))),  # unsorted row
+            (2, 1, ((1, 1), (0, 0))),
+            (2, 2, ((1,), (0,))),
+        ]:
+            with pytest.raises(ValueError):
+                Graph(n, m, adjacency)
 
     def test_graph_is_frozen(self):
         g = path_graph(3)

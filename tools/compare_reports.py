@@ -18,7 +18,10 @@ named outputs; the script then compares the two objects name by name:
 * CLI ``compute`` (JSON) on larger seeded graphs: paths, random trees and
   trees with about n extra edges of 200 to 1000 vertices, and one
   disconnected graph of 3000 vertices, where the ``diameter`` and
-  ``connected`` fields come from more than a few BFS levels.
+  ``connected`` fields come from more than a few BFS levels;
+* CLI ``compute`` (JSON) and ``bounds`` on a 2000-leaf star, a broom, a
+  hub joined to every vertex of a long path and a header-declared graph of
+  100,000 vertices with four edges.
 
 Prints the names that differ with a short diff of each, and exits 1 if
 any output differs, 0 otherwise.  One tree takes about a minute.
@@ -109,6 +112,25 @@ def _large_graphs() -> dict[str, str]:
     return docs
 
 
+def _family_graphs() -> dict[str, str]:
+    """Hubs and header-declared vertices, where the profile's cost used to
+    grow with the square of the input."""
+    rng = random.Random(1)
+    return {
+        "star2000": _edge_doc(2001, [(0, v) for v in range(1, 2001)], rng),
+        # A path of 1000 vertices with 1000 leaves on its last vertex.
+        "broom2000": _edge_doc(
+            2000, [(v - 1, v) for v in range(1, 1000)] + [(999, v) for v in range(1000, 2000)],
+            rng,
+        ),
+        # A hub joined to every vertex of a 1000-vertex path (diameter 2).
+        "fan1001": _edge_doc(
+            1001, [(v - 1, v) for v in range(2, 1001)] + [(0, v) for v in range(1, 1001)], rng
+        ),
+        "header100000": _edge_doc(100_000, [(0, 1), (1, 2), (3, 4), (2, 5)], rng),
+    }
+
+
 def _run_cli(main, argv, text: str) -> str:
     stdout, stderr = io.StringIO(), io.StringIO()
     sys.stdin = io.StringIO(text)
@@ -140,6 +162,9 @@ def _cli_outputs(main) -> dict[str, str]:
             out[f"cli/{label}/{name}"] = _run_cli(main, args, text)
     for name, text in _large_graphs().items():
         out[f"cli/compute/{name}"] = _run_cli(main, [*commands["compute"], "--input", "-"], text)
+    for name, text in _family_graphs().items():
+        for label in ("compute", "bounds"):
+            out[f"cli/{label}/{name}"] = _run_cli(main, [*commands[label], "--input", "-"], text)
     sys.stdin = sys.__stdin__
     return out
 
