@@ -9,10 +9,16 @@ degree lo alone.  The first bound is tight exactly when A**2 d is parallel
 to the degree vector d, which ``ratio_bound_exact`` decides in integers:
 regular graphs, but also stars and the path P3.
 
-rho itself is estimated by deterministic power iteration on A + I (the
-shift keeps bipartite spectra from oscillating).  On the tight graphs it
-lands a hair below NM_2 / M1, which is why the equality is certified in
-integers rather than read off the estimate.
+rho itself is computed by deterministic Lanczos on an edge-array matvec,
+started from the all-ones vector.  It stops once the Ritz residual bound
+(``residual``) is below the tolerance, on breakdown or after n steps;
+``iterations`` counts its steps.  ``rho`` is a Rayleigh quotient, so it
+never exceeds the true radius beyond rounding, and ``rho_upper`` is the
+Collatz-Wielandt upper end max_i (A x)_i / x_i at the final Ritz vector x.
+On regular graphs the all-ones vector is the Perron vector and the
+iteration stops after one step with rho = k exactly.  On the other tight
+graphs rho**2 lands within rounding of NM_2 / M1, which is why the
+equality is certified in integers rather than read off the estimate.
 """
 
 import math
@@ -22,6 +28,7 @@ from nbzagreb import (
     complete_graph,
     cycle_graph,
     path_graph,
+    spectral_radius,
     spectral_report,
     star_graph,
 )
@@ -30,7 +37,7 @@ from nbzagreb import (
 def show(tag, g):
     r = spectral_report(g)
     print(
-        f"{tag:<14} rho={r.rho:<12.8f} rho^2={r.rho_squared:<12.8f} "
+        f"{tag:<14} rho={r.rho:<12.8f} <= {r.rho_upper:<12.8f} rho^2={r.rho_squared:<12.8f} "
         f"NM2/M1={r.bound_nm2_ratio:<12.8f} closed-form={r.bound_min_nbr:<12.8f} "
         f"exact={r.ratio_bound_exact} ({r.iterations} iterations)"
     )
@@ -56,8 +63,12 @@ show("star K_{1,5}", star_graph(5))
 # Most irregular graphs keep the chain strict.
 show("P4", path_graph(4))
 
-# Paths have the closed-form radius 2*cos(pi / (n+1)).
-for n in (3, 4, 7):
-    rho = spectral_report(path_graph(n)).rho
+# Paths have the closed-form radius 2*cos(pi / (n+1)).  Lanczos reaches it
+# to rounding even on a long path, where the top of the spectrum is crowded.
+for n in (3, 4, 7, 2000):
+    r = spectral_radius(path_graph(n))
     exact = 2 * math.cos(math.pi / (n + 1))
-    print(f"P{n}: power iteration {rho:.10f} vs closed form {exact:.10f}")
+    print(
+        f"P{n}: Lanczos {r.rho:.15f} vs closed form {exact:.15f} "
+        f"(residual bound {r.residual:.1e}, {r.iterations} iterations)"
+    )

@@ -225,8 +225,10 @@ def batched_power_iteration(
     other row starts from the all-ones vector and stops at the first step
     whose Rayleigh quotient theta of A + I satisfies theta - 1 > 0 and
     (theta - 1)**2 >= ratio * (1 + guard), or else changed by less than
-    ``DEFAULT_TOL`` since the previous step (the stopping rule of
-    :func:`nbzagreb.spectral.spectral_radius`).
+    ``DEFAULT_TOL`` since the previous step.  That change is not an error
+    bound (the per-graph :func:`nbzagreb.spectral.spectral_radius` stops on
+    a Lanczos Ritz residual bound instead); here it only ends the rows that
+    no certificate settles, and the sweep reports those as chain failures.
 
     A Rayleigh quotient of A + I never exceeds its top eigenvalue rho + 1,
     so theta - 1 <= rho and the first condition proves rho**2 >= ratio.

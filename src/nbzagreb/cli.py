@@ -225,6 +225,7 @@ def cmd_spectral(parser, args):
         "n": g.n,
         "m": g.m,
         "rho": result.rho,
+        "rho_upper": result.rho_upper,
         "rho_squared": result.rho_squared,
         "iterations": result.iterations,
         "residual": result.residual,
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectral", help="spectral radius and lower bounds")
     add_input_flags(sp, with_alpha=False)
     sp.add_argument("--power-tol", type=float, default=DEFAULT_TOL,
-                    help="power-iteration convergence tolerance")
+                    help="relative bound on the Lanczos Ritz residual")
     sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     sp.set_defaults(func=cmd_spectral)
 

@@ -158,6 +158,7 @@ class TestSpectral:
         assert code == 0
         doc = json.loads(out)
         assert doc["rho"] == pytest.approx(3.0, abs=1e-8)
+        assert doc["rho_upper"] == 3
         assert doc["bound_nm2_ratio"] == 9
         assert doc["bound_min_nbr"] == 9
         assert doc["ratio_bound_holds"] and doc["min_nbr_bound_holds"]
@@ -170,8 +171,8 @@ class TestSpectral:
 
     @pytest.mark.parametrize("graph6", ["CF", "BW"])  # K1,3 and P3
     def test_non_regular_equality_graphs_hold(self, capsys, tmp_path, graph6):
-        # rho**2 == NM_2 / M1 exactly, and power iteration lands just below
-        # it; the integer certificate decides both fields.
+        # rho**2 == NM_2 / M1 exactly, and the Lanczos estimate lands within
+        # rounding of it; the integer certificate decides both fields.
         path = tmp_path / "g.g6"
         path.write_text(graph6 + "\n")
         code, out, _ = run(capsys, "spectral", "--input", str(path), "--format", "graph6")

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from nbzagreb import (
     parse_graph6,
     path_graph,
     ratio_bound_is_exact,
+    spectral,
     spectral_radius,
     spectral_report,
 )
@@ -26,6 +29,8 @@ from nbzagreb._bulk import (
     ratio_is_exact,
 )
 from nbzagreb.errors import Disconnected, EmptyGraph, NoConvergence
+
+U = np.finfo(np.float64).eps / 2
 
 
 def petersen() -> Graph:
@@ -77,6 +82,134 @@ class TestSpectralRadius:
         assert r.residual < 1e-10
         assert r.rho_squared == r.rho * r.rho
         assert r.bound_nm2_ratio is None
+
+
+def _seeded_large() -> list[Graph]:
+    """Paths, random trees and trees with about n extra edges, 200 to 1000
+    vertices."""
+    rng = random.Random(10)
+    graphs = []
+    for n in (200, 500, 1000):
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        extra = set(tree)
+        while len(extra) < 2 * n - 1:
+            extra.add(tuple(sorted(rng.sample(range(n), 2))))
+        graphs += [path_graph(n), Graph.from_edges(n, tree), Graph.from_edges(n, sorted(extra))]
+    return graphs
+
+
+def _accuracy_cases() -> list[Graph]:
+    small = [g for n in range(1, 7) for g in enumerate_connected(n, dedup=True)]
+    return small + _seeded_large()
+
+
+def _rounding(g: Graph, rho: float) -> float:
+    """Rounding allowance between the Lanczos rho and eigvalsh.
+
+    rho is x.Ax / x.x, two dot products of n terms, each within n*u
+    relative; eigvalsh's own error is of the same order.
+    """
+    return 4 * g.n * U * max(1.0, rho)
+
+
+def _broom(handle: int, leaves: int) -> Graph:
+    """A path of ``handle`` vertices with ``leaves`` leaves at its end."""
+    edges = [(v - 1, v) for v in range(1, handle)]
+    edges += [(handle - 1, handle + i) for i in range(leaves)]
+    return Graph.from_edges(handle + leaves, edges)
+
+
+class TestLanczos:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for g in _accuracy_cases():
+            r = spectral_radius(g)
+            eig = float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+            out.append((g, r, eig))
+        return out
+
+    def test_encloses_eigvalsh(self, cases):
+        # rho is a Rayleigh quotient and rho_upper a Collatz-Wielandt
+        # quotient, so they sit on either side of the true radius.
+        assert len(cases) == 143 + 9
+        for g, r, eig in cases:
+            slack = _rounding(g, eig)
+            assert r.rho <= eig + slack
+            if r.rho_upper is not None:
+                assert eig <= r.rho_upper + slack
+
+    def test_residual_bounds_the_error(self, cases):
+        for g, r, eig in cases:
+            assert abs(r.rho - eig) <= r.residual + _rounding(g, eig)
+            # The stop compares against the Lanczos value, which rounding
+            # separates from rho.
+            assert r.residual <= 1.0001 * spectral.DEFAULT_TOL * max(1.0, r.rho)
+
+    def test_upper_end_is_set_on_small_classes(self, cases):
+        # Perron vectors of graphs with n <= 6 are far from underflow.
+        assert all(r.rho_upper is not None for g, r, _eig in cases if g.n <= 6)
+
+    def test_long_path_to_rounding(self):
+        # The earlier stopping rule, "the estimate moved by less than tol",
+        # missed this radius by 2.9e-6.
+        r = spectral_radius(path_graph(2000))
+        assert abs(r.rho - 2 * math.cos(math.pi / 2001)) <= 1e-12
+
+    @pytest.mark.parametrize("g,k", [
+        (complete_graph(5), 4), (cycle_graph(7), 2), (petersen(), 3), (path_graph(2), 1),
+    ])
+    def test_regular_graph_breaks_down_at_step_one(self, g, k):
+        # A 1 = k 1: the first residual is exactly zero.
+        r = spectral_radius(g)
+        assert (r.iterations, r.rho, r.rho_upper, r.residual) == (1, k, k, 0.0)
+
+    def test_single_vertex(self):
+        r = spectral_radius(Graph.from_edges(1, []))
+        assert (r.iterations, r.rho, r.rho_upper, r.residual) == (1, 0.0, 0.0, 0.0)
+
+    def test_broom_has_no_upper_end(self):
+        # The Perron entries along the handle shrink by about rho per
+        # vertex and underflow long before its end.
+        g = _broom(300, 300)
+        r = spectral_radius(g)
+        assert r.rho_upper is None
+        eig = float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+        assert abs(r.rho - eig) <= r.residual + _rounding(g, eig)
+
+    @pytest.mark.parametrize("g", [path_graph(300), _seeded_large()[4]])
+    def test_restart_past_the_basis_budget(self, monkeypatch, g):
+        # Ten basis vectors: the iteration restarts from its Ritz vector.
+        monkeypatch.setattr(spectral, "_BASIS_BYTES", 10 * 8 * g.n)
+        r = spectral_radius(g)
+        assert r.iterations > 10
+        eig = float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+        assert abs(r.rho - eig) <= r.residual + _rounding(g, eig)
+
+    def test_never_densifies(self, monkeypatch, figure1):
+        def dense(self):
+            raise AssertionError("adjacency_matrix called")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", dense)
+        for g in (figure1, path_graph(50), petersen()):
+            spectral_report(g)
+
+    def test_large_tree_in_bounded_memory(self):
+        # The dense matrix of this tree alone would take 3.2 GB.  The
+        # iteration holds the edge arrays and a basis of about 64 rows of
+        # 20,000 floats (10 MB).
+        rng = random.Random(20000)
+        n = 20_000
+        g = Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+        tracemalloc.start()
+        try:
+            r = spectral_radius(g)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
+        assert r.iterations < 100
+        assert r.residual <= 1.0001 * spectral.DEFAULT_TOL * r.rho
 
 
 def _connected_adjacency(n: int, stride: int = 1):
@@ -201,8 +334,8 @@ class TestRatioCertificate:
 
     def test_report_carries_the_certificates(self):
         rep = spectral_report(parse_graph6("CF"))
-        # Power iteration lands just below rho**2 == 3; the certificate
-        # decides the equality.
+        # The Rayleigh quotient lands just below rho**2 == 3; the
+        # certificate decides the equality.
         assert rep.rho_squared < rep.bound_nm2_ratio == 3.0
         assert rep.ratio_bound_exact and rep.bounds_ordered
         assert spectral_radius(parse_graph6("CF")).ratio_bound_exact is None
