@@ -202,26 +202,47 @@ def _nm2(nbr: np.ndarray) -> np.ndarray:
     return (nbr * nbr).sum(axis=1)
 
 
-def ratio_is_exact(adj64, deg, nbr, m1, nm2) -> np.ndarray:
-    """Rows on which rho**2 == NM_2 / M1 exactly, decided in integers.
+def ratio_certificates(adj64, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray]:
+    """Rows on which the first chain link rho**2 >= NM_2 / M1 is settled
+    in integers, as (exact, strict).
 
-    With d the degree vector and nbr = A d, the test is A nbr * M1 ==
-    NM_2 * d on every vertex, i.e. A**2 d = (NM_2 / M1) d; see
-    :func:`nbzagreb.spectral.ratio_bound_is_exact` for why that pins rho.
+    With d the degree vector, nbr = A d and x3 = A nbr = A**2 d:
+
+    - exact: x3 * M1 == NM_2 * d on every vertex, i.e. A**2 d =
+      (NM_2 / M1) d, so rho**2 == NM_2 / M1; see
+      :func:`nbzagreb.spectral.ratio_bound_is_exact` for why that pins rho.
+    - strict: |x3|**2 * M1 > NM_2**2.  |x3|**2 / NM_2 is the Rayleigh
+      quotient of A**2 at A d, since NM_2 = |A d|**2, so it never exceeds
+      rho**2, and the test says it exceeds NM_2 / M1.
+
+    By Cauchy-Schwarz, (d . A**2 d)**2 = NM_2**2 <= |A**2 d|**2 * M1, with
+    equality exactly when A**2 d is parallel to d (in walk counts, W_6 W_2
+    >= W_4**2), so on a correct program every row is exact or strict and
+    never both.  Every x3_v is at most (n - 1)**3 and M1 at most
+    n (n - 1)**2, so |x3|**2 * M1 <= n**2 (n - 1)**8, 3.7e8 at n = 8.
     """
     x3 = np.matmul(adj64, nbr[:, :, None])[:, :, 0]
-    return (x3 * m1[:, None] == nm2[:, None] * deg).all(axis=1)
+    exact = (x3 * m1[:, None] == nm2[:, None] * deg).all(axis=1)
+    strict = np.einsum("bi,bi->b", x3, x3) * m1 > nm2 * nm2
+    return exact, strict
 
 
 def batched_power_iteration(
     adj: np.ndarray,
     ratio: np.ndarray,
-    exact: np.ndarray,
+    settled: np.ndarray,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
     """Certify rho**2 >= ratio per graph by power iteration on A + I.
 
-    Rows flagged ``exact`` are certified already and take no step.  Every
+    This is the fallback behind :func:`ratio_certificates`.  The sweep
+    runs it only on rows that the integers leave open, and on rows it
+    reports as chain failures; on a correct program that is no row.  It
+    stays for two reasons: a failing run's chain records carry its rho**2
+    estimate, and a row that neither certificate settles fails only if
+    the iteration cannot certify it either.
+
+    Rows flagged ``settled`` are certified already and take no step.  Every
     other row starts from the all-ones vector and stops at the first step
     whose Rayleigh quotient theta of A + I satisfies theta - 1 > 0 and
     (theta - 1)**2 >= ratio * (1 + guard), or else changed by less than
@@ -243,19 +264,19 @@ def batched_power_iteration(
 
     Returns (rho, steps, certified, converged) per row: rho is theta - 1
     at the stop, a lower bound on rho for certified rows (sqrt(ratio) on
-    exact rows); steps counts matvecs, 0 on exact rows; converged marks
-    rows stopped by the tolerance without a certificate.  Rows with neither
-    flag ran out of ``max_iter`` steps.
+    settled rows); steps counts matvecs, 0 on settled rows; converged
+    marks rows stopped by the tolerance without a certificate.  Rows with
+    neither flag ran out of ``max_iter`` steps.
     """
     b, n, _ = adj.shape
     guard = 16 * (n + 2) * (np.finfo(np.float64).eps / 2)
-    rho = np.where(exact, np.sqrt(ratio), 0.0)
+    rho = np.where(settled, np.sqrt(ratio), 0.0)
     steps = np.zeros(b, dtype=np.int64)
-    certified = exact.copy()
+    certified = settled.copy()
     converged = np.zeros(b, dtype=bool)
     # shifted, target, v and prev hold the unfinished rows only; active maps
     # them back to the batch.  They are compacted when some row finishes.
-    active = np.nonzero(~exact)[0]
+    active = np.nonzero(~settled)[0]
     shifted = adj[active].astype(np.float64)
     diag = np.arange(n)
     shifted[:, diag, diag] += 1.0
@@ -571,8 +592,11 @@ def sweep_chunk(
     ratio_bound = nm2 / m1
     min_nbr_num = m1 * (2 * delta + 1) - n * delta * delta - n * delta
     min_nbr_bound = min_nbr_num / m1
-    exact = ratio_is_exact(adj64, deg, nbr, m1, nm2)
-    rho, _steps, certified, converged = batched_power_iteration(adj, ratio_bound, exact)
+    exact, strict = ratio_certificates(adj64, deg, nbr, m1, nm2)
+    # Exact rows report rho**2 == NM_2 / M1 if the second link fails; a
+    # strict row that fails it needs the power iteration's rho**2 estimate.
+    settled = exact | (strict & (nm2 >= min_nbr_num))
+    rho, _steps, certified, converged = batched_power_iteration(adj, ratio_bound, settled)
     rho_sq = np.where(exact, ratio_bound, rho * rho)
 
     tally.checks["spectral_chain"] += b

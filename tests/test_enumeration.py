@@ -400,6 +400,50 @@ class TestEngineParity:
                 assert b["got"] == s["got"]
 
 
+def _bulk_report(n, alphas) -> dict:
+    doc = verify_all(n, alphas).to_dict()
+    del doc["elapsed"]
+    return doc
+
+
+class TestChainCertificates:
+    """The bulk chain is settled by integer certificates; the power
+    iteration is the fallback for rows they leave open."""
+
+    def test_clean_sweep_takes_no_power_iteration_step(self, monkeypatch):
+        steps = []
+        power = _bulk.batched_power_iteration
+
+        def counted(*args, **kwargs):
+            result = power(*args, **kwargs)
+            steps.append(int(result[1].sum()))
+            return result
+
+        monkeypatch.setattr(_bulk, "batched_power_iteration", counted)
+        assert verify_all(6, (-1, 0.5, 2, 3)).failure_count == 0
+        assert steps and sum(steps) == 0
+
+    @pytest.mark.parametrize("shift,failures", [(0, 0), (1, 375), (-1, 78)])
+    def test_fallback_alone_gives_the_same_report(self, monkeypatch, shift, failures):
+        # With the strict certificate settling no row, the power iteration
+        # decides every inexact row, as it did before the certificate.
+        # NM_2 + 1 breaks the first link on some rows; NM_2 - 1 passes the
+        # strict certificate everywhere but breaks the second link where it
+        # was tight, and those records still need the iteration's rho**2.
+        nm2 = _bulk._nm2
+        monkeypatch.setattr(_bulk, "_nm2", lambda nbr: nm2(nbr) + shift)
+        with_strict = _bulk_report(5, (2.0,))
+        assert with_strict["failure_count"] == failures
+        certificates = _bulk.ratio_certificates
+
+        def exact_only(*args):
+            exact, strict = certificates(*args)
+            return exact, np.zeros_like(strict)
+
+        monkeypatch.setattr(_bulk, "ratio_certificates", exact_only)
+        assert _bulk_report(5, (2.0,)) == with_strict
+
+
 def _shift_bounds_off_tightness(monkeypatch):
     # Move every bound away from NM_a on its own side by 1e-6 relative:
     # no direction flips, but flagged equalities are no longer tight.

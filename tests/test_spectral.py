@@ -26,7 +26,7 @@ from nbzagreb._bulk import (
     batched_power_iteration,
     connected_masks,
     pair_count,
-    ratio_is_exact,
+    ratio_certificates,
 )
 from nbzagreb.errors import Disconnected, EmptyGraph, NoConvergence
 
@@ -217,15 +217,19 @@ def _connected_adjacency(n: int, stride: int = 1):
     return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
 
 
-def _chain_batch(n: int, stride: int = 1):
-    """Adjacency, NM_2 / M1 and the exact flag of connected n-vertex graphs."""
-    _masks, adj = _connected_adjacency(n, stride)
+def _certificate_inputs(adj):
+    """(adj64, deg, nbr, m1, nm2) of a (graphs, n, n) adjacency batch."""
     adj64 = adj.astype(np.int64)
     deg = adj64.sum(axis=2)
     nbr = np.matmul(adj64, deg[:, :, None])[:, :, 0]
-    m1 = (deg * deg).sum(axis=1)
-    nm2 = (nbr * nbr).sum(axis=1)
-    return adj, nm2 / m1, ratio_is_exact(adj64, deg, nbr, m1, nm2)
+    return adj64, deg, nbr, (deg * deg).sum(axis=1), (nbr * nbr).sum(axis=1)
+
+
+def _chain_batch(n: int, stride: int = 1):
+    """Adjacency, NM_2 / M1 and the exact flag of connected n-vertex graphs."""
+    _masks, adj = _connected_adjacency(n, stride)
+    adj64, deg, nbr, m1, nm2 = _certificate_inputs(adj)
+    return adj, nm2 / m1, ratio_certificates(adj64, deg, nbr, m1, nm2)[0]
 
 
 class TestBatchedPowerIteration:
@@ -289,6 +293,33 @@ class TestBatchedPowerIteration:
         )
         assert not certified.any() and not converged.any()
         assert (steps == 1).all()
+
+
+class TestBulkRatioCertificates:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_against_eigvalsh(self, n):
+        _masks, adj = _connected_adjacency(n)
+        adj64, deg, nbr, m1, nm2 = _certificate_inputs(adj)
+        exact, strict = ratio_certificates(adj64, deg, nbr, m1, nm2)
+        assert (exact ^ strict).all()
+        eig_sq = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1] ** 2
+        assert (eig_sq[strict] > (nm2 / m1)[strict]).all()
+        # |x3|**2 / NM_2 is a Rayleigh quotient of A**2, so at most rho**2;
+        # eigvalsh itself may sit a few ulps low.
+        x3 = np.matmul(adj64, nbr[:, :, None])[:, :, 0]
+        rayleigh = (x3 * x3).sum(axis=1) / nm2
+        assert (rayleigh <= eig_sq * (1 + 4 * n * U)).all()
+
+    def test_int64_headroom_at_n8(self):
+        # x3_v <= (n - 1)**3 and M1 <= n (n - 1)**2, and K8 attains both.
+        n = 8
+        k8 = (1 - np.eye(n, dtype=np.uint8))[None]
+        adj64, deg, nbr, m1, nm2 = _certificate_inputs(k8)
+        x3 = np.matmul(adj64, nbr[:, :, None])[:, :, 0]
+        top = sum(int(v) ** 2 for v in x3[0]) * int(m1[0])
+        assert top == n**2 * (n - 1) ** 8 == 368_947_264 < 2**31
+        exact, strict = ratio_certificates(adj64, deg, nbr, m1, nm2)
+        assert exact[0] and not strict[0]
 
 
 class TestRatioCertificate:
