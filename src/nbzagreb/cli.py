@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from .bounds import BOUND_SOURCES, DEFAULT_TOLERANCE, _SOURCE_OPS, congruence_classify
@@ -270,7 +271,11 @@ def cmd_extremal(parser, args):
 # Parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and building it costs more than a small
+    query."""
     parser = argparse.ArgumentParser(
         prog="nbzagreb",
         description="Neighborhood Zagreb indices: computation, bounds, spectral "

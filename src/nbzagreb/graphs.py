@@ -216,53 +216,102 @@ def degree_profile(g: Graph) -> DegreeProfile:
     )
 
 
+# Bytes of source bitsets one multi-source BFS in ``diameter`` may hold: a
+# fringe level of k sources runs in blocks of 8 * _REACH_BYTES // n sources.
+_REACH_BYTES = 1 << 20
+
+
 def diameter(g: Graph) -> int | float:
     """Largest shortest-path distance; ``math.inf`` when disconnected.
 
-    Grows the ball of every vertex in lockstep on bitsets: ball_1(u) is the
-    closed neighborhood of u, and each round ORs the previous round's balls
-    of u's neighbors into it.  Only balls that are not yet the whole vertex
-    set take part in a round, and the diameter is the number of rounds
-    until every ball is full.  The cost is O(diam * m) big-int ORs of n
-    bits and n**2/8 bytes of transient memory on a connected graph, twice
-    that while a round replaces the balls; ``Graph.neighbor_bits`` takes
-    the same order on a path.
+    Exact iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, "On computing the
+    diameter of real-world undirected graphs", Theoret. Comput. Sci. 514
+    (2013) 84-95).  A BFS from vertex 0 settles connectivity and finds a
+    far vertex a; a BFS from a gives the lower bound ecc(a) and a far end
+    b; the middle u of a shortest a-b path roots the levels of a last BFS.
+    Every pair with both ends in levels <= i is at most 2i apart through u,
+    so from the top level i down the search stops as soon as the lower
+    bound reaches 2i, and otherwise raises it to the largest eccentricity
+    on level i, which one bit-parallel multi-source BFS yields.
 
-    The connectivity check runs first, in O(n + m) time and memory: on a
-    disconnected graph the balls never fill, and a header-declared graph
-    such as ``n 200000`` with one edge would otherwise allocate O(n**2)
-    bits for the balls of its isolated vertices.
+    The cost is three BFS passes, O(n + m) time and memory, plus for each
+    fringe level that does not stop the search O(ecc * m) ORs of bitsets
+    one bit per source.  The sources run in blocks whose bitsets take at
+    most ``_REACH_BYTES``, so nothing of order n**2 is allocated.
     """
-    if not is_connected(g):
-        return math.inf
-    full = (1 << g.n) - 1
     adjacency = g.adjacency
-    balls = [bits | 1 << u for u, bits in enumerate(g.neighbor_bits)]
-    growing = [u for u in range(g.n) if balls[u] != full]
-    rounds = 1 if g.n > 1 else 0  # at n = 1, ball_0 = {0} is already full
-    while growing:
-        prev = balls[:]
-        for u in growing:
-            ball = prev[u]
-            for v in adjacency[u]:
-                ball |= prev[v]
-            balls[u] = ball
-        growing = [u for u in growing if balls[u] != full]
+    order, _ = _bfs(adjacency, 0)
+    if len(order) < g.n:
+        return math.inf
+    a = order[-1]
+    order, dist_a = _bfs(adjacency, a)
+    lower = dist_a[order[-1]]  # ecc(a), known exactly, so a is no fringe source
+    u = order[-1]
+    while dist_a[u] > (lower + 1) // 2:  # walk back from the far end b
+        u = next(w for w in adjacency[u] if dist_a[w] == dist_a[u] - 1)
+    order, dist_u = _bfs(adjacency, u)
+    levels: list[list[int]] = [[] for _ in range(dist_u[order[-1]] + 1)]
+    for v in order:
+        if v != a:
+            levels[dist_u[v]].append(v)
+    block = max(1, 8 * _REACH_BYTES // g.n)
+    for i in range(len(levels) - 1, 0, -1):
+        fringe = levels[i]
+        for start in range(0, len(fringe), block):
+            if lower >= 2 * i:
+                return lower
+            lower = max(lower, _eccentricity_max(adjacency, fringe[start : start + block]))
+    return lower
+
+
+def _bfs(adjacency, root: int) -> tuple[list[int], list[int]]:
+    """Vertices reachable from ``root`` in BFS order, and the distance of
+    every vertex (-1 where unreachable)."""
+    dist = [-1] * len(adjacency)
+    dist[root] = 0
+    order = [root]
+    for v in order:  # the list grows while it is read
+        d = dist[v] + 1
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return order, dist
+
+
+def _eccentricity_max(adjacency, sources: list[int]) -> int:
+    """Largest eccentricity among ``sources`` in a connected graph.
+
+    One BFS from all sources at once: bit j of ``reach[v]`` says that
+    source j has reached v, and ``frontier`` maps each vertex reached in
+    the last round to the bits that reached it then.  The answer is the
+    number of rounds that reach something new.
+    """
+    reach = [0] * len(adjacency)
+    frontier = {}
+    for j, s in enumerate(sources):
+        reach[s] = frontier[s] = 1 << j
+    rounds = -1
+    while frontier:
         rounds += 1
+        grown: dict[int, int] = {}
+        for v, bits in frontier.items():
+            for w in adjacency[v]:
+                old = reach[w]
+                if not old:  # first reached, so not yet grown: share the int
+                    reach[w] = grown[w] = bits
+                    continue
+                both = old | bits
+                if both != old:
+                    reach[w] = both
+                    grown[w] = grown[w] | (both ^ old) if w in grown else both ^ old
+        frontier = grown
     return rounds
 
 
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0."""
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    while stack:
-        for v in g.adjacency[stack.pop()]:
-            if not seen[v]:
-                seen[v] = 1
-                stack.append(v)
-    return 0 not in seen
+    return len(_bfs(g.adjacency, 0)[0]) == g.n
 
 
 def is_path(g: Graph) -> bool:

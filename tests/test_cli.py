@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -354,3 +357,30 @@ def test_readme_command_exits_0(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+def test_shared_parser_prints_what_fresh_processes_print(capsys, tmp_path):
+    # main builds its parser once per process; calls that interleave
+    # subcommands and error exits must each behave as in a new process.
+    bad = tmp_path / "bad.edges"
+    bad.write_text("0 0\n")
+    argvs = [
+        ["compute", "--input", FIG1, "--alpha", "2", "--alpha", "0.5"],
+        ["bounds", "--input", FIG2],  # no --alpha
+        ["spectral", "--input", K4, "--format", "graph6"],
+        ["compute", "--alpha", "2"],  # no --input
+        ["bounds", "--input", FIG2, "--alpha", "2"],
+        ["frobnicate"],
+        ["extremal", "--n", "4", "--alpha", "2", "--source", "congruence"],
+        ["compute", "--input", str(bad), "--alpha", "2"],
+        ["verify", "--n-max", "3"],  # no --alpha; a report would carry timings
+        ["compute", "--input", FIG1, "--alpha", "2", "--alpha", "0.5"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    script = "import sys; from nbzagreb.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in argvs:
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import time
 import tracemalloc
 
@@ -29,6 +30,7 @@ from nbzagreb import (
     path_graph,
     star_graph,
 )
+from nbzagreb import graphs
 from nbzagreb.cli import main
 from nbzagreb.errors import (
     DuplicateEdge,
@@ -308,6 +310,78 @@ def oracle_diameter(g: Graph) -> int | float:
     return best
 
 
+def random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges of a random recursive tree: vertex i hangs below a random earlier one."""
+    return [(rng.randrange(i), i) for i in range(1, n)]
+
+
+def tree_plus_edges(n: int, extra: int, seed: int) -> Graph:
+    """A random tree on n vertices with ``extra`` more random edges."""
+    rng = random.Random(seed)
+    edges = set(random_tree(n, rng))
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def double_star(leaves: int) -> Graph:
+    """Two stars of ``leaves`` leaves each with their centres 0 and 1 joined:
+    diameter 3, and the top fringe of the middle's levels is a whole star."""
+    hub_of = [0] * leaves + [1] * leaves
+    return Graph.from_edges(
+        2 * leaves + 2, [(0, 1), *((hub, 2 + j) for j, hub in enumerate(hub_of))]
+    )
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    def at(r, c):
+        return r * cols + c
+
+    return Graph.from_edges(
+        rows * cols,
+        [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+        + [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)],
+    )
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+SCALE_CASES = {
+    **{
+        f"tree{n}": (lambda n=n: Graph.from_edges(n, random_tree(n, random.Random(n))))
+        for n in (200, 377, 600)
+    },
+    **{f"path{n}": (lambda n=n: path_graph(n)) for n in (200, 401, 600)},
+    **{f"tree{n}+{n}": (lambda n=n: tree_plus_edges(n, n, n)) for n in (200, 206, 450, 600)},
+    # Two sweeps undershoot these by one, and only the fringe of the level
+    # the stop rule is about to skip holds the longer pair.
+    **{f"tree{n}+30": (lambda n=n: tree_plus_edges(n, 30, n)) for n in (208, 236, 374)},
+    "cycle200": lambda: cycle_graph(200),
+    "cycle301": lambda: cycle_graph(301),
+    "grid15x20": lambda: grid_graph(15, 20),
+    "K3,200": lambda: complete_bipartite(3, 200),
+    "K20,30": lambda: complete_bipartite(20, 30),
+    "double_star150": lambda: double_star(150),
+}
+
+
+@pytest.fixture
+def fringe_calls(monkeypatch):
+    """Source lists of every multi-source BFS that ``diameter`` runs."""
+    calls = []
+    real = graphs._eccentricity_max
+
+    def recording(adjacency, sources):
+        calls.append(list(sources))
+        return real(adjacency, sources)
+
+    monkeypatch.setattr(graphs, "_eccentricity_max", recording)
+    return calls
+
+
 class TestDiameterConnectivity:
     def test_complete_graph(self):
         assert diameter(complete_graph(4)) == 1
@@ -344,9 +418,74 @@ class TestDiameterConnectivity:
     def test_matches_oracle_on_random_graphs(self, g):
         assert diameter(g) == oracle_diameter(g)
 
+    @pytest.mark.parametrize("name", SCALE_CASES)
+    def test_matches_oracle_at_scale(self, name):
+        g = SCALE_CASES[name]()
+        assert diameter(g) == oracle_diameter(g)
+
+    def test_fringe_levels_run_until_the_stop_rule(self, fringe_calls):
+        # Trees with extra edges need eccentricities from more than one
+        # level; each level fits one block at this size.
+        levels_run = []
+        for n in (200, 206, 450, 600):
+            fringe_calls.clear()
+            g = tree_plus_edges(n, n, n)
+            assert diameter(g) == oracle_diameter(g)
+            levels_run.append(len(fringe_calls))
+        assert max(levels_run) >= 2
+        # On a path the far end's eccentricity already meets the stop rule
+        # at the top level, so no fringe search runs.
+        fringe_calls.clear()
+        for n in (2, 3, 4, 5, 200, 401, 600):
+            assert diameter(path_graph(n)) == n - 1
+        assert fringe_calls == []
+
+    def test_fringe_level_in_blocks(self, fringe_calls, monkeypatch):
+        # A budget of n bytes gives blocks of 8 sources, so the 150-leaf top
+        # fringe of the double star runs in 19 blocks.
+        g = double_star(150)
+        monkeypatch.setattr(graphs, "_REACH_BYTES", g.n)
+        assert diameter(g) == 3
+        assert len(fringe_calls) == 19
+        assert max(map(len, fringe_calls)) == 8
+        for n in (200, 206, 450):
+            g = tree_plus_edges(n, n, n)
+            monkeypatch.setattr(graphs, "_REACH_BYTES", g.n // 2)
+            assert diameter(g) == oracle_diameter(g)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: star_graph(19_999),
+            lambda: Graph.from_edges(20_000, random_tree(20_000, random.Random(20_000))),
+            lambda: double_star(10_000),
+        ],
+        ids=["star19999", "tree20000", "double_star20002"],
+    )
+    def test_connected_in_bounded_memory(self, build):
+        g = build()
+        tracemalloc.start()
+        try:
+            d = diameter(g)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Two BFS passes give a tree's diameter: the far end of one is an
+        # end of a longest path.
+        dist = oracle_bfs_distances(g, 0)
+        tree_diameter = max(oracle_bfs_distances(g, dist.index(max(dist))))
+        assert d == (tree_diameter if g.m == g.n - 1 else 3)
+        assert peak < 8_000_000
+
+    def test_long_path_in_linear_time(self):
+        g = path_graph(20_000)
+        t0 = time.perf_counter()
+        assert diameter(g) == 19_999
+        assert time.perf_counter() - t0 < 2.0
+
     def test_sparse_disconnected_in_bounded_memory(self):
-        # Connectivity is checked before any ball is built: the balls of
-        # 200,000 isolated vertices would take O(n**2) bits.
+        # The first BFS finds vertex 1 and stops: no search runs from the
+        # 199,998 isolated vertices.
         g = Graph.from_edges(200_000, [(0, 1)])
         tracemalloc.start()
         try:

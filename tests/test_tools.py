@@ -24,3 +24,25 @@ def test_bench_chain_measures_and_restores_the_kernel():
     after = vars(_bulk)
     assert after.keys() == before.keys()
     assert all(after[name] is obj for name, obj in before.items())
+
+
+def test_bench_per_graph_measures_both_targets_and_checks_sums():
+    from nbzagreb.graphs import complete_graph, path_graph, star_graph
+
+    bench = _load("bench_per_graph")
+    sets = {"small": [path_graph(7), star_graph(5), complete_graph(4)]}
+    diam = bench.measure("diameter", sets)["small"]
+    assert (diam["graphs"], diam["diameter_sum"]) == (3, 6 + 2 + 1)
+    spec = bench.measure("spectral_radius", sets)["small"]
+    assert abs(spec["rho_sum_rel_err"]) < 1e-12
+    assert spec["iterations_mean"] > 0
+
+    run = {"label": "after", "small": diam}
+    assert bench.disagreements("diameter", run, [run]) == []
+    other = {"label": "before", "small": {**diam, "diameter_sum": 10}}
+    assert len(bench.disagreements("diameter", run, [other])) == 1
+    spec_run = {"label": "after", "small": spec}
+    shifted = {"label": "after", "small": {**spec, "rho_sum": spec["rho_sum"] * (1 + 1e-6)}}
+    assert len(bench.disagreements("spectral_radius", spec_run, [shifted])) == 1
+    # radius sums are compared within a label only
+    assert bench.disagreements("spectral_radius", spec_run, [{**shifted, "label": "before"}]) == []
