@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict
@@ -63,6 +64,11 @@ def _format_float(x: float) -> str:
     return format(x, ".12g")
 
 
+# json.dumps(s, ensure_ascii=False) without building an encoder per call:
+# quotes, backslashes and control characters escaped, all else verbatim.
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def dumps_stable(obj) -> str:
     """JSON text with insertion-order keys and 12-significant-digit floats."""
     if obj is None:
@@ -76,8 +82,7 @@ def dumps_stable(obj) -> str:
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _encode_string(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{dumps_stable(str(k))}: {dumps_stable(v)}" for k, v in obj.items())
         return "{" + items + "}"

@@ -324,6 +324,14 @@ def is_path(g: Graph) -> bool:
 # Edge-list format
 
 
+def _decimal(token: str) -> int:
+    """The value of a token of ASCII digits; ``ValueError`` otherwise, where
+    ``int`` alone would also take a sign, underscores and other digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse an edge-list document into a :class:`Graph`.
 
@@ -344,7 +352,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2:
                 raise MalformedLine(f"line {lineno}: header must be 'n <count>'")
             try:
-                declared_n = int(tokens[1])
+                declared_n = _decimal(tokens[1])
             except ValueError:
                 raise MalformedLine(f"line {lineno}: bad vertex count {tokens[1]!r}")
             if declared_n < 1:
@@ -358,11 +366,9 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise MalformedLine(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _decimal(tokens[0]), _decimal(tokens[1])
         except ValueError:
-            raise MalformedLine(f"line {lineno}: non-integer vertex id in {line!r}")
-        if u < 0 or v < 0:
-            raise MalformedLine(f"line {lineno}: negative vertex id in {line!r}")
+            raise MalformedLine(f"line {lineno}: non-decimal vertex id in {line!r}")
         if u == v:
             raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
         key = (min(u, v), max(u, v))

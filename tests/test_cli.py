@@ -331,6 +331,16 @@ class TestSerialization:
         assert dumps_stable(7.333333333333333) == "7.33333333333"
         assert dumps_stable(1e-10) == "1e-10"
 
+    def test_control_characters_escaped(self, capsys, tmp_path):
+        # A tab is legal in a path, and the path is echoed as "input".
+        assert dumps_stable({"input": "a\tb"}) == '{"input": "a\\tb"}'
+        assert dumps_stable('q"\\é') == '"q\\"\\\\é"'
+        path = tmp_path / "a\tb.edges"
+        path.write_text("0 1\n")
+        code, out, _ = run(capsys, "compute", "--input", str(path), "--alpha", "2")
+        assert code == 0
+        assert json.loads(out)["input"] == str(path)
+
 
 def readme_commands():
     """The ``nbzagreb ...`` lines of the first bash block under README's

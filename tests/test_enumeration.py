@@ -374,20 +374,24 @@ class TestEngineParity:
 
         assert records("bulk") == records("scalar")
 
-    def test_spectral_failures_under_fault(self, monkeypatch):
-        # Raise NM_2 by 1 wherever either engine reads it.  No equality
-        # certificate and no regular-graph equality survives, and strict
-        # instances with rho**2 * M1 - NM_2 < 1 fail the ratio link too.
+    @pytest.mark.parametrize("shift,failures", [(1, 375), (-1, 78)])
+    def test_spectral_failures_under_fault(self, monkeypatch, shift, failures):
+        # Shift NM_2 wherever either engine reads it.  Under + 1 no
+        # equality certificate and no regular-graph equality survives, and
+        # strict instances with rho**2 * M1 - NM_2 < 1 fail the ratio link
+        # too.  Under - 1 the ratio link holds everywhere but the second
+        # link breaks where it was tight, on strict rows among others.
         # Both engines must fail the same instances; got is each engine's
-        # own rho**2 estimate, so it agrees to rounding only.
+        # own rho**2 (eigvalsh in bulk, Lanczos in scalar), so it agrees to
+        # rounding only.
         bulk_nm2, scalar_nm2 = _bulk._nm2, spectral._nm2
-        monkeypatch.setattr(_bulk, "_nm2", lambda nbr: bulk_nm2(nbr) + 1)
-        monkeypatch.setattr(spectral, "_nm2", lambda p: scalar_nm2(p) + 1)
+        monkeypatch.setattr(_bulk, "_nm2", lambda nbr: bulk_nm2(nbr) + shift)
+        monkeypatch.setattr(spectral, "_nm2", lambda p: scalar_nm2(p) + shift)
         monkeypatch.setattr(enumeration, "_nm2", spectral._nm2)
 
         def records(engine):
             report = verify_all(5, (2.0,), engine=engine)
-            assert report.failure_count == len(report.failures) == 375
+            assert report.failure_count == len(report.failures) == failures
             return sorted(report.failures, key=lambda f: repr([f[k] for k in self.FIELDS[:4]]))
 
         bulk, scalar = records("bulk"), records("scalar")
@@ -407,29 +411,30 @@ def _bulk_report(n, alphas) -> dict:
 
 
 class TestChainCertificates:
-    """The bulk chain is settled by integer certificates; the power
-    iteration is the fallback for rows they leave open."""
+    """The bulk chain is settled by integer certificates; the eigensolve
+    gives rho**2 to the rows they leave open."""
 
     def test_clean_sweep_takes_no_power_iteration_step(self, monkeypatch):
-        steps = []
-        power = _bulk.batched_power_iteration
+        # The function keeps its traced name; result[1] counts eigensolves.
+        solves = []
+        solve = _bulk.batched_power_iteration
 
         def counted(*args, **kwargs):
-            result = power(*args, **kwargs)
-            steps.append(int(result[1].sum()))
+            result = solve(*args, **kwargs)
+            solves.append(int(result[1].sum()))
             return result
 
         monkeypatch.setattr(_bulk, "batched_power_iteration", counted)
         assert verify_all(6, (-1, 0.5, 2, 3)).failure_count == 0
-        assert steps and sum(steps) == 0
+        assert solves and sum(solves) == 0
 
     @pytest.mark.parametrize("shift,failures", [(0, 0), (1, 375), (-1, 78)])
     def test_fallback_alone_gives_the_same_report(self, monkeypatch, shift, failures):
-        # With the strict certificate settling no row, the power iteration
-        # decides every inexact row, as it did before the certificate.
-        # NM_2 + 1 breaks the first link on some rows; NM_2 - 1 passes the
-        # strict certificate everywhere but breaks the second link where it
-        # was tight, and those records still need the iteration's rho**2.
+        # With the strict certificate settling no row, the eigensolve
+        # decides every inexact row.  NM_2 + 1 breaks the first link on
+        # some rows; NM_2 - 1 passes the strict certificate everywhere but
+        # breaks the second link where it was tight, and those records
+        # still need the eigensolve's rho**2.
         nm2 = _bulk._nm2
         monkeypatch.setattr(_bulk, "_nm2", lambda nbr: nm2(nbr) + shift)
         with_strict = _bulk_report(5, (2.0,))

@@ -71,7 +71,7 @@ class TestParseEdgeList:
         with pytest.raises(DuplicateEdge):
             parse_edge_list("0 1\n1 0")
 
-    @pytest.mark.parametrize("text", ["0", "0 1 2", "a b", "0 -1"])
+    @pytest.mark.parametrize("text", ["0", "0 1 2", "a b", "0 -1", "0 1_0", "+0 1", "n 1_0"])
     def test_malformed_lines(self, text):
         with pytest.raises(MalformedLine):
             parse_edge_list(text)

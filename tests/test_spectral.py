@@ -235,8 +235,8 @@ def _chain_batch(n: int, stride: int = 1):
 class TestBatchedPowerIteration:
     @pytest.mark.parametrize("n,stride", [(2, 1), (3, 1), (4, 1), (5, 7), (6, 499)])
     def test_batch_equals_each_row_alone(self, n, stride):
-        # Rows finish at different iterations, so the batch is compacted
-        # while other rows still run; no row may notice.
+        # Chunk boundaries decide which open rows share one eigensolve; no
+        # row may notice.
         adj, ratio, exact = _chain_batch(n, stride)
         batch = batched_power_iteration(adj, ratio, exact)
         if n >= 4:
@@ -250,49 +250,23 @@ class TestBatchedPowerIteration:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_certificates_against_eigvalsh(self, n):
+        # Settle the exact rows only, so every strict row is solved.
         adj, ratio, exact = _chain_batch(n)
-        rho, steps, certified, converged = batched_power_iteration(adj, ratio, exact)
-        eig_rho = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1]
-        assert certified.all() and not converged.any()
-        assert (rho <= eig_rho + 1e-12).all()
-        assert ((steps == 0) == exact).all()
-        assert (exact == (np.abs(eig_rho**2 - ratio) <= 1e-12)).all()
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_guard_never_certifies_an_equality(self, n):
-        # On equality rows rho**2 == ratio, so no Rayleigh quotient may
-        # clear ratio * (1 + guard), however close rounding brings it.
-        adj, ratio, exact = _chain_batch(n)
-        rho, _steps, certified, converged = batched_power_iteration(
-            adj[exact], ratio[exact], np.zeros(int(exact.sum()), dtype=bool)
-        )
-        assert exact.any()
-        assert not certified.any() and converged.all()
-        assert np.allclose(rho * rho, ratio[exact], rtol=1e-9)
+        rho_sq, solves = batched_power_iteration(adj, ratio, exact)
+        eig_sq = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1] ** 2
+        assert solves.dtype == np.int64
+        assert (rho_sq[exact] == ratio[exact]).all() and (solves[exact] == 0).all()
+        assert (rho_sq[~exact] == eig_sq[~exact]).all() and (solves[~exact] == 1).all()
+        # Exact rows are the equality rows.  The float comparison the sweep
+        # makes on open rows never sits near a tie: every inexact row
+        # clears NM_2 / M1 by far more than eigvalsh's error.
+        assert (np.abs(eig_sq[exact] - ratio[exact]) <= 1e-12 * ratio[exact]).all()
+        assert (eig_sq[~exact] >= ratio[~exact] * (1 + 1e-5)).all()
 
     def test_exact_family_is_not_only_regular(self):
         adj, _ratio, exact = _chain_batch(4)
         deg = adj.sum(axis=2)
         assert (exact & (deg.min(axis=1) != deg.max(axis=1))).any()
-
-    def test_uncertifiable_row_converges_without_certificate(self):
-        # P3 has rho**2 == 2; asking for 2.5 can only end by the tolerance.
-        adj, ratio, exact = _chain_batch(3)
-        rho, steps, certified, converged = batched_power_iteration(
-            adj, ratio + 0.5, np.zeros_like(exact)
-        )
-        assert not certified.any() and converged.all()
-        assert (steps > 1).all()
-        eig_rho = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1]
-        assert np.allclose(rho, eig_rho, atol=1e-8)
-
-    def test_exhausted_budget_has_neither_flag(self):
-        adj, ratio, exact = _chain_batch(4)
-        _rho, steps, certified, converged = batched_power_iteration(
-            adj, ratio + 100.0, np.zeros_like(exact), max_iter=1
-        )
-        assert not certified.any() and not converged.any()
-        assert (steps == 1).all()
 
 
 class TestBulkRatioCertificates:

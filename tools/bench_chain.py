@@ -3,7 +3,7 @@
 Runs ``_bulk.sweep_chunk`` over every mask chunk of n = 7 with the
 nbzagreb package found under ``--src``, and times the calls to the
 integer certificates (``_bulk.ratio_certificates``, or
-``_bulk.ratio_is_exact`` in older kernels) plus their fallback
+``_bulk.ratio_is_exact`` in older kernels) plus
 ``_bulk.batched_power_iteration`` from outside, so the same script
 measures any version of the kernel:
 
@@ -11,10 +11,13 @@ measures any version of the kernel:
     python tools/bench_chain.py --src /path/to/old/checkout/src --label before
 
 Prints one JSON object: stage seconds, whole-kernel seconds, rows, the
-mean and maximum power-iteration steps per row, the rows that took no
-step (settled by a certificate) and how many rows each certificate
-settled.  ``--record FILE`` also appends it to the ``runs`` list of that
-JSON file.  The wrapped ``_bulk`` functions are restored on return.
+mean and maximum steps per row, the rows that took no step (settled by a
+certificate) and how many rows each certificate settled.  A step is one
+eigensolve in the current kernel (0 or 1 per row, 1 only on rows the
+certificates leave open) and one power-iteration matvec in kernels before
+it; the ``steps_*`` keys keep their names across both.  ``--record FILE``
+also appends the object to the ``runs`` list of that JSON file.  The
+wrapped ``_bulk`` functions are restored on return.
 """
 
 from __future__ import annotations
