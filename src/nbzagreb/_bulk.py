@@ -4,8 +4,19 @@ Graphs on n vertices are encoded as integers whose bits select edge slots.
 Slot k is the k-th pair in graph6 column-major order ((0,1),(0,2),(1,2),
 (0,3),...) and is stored at bit position npairs-1-k, so numeric order on
 masks equals lexicographic order on graph6 bitstreams.  All kernels work on
-contiguous mask ranges in numpy batches; n <= 8 keeps every intermediate
-array small.
+contiguous mask ranges in numpy batches.
+
+A batch of decoded graphs is a (graphs, n) array of neighbor bitmasks, one
+set-word per vertex as in nauty: bit u of rows[:, v] is set when uv is an
+edge.  The row dtype is the narrowest unsigned integer that holds n bits,
+so the sweeps (n <= 8) use one byte per vertex; rows wider than 64 bits
+raise ``NTooLarge``.  Degrees are popcounts, and the neighborhood degrees,
+distance-2 degrees and A(Ad) are sums of per-vertex values over each row's
+bits, all in exact integers.  Connectivity, the two-step rows and the
+diameter-2 test are ORs and comparisons against the full mask.  Only
+:func:`batched_power_iteration` expands rows to dense (graphs, n, n)
+matrices, and only the rows the integer certificates leave open, which a
+clean sweep never has.
 
 The reconstructions are evaluated per vertex, on the (graphs, n) arrays of
 neighborhood and distance-2 degrees, rather than over a per-graph histogram
@@ -27,6 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import NTooLarge
 from .graphs import _g6_pack, _g6_pairs
 
 CHUNK_BITS = 15
@@ -60,8 +72,11 @@ def _slot_shifts(npairs: int) -> np.ndarray:
 
 
 def _bits_of(masks: np.ndarray, npairs: int) -> np.ndarray:
-    """(len(masks), npairs) 0/1 slot bits of a 1-D array of masks."""
-    return ((masks[:, None] >> _slot_shifts(npairs)) & 1).astype(np.uint8)
+    """(len(masks), npairs) 0/1 slot bits of a 1-D array of masks, npairs
+    <= 63.  Big-endian bytes unpack most significant bit first, so the
+    last npairs bits of each 64-bit word are slots 0 .. npairs - 1."""
+    words = np.unpackbits(masks.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+    return words[:, 64 - npairs :]
 
 
 def _masks_of(bits: np.ndarray) -> np.ndarray:
@@ -152,24 +167,63 @@ def bound_expected(upper: bool, bound: float, equality: bool) -> str:
 # Batch construction
 
 
+def _row_dtype(n: int) -> np.dtype:
+    """Narrowest unsigned integer dtype that holds an n-bit neighbor row."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if n <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    raise NTooLarge(f"n = {n} exceeds the 64-bit neighbor rows of the bulk kernels")
+
+
 def _adj_of(bits: np.ndarray, n: int) -> np.ndarray:
-    pairs = _g6_pairs(n)
-    rows = np.array([p[0] for p in pairs], dtype=np.int64)
-    cols = np.array([p[1] for p in pairs], dtype=np.int64)
-    adj = np.zeros((bits.shape[0], n, n), dtype=np.uint8)
-    adj[:, rows, cols] = bits
-    adj[:, cols, rows] = bits
-    return adj
+    """(graphs, n) neighbor rows of (graphs, npairs) slot bits: bit u of
+    rows[:, v] is set when uv is an edge."""
+    dtype = _row_dtype(n)
+    # The loops below run over one contiguous array per slot and per vertex.
+    slots = np.ascontiguousarray(bits.T, dtype=dtype)
+    rows = np.zeros((n, bits.shape[0]), dtype=dtype)
+    for slot, (i, j) in zip(slots, _g6_pairs(n)):
+        rows[i] |= slot << j
+        rows[j] |= slot << i
+    return np.ascontiguousarray(rows.T)
 
 
-def _connected(adj: np.ndarray) -> np.ndarray:
-    b, n, _ = adj.shape
-    reach = np.zeros((b, n), dtype=np.uint8)
-    reach[:, 0] = 1
+def _over_bits(ufunc, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per (graph, v), ``ufunc`` (np.add or np.bitwise_or) reduced over
+    values[:, u] for the bits u of rows[:, v]; 0 on an empty row."""
+    # Vertex-major copies keep every step on contiguous arrays.
+    rows_t = np.ascontiguousarray(rows.T)
+    out = np.zeros(rows_t.shape, dtype=values.dtype)
+    for u, column in enumerate(np.ascontiguousarray(values.T)):
+        ufunc(out, ((rows_t >> u) & 1) * column, out=out)
+    return np.ascontiguousarray(out.T)
+
+
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
+
+
+def _degrees(rows: np.ndarray) -> np.ndarray:
+    """int64 popcount of each neighbor row."""
+    return _POPCOUNT[rows.view(np.uint8)].reshape(*rows.shape, -1).sum(axis=-1)
+
+
+def _connected(rows: np.ndarray) -> np.ndarray:
+    """Per graph of a (graphs, n) row batch: is it connected?  The set
+    reached from vertex 0 grows by the rows of the vertices in it; n - 1
+    passes over the vertices reach every vertex within distance n - 1."""
+    b, n = rows.shape
+    rows_t = np.ascontiguousarray(rows.T)
+    reach = np.ones(b, dtype=rows.dtype)
     for _ in range(n - 1):
-        hop = np.matmul(adj, reach[:, :, None])[:, :, 0]
-        reach = ((reach + hop) > 0).astype(np.uint8)
-    return reach.all(axis=1)
+        for v, row in enumerate(rows_t):
+            reach |= ((reach >> v) & 1) * row
+    return reach == rows.dtype.type((1 << n) - 1)
+
+
+def _dense(rows: np.ndarray) -> np.ndarray:
+    """(graphs, n, n) float64 adjacency matrices of a row batch."""
+    n = rows.shape[1]
+    return ((rows[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1).astype(np.float64)
 
 
 def iter_mask_ranges(n: int):
@@ -181,15 +235,15 @@ def iter_mask_ranges(n: int):
 
 
 def _decode(n: int, mask_lo: int, mask_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks in [mask_lo, mask_hi) and their (masks, n, n) adjacency."""
+    """Masks in [mask_lo, mask_hi) and their (masks, n) neighbor rows."""
     masks = np.arange(mask_lo, mask_hi, dtype=np.int64)
     return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
 
 
 def connected_masks(n: int, mask_lo: int, mask_hi: int) -> np.ndarray:
     """Ascending array of connected masks within [mask_lo, mask_hi)."""
-    masks, adj = _decode(n, mask_lo, mask_hi)
-    return masks[_connected(adj)]
+    masks, rows = _decode(n, mask_lo, mask_hi)
+    return masks[_connected(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +255,12 @@ def _nm2(nbr: np.ndarray) -> np.ndarray:
     return (nbr * nbr).sum(axis=1)
 
 
-def ratio_certificates(adj64, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray]:
+def ratio_certificates(rows, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray]:
     """Rows on which the first chain link rho**2 >= NM_2 / M1 is settled
     in integers, as (exact, strict).
 
-    With d the degree vector, nbr = A d and x3 = A nbr = A**2 d:
+    With A the adjacency held by the neighbor ``rows``, d the degree
+    vector, nbr = A d and x3 = A nbr = A**2 d:
 
     - exact: x3 * M1 == NM_2 * d on every vertex, i.e. A**2 d =
       (NM_2 / M1) d, so rho**2 == NM_2 / M1; see
@@ -220,23 +275,23 @@ def ratio_certificates(adj64, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray
     never both.  Every x3_v is at most (n - 1)**3 and M1 at most
     n (n - 1)**2, so |x3|**2 * M1 <= n**2 (n - 1)**8, 3.7e8 at n = 8.
     """
-    x3 = np.matmul(adj64, nbr[:, :, None])[:, :, 0]
+    x3 = _over_bits(np.add, rows, nbr)
     exact = (x3 * m1[:, None] == nm2[:, None] * deg).all(axis=1)
     strict = np.einsum("bi,bi->b", x3, x3) * m1 > nm2 * nm2
     return exact, strict
 
 
-def batched_power_iteration(adj: np.ndarray, ratio: np.ndarray, settled: np.ndarray):
+def batched_power_iteration(rows: np.ndarray, ratio: np.ndarray, settled: np.ndarray):
     """rho**2 per graph for the rows that :func:`ratio_certificates` leaves
     open; ``ratio`` (NM_2 / M1) on the ``settled`` rows.
 
     The sweep settles every row of a correct program, so the eigensolve
     runs only under faults, where the chain records carry its rho**2.  On
-    the open rows it is ``eigvalsh``, a method independent of the scalar
-    engine's Lanczos, so a float comparison against NM_2 / M1 decides them
-    as the scalar engine does; over every connected graph with n <= 7 the
-    inexact rows clear that bound by a relative 9.87e-5 or more, so no
-    comparison sits near a tie.
+    the open rows, expanded to dense matrices, it is ``eigvalsh``, a method
+    independent of the scalar engine's Lanczos, so a float comparison
+    against NM_2 / M1 decides them as the scalar engine does; over every
+    connected graph with n <= 7 the inexact rows clear that bound by a
+    relative 9.87e-5 or more, so no comparison sits near a tie.
 
     Returns (rho_sq, solves): solves is an int64 count per row, 0 on
     settled rows and 1 on solved ones.  The name and ``result[1]`` stay for
@@ -245,7 +300,7 @@ def batched_power_iteration(adj: np.ndarray, ratio: np.ndarray, settled: np.ndar
     """
     open_rows = ~settled
     rho_sq = ratio.copy()
-    rho_sq[open_rows] = np.linalg.eigvalsh(adj[open_rows].astype(np.float64))[:, -1] ** 2
+    rho_sq[open_rows] = np.linalg.eigvalsh(_dense(rows[open_rows]))[:, -1] ** 2
     return rho_sq, open_rows.astype(np.int64)
 
 
@@ -267,29 +322,25 @@ def _powers(width: int, alpha: float) -> np.ndarray:
     return pw
 
 
-def _gather(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(mat, idx[:, None], axis=1)[:, 0]
+def _between(x: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per (row, vertex) of x: first <= x_v <= last, with per-row bounds."""
+    return (x >= first[:, None]) & (x <= last[:, None])
 
 
-def _interval_sum(cum: np.ndarray, lo_idx: np.ndarray, hi_idx: np.ndarray) -> np.ndarray:
-    """Sum of histogram entries in [lo_idx, hi_idx] per row (0 when empty)."""
-    width = cum.shape[1]
-    hi_c = np.clip(hi_idx, 0, width - 1)
-    lo_c = np.clip(lo_idx - 1, 0, width - 1)
-    total = _gather(cum, hi_c) - np.where(lo_idx > 0, _gather(cum, lo_c), 0)
-    return np.where(hi_idx >= lo_idx, total, 0)
+def _count_between(x: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per row of x, how many vertices have first <= x_v <= last."""
+    return _between(x, first, last).sum(axis=1)
 
 
 def _tolerances(tolerance: float, reference: np.ndarray) -> np.ndarray:
     return tolerance * np.maximum(1.0, np.abs(reference))
 
 
-def _line_excess_sum(x, pw, lo, rate, first, last) -> np.ndarray:
-    """Per row of the (graphs, n) degree array x, the sum over vertices with
-    first <= x_v <= last of x_v**alpha - lo**alpha - (x_v - lo) * rate,
-    where pw[k] = k**alpha."""
-    terms = pw[x] - pw[lo][:, None] - (x - lo[:, None]) * rate[:, None]
-    inside = (x >= first[:, None]) & (x <= last[:, None])
+def _line_excess_sum(x_pow, lo_pow, offset, rate, inside) -> np.ndarray:
+    """Per row of a (graphs, n) degree array x, the sum over the vertices
+    marked ``inside`` of x_v**alpha - lo**alpha - (x_v - lo) * rate, given
+    x_pow = x**alpha, lo_pow = lo**alpha per row and offset = x - lo."""
+    terms = x_pow - lo_pow[:, None] - offset * rate[:, None]
     return np.where(inside, terms, 0.0).sum(axis=1)
 
 
@@ -317,31 +368,38 @@ def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, al
     )
 
 
-def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, pw, tolerance, alpha):
+def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, alphas, tolerance):
     """Secant and unit reconstructions of sum_v x_v**alpha on rows whose
-    degrees span lo < hi, with excess = sum_v x_v - n * lo.  Returns the
-    direct sums, their tolerances, lo**alpha, the secant slope, the unit
-    step and the two reconstruction bases, which the bounds reuse."""
-    direct = pw[x].sum(axis=1)
-    tol = _tolerances(tolerance, direct)
-    lo_pow = pw[lo]
-    slope = (pw[hi] - lo_pow) / (hi - lo)
-    step = pw[lo + 1] - lo_pow
-    base_secant = n * lo_pow + excess * slope
-    base_unit = n * lo_pow + excess * step
-    for form, base, rate, first, last in (
-        ("secant", base_secant, slope, lo + 1, hi - 1),
-        ("unit", base_unit, step, lo + 2, hi),
-    ):
-        check = f"{prefix}_reconstruct_{form}"
-        recon = base + _line_excess_sum(x, pw, lo, rate, first, last)
-        tally.checks[check] += x.shape[0]
-        bad = np.abs(recon - direct) > tol
-        _report_rows(
-            tally, check, masks, n, bad,
-            lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
-        )
-    return direct, tol, lo_pow, slope, step, base_secant, base_unit
+    degrees span lo < hi, with excess = sum_v x_v - n * lo, one exponent at
+    a time.  After checking an exponent, yields what the bounds reuse:
+    (alpha, pw with pw[k] = k**alpha, the direct sums, their tolerances,
+    lo**alpha, the secant slope, the unit step, the two reconstruction
+    bases).  The offsets x - lo and the vertices each form corrects do not
+    depend on the exponent and are computed once."""
+    offset = x - lo[:, None]
+    forms = (("secant", _between(x, lo + 1, hi - 1)), ("unit", _between(x, lo + 2, hi)))
+    for alpha in alphas:
+        pw = _powers(width, alpha)
+        x_pow = pw[x]
+        direct = x_pow.sum(axis=1)
+        tol = _tolerances(tolerance, direct)
+        lo_pow = pw[lo]
+        slope = (pw[hi] - lo_pow) / (hi - lo)
+        step = pw[lo + 1] - lo_pow
+        base_secant = n * lo_pow + excess * slope
+        base_unit = n * lo_pow + excess * step
+        for (form, inside), base, rate in zip(
+            forms, (base_secant, base_unit), (slope, step)
+        ):
+            check = f"{prefix}_reconstruct_{form}"
+            recon = base + _line_excess_sum(x_pow, lo_pow, offset, rate, inside)
+            tally.checks[check] += x.shape[0]
+            bad = np.abs(recon - direct) > tol
+            _report_rows(
+                tally, check, masks, n, bad,
+                lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
+            )
+        yield alpha, pw, direct, tol, lo_pow, slope, step, base_secant, base_unit
 
 
 def sweep_chunk(
@@ -353,37 +411,33 @@ def sweep_chunk(
 ) -> Tally:
     """Run every applicable check on all connected masks in a range."""
     tally = Tally()
-    masks, adj = _decode(n, mask_lo, mask_hi)
-    keep = _connected(adj)
-    masks, adj = masks[keep], adj[keep]
+    masks, rows = _decode(n, mask_lo, mask_hi)
+    keep = _connected(rows)
+    masks, rows = masks[keep], rows[keep]
     b = masks.size
     tally.graphs = b
     if b == 0:
         return tally
     nalpha = len(alphas)
 
-    deg = adj.sum(axis=2, dtype=np.int64)
+    deg = _degrees(rows)
     m = deg.sum(axis=1) // 2
     m1 = (deg * deg).sum(axis=1)
-    adj64 = adj.astype(np.int64)
-    nbr = np.matmul(adj64, deg[:, :, None])[:, :, 0]
+    nbr = _over_bits(np.add, rows, deg)
     delta = nbr.min(axis=1)
     big_delta = nbr.max(axis=1)
 
-    adj_b = adj.astype(bool)
-    eye = np.eye(n, dtype=bool)
-    two_step = np.matmul(adj, adj) > 0
-    d2_mask = two_step & ~adj_b & ~eye
-    d2 = np.matmul(d2_mask.astype(np.int64), deg[:, :, None])[:, :, 0]
+    # closed: N[v] = N(v) + v; two_step: the vertices two steps from v.
+    full = (1 << n) - 1
+    closed = rows | (rows.dtype.type(1) << np.arange(n, dtype=rows.dtype))
+    two_step = _over_bits(np.bitwise_or, rows, rows)
+    d2 = _over_bits(np.add, two_step & ~closed, deg)
     d2_min = d2.min(axis=1)
     d2_max = d2.max(axis=1)
-    covered = adj_b | two_step | eye
-    complete = (adj_b | eye).all(axis=(1, 2))
-    diam2 = covered.all(axis=(1, 2)) & ~complete
+    complete = (closed == full).all(axis=1)
+    diam2 = ((closed | two_step) == full).all(axis=1) & ~complete
 
     width = n * (n - 1) + 1
-    hist = _row_hist(nbr, width)
-    hist_cum = hist.cumsum(axis=1)
 
     # --- M1 identity: sum of neighborhood degrees equals sum of deg^2.
     tally.checks["m1_identity"] += b
@@ -417,7 +471,8 @@ def sweep_chunk(
         quot = np.where(gap_ok, excess // safe_gap, 0)
         rem = np.where(gap_ok, excess - quot * safe_gap, 0)
         rem_pos = gap_ok & (rem >= 1)
-        occupied = rem_pos & (_gather(hist, delta + rem) >= 1)
+        at_rem = _count_between(nbr, delta + rem, delta + rem)
+        occupied = rem_pos & (at_rem >= 1)
 
         n_gap_small = int((~gap_ok).sum())
         n_rem_zero = int((gap_ok & (rem == 0)).sum())
@@ -426,11 +481,12 @@ def sweep_chunk(
         # Classification consistency (alpha-independent).
         tally.checks["congruence_classify"] += int(gap_ok.sum())
         tally.skip("congruence_classify", "gap_too_small", n_gap_small)
-        hist_hi = _gather(hist, big_delta)
-        hist_lo = _gather(hist, delta)
+        hist_hi = _count_between(nbr, big_delta, big_delta)
+        hist_lo = _count_between(nbr, delta, delta)
 
         def nbr_hist(r):
-            return {d: c for d, c in enumerate(hist[r].tolist()) if c}
+            hist = _row_hist(nbr[r : r + 1], width)[0]
+            return {d: c for d, c in enumerate(hist.tolist()) if c}
 
         bi_rows = gap_ok & (rem == 0) & (hist_hi == quot)
         bad = bi_rows & (hist_lo + hist_hi != n)
@@ -439,8 +495,7 @@ def sweep_chunk(
             BI_DEGREE_SUPPORT, nbr_hist,
         )
         p2_rows = rem_pos & (hist_hi == quot)
-        interior = _interval_sum(hist_cum, delta + rem + 1, big_delta - 1)
-        at_rem = _gather(hist, delta + np.clip(rem, 0, width - 1 - delta))
+        interior = _count_between(nbr, delta + rem + 1, big_delta - 1)
         bad = p2_rows & ((interior != 0) | (at_rem > 1))
         _report_rows(
             tally, "congruence_classify", masks, n, bad, TOP_COUNT_PATTERN, nbr_hist,
@@ -454,26 +509,26 @@ def sweep_chunk(
         excess_s = excess[idx_sel]
         h_hi = hist_hi[idx_sel]
         bi_support = hist_lo[idx_sel] + h_hi == n
-        interior2 = _interval_sum(hist_cum, delta + 2, big_delta - 1)[idx_sel]
+        interior2 = _count_between(nbr_s, lo + 2, hi - 1)
         # Occupied rows are a subset of idx_sel (gap >= 2); occ indexes into it.
         occ = np.nonzero(occupied[idx_sel])[0]
         masks_c = masks_s[occ]
         r_c = rem[idx_sel][occ]
         lo_r_c = lo[occ] + r_c
         pattern = (
-            (hist_hi == quot) & (_gather(hist, delta + rem) == 1) & (hist_lo == n - quot - 1)
+            (hist_hi == quot) & (at_rem == 1) & (hist_lo == n - quot - 1)
         )[idx_sel][occ]
         for check in nm_checks:
             tally.skip(check, "neighborhood_regular", n_regular * nalpha)
         tally.skip("nm_bound_congruence", "gap_too_small", n_gap_small * nalpha)
         tally.skip("nm_bound_congruence", "remainder_zero", n_rem_zero * nalpha)
         tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc * nalpha)
-        for alpha in alphas:
-            upper = alpha < 0.0 or alpha > 1.0
-            pw = _powers(width, alpha)
-            direct, tol, lo_pow, slope, step, base_secant, base_unit = _check_reconstructions(
-                tally, "nm", masks_s, n, nbr_s, lo, hi, excess_s, pw, tolerance, alpha
+        for alpha, pw, direct, tol, lo_pow, slope, step, base_secant, base_unit in (
+            _check_reconstructions(
+                tally, "nm", masks_s, n, nbr_s, lo, hi, excess_s, width, alphas, tolerance
             )
+        ):
+            upper = alpha < 0.0 or alpha > 1.0
             # Secant form: equality exactly on bi-supported rows.
             _check_bound(
                 tally, "nm_bound_secant", masks_s, n, direct, base_secant, tol,
@@ -516,11 +571,10 @@ def sweep_chunk(
         tally.skip(check, "not_diameter_two", (b - n_diam2) * nalpha)
         tally.skip(check, "zero_min_dist2_degree", n_zero_min * nalpha)
         tally.skip(check, "dist2_regular", n_d2_regular * nalpha)
-    for alpha in alphas:
-        _check_reconstructions(
-            tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2,
-            _powers(width, alpha), tolerance, alpha,
-        )
+    for _ in _check_reconstructions(
+        tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2, width, alphas, tolerance
+    ):
+        pass
 
     # --- Spectral chain and regular-graph equalities.  The links between
     # the two bounds are integer comparisons over the common denominator M1.
@@ -532,12 +586,12 @@ def sweep_chunk(
     ratio_bound = nm2 / m1
     min_nbr_num = m1 * (2 * delta + 1) - n * delta * delta - n * delta
     min_nbr_bound = min_nbr_num / m1
-    exact, strict = ratio_certificates(adj64, deg, nbr, m1, nm2)
+    exact, strict = ratio_certificates(rows, deg, nbr, m1, nm2)
     # Exact rows report rho**2 == NM_2 / M1 if the second link fails; a
     # strict row that fails it needs the eigensolve's rho**2.  The verdict
     # is the scalar engine's rule.
     settled = exact | (strict & (nm2 >= min_nbr_num))
-    rho_sq, _solves = batched_power_iteration(adj, ratio_bound, settled)
+    rho_sq, _solves = batched_power_iteration(rows, ratio_bound, settled)
 
     tally.checks["spectral_chain"] += b
     bad = (rho_sq < ratio_bound) | (nm2 < min_nbr_num)
@@ -573,10 +627,10 @@ def m1_identity_all_graphs(n: int) -> tuple[int, int]:
     mismatches = 0
     total = 0
     for lo, hi in iter_mask_ranges(n):
-        masks, adj = _decode(n, lo, hi)
-        deg = adj.sum(axis=2, dtype=np.int64)
+        masks, rows = _decode(n, lo, hi)
+        deg = _degrees(rows)
         m1 = (deg * deg).sum(axis=1)
-        nbr_total = np.matmul(adj.astype(np.int64), deg[:, :, None])[:, :, 0].sum(axis=1)
+        nbr_total = _over_bits(np.add, rows, deg).sum(axis=1)
         mismatches += int((nbr_total != m1).sum())
         total += masks.size
     return total, mismatches
@@ -588,10 +642,12 @@ def tree_identity_sweep(n: int) -> tuple[int, int, int]:
 
     Trees are enumerated as connected graphs with exactly n-1 edges, built
     from (n-1)-subsets of the edge slots.  Returns (labeled trees, chemical
-    trees among them, identity mismatches).
+    trees among them, identity mismatches).  Raises ``NTooLarge`` above
+    n = 64, where a neighbor row no longer fits 64 bits.
     """
     if n < 2:
         raise ValueError("tree sweep needs n >= 2")
+    _row_dtype(n)  # refuse n before enumerating anything
     npairs = pair_count(n)
     trees = 0
     chemical = 0
@@ -609,13 +665,12 @@ def tree_identity_sweep(n: int) -> tuple[int, int, int]:
         slots = np.array(batch, dtype=np.int64)
         bits = np.zeros((len(batch), npairs), dtype=np.uint8)
         bits[np.arange(len(batch))[:, None], slots] = 1
-        adj = _adj_of(bits, n)
-        keep = _connected(adj)
-        adj = adj[keep]
+        rows = _adj_of(bits, n)
+        keep = _connected(rows)
         trees += int(keep.sum())
-        if not adj.size:
+        if not keep.any():
             continue
-        deg = adj.sum(axis=2, dtype=np.int64)
+        deg = _degrees(rows[keep])
         chem = deg.max(axis=1) <= 4
         chemical += int(chem.sum())
         deg = deg[chem]

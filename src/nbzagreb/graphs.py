@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -324,11 +325,31 @@ def is_path(g: Graph) -> bool:
 # Edge-list format
 
 
+# No vertex id or count can exceed sys.maxsize, since ids index lists, so
+# a token with more significant digits is refused before int() reads it
+# (int() itself refuses more than 4,300 digits).
+_MAX_DIGITS = len(str(sys.maxsize))
+_ECHO_CHARS = 32
+
+
+def _echo(text: str) -> str:
+    """repr of input text for an error message, cut to _ECHO_CHARS characters."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text):,} characters)"
+
+
 def _decimal(token: str) -> int:
     """The value of a token of ASCII digits; ``ValueError`` otherwise, where
-    ``int`` alone would also take a sign, underscores and other digits."""
+    ``int`` alone would also take a sign, underscores and other digits, and
+    ``OverflowError`` when it has more than _MAX_DIGITS significant digits."""
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"not a decimal number: {token!r}")
+        raise ValueError(f"not a decimal number: {_echo(token)}")
+    if len(token) > _MAX_DIGITS:
+        digits = token.lstrip("0") or "0"
+        if len(digits) > _MAX_DIGITS:
+            raise OverflowError(f"more than {_MAX_DIGITS} digits: {_echo(token)}")
+        token = digits
     return int(token)
 
 
@@ -353,8 +374,12 @@ def parse_edge_list(text: str) -> Graph:
                 raise MalformedLine(f"line {lineno}: header must be 'n <count>'")
             try:
                 declared_n = _decimal(tokens[1])
+            except OverflowError:
+                raise VertexCountTooLarge(
+                    f"line {lineno}: vertex count {_echo(tokens[1])} exceeds {MAX_DECLARED_N}"
+                )
             except ValueError:
-                raise MalformedLine(f"line {lineno}: bad vertex count {tokens[1]!r}")
+                raise MalformedLine(f"line {lineno}: bad vertex count {_echo(tokens[1])}")
             if declared_n < 1:
                 raise MalformedLine(f"line {lineno}: vertex count must be >= 1")
             if declared_n > MAX_DECLARED_N:
@@ -364,11 +389,15 @@ def parse_edge_list(text: str) -> Graph:
             continue
         first_content = False
         if len(tokens) != 2:
-            raise MalformedLine(f"line {lineno}: expected 'u v', got {line!r}")
+            raise MalformedLine(f"line {lineno}: expected 'u v', got {_echo(line)}")
         try:
             u, v = _decimal(tokens[0]), _decimal(tokens[1])
+        except OverflowError:
+            raise MalformedLine(
+                f"line {lineno}: vertex id too long (over {_MAX_DIGITS} digits) in {_echo(line)}"
+            )
         except ValueError:
-            raise MalformedLine(f"line {lineno}: non-decimal vertex id in {line!r}")
+            raise MalformedLine(f"line {lineno}: non-decimal vertex id in {_echo(line)}")
         if u == v:
             raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
         key = (min(u, v), max(u, v))

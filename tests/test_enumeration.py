@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import Future
 from itertools import islice
 
@@ -16,6 +17,7 @@ from nbzagreb import (
     enumerate_connected,
     find_equality_graphs,
     coefficient_sign_grid,
+    is_connected,
     parse_graph6,
     path_graph,
     verify_all,
@@ -106,6 +108,68 @@ class TestCanonicalForm:
             assert mask_of_edges(n, _bulk.edges_of_mask(n, mask)) == mask
         if n > 1:
             assert _bulk.edges_of_mask(n, 1 << (npairs - 1)) == [(0, 1)]
+
+
+class TestNeighborRows:
+    """The bulk kernels hold a batch of graphs as (graphs, n) neighbor
+    bitmasks: bit u of rows[:, v] is the edge uv."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_and_connectivity_on_every_labeled_graph(self, n):
+        npairs = _bulk.pair_count(n)
+        masks = np.arange(1 << npairs, dtype=np.int64)
+        rows = _bulk._adj_of(_bulk._bits_of(masks, npairs), n)
+        connected = _bulk._connected(rows)
+        for mask, row, got in zip(masks.tolist(), rows.tolist(), connected.tolist()):
+            g = Graph.from_edges(n, _bulk.edges_of_mask(n, mask))
+            assert row == [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+            assert got == is_connected(g)
+
+    @pytest.mark.parametrize(
+        "n,dtype",
+        [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32), (33, np.uint64),
+         (64, np.uint64)],
+    )
+    def test_row_width_follows_n(self, n, dtype):
+        # A path, and the same path cut between n // 2 - 1 and n // 2.
+        bits = np.zeros((2, _bulk.pair_count(n)), dtype=np.uint8)
+        for v in range(n - 1):
+            bits[:, (v + 1) * v // 2 + v] = 1
+        bits[1, (n // 2) * (n // 2 - 1) // 2 + n // 2 - 1] = 0
+        rows = _bulk._adj_of(bits, n)
+        assert rows.dtype == dtype
+        assert _bulk._connected(rows).tolist() == [True, False]
+        assert _bulk._degrees(rows)[0].tolist() == [1] + [2] * (n - 2) + [1]
+
+    def test_rows_wider_than_64_bits_are_refused(self):
+        with pytest.raises(NTooLarge):
+            _bulk._adj_of(np.zeros((1, _bulk.pair_count(65)), dtype=np.uint8), 65)
+        with pytest.raises(NTooLarge):
+            _bulk.tree_identity_sweep(65)
+
+    def test_kernel_allocates_no_dense_adjacency(self):
+        # One dense (graphs, n, n) int64 copy of a full n = 7 range is
+        # 12.8 MB.  With numpy 2.4 the kernel peaked at 65 MB on dense
+        # tensors and at 26 MB on rows.
+        lo = (1 << 21) - (1 << 15)
+        tracemalloc.start()
+        try:
+            _bulk.sweep_chunk(7, lo, lo + (1 << 15), (-1.0, 0.5, 2.0, 3.0), 1e-9)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
+
+    @pytest.mark.parametrize("lo", [0x5A5A000, (1 << 28) - 1024])
+    def test_bulk_matches_scalar_at_n8(self, lo):
+        # n = 8 fills every bit of a uint8 row; the top range ends at K8.
+        alphas = (-1.0, 0.5, 2.0, 3.0)
+        bulk = _bulk.sweep_chunk(8, lo, lo + 1024, alphas, 1e-9)
+        scalar = enumeration._scalar_chunk(8, lo, lo + 1024, alphas, 1e-9)
+        assert bulk.graphs == scalar.graphs > 900
+        assert bulk.checks == scalar.checks
+        assert bulk.skips == scalar.skips
+        assert bulk.failures == scalar.failures == []
 
 
 class TestVerifyAll:
@@ -322,8 +386,8 @@ class TestBulkReconstructionKernel:
         else:
             rate, first, last = pw[lo + 1] - pw[lo], lo + 2, hi
         got = _bulk._line_excess_sum(
-            x[None, :], pw, np.array([lo]), np.array([rate]),
-            np.array([first]), np.array([last]),
+            pw[x][None, :], pw[[lo]], (x - lo)[None, :], np.array([rate]),
+            ((x >= first) & (x <= last))[None, :],
         )[0]
         expected, scale = _grid_excess_sum(x, alpha, lo, rate, first, last)
         # Same terms summed in another order: relative to their total size.
@@ -373,6 +437,19 @@ class TestEngineParity:
             return sorted((tuple(f[k] for k in self.FIELDS) for f in report.failures), key=repr)
 
         assert records("bulk") == records("scalar")
+
+    def test_classification_records_carry_the_histogram(self, monkeypatch):
+        # Count one vertex too many wherever the bulk engine counts
+        # neighborhood degrees in a range: the top-count pattern then fails,
+        # and each record must carry its own graph's histogram as the
+        # scalar engine words it.
+        count = _bulk._count_between
+        monkeypatch.setattr(_bulk, "_count_between", lambda *args: count(*args) + 1)
+        report = verify_all(5, (2.0,))
+        records = [f for f in report.failures if f["check"] == "congruence_classify"]
+        assert records
+        for f in records:
+            assert f["got"] == degree_profile(parse_graph6(f["graph6"])).nbr_hist
 
     @pytest.mark.parametrize("shift,failures", [(1, 375), (-1, 78)])
     def test_spectral_failures_under_fault(self, monkeypatch, shift, failures):

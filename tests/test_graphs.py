@@ -76,6 +76,23 @@ class TestParseEdgeList:
         with pytest.raises(MalformedLine):
             parse_edge_list(text)
 
+    @pytest.mark.parametrize("text,error,words", [
+        ("n " + "9" * 5000, VertexCountTooLarge, "vertex count"),
+        ("0 " + "9" * 5000, MalformedLine, "too long"),
+        ("0 " + "x" * 5000, MalformedLine, "non-decimal"),
+        ("0 1 " + "2" * 5000, MalformedLine, "expected 'u v'"),
+    ])
+    def test_overlong_tokens(self, text, error, words):
+        # int() refuses more than 4,300 digits; the parser names the
+        # problem and echoes a short prefix of the input.
+        with pytest.raises(error) as info:
+            parse_edge_list(text)
+        assert words in str(info.value)
+        assert len(str(info.value)) < 120
+
+    def test_leading_zeros_do_not_count_as_length(self):
+        assert parse_edge_list("n " + "0" * 5000 + "3").n == 3
+
     def test_empty_input(self):
         with pytest.raises(MalformedLine):
             parse_edge_list("")

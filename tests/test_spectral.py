@@ -212,24 +212,32 @@ class TestLanczos:
         assert r.residual <= 1.0001 * spectral.DEFAULT_TOL * r.rho
 
 
-def _connected_adjacency(n: int, stride: int = 1):
+def _connected_rows(n: int, stride: int = 1):
+    """Masks and (graphs, n) neighbor rows of connected n-vertex graphs."""
     masks = connected_masks(n, 0, 1 << pair_count(n))[::stride]
     return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
 
 
-def _certificate_inputs(adj):
-    """(adj64, deg, nbr, m1, nm2) of a (graphs, n, n) adjacency batch."""
-    adj64 = adj.astype(np.int64)
-    deg = adj64.sum(axis=2)
-    nbr = np.matmul(adj64, deg[:, :, None])[:, :, 0]
-    return adj64, deg, nbr, (deg * deg).sum(axis=1), (nbr * nbr).sum(axis=1)
+def _dense(rows):
+    """(graphs, n, n) int64 adjacency of a neighbor-row batch: bit u of
+    rows[:, v] is entry (v, u)."""
+    n = rows.shape[1]
+    return (rows[:, :, None].astype(np.int64) >> np.arange(n)) & 1
+
+
+def _certificate_inputs(rows):
+    """(deg, nbr, m1, nm2) of a neighbor-row batch, from its dense adjacency."""
+    adj = _dense(rows)
+    deg = adj.sum(axis=2)
+    nbr = np.matmul(adj, deg[:, :, None])[:, :, 0]
+    return deg, nbr, (deg * deg).sum(axis=1), (nbr * nbr).sum(axis=1)
 
 
 def _chain_batch(n: int, stride: int = 1):
-    """Adjacency, NM_2 / M1 and the exact flag of connected n-vertex graphs."""
-    _masks, adj = _connected_adjacency(n, stride)
-    adj64, deg, nbr, m1, nm2 = _certificate_inputs(adj)
-    return adj, nm2 / m1, ratio_certificates(adj64, deg, nbr, m1, nm2)[0]
+    """Neighbor rows, NM_2 / M1 and the exact flag of connected n-vertex graphs."""
+    _masks, rows = _connected_rows(n, stride)
+    deg, nbr, m1, nm2 = _certificate_inputs(rows)
+    return rows, nm2 / m1, ratio_certificates(rows, deg, nbr, m1, nm2)[0]
 
 
 class TestBatchedPowerIteration:
@@ -237,13 +245,13 @@ class TestBatchedPowerIteration:
     def test_batch_equals_each_row_alone(self, n, stride):
         # Chunk boundaries decide which open rows share one eigensolve; no
         # row may notice.
-        adj, ratio, exact = _chain_batch(n, stride)
-        batch = batched_power_iteration(adj, ratio, exact)
+        rows, ratio, exact = _chain_batch(n, stride)
+        batch = batched_power_iteration(rows, ratio, exact)
         if n >= 4:
             assert np.unique(batch[1]).size > 1
-        for row in range(adj.shape[0]):
+        for row in range(rows.shape[0]):
             alone = batched_power_iteration(
-                adj[row : row + 1], ratio[row : row + 1], exact[row : row + 1]
+                rows[row : row + 1], ratio[row : row + 1], exact[row : row + 1]
             )
             for got, want in zip(batch, alone):
                 assert got[row] == want[0]
@@ -251,9 +259,9 @@ class TestBatchedPowerIteration:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_certificates_against_eigvalsh(self, n):
         # Settle the exact rows only, so every strict row is solved.
-        adj, ratio, exact = _chain_batch(n)
-        rho_sq, solves = batched_power_iteration(adj, ratio, exact)
-        eig_sq = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1] ** 2
+        rows, ratio, exact = _chain_batch(n)
+        rho_sq, solves = batched_power_iteration(rows, ratio, exact)
+        eig_sq = np.linalg.eigvalsh(_dense(rows).astype(np.float64))[:, -1] ** 2
         assert solves.dtype == np.int64
         assert (rho_sq[exact] == ratio[exact]).all() and (solves[exact] == 0).all()
         assert (rho_sq[~exact] == eig_sq[~exact]).all() and (solves[~exact] == 1).all()
@@ -264,35 +272,36 @@ class TestBatchedPowerIteration:
         assert (eig_sq[~exact] >= ratio[~exact] * (1 + 1e-5)).all()
 
     def test_exact_family_is_not_only_regular(self):
-        adj, _ratio, exact = _chain_batch(4)
-        deg = adj.sum(axis=2)
+        rows, _ratio, exact = _chain_batch(4)
+        deg = _dense(rows).sum(axis=2)
         assert (exact & (deg.min(axis=1) != deg.max(axis=1))).any()
 
 
 class TestBulkRatioCertificates:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_against_eigvalsh(self, n):
-        _masks, adj = _connected_adjacency(n)
-        adj64, deg, nbr, m1, nm2 = _certificate_inputs(adj)
-        exact, strict = ratio_certificates(adj64, deg, nbr, m1, nm2)
+        _masks, rows = _connected_rows(n)
+        deg, nbr, m1, nm2 = _certificate_inputs(rows)
+        exact, strict = ratio_certificates(rows, deg, nbr, m1, nm2)
         assert (exact ^ strict).all()
+        adj = _dense(rows)
         eig_sq = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1] ** 2
         assert (eig_sq[strict] > (nm2 / m1)[strict]).all()
         # |x3|**2 / NM_2 is a Rayleigh quotient of A**2, so at most rho**2;
         # eigvalsh itself may sit a few ulps low.
-        x3 = np.matmul(adj64, nbr[:, :, None])[:, :, 0]
+        x3 = np.matmul(adj, nbr[:, :, None])[:, :, 0]
         rayleigh = (x3 * x3).sum(axis=1) / nm2
         assert (rayleigh <= eig_sq * (1 + 4 * n * U)).all()
 
     def test_int64_headroom_at_n8(self):
         # x3_v <= (n - 1)**3 and M1 <= n (n - 1)**2, and K8 attains both.
         n = 8
-        k8 = (1 - np.eye(n, dtype=np.uint8))[None]
-        adj64, deg, nbr, m1, nm2 = _certificate_inputs(k8)
-        x3 = np.matmul(adj64, nbr[:, :, None])[:, :, 0]
+        k8 = np.array([[0xFF & ~(1 << v) for v in range(n)]], dtype=np.uint8)
+        deg, nbr, m1, nm2 = _certificate_inputs(k8)
+        x3 = np.matmul(_dense(k8), nbr[:, :, None])[:, :, 0]
         top = sum(int(v) ** 2 for v in x3[0]) * int(m1[0])
         assert top == n**2 * (n - 1) ** 8 == 368_947_264 < 2**31
-        exact, strict = ratio_certificates(adj64, deg, nbr, m1, nm2)
+        exact, strict = ratio_certificates(k8, deg, nbr, m1, nm2)
         assert exact[0] and not strict[0]
 
 

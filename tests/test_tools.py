@@ -26,6 +26,21 @@ def test_bench_chain_measures_and_restores_the_kernel():
     assert all(after[name] is obj for name, obj in before.items())
 
 
+def test_bench_enumeration_measures_and_restores_the_kernel():
+    before = dict(vars(_bulk))
+    bench = _load("bench_enumeration")
+    result = bench.measure(4)
+    assert result["connected"] == result["graphs"] == 38  # connected labeled 4-vertex graphs
+    assert result["checks"] > 0 and result["failures"] == 0
+    assert 0 <= result["kernel_decode_s"] + result["kernel_connected_s"] <= result["kernel_s"]
+    after = vars(_bulk)
+    assert after.keys() == before.keys()
+    assert all(after[name] is obj for name, obj in before.items())
+    run = {"label": "before", **result}
+    assert bench.disagreements(result, [run]) == []
+    assert len(bench.disagreements(result, [{**run, "checks": result["checks"] + 1}])) == 1
+
+
 def test_bench_per_graph_measures_both_targets_and_checks_sums():
     from nbzagreb.graphs import complete_graph, path_graph, star_graph
 
