@@ -6,23 +6,31 @@ Slot k is the k-th pair in graph6 column-major order ((0,1),(0,2),(1,2),
 masks equals lexicographic order on graph6 bitstreams.  All kernels work on
 contiguous mask ranges in numpy batches.
 
-A batch of decoded graphs is a (graphs, n) array of neighbor bitmasks, one
-set-word per vertex as in nauty: bit u of rows[:, v] is set when uv is an
-edge.  The row dtype is the narrowest unsigned integer that holds n bits,
-so the sweeps (n <= 8) use one byte per vertex; rows wider than 64 bits
-raise ``NTooLarge``.  Degrees are popcounts, and the neighborhood degrees,
-distance-2 degrees and A(Ad) are sums of per-vertex values over each row's
-bits, all in exact integers.  Connectivity, the two-step rows and the
-diameter-2 test are ORs and comparisons against the full mask.  Only
-:func:`batched_power_iteration` expands rows to dense (graphs, n, n)
-matrices, and only the rows the integer certificates leave open, which a
-clean sweep never has.
+A batch of decoded graphs is an (n, graphs) array of neighbor bitmasks,
+one set-word per vertex as in nauty: bit u of rows[v, g] is set when uv is
+an edge of graph g.  The row dtype is the narrowest unsigned integer that
+holds n bits, so the sweeps (n <= 8) use one byte per vertex; rows wider
+than 64 bits raise ``NTooLarge``.  Every per-vertex array has the same
+vertex-major layout, so each step of a kernel runs over contiguous rows of
+graph length, and every reduction over the vertices is n - 1 such steps.
+Degrees are popcounts, and the neighborhood degrees, distance-2 degrees
+and A(Ad) are sums of per-vertex values over each row's bits, held in the
+narrow signed dtype of :func:`_sum_dtype` (int16 at every sweep n); the
+per-graph totals, products and certificates are int64.  Connectivity, the
+two-step rows and the diameter-2 test are ORs and comparisons against the
+full mask.  Only :func:`batched_power_iteration` expands rows to dense
+(graphs, n, n) matrices, and only the rows the integer certificates leave
+open, which a clean sweep never has.
 
-The reconstructions are evaluated per vertex, on the (graphs, n) arrays of
-neighborhood and distance-2 degrees, rather than over a per-graph histogram
-of every possible degree value.  Summing per vertex instead of per
-histogram bin changes the floating-point summation order, so instances
-within a few ulps of the tolerance can change verdict.
+The reconstructions are evaluated per vertex, on the neighborhood and
+distance-2 degrees, rather than over a per-graph histogram of every
+possible degree value.  Each vertex's correction term is one lookup in a
+table of coefficients indexed by the row's (min, max) degrees and the
+vertex's degree, built per exponent in every :func:`sweep_chunk` call.
+Summing per vertex instead of per histogram bin changes the floating-point
+summation order, so instances within a few ulps of the tolerance can
+change verdict; the vertex sums themselves follow numpy's order for a
+(graphs, n) array summed over axis 1 (see :func:`_float_sum`).
 
 The sweep kernel mirrors the scalar operations in :mod:`nbzagreb.indices`,
 :mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check,
@@ -121,6 +129,10 @@ class Tally:
                 reasons = self.skips[check] = Counter()
             reasons[reason] += count
 
+    def room(self) -> int:
+        """How many more failure records this tally keeps."""
+        return FAILURE_CAP - len(self.failures)
+
     def fail(self, graph6, check, expected, got, alpha=None) -> None:
         self.failure_count += 1
         if len(self.failures) < FAILURE_CAP:
@@ -175,9 +187,26 @@ def _row_dtype(n: int) -> np.dtype:
     raise NTooLarge(f"n = {n} exceeds the 64-bit neighbor rows of the bulk kernels")
 
 
+def _sum_dtype(n: int) -> np.dtype:
+    """Narrowest signed dtype, from int16 up, that holds n (n - 1)**3 and
+    has at least n bits.
+
+    Every per-vertex value the kernels sum over a row's bits is at most
+    (n - 1)**3, the x3 = A(Ad) of K_n, and every per-vertex square they form
+    at most (n - 1)**4; a sum of either over the n vertices stays within
+    n (n - 1)**3 apart from NM_2, which is summed in int64.  The n bits let
+    :func:`_over_bits` shift a row in this dtype.  int16 serves every sweep
+    n (2,744 at n = 8); int8 would serve only n <= 4, a few hundred graphs."""
+    top = n * (n - 1) ** 3
+    for dtype in (np.int16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max and n <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    raise NTooLarge(f"n = {n} exceeds the int64 sums of the bulk kernels")
+
+
 def _adj_of(bits: np.ndarray, n: int) -> np.ndarray:
-    """(graphs, n) neighbor rows of (graphs, npairs) slot bits: bit u of
-    rows[:, v] is set when uv is an edge."""
+    """(n, graphs) neighbor rows of (graphs, npairs) slot bits: bit u of
+    rows[v, g] is set when uv is an edge of graph g."""
     dtype = _row_dtype(n)
     # The loops below run over one contiguous array per slot and per vertex.
     slots = np.ascontiguousarray(bits.T, dtype=dtype)
@@ -185,45 +214,82 @@ def _adj_of(bits: np.ndarray, n: int) -> np.ndarray:
     for slot, (i, j) in zip(slots, _g6_pairs(n)):
         rows[i] |= slot << j
         rows[j] |= slot << i
-    return np.ascontiguousarray(rows.T)
+    return rows
 
 
 def _over_bits(ufunc, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per (graph, v), ``ufunc`` (np.add or np.bitwise_or) reduced over
-    values[:, u] for the bits u of rows[:, v]; 0 on an empty row."""
-    # Vertex-major copies keep every step on contiguous arrays.
-    rows_t = np.ascontiguousarray(rows.T)
-    out = np.zeros(rows_t.shape, dtype=values.dtype)
-    for u, column in enumerate(np.ascontiguousarray(values.T)):
-        ufunc(out, ((rows_t >> u) & 1) * column, out=out)
-    return np.ascontiguousarray(out.T)
+    """Per (v, graph), ``ufunc`` (np.add or np.bitwise_or) reduced over
+    values[u] for the bits u of rows[v]; 0 on an empty row.  Sums stay in
+    the values' dtype, which must have at least n bits (as the rows' own
+    dtype and that of :func:`_sum_dtype` do)."""
+    out = np.zeros(rows.shape, dtype=values.dtype)
+    bit = np.empty(rows.shape[1], dtype=values.dtype)
+    # One vertex at a time, so every step stays on arrays of graph length;
+    # row shifts down by one bit per step and bit holds its lowest bit.
+    for row, total in zip(rows, out):
+        row = row.astype(values.dtype)
+        for column in values:
+            np.bitwise_and(row, 1, out=bit)
+            row >>= 1
+            ufunc(total, np.multiply(bit, column, out=bit), out=total)
+    return out
 
 
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int8)
 
 
 def _degrees(rows: np.ndarray) -> np.ndarray:
-    """int64 popcount of each neighbor row."""
-    return _POPCOUNT[rows.view(np.uint8)].reshape(*rows.shape, -1).sum(axis=-1)
+    """Popcount of each neighbor row, in the dtype of :func:`_sum_dtype`."""
+    # numpy gathers far faster with intp indices than with uint8 ones.
+    counts = _POPCOUNT[rows.view(np.uint8).astype(np.intp)].reshape(*rows.shape, rows.itemsize)
+    return counts.sum(axis=-1, dtype=_sum_dtype(rows.shape[0]))
 
 
 def _connected(rows: np.ndarray) -> np.ndarray:
-    """Per graph of a (graphs, n) row batch: is it connected?  The set
+    """Per graph of an (n, graphs) row batch: is it connected?  The set
     reached from vertex 0 grows by the rows of the vertices in it; n - 1
     passes over the vertices reach every vertex within distance n - 1."""
-    b, n = rows.shape
-    rows_t = np.ascontiguousarray(rows.T)
+    n, b = rows.shape
     reach = np.ones(b, dtype=rows.dtype)
     for _ in range(n - 1):
-        for v, row in enumerate(rows_t):
+        for v, row in enumerate(rows):
             reach |= ((reach >> v) & 1) * row
     return reach == rows.dtype.type((1 << n) - 1)
 
 
 def _dense(rows: np.ndarray) -> np.ndarray:
-    """(graphs, n, n) float64 adjacency matrices of a row batch."""
-    n = rows.shape[1]
-    return ((rows[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1).astype(np.float64)
+    """(graphs, n, n) float64 adjacency matrices of an (n, graphs) row batch."""
+    n = rows.shape[0]
+    return ((rows.T[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1).astype(np.float64)
+
+
+def _vertex_sum(values: np.ndarray) -> np.ndarray:
+    """int64 per-graph sum of an (n, graphs) integer array, accumulated in
+    its own dtype (see :func:`_sum_dtype`)."""
+    return values.sum(axis=0, dtype=values.dtype).astype(np.int64)
+
+
+def _float_sum(terms: np.ndarray) -> np.ndarray:
+    """Per graph, the sum over the vertex rows of (n, graphs) float terms,
+    bit for bit the sum numpy's ``sum(axis=1)`` gives on the (graphs, n)
+    transpose.  Below 8 terms that adds in order; from 8 (up to numpy's
+    128-term pairwise block) it keeps 8 running partial sums, adds them as
+    ((0+1)+(2+3))+((4+5)+(6+7)) and then the leftover terms in order."""
+    n = terms.shape[0]
+    if n < 8:
+        total = terms[0].copy()
+        for row in terms[1:]:
+            total += row
+        return total
+    tail = n - n % 8
+    part = terms[:8].copy()
+    for block in range(8, tail, 8):
+        part += terms[block : block + 8]
+    total = (part[0] + part[1]) + (part[2] + part[3])
+    total += (part[4] + part[5]) + (part[6] + part[7])
+    for row in terms[tail:]:
+        total += row
+    return total
 
 
 def iter_mask_ranges(n: int):
@@ -251,16 +317,17 @@ def connected_masks(n: int, mask_lo: int, mask_hi: int) -> np.ndarray:
 
 
 def _nm2(nbr: np.ndarray) -> np.ndarray:
-    """NM_2, the sum of squared neighborhood degrees, per row."""
-    return (nbr * nbr).sum(axis=1)
+    """NM_2, the sum of squared neighborhood degrees, per graph, in int64."""
+    nbr = nbr.astype(np.int64)
+    return (nbr * nbr).sum(axis=0)
 
 
 def ratio_certificates(rows, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray]:
-    """Rows on which the first chain link rho**2 >= NM_2 / M1 is settled
+    """Graphs on which the first chain link rho**2 >= NM_2 / M1 is settled
     in integers, as (exact, strict).
 
-    With A the adjacency held by the neighbor ``rows``, d the degree
-    vector, nbr = A d and x3 = A nbr = A**2 d:
+    With A the adjacency held by the (n, graphs) neighbor ``rows``, d the
+    degree vector, nbr = A d and x3 = A nbr = A**2 d:
 
     - exact: x3 * M1 == NM_2 * d on every vertex, i.e. A**2 d =
       (NM_2 / M1) d, so rho**2 == NM_2 / M1; see
@@ -271,36 +338,37 @@ def ratio_certificates(rows, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray]
 
     By Cauchy-Schwarz, (d . A**2 d)**2 = NM_2**2 <= |A**2 d|**2 * M1, with
     equality exactly when A**2 d is parallel to d (in walk counts, W_6 W_2
-    >= W_4**2), so on a correct program every row is exact or strict and
+    >= W_4**2), so on a correct program every graph is exact or strict and
     never both.  Every x3_v is at most (n - 1)**3 and M1 at most
-    n (n - 1)**2, so |x3|**2 * M1 <= n**2 (n - 1)**8, 3.7e8 at n = 8.
+    n (n - 1)**2, so |x3|**2 * M1 <= n**2 (n - 1)**8, 3.7e8 at n = 8; the
+    products are int64.
     """
-    x3 = _over_bits(np.add, rows, nbr)
-    exact = (x3 * m1[:, None] == nm2[:, None] * deg).all(axis=1)
-    strict = np.einsum("bi,bi->b", x3, x3) * m1 > nm2 * nm2
+    x3 = _over_bits(np.add, rows, nbr).astype(np.int64)
+    exact = (x3 * m1 == nm2 * deg).all(axis=0)
+    strict = (x3 * x3).sum(axis=0) * m1 > nm2 * nm2
     return exact, strict
 
 
 def batched_power_iteration(rows: np.ndarray, ratio: np.ndarray, settled: np.ndarray):
-    """rho**2 per graph for the rows that :func:`ratio_certificates` leaves
-    open; ``ratio`` (NM_2 / M1) on the ``settled`` rows.
+    """rho**2 per graph for the graphs that :func:`ratio_certificates`
+    leaves open; ``ratio`` (NM_2 / M1) on the ``settled`` ones.
 
-    The sweep settles every row of a correct program, so the eigensolve
+    The sweep settles every graph of a correct program, so the eigensolve
     runs only under faults, where the chain records carry its rho**2.  On
-    the open rows, expanded to dense matrices, it is ``eigvalsh``, a method
-    independent of the scalar engine's Lanczos, so a float comparison
-    against NM_2 / M1 decides them as the scalar engine does; over every
-    connected graph with n <= 7 the inexact rows clear that bound by a
-    relative 9.87e-5 or more, so no comparison sits near a tie.
+    the open graphs, expanded to dense matrices, it is ``eigvalsh``, a
+    method independent of the scalar engine's Lanczos, so a float
+    comparison against NM_2 / M1 decides them as the scalar engine does;
+    over every connected graph with n <= 7 the inexact graphs clear that
+    bound by a relative 9.87e-5 or more, so no comparison sits near a tie.
 
-    Returns (rho_sq, solves): solves is an int64 count per row, 0 on
-    settled rows and 1 on solved ones.  The name and ``result[1]`` stay for
-    perfbench's ``bulk.power_iteration*`` metrics; the re-pin of ROADMAP
-    item 1 inlines this function into :func:`sweep_chunk`.
+    Returns (rho_sq, solves): solves is an int64 count per graph, 0 on
+    settled graphs and 1 on solved ones.  The name and ``result[1]`` stay
+    for perfbench's ``bulk.power_iteration*`` metrics; the re-pin of
+    ROADMAP item 1 inlines this function into :func:`sweep_chunk`.
     """
     open_rows = ~settled
     rho_sq = ratio.copy()
-    rho_sq[open_rows] = np.linalg.eigvalsh(_dense(rows[open_rows]))[:, -1] ** 2
+    rho_sq[open_rows] = np.linalg.eigvalsh(_dense(rows.compress(open_rows, axis=1)))[:, -1] ** 2
     return rho_sq, open_rows.astype(np.int64)
 
 
@@ -309,8 +377,9 @@ def batched_power_iteration(rows: np.ndarray, ratio: np.ndarray, settled: np.nda
 
 
 def _row_hist(values: np.ndarray, width: int) -> np.ndarray:
-    b = values.shape[0]
-    flat = values + width * np.arange(b, dtype=np.int64)[:, None]
+    """(graphs, width) histogram of each graph's column of (n, graphs) values."""
+    b = values.shape[1]
+    flat = values + width * np.arange(b, dtype=np.int64)
     return np.bincount(flat.ravel(), minlength=b * width).reshape(b, width)
 
 
@@ -322,30 +391,69 @@ def _powers(width: int, alpha: float) -> np.ndarray:
     return pw
 
 
-def _between(x: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Per (row, vertex) of x: first <= x_v <= last, with per-row bounds."""
-    return (x >= first[:, None]) & (x <= last[:, None])
+def _pair_row(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row of the secant table for the degree range lo < hi."""
+    return hi * (hi - 1) // 2 + lo
+
+
+def _correction_tables(pw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex correction coefficients of the two reconstruction forms,
+    given pw[k] = k**alpha over every degree k < width:
+
+    - secant[_pair_row(lo, hi), k] = pw[k] - pw[lo] - (k - lo) * slope for
+      lo < k < hi, slope = (pw[hi] - pw[lo]) / (hi - lo);
+    - unit[lo, k] = pw[k] - pw[lo] - (k - lo) * step for k >= lo + 2, step
+      = pw[lo + 1] - pw[lo];
+
+    and 0 outside each form's interior.  Every entry is the expression the
+    per-vertex sum evaluates, in the same float operations, so a lookup
+    gives the same bits.  A row's degrees never exceed its maximum, so the
+    unit form needs no upper cut."""
+    width = pw.size
+    # Offsets k - lo are small integers, exact as floats.
+    k = np.arange(width, dtype=np.float64)
+    # Unit table: one row per lo; its last row has no interior.
+    offset = k - k[:, None]
+    step = np.append(pw[1:] - pw[:-1], 0.0)
+    unit = (pw - pw[:, None]) - offset * step[:, None]
+    unit[offset < 2] = 0.0
+    # Secant table: one row per pair lo < hi, in _pair_row order.
+    hi, lo = np.tril_indices(width, -1)
+    slope = (pw[hi] - pw[lo]) / (hi - lo)
+    offset = k - lo[:, None]
+    secant = (pw - pw[lo][:, None]) - offset * slope[:, None]
+    secant[(offset < 1) | (k >= hi[:, None])] = 0.0
+    return secant, unit
 
 
 def _count_between(x: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Per row of x, how many vertices have first <= x_v <= last."""
-    return _between(x, first, last).sum(axis=1)
+    """Per graph of (n, graphs) x, how many vertices have first <= x_v <=
+    last, with per-graph bounds."""
+    # The bounds lie within one of the graph's degree range, so they fit
+    # x's dtype, and the comparisons stay narrow.
+    inside = (x >= first.astype(x.dtype)) & (x <= last.astype(x.dtype))
+    return inside.view(np.int8).sum(axis=0, dtype=np.int8).astype(np.int64)
 
 
 def _tolerances(tolerance: float, reference: np.ndarray) -> np.ndarray:
     return tolerance * np.maximum(1.0, np.abs(reference))
 
 
-def _line_excess_sum(x_pow, lo_pow, offset, rate, inside) -> np.ndarray:
-    """Per row of a (graphs, n) degree array x, the sum over the vertices
-    marked ``inside`` of x_v**alpha - lo**alpha - (x_v - lo) * rate, given
-    x_pow = x**alpha, lo_pow = lo**alpha per row and offset = x - lo."""
-    terms = x_pow - lo_pow[:, None] - offset * rate[:, None]
-    return np.where(inside, terms, 0.0).sum(axis=1)
+def _line_excess_sum(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per graph, the sum over its vertices of the correction-table entries
+    at an (n, graphs) array of flat positions, row * width + x_v with row
+    the graph's row of the table (see :func:`_correction_tables`): the sum
+    over the vertices inside the form of x_v**alpha - lo**alpha - (x_v -
+    lo) * rate."""
+    return _float_sum(table.ravel()[index])
 
 
 def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
-    for row in np.nonzero(rows)[0]:
+    """Record the failing ``rows``: a full record while the tally keeps
+    records, and only the count beyond that."""
+    failing = np.flatnonzero(rows)
+    kept = failing[: tally.room()]
+    for row in kept.tolist():
         tally.fail(
             graph6_of_mask(n, int(masks[row])),
             check,
@@ -353,6 +461,7 @@ def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
             got(row) if callable(got) else got,
             alpha=alpha,
         )
+    tally.failure_count += failing.size - kept.size
 
 
 def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, alpha):
@@ -368,32 +477,34 @@ def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, al
     )
 
 
-def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, alphas, tolerance):
-    """Secant and unit reconstructions of sum_v x_v**alpha on rows whose
-    degrees span lo < hi, with excess = sum_v x_v - n * lo, one exponent at
-    a time.  After checking an exponent, yields what the bounds reuse:
-    (alpha, pw with pw[k] = k**alpha, the direct sums, their tolerances,
-    lo**alpha, the secant slope, the unit step, the two reconstruction
-    bases).  The offsets x - lo and the vertices each form corrects do not
-    depend on the exponent and are computed once."""
-    offset = x - lo[:, None]
-    forms = (("secant", _between(x, lo + 1, hi - 1)), ("unit", _between(x, lo + 2, hi)))
-    for alpha in alphas:
-        pw = _powers(width, alpha)
-        x_pow = pw[x]
-        direct = x_pow.sum(axis=1)
+def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, tables, tolerance):
+    """Secant and unit reconstructions of sum_v x_v**alpha on the graphs
+    of (n, graphs) degrees x that span lo < hi, with excess = sum_v x_v -
+    n * lo, one exponent of ``tables`` (alpha, pw, secant table, unit
+    table, all ``width`` degrees wide) at a time.  After checking an exponent, yields what the bounds
+    reuse: (alpha, pw with pw[k] = k**alpha, the direct sums, their
+    tolerances, lo**alpha, the secant slope, the unit step, the two
+    reconstruction bases)."""
+    # Flat gather positions, in intp: numpy gathers far faster with intp
+    # indices than with narrow ones.
+    x = x.astype(np.intp)
+    secant_index = _pair_row(lo, hi) * width + x
+    unit_index = lo * width + x
+    for alpha, pw, secant, unit in tables:
+        direct = _float_sum(pw[x])
         tol = _tolerances(tolerance, direct)
         lo_pow = pw[lo]
         slope = (pw[hi] - lo_pow) / (hi - lo)
         step = pw[lo + 1] - lo_pow
         base_secant = n * lo_pow + excess * slope
         base_unit = n * lo_pow + excess * step
-        for (form, inside), base, rate in zip(
-            forms, (base_secant, base_unit), (slope, step)
+        for form, base, table, index in (
+            ("secant", base_secant, secant, secant_index),
+            ("unit", base_unit, unit, unit_index),
         ):
             check = f"{prefix}_reconstruct_{form}"
-            recon = base + _line_excess_sum(x_pow, lo_pow, offset, rate, inside)
-            tally.checks[check] += x.shape[0]
+            recon = base + _line_excess_sum(table, index)
+            tally.checks[check] += x.shape[1]
             bad = np.abs(recon - direct) > tol
             _report_rows(
                 tally, check, masks, n, bad,
@@ -413,7 +524,9 @@ def sweep_chunk(
     tally = Tally()
     masks, rows = _decode(n, mask_lo, mask_hi)
     keep = _connected(rows)
-    masks, rows = masks[keep], rows[keep]
+    # compress keeps (n, graphs) arrays C-contiguous; rows[:, keep] would
+    # hand back a column-major copy and slow every later step.
+    masks, rows = masks[keep], rows.compress(keep, axis=1)
     b = masks.size
     tally.graphs = b
     if b == 0:
@@ -421,31 +534,36 @@ def sweep_chunk(
     nalpha = len(alphas)
 
     deg = _degrees(rows)
-    m = deg.sum(axis=1) // 2
-    m1 = (deg * deg).sum(axis=1)
+    m = _vertex_sum(deg) // 2
+    m1 = _vertex_sum(deg * deg)
     nbr = _over_bits(np.add, rows, deg)
-    delta = nbr.min(axis=1)
-    big_delta = nbr.max(axis=1)
+    delta = nbr.min(axis=0).astype(np.int64)
+    big_delta = nbr.max(axis=0).astype(np.int64)
 
     # closed: N[v] = N(v) + v; two_step: the vertices two steps from v.
     full = (1 << n) - 1
-    closed = rows | (rows.dtype.type(1) << np.arange(n, dtype=rows.dtype))
+    closed = rows | (rows.dtype.type(1) << np.arange(n, dtype=rows.dtype))[:, None]
     two_step = _over_bits(np.bitwise_or, rows, rows)
     d2 = _over_bits(np.add, two_step & ~closed, deg)
-    d2_min = d2.min(axis=1)
-    d2_max = d2.max(axis=1)
-    complete = (closed == full).all(axis=1)
-    diam2 = ((closed | two_step) == full).all(axis=1) & ~complete
+    d2_min = d2.min(axis=0).astype(np.int64)
+    d2_max = d2.max(axis=0).astype(np.int64)
+    complete = (closed == full).all(axis=0)
+    diam2 = ((closed | two_step) == full).all(axis=0) & ~complete
 
-    width = n * (n - 1) + 1
+    # Every neighborhood and distance-2 degree is at most (n - 1)**2.
+    width = (n - 1) ** 2 + 1
+    tables = []
+    for alpha in alphas:
+        pw = _powers(width, alpha)
+        tables.append((alpha, pw, *_correction_tables(pw)))
 
     # --- M1 identity: sum of neighborhood degrees equals sum of deg^2.
     tally.checks["m1_identity"] += b
-    bad = nbr.sum(axis=1) != m1
+    nbr_total = _vertex_sum(nbr)
     _report_rows(
-        tally, "m1_identity", masks, n, bad,
+        tally, "m1_identity", masks, n, nbr_total != m1,
         lambda r: SUM_EXPECTED.format("nbr_deg", int(m1[r])),
-        lambda r: int(nbr.sum(axis=1)[r]),
+        lambda r: int(nbr_total[r]),
     )
 
     # --- Neighborhood-degree checks (hypothesis n >= 3).
@@ -485,7 +603,7 @@ def sweep_chunk(
         hist_lo = _count_between(nbr, delta, delta)
 
         def nbr_hist(r):
-            hist = _row_hist(nbr[r : r + 1], width)[0]
+            hist = _row_hist(nbr[:, r : r + 1], width)[0]
             return {d: c for d, c in enumerate(hist.tolist()) if c}
 
         bi_rows = gap_ok & (rem == 0) & (hist_hi == quot)
@@ -503,7 +621,7 @@ def sweep_chunk(
 
         idx_sel = np.nonzero(sel)[0]
         masks_s = masks[idx_sel]
-        nbr_s = nbr[idx_sel]
+        nbr_s = nbr.compress(sel, axis=1)
         lo = delta[idx_sel]
         hi = big_delta[idx_sel]
         excess_s = excess[idx_sel]
@@ -525,7 +643,7 @@ def sweep_chunk(
         tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc * nalpha)
         for alpha, pw, direct, tol, lo_pow, slope, step, base_secant, base_unit in (
             _check_reconstructions(
-                tally, "nm", masks_s, n, nbr_s, lo, hi, excess_s, width, alphas, tolerance
+                tally, "nm", masks_s, n, nbr_s, lo, hi, excess_s, width, tables, tolerance
             )
         ):
             upper = alpha < 0.0 or alpha > 1.0
@@ -551,11 +669,11 @@ def sweep_chunk(
     tally.checks["dist2_identity"] += n_diam2
     tally.skip("dist2_identity", "not_diameter_two", b - n_diam2)
     total2 = 2 * m * (n - 1) - m1
-    bad = diam2 & (d2.sum(axis=1) != total2)
+    d2_total = _vertex_sum(d2)
     _report_rows(
-        tally, "dist2_identity", masks, n, bad,
+        tally, "dist2_identity", masks, n, diam2 & (d2_total != total2),
         lambda r: SUM_EXPECTED.format("dist2_deg", int(total2[r])),
-        lambda r: int(d2.sum(axis=1)[r]),
+        lambda r: int(d2_total[r]),
     )
 
     elig2 = diam2 & (d2_min >= 1) & (d2_min != d2_max)
@@ -563,7 +681,7 @@ def sweep_chunk(
     n_d2_regular = int((diam2 & (d2_min >= 1) & (d2_min == d2_max)).sum())
     idx2 = np.nonzero(elig2)[0]
     masks2 = masks[idx2]
-    d2_s = d2[idx2]
+    d2_s = d2.compress(elig2, axis=1)
     lo2 = d2_min[idx2]
     hi2 = d2_max[idx2]
     excess2 = total2[idx2] - n * lo2
@@ -572,7 +690,7 @@ def sweep_chunk(
         tally.skip(check, "zero_min_dist2_degree", n_zero_min * nalpha)
         tally.skip(check, "dist2_regular", n_d2_regular * nalpha)
     for _ in _check_reconstructions(
-        tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2, width, alphas, tolerance
+        tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2, width, tables, tolerance
     ):
         pass
 
@@ -603,11 +721,11 @@ def sweep_chunk(
 
     # A connected k-regular graph has A 1 = k 1, so rho = k: only the two
     # bounds need checking.
-    regular = deg.min(axis=1) == deg.max(axis=1)
+    regular = deg.min(axis=0) == deg.max(axis=0)
     n_regular_deg = int(regular.sum())
     tally.checks["spectral_regular"] += n_regular_deg
     tally.skip("spectral_regular", "not_regular", b - n_regular_deg)
-    k2 = deg[:, 0] * deg[:, 0]
+    k2 = deg[0].astype(np.int64) ** 2
     bad = regular & ((nm2 != k2 * m1) | (min_nbr_num != k2 * m1))
     _report_rows(
         tally, "spectral_regular", masks, n, bad,
@@ -629,8 +747,8 @@ def m1_identity_all_graphs(n: int) -> tuple[int, int]:
     for lo, hi in iter_mask_ranges(n):
         masks, rows = _decode(n, lo, hi)
         deg = _degrees(rows)
-        m1 = (deg * deg).sum(axis=1)
-        nbr_total = _over_bits(np.add, rows, deg).sum(axis=1)
+        m1 = _vertex_sum(deg * deg)
+        nbr_total = _vertex_sum(_over_bits(np.add, rows, deg))
         mismatches += int((nbr_total != m1).sum())
         total += masks.size
     return total, mismatches
@@ -670,13 +788,13 @@ def tree_identity_sweep(n: int) -> tuple[int, int, int]:
         trees += int(keep.sum())
         if not keep.any():
             continue
-        deg = _degrees(rows[keep])
-        chem = deg.max(axis=1) <= 4
+        deg = _degrees(rows.compress(keep, axis=1))
+        chem = deg.max(axis=0) <= 4
         chemical += int(chem.sum())
-        deg = deg[chem]
-        m1 = (deg * deg).sum(axis=1)
-        n2 = (deg == 2).sum(axis=1)
-        n3 = (deg == 3).sum(axis=1)
+        deg = deg.compress(chem, axis=1)
+        m1 = _vertex_sum(deg * deg)
+        n2 = (deg == 2).sum(axis=0)
+        n3 = (deg == 3).sum(axis=0)
         predicted = 6 * n - 10 - 2 * n2 - 2 * n3
         mismatches += int((m1 != predicted).sum())
     return trees, chemical, mismatches

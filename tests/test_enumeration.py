@@ -111,8 +111,8 @@ class TestCanonicalForm:
 
 
 class TestNeighborRows:
-    """The bulk kernels hold a batch of graphs as (graphs, n) neighbor
-    bitmasks: bit u of rows[:, v] is the edge uv."""
+    """The bulk kernels hold a batch of graphs vertex-major, as (n, graphs)
+    neighbor bitmasks: bit u of rows[v, g] is the edge uv of graph g."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rows_and_connectivity_on_every_labeled_graph(self, n):
@@ -120,7 +120,7 @@ class TestNeighborRows:
         masks = np.arange(1 << npairs, dtype=np.int64)
         rows = _bulk._adj_of(_bulk._bits_of(masks, npairs), n)
         connected = _bulk._connected(rows)
-        for mask, row, got in zip(masks.tolist(), rows.tolist(), connected.tolist()):
+        for mask, row, got in zip(masks.tolist(), rows.T.tolist(), connected.tolist()):
             g = Graph.from_edges(n, _bulk.edges_of_mask(n, mask))
             assert row == [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
             assert got == is_connected(g)
@@ -139,7 +139,18 @@ class TestNeighborRows:
         rows = _bulk._adj_of(bits, n)
         assert rows.dtype == dtype
         assert _bulk._connected(rows).tolist() == [True, False]
-        assert _bulk._degrees(rows)[0].tolist() == [1] + [2] * (n - 2) + [1]
+        assert _bulk._degrees(rows)[:, 0].tolist() == [1] + [2] * (n - 2) + [1]
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 33, 64])
+    def test_neighbor_sums_use_every_row_bit(self, n):
+        # On a path every interior vertex has neighborhood degree 4, the
+        # ends 2 and their neighbors 3, up to the top bit of a 64-bit row.
+        bits = np.zeros((1, _bulk.pair_count(n)), dtype=np.uint8)
+        for v in range(n - 1):
+            bits[:, (v + 1) * v // 2 + v] = 1
+        rows = _bulk._adj_of(bits, n)
+        nbr = _bulk._over_bits(np.add, rows, _bulk._degrees(rows))
+        assert nbr[:, 0].tolist() == [2, 3] + [4] * (n - 4) + [3, 2]
 
     def test_rows_wider_than_64_bits_are_refused(self):
         with pytest.raises(NTooLarge):
@@ -170,6 +181,59 @@ class TestNeighborRows:
         assert bulk.checks == scalar.checks
         assert bulk.skips == scalar.skips
         assert bulk.failures == scalar.failures == []
+
+    def test_sum_dtype_holds_x3_on_k8(self):
+        # x3 = A(Ad) peaks on K_n at (n - 1)**3 per vertex, and its sum over
+        # the vertices at n (n - 1)**3.
+        n = 8
+        k8 = np.array([[0xFF & ~(1 << v)] for v in range(n)], dtype=np.uint8)
+        deg = _bulk._degrees(k8)
+        assert deg.dtype == _bulk._sum_dtype(n) == np.int16
+        x3 = _bulk._over_bits(np.add, k8, _bulk._over_bits(np.add, k8, deg))
+        assert x3.dtype == np.int16
+        assert x3[:, 0].tolist() == [343] * n
+        assert _bulk._vertex_sum(x3).tolist() == [n * 343]
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 9, 16, 17, 64])
+    def test_float_sum_is_numpy_axis1_sum(self, n):
+        # The reports carry float sums over vertices, so the vertex-major
+        # sum must give numpy's (graphs, n) axis-1 sum bit for bit.
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((5000, n)) * 10.0 ** rng.integers(-6, 7, (5000, n))
+        got = _bulk._float_sum(np.ascontiguousarray(values.T))
+        np.testing.assert_array_equal(got.view(np.uint64), values.sum(axis=1).view(np.uint64))
+
+    @pytest.mark.parametrize("lo,failures", [(0, 13_992), ((1 << 28) - (1 << 15), 54_280)])
+    def test_n8_failure_count_at_zero_tolerance(self, lo, failures):
+        # At tolerance 1e-300 every inexact float comparison fails, so the
+        # count moves with any change in float summation order.
+        tally = _bulk.sweep_chunk(8, lo, lo + (1 << 15), (-1.0, 0.5, 2.0, 3.0), 1e-300)
+        assert tally.failure_count == failures
+        assert len(tally.failures) == _bulk.FAILURE_CAP
+
+
+class TestFailureRecords:
+    """A tally keeps the first FAILURE_CAP records and counts the rest, so
+    only kept records are formatted."""
+
+    def test_bulk_formats_kept_records_only(self, monkeypatch):
+        calls = []
+        encode = _bulk.graph6_of_mask
+        monkeypatch.setattr(
+            _bulk, "graph6_of_mask", lambda n, mask: calls.append(mask) or encode(n, mask)
+        )
+        lo = 40 << 15
+        tally = _bulk.sweep_chunk(7, lo, lo + (1 << 15), (-1.0, 0.5, 2.0, 3.0), 1e-300)
+        assert tally.failure_count == 64_551
+        assert len(calls) == len(tally.failures) == _bulk.FAILURE_CAP
+
+    def test_scalar_formats_kept_records_only(self, monkeypatch):
+        calls = []
+        encode = enumeration.encode_graph6
+        monkeypatch.setattr(enumeration, "encode_graph6", lambda g: calls.append(g) or encode(g))
+        tally = enumeration._scalar_chunk(5, 0, 1 << 10, (-1.0, 0.5, 2.0, 3.0), 1e-300)
+        assert tally.failure_count == 2048
+        assert len(calls) == len(tally.failures) == _bulk.FAILURE_CAP
 
 
 class TestVerifyAll:
@@ -381,14 +445,14 @@ class TestBulkReconstructionKernel:
         assume(lo < hi)
         pw = np.zeros(hi + 1)
         pw[1:] = np.arange(1, hi + 1, dtype=np.float64) ** alpha
+        secant, unit = _bulk._correction_tables(pw)
         if form == "secant":
             rate, first, last = (pw[hi] - pw[lo]) / (hi - lo), lo + 1, hi - 1
+            table, row = secant, _bulk._pair_row(np.array([lo]), np.array([hi]))
         else:
             rate, first, last = pw[lo + 1] - pw[lo], lo + 2, hi
-        got = _bulk._line_excess_sum(
-            pw[x][None, :], pw[[lo]], (x - lo)[None, :], np.array([rate]),
-            ((x >= first) & (x <= last))[None, :],
-        )[0]
+            table, row = unit, np.array([lo], dtype=np.int32)
+        got = _bulk._line_excess_sum(table, row * table.shape[1] + x[:, None])[0]
         expected, scale = _grid_excess_sum(x, alpha, lo, rate, first, last)
         # Same terms summed in another order: relative to their total size.
         assert abs(got - expected) <= 1e-12 * scale

@@ -213,20 +213,21 @@ class TestLanczos:
 
 
 def _connected_rows(n: int, stride: int = 1):
-    """Masks and (graphs, n) neighbor rows of connected n-vertex graphs."""
+    """Masks and (n, graphs) neighbor rows of connected n-vertex graphs."""
     masks = connected_masks(n, 0, 1 << pair_count(n))[::stride]
     return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
 
 
 def _dense(rows):
     """(graphs, n, n) int64 adjacency of a neighbor-row batch: bit u of
-    rows[:, v] is entry (v, u)."""
-    n = rows.shape[1]
-    return (rows[:, :, None].astype(np.int64) >> np.arange(n)) & 1
+    rows[v, g] is entry (v, u) of graph g."""
+    n = rows.shape[0]
+    return (rows.T[:, :, None].astype(np.int64) >> np.arange(n)) & 1
 
 
 def _certificate_inputs(rows):
-    """(deg, nbr, m1, nm2) of a neighbor-row batch, from its dense adjacency."""
+    """(deg, nbr, m1, nm2) of a neighbor-row batch, from its dense
+    adjacency; deg and nbr are (graphs, n)."""
     adj = _dense(rows)
     deg = adj.sum(axis=2)
     nbr = np.matmul(adj, deg[:, :, None])[:, :, 0]
@@ -237,7 +238,7 @@ def _chain_batch(n: int, stride: int = 1):
     """Neighbor rows, NM_2 / M1 and the exact flag of connected n-vertex graphs."""
     _masks, rows = _connected_rows(n, stride)
     deg, nbr, m1, nm2 = _certificate_inputs(rows)
-    return rows, nm2 / m1, ratio_certificates(rows, deg, nbr, m1, nm2)[0]
+    return rows, nm2 / m1, ratio_certificates(rows, deg.T, nbr.T, m1, nm2)[0]
 
 
 class TestBatchedPowerIteration:
@@ -249,9 +250,9 @@ class TestBatchedPowerIteration:
         batch = batched_power_iteration(rows, ratio, exact)
         if n >= 4:
             assert np.unique(batch[1]).size > 1
-        for row in range(rows.shape[0]):
+        for row in range(rows.shape[1]):
             alone = batched_power_iteration(
-                rows[row : row + 1], ratio[row : row + 1], exact[row : row + 1]
+                rows[:, row : row + 1], ratio[row : row + 1], exact[row : row + 1]
             )
             for got, want in zip(batch, alone):
                 assert got[row] == want[0]
@@ -282,7 +283,7 @@ class TestBulkRatioCertificates:
     def test_against_eigvalsh(self, n):
         _masks, rows = _connected_rows(n)
         deg, nbr, m1, nm2 = _certificate_inputs(rows)
-        exact, strict = ratio_certificates(rows, deg, nbr, m1, nm2)
+        exact, strict = ratio_certificates(rows, deg.T, nbr.T, m1, nm2)
         assert (exact ^ strict).all()
         adj = _dense(rows)
         eig_sq = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1] ** 2
@@ -296,12 +297,12 @@ class TestBulkRatioCertificates:
     def test_int64_headroom_at_n8(self):
         # x3_v <= (n - 1)**3 and M1 <= n (n - 1)**2, and K8 attains both.
         n = 8
-        k8 = np.array([[0xFF & ~(1 << v) for v in range(n)]], dtype=np.uint8)
+        k8 = np.array([[0xFF & ~(1 << v) for v in range(n)]], dtype=np.uint8).T
         deg, nbr, m1, nm2 = _certificate_inputs(k8)
         x3 = np.matmul(_dense(k8), nbr[:, :, None])[:, :, 0]
         top = sum(int(v) ** 2 for v in x3[0]) * int(m1[0])
         assert top == n**2 * (n - 1) ** 8 == 368_947_264 < 2**31
-        exact, strict = ratio_certificates(k8, deg, nbr, m1, nm2)
+        exact, strict = ratio_certificates(k8, deg.T, nbr.T, m1, nm2)
         assert exact[0] and not strict[0]
 
 

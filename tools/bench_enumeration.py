@@ -13,10 +13,12 @@ Prints one JSON object:
 
 * ``connected_masks_s``: the whole ``connected_masks`` pass;
 * ``kernel_s``: the whole ``sweep_chunk`` pass;
-* ``kernel_decode_s`` and ``kernel_connected_s``: the part of the kernel
-  pass spent in mask decode (``_bits_of`` plus ``_adj_of``) and in the
-  connectivity filter (``_connected``), timed by wrapping those functions
-  from outside;
+* ``kernel_decode_s``, ``kernel_connected_s`` and ``kernel_reconstruct_s``:
+  the part of the kernel pass spent in mask decode (``_bits_of`` plus
+  ``_adj_of``), in the connectivity filter (``_connected``) and in the
+  reconstruction checks (``_check_reconstructions``, a generator, timed
+  while it runs and not while its caller checks the bounds), timed by
+  wrapping those functions from outside;
 * ``connected``, ``graphs``, ``checks`` and ``failures``: counts that must
   not depend on the version.
 
@@ -29,6 +31,7 @@ functions are restored on return.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -40,7 +43,8 @@ ALPHAS = (-1.0, 0.5, 2.0, 3.0)
 TOLERANCE = 1e-9
 N = 7
 STAGES = {"_bits_of": "kernel_decode_s", "_adj_of": "kernel_decode_s",
-          "_connected": "kernel_connected_s"}
+          "_connected": "kernel_connected_s",
+          "_check_reconstructions": "kernel_reconstruct_s"}
 COUNTS = ("connected", "graphs", "checks", "failures")
 
 
@@ -50,11 +54,29 @@ def measure(n: int) -> dict:
     stats = dict.fromkeys(STAGES.values(), 0.0)
 
     def timed(func, key):
+        if inspect.isgeneratorfunction(func):
+            return timed_generator(func, key)
+
         def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             result = func(*args, **kwargs)
             stats[key] += time.perf_counter() - t0
             return result
+
+        return wrapper
+
+    def timed_generator(func, key):
+        def wrapper(*args, **kwargs):
+            items = func(*args, **kwargs)
+            while True:
+                t0 = time.perf_counter()
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+                finally:
+                    stats[key] += time.perf_counter() - t0
+                yield item
 
         return wrapper
 

@@ -8,7 +8,10 @@ named outputs; the script then compares the two objects name by name:
 * ``verify_all(n, (-1, 0.5, 2, 3))`` ``to_dict()`` without ``elapsed``,
   failure records included: both engines at n <= 6 with tolerance 1e-9
   and 1e-13, both engines at n <= 5 with tolerance 1e-300 (every inexact
-  instance fails), and bulk at n <= 7 with tolerance 1e-9;
+  instance fails), and bulk at n <= 7 with tolerance 1e-9 and 1e-300;
+* ``_bulk.sweep_chunk`` tallies (counts, skips and failure records) on
+  the first, a middle and the last mask range of n = 8 at tolerance
+  1e-300, where every float sum over eight vertices shows its order;
 * ``find_equality_graphs`` at n = 5 and 6 for every bound source and the
   same four exponents;
 * CLI ``compute`` (JSON and CSV), ``bounds`` and ``spectral`` stdout, exit
@@ -24,7 +27,7 @@ named outputs; the script then compares the two objects name by name:
   100,000 vertices with four edges.
 
 Prints the names that differ with a short diff of each, and exits 1 if
-any output differs, 0 otherwise.  One tree takes about a minute.
+any output differs, 0 otherwise.  One tree takes one to two minutes.
 """
 
 from __future__ import annotations
@@ -52,12 +55,27 @@ def _verify_outputs(verify_all) -> dict[str, str]:
         for engine in ("bulk", "scalar")
         for n, tol in ((6, 1e-9), (6, 1e-13), (5, 1e-300))
     ]
-    runs.append(("bulk", 7, 1e-9))
+    runs += [("bulk", 7, 1e-9), ("bulk", 7, 1e-300)]
     out = {}
     for engine, n, tol in runs:
         doc = verify_all(n, ALPHAS, tolerance=tol, engine=engine).to_dict()
         del doc["elapsed"]
         out[f"verify/{engine}/n{n}/tol{tol:g}"] = json.dumps(doc, indent=1)
+    return out
+
+
+def _chunk_outputs(sweep_chunk) -> dict[str, str]:
+    out = {}
+    for lo in (0, 4000 << 15, (1 << 28) - (1 << 15)):
+        tally = sweep_chunk(8, lo, lo + (1 << 15), ALPHAS, 1e-300)
+        doc = {
+            "graphs": tally.graphs,
+            "checks": dict(tally.checks),
+            "skips": {check: dict(reasons) for check, reasons in tally.skips.items()},
+            "failure_count": tally.failure_count,
+            "failures": tally.failures,
+        }
+        out[f"sweep_chunk/n8/lo{lo}/tol1e-300"] = json.dumps(doc, indent=1, sort_keys=True)
     return out
 
 
@@ -171,11 +189,13 @@ def _cli_outputs(main) -> dict[str, str]:
 
 def emit() -> int:
     import nbzagreb
+    from nbzagreb._bulk import sweep_chunk
     from nbzagreb.cli import main
     from nbzagreb.enumeration import find_equality_graphs, verify_all
 
     outputs = {
         **_verify_outputs(verify_all),
+        **_chunk_outputs(sweep_chunk),
         **_extremal_outputs(find_equality_graphs),
         **_cli_outputs(main),
     }
