@@ -1,10 +1,11 @@
 """Vectorized kernels for exhaustive edge-mask sweeps.
 
-Graphs on n vertices are encoded as integers whose bits select edge slots.
-Slot k is the k-th pair in graph6 column-major order ((0,1),(0,2),(1,2),
-(0,3),...) and is stored at bit position npairs-1-k, so numeric order on
-masks equals lexicographic order on graph6 bitstreams.  All kernels work on
-contiguous mask ranges in numpy batches.
+Graphs on n vertices are named by their edge masks, the graph6 bitstream
+read as one integer (slot k, the k-th pair in graph6 column-major order,
+at bit npairs-1-k).  :mod:`nbzagreb.graphs` owns the codec of a single
+mask; this module decodes masks only in batches (:func:`_bits_of`,
+:func:`_masks_of`, :func:`_adj_of`), and all kernels work on contiguous
+mask ranges in numpy batches.
 
 A batch of decoded graphs is an (n, graphs) array of neighbor bitmasks,
 one set-word per vertex as in nauty: bit u of rows[v, g] is set when uv is
@@ -47,7 +48,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NTooLarge
-from .graphs import _g6_pack, _g6_pairs
+from .graphs import _g6_pairs, graph6_of_mask, pair_count
 
 CHUNK_BITS = 15
 
@@ -70,10 +71,6 @@ CHECK_NAMES = (
 FAILURE_CAP = 1000
 
 
-def pair_count(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def _slot_shifts(npairs: int) -> np.ndarray:
     """Bit position of each edge slot in a mask: slot k sits at bit npairs-1-k."""
     return np.arange(npairs - 1, -1, -1, dtype=np.int64)
@@ -90,25 +87,6 @@ def _bits_of(masks: np.ndarray, npairs: int) -> np.ndarray:
 def _masks_of(bits: np.ndarray) -> np.ndarray:
     """Masks of 0/1 slot bits along the last axis; inverse of _bits_of."""
     return bits @ (1 << _slot_shifts(bits.shape[-1]))
-
-
-def mask_of_edges(n: int, edges) -> int:
-    bits = np.zeros(pair_count(n), dtype=np.uint8)
-    for u, v in edges:
-        i, j = min(u, v), max(u, v)
-        bits[j * (j - 1) // 2 + i] = 1
-    return int(_masks_of(bits))
-
-
-def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
-    pairs = _g6_pairs(n)
-    bits = _bits_of(np.array([mask]), len(pairs))[0].tolist()
-    return [pair for pair, bit in zip(pairs, bits) if bit]
-
-
-def graph6_of_mask(n: int, mask: int) -> str:
-    """graph6 string of a mask; matches graphs.encode_graph6."""
-    return _g6_pack(n, _bits_of(np.array([mask]), pair_count(n))[0].tolist())
 
 
 @dataclass
@@ -162,7 +140,6 @@ BI_DEGREE_SUPPORT = "bi-degree case implies support {min, max}"
 TOP_COUNT_PATTERN = (
     "top-count q forces empty interior above min+r and at most one vertex at min+r"
 )
-NO_CONVERGENCE = ("convergence", "no_convergence")  # (expected, got)
 # Templates filled with str.format:
 SUM_EXPECTED = "sum {} == {}"  # degree name, exact total
 CHAIN_EXPECTED = "rho^2 >= {!r} >= {!r}"  # ratio bound, min-nbr bound
@@ -364,7 +341,7 @@ def batched_power_iteration(rows: np.ndarray, ratio: np.ndarray, settled: np.nda
     Returns (rho_sq, solves): solves is an int64 count per graph, 0 on
     settled graphs and 1 on solved ones.  The name and ``result[1]`` stay
     for perfbench's ``bulk.power_iteration*`` metrics; the re-pin of
-    ROADMAP item 1 inlines this function into :func:`sweep_chunk`.
+    ROADMAP item 6 inlines this function into :func:`sweep_chunk`.
     """
     open_rows = ~settled
     rho_sq = ratio.copy()
@@ -578,64 +555,55 @@ def sweep_chunk(
             tally.skip(check, "n_lt_3", b * nalpha)
         tally.skip("congruence_classify", "n_lt_3", b)
     else:
+        # Every check below needs lo < hi, so the stage runs on those rows.
         sel = delta != big_delta
-        n_regular = int(b - sel.sum())
-        gap = big_delta - delta
-        excess = m1 - n * delta
+        masks_s = masks[sel]
+        nbr_s = nbr.compress(sel, axis=1)
+        lo = delta[sel]
+        hi = big_delta[sel]
+        n_regular = b - masks_s.size
+        gap = hi - lo
+        excess = m1[sel] - n * lo
         # No quotient is non-positive: excess = sum_v (nbr_v - lo) >= hi - lo,
         # the vertex at hi alone contributing that much.
+        quot, rem = np.divmod(excess, gap)
         gap_ok = gap >= 2
-        safe_gap = np.maximum(gap, 1)
-        quot = np.where(gap_ok, excess // safe_gap, 0)
-        rem = np.where(gap_ok, excess - quot * safe_gap, 0)
         rem_pos = gap_ok & (rem >= 1)
-        at_rem = _count_between(nbr, delta + rem, delta + rem)
+        at_rem = _count_between(nbr_s, lo + rem, lo + rem)
         occupied = rem_pos & (at_rem >= 1)
 
-        n_gap_small = int((~gap_ok).sum())
+        n_gap_small = n_regular + int((~gap_ok).sum())
         n_rem_zero = int((gap_ok & (rem == 0)).sum())
         n_unocc = int((rem_pos & ~occupied).sum())
 
         # Classification consistency (alpha-independent).
         tally.checks["congruence_classify"] += int(gap_ok.sum())
         tally.skip("congruence_classify", "gap_too_small", n_gap_small)
-        hist_hi = _count_between(nbr, big_delta, big_delta)
-        hist_lo = _count_between(nbr, delta, delta)
+        h_hi = _count_between(nbr_s, hi, hi)
+        h_lo = _count_between(nbr_s, lo, lo)
 
         def nbr_hist(r):
-            hist = _row_hist(nbr[:, r : r + 1], width)[0]
+            hist = _row_hist(nbr_s[:, r : r + 1], width)[0]
             return {d: c for d, c in enumerate(hist.tolist()) if c}
 
-        bi_rows = gap_ok & (rem == 0) & (hist_hi == quot)
-        bad = bi_rows & (hist_lo + hist_hi != n)
+        bi_support = h_lo + h_hi == n
+        bad = gap_ok & (rem == 0) & (h_hi == quot) & ~bi_support
         _report_rows(
-            tally, "congruence_classify", masks, n, bad,
+            tally, "congruence_classify", masks_s, n, bad,
             BI_DEGREE_SUPPORT, nbr_hist,
         )
-        p2_rows = rem_pos & (hist_hi == quot)
-        interior = _count_between(nbr, delta + rem + 1, big_delta - 1)
-        bad = p2_rows & ((interior != 0) | (at_rem > 1))
+        interior = _count_between(nbr_s, lo + rem + 1, hi - 1)
+        bad = rem_pos & (h_hi == quot) & ((interior != 0) | (at_rem > 1))
         _report_rows(
-            tally, "congruence_classify", masks, n, bad, TOP_COUNT_PATTERN, nbr_hist,
+            tally, "congruence_classify", masks_s, n, bad, TOP_COUNT_PATTERN, nbr_hist,
         )
 
-        idx_sel = np.nonzero(sel)[0]
-        masks_s = masks[idx_sel]
-        nbr_s = nbr.compress(sel, axis=1)
-        lo = delta[idx_sel]
-        hi = big_delta[idx_sel]
-        excess_s = excess[idx_sel]
-        h_hi = hist_hi[idx_sel]
-        bi_support = hist_lo[idx_sel] + h_hi == n
         interior2 = _count_between(nbr_s, lo + 2, hi - 1)
-        # Occupied rows are a subset of idx_sel (gap >= 2); occ indexes into it.
-        occ = np.nonzero(occupied[idx_sel])[0]
+        occ = np.flatnonzero(occupied)
         masks_c = masks_s[occ]
-        r_c = rem[idx_sel][occ]
+        r_c = rem[occ]
         lo_r_c = lo[occ] + r_c
-        pattern = (
-            (hist_hi == quot) & (at_rem == 1) & (hist_lo == n - quot - 1)
-        )[idx_sel][occ]
+        pattern = ((h_hi == quot) & (at_rem == 1) & (h_lo == n - quot - 1))[occ]
         for check in nm_checks:
             tally.skip(check, "neighborhood_regular", n_regular * nalpha)
         tally.skip("nm_bound_congruence", "gap_too_small", n_gap_small * nalpha)
@@ -643,7 +611,7 @@ def sweep_chunk(
         tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc * nalpha)
         for alpha, pw, direct, tol, lo_pow, slope, step, base_secant, base_unit in (
             _check_reconstructions(
-                tally, "nm", masks_s, n, nbr_s, lo, hi, excess_s, width, tables, tolerance
+                tally, "nm", masks_s, n, nbr_s, lo, hi, excess, width, tables, tolerance
             )
         ):
             upper = alpha < 0.0 or alpha > 1.0
@@ -679,12 +647,11 @@ def sweep_chunk(
     elig2 = diam2 & (d2_min >= 1) & (d2_min != d2_max)
     n_zero_min = int((diam2 & (d2_min == 0)).sum())
     n_d2_regular = int((diam2 & (d2_min >= 1) & (d2_min == d2_max)).sum())
-    idx2 = np.nonzero(elig2)[0]
-    masks2 = masks[idx2]
+    masks2 = masks[elig2]
     d2_s = d2.compress(elig2, axis=1)
-    lo2 = d2_min[idx2]
-    hi2 = d2_max[idx2]
-    excess2 = total2[idx2] - n * lo2
+    lo2 = d2_min[elig2]
+    hi2 = d2_max[elig2]
+    excess2 = total2[elig2] - n * lo2
     for check in ("nm2_reconstruct_secant", "nm2_reconstruct_unit"):
         tally.skip(check, "not_diameter_two", (b - n_diam2) * nalpha)
         tally.skip(check, "zero_min_dist2_degree", n_zero_min * nalpha)

@@ -291,29 +291,31 @@ def build_parser() -> argparse.ArgumentParser:
         type=float, default=DEFAULT_TOLERANCE,
         help=f"relative comparison tolerance (default {DEFAULT_TOLERANCE:g})",
     )
+    alpha_flag = dict(
+        type=float, action="append", default=[],
+        help="index exponent, repeatable (not 0 or 1)",
+    )
+    allow_n8_flag = dict(action="store_true", help="permit the 2^28-mask sweep at n = 8")
 
-    def add_input_flags(sp, with_alpha=True):
+    def add_input_flags(sp):
         sp.add_argument("--input", required=True, help="graph file, or '-' for stdin")
         sp.add_argument("--format", choices=("edges", "graph6"), default="edges")
-        if with_alpha:
-            sp.add_argument(
-                "--alpha", type=float, action="append", default=[],
-                help="index exponent, repeatable (not 0 or 1)",
-            )
 
     sp = sub.add_parser("compute", help="profiles, indices and reconstructions")
     add_input_flags(sp)
+    sp.add_argument("--alpha", **alpha_flag)
     sp.add_argument("--output", choices=("json", "csv"), default="json",
                     help="csv emits the per-vertex degree table")
     sp.set_defaults(func=cmd_compute)
 
     sp = sub.add_parser("bounds", help="bound reports and congruence data")
     add_input_flags(sp)
+    sp.add_argument("--alpha", **alpha_flag)
     sp.add_argument("--tolerance", **tolerance_flag)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("spectral", help="spectral radius and lower bounds")
-    add_input_flags(sp, with_alpha=False)
+    add_input_flags(sp)
     sp.add_argument("--power-tol", type=float, default=DEFAULT_TOL,
                     help="relative bound on the Lanczos Ritz residual")
     sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
@@ -321,11 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="exhaustive sweep over all connected graphs")
     sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--alpha", type=float, action="append", default=[])
+    sp.add_argument("--alpha", **alpha_flag)
     sp.add_argument("--tolerance", **tolerance_flag)
     sp.add_argument("--jobs", type=int, default=1, help="worker processes (either engine)")
-    sp.add_argument("--allow-n8", action="store_true",
-                    help="permit the 2^28-mask sweep at n = 8")
+    sp.add_argument("--allow-n8", **allow_n8_flag)
     sp.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")
     sp.set_defaults(func=cmd_verify)
 
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--source", required=True,
                     help=f"bound source: one of {', '.join(BOUND_SOURCES)}")
-    sp.add_argument("--allow-n8", action="store_true")
+    sp.add_argument("--allow-n8", **allow_n8_flag)
     sp.set_defaults(func=cmd_extremal)
     return parser
 

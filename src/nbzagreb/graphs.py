@@ -426,7 +426,18 @@ def parse_edge_list(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 short form
+# graph6 short form and edge masks
+#
+# A mask is the graph6 bitstream of a graph on n vertices read as one
+# integer (McKay, "graph6 and sparse6 graph formats"): slot k, the k-th pair
+# of ``_g6_pairs(n)``, is bit pair_count(n) - 1 - k.  So numeric order on
+# masks is lexicographic order on bitstreams, and the six-bit data
+# characters of graph6 are the mask's bits, zero-padded on the right.
+
+
+def pair_count(n: int) -> int:
+    """Number of vertex pairs, the edge slots of a mask, on n vertices."""
+    return n * (n - 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -435,8 +446,35 @@ def _g6_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
+def mask_of_edges(n: int, edges) -> int:
+    """Mask of the graph on n vertices with the given (u, v) edges."""
+    top = pair_count(n) - 1
+    mask = 0
+    for u, v in edges:
+        i, j = (u, v) if u < v else (v, u)
+        mask |= 1 << (top - j * (j - 1) // 2 - i)
+    return mask
+
+
+def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
+    """Edges of a mask below 2**pair_count(n), in slot order, as (i, j) with i < j."""
+    pairs = _g6_pairs(n)
+    # Binary digits, most significant first, are the slots in order.
+    return [pair for pair, bit in zip(pairs, format(mask, f"0{len(pairs)}b")) if bit == "1"]
+
+
+def graph6_of_mask(n: int, mask: int) -> str:
+    """Short-form graph6 text of a mask on n <= 62 vertices."""
+    npairs = pair_count(n)
+    pad = -npairs % 6
+    data = mask << pad
+    return chr(63 + n) + "".join(
+        chr(63 + (data >> shift & 63)) for shift in range(npairs + pad - 6, -1, -6)
+    )
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 line (n <= 62)."""
+    """Decode one short-form graph6 line (n <= 62); padding bits are ignored."""
     line = text.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
@@ -450,40 +488,27 @@ def parse_graph6(text: str) -> Graph:
     n = first - 63
     if n < 1:
         raise InvalidGraph6("graph6 with zero vertices")
-    pairs = _g6_pairs(n)
-    need_chars = (len(pairs) + 5) // 6
+    npairs = pair_count(n)
+    need_chars = (npairs + 5) // 6
     data = line[1:]
     if len(data) != need_chars:
         raise InvalidGraph6(
             f"expected {need_chars} data characters for n={n}, got {len(data)}"
         )
-    bits: list[int] = []
+    value = 0
     for ch in data:
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise InvalidGraph6(f"bad data character {ch!r}")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    return Graph.from_edges(n, itertools.compress(pairs, bits))
-
-
-def _g6_pack(n: int, bits: list[int]) -> str:
-    """Short-form graph6 text of n vertices and one 0/1 bit per pair in
-    ``_g6_pairs`` order."""
-    bits = bits + [0] * (-len(bits) % 6)
-    chars = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(63 + val))
-    return "".join(chars)
+        value = value << 6 | val
+    return Graph.from_edges(n, edges_of_mask(n, value >> (-npairs % 6)))
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph in short-form graph6 (requires n <= 62)."""
     if g.n > 62:
         raise InvalidGraph6("short-form graph6 supports at most 62 vertices")
-    return _g6_pack(g.n, [1 if g.has_edge(i, j) else 0 for i, j in _g6_pairs(g.n)])
+    return graph6_of_mask(g.n, mask_of_edges(g.n, g.edges()))
 
 
 # ---------------------------------------------------------------------------

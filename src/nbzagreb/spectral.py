@@ -44,6 +44,7 @@ from itertools import chain
 
 import numpy as np
 
+from .bounds import _check_tolerance
 from .errors import Disconnected, EmptyGraph, NoConvergence
 from .graphs import DegreeProfile, Graph, degree_profile, is_connected
 
@@ -117,10 +118,10 @@ def spectral_radius(
     Deterministic Lanczos from the all-ones vector (see the module
     docstring): stops when the Ritz residual bound is at most
     ``tol * max(1, theta)``, on breakdown or after n steps.  At most
-    ``max_iter`` steps, else :class:`NoConvergence`.
+    ``max_iter`` steps, else :class:`NoConvergence`.  ``tol`` must be
+    finite and positive, as every tolerance is (``ValueError``).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tolerance(tol)
     if not is_connected(g):
         raise Disconnected("spectral radius estimation requires a connected graph")
     if max_iter < 1:

@@ -86,7 +86,8 @@ def all_graphs(n: int):
 def sample_connected(n: int, count: int):
     """A deterministic spread of ``count`` connected graphs on n vertices,
     drawn from masks spaced evenly across the edge-subset space."""
-    from nbzagreb._bulk import connected_masks, edges_of_mask, pair_count
+    from nbzagreb._bulk import connected_masks
+    from nbzagreb.graphs import edges_of_mask, pair_count
 
     total = 1 << pair_count(n)
     stride = max(total // count, 1)

@@ -197,6 +197,13 @@ class TestSpectral:
         assert code == 4
         assert "NoConvergence" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_bad_power_tol_exits_2(self, capsys, value):
+        code, out, err = run(capsys, "spectral", "--input", FIG1, f"--power-tol={value}")
+        assert code == 2
+        assert out == ""
+        assert "ValueError" in err and "finite and positive" in err
+
 
 class TestVerify:
     def test_small_sweep_exits_0(self, capsys):

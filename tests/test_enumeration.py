@@ -12,6 +12,7 @@ from conftest import load_fixture
 from nbzagreb import (
     Graph,
     canonical_form,
+    complete_graph,
     degree_profile,
     encode_graph6,
     enumerate_connected,
@@ -23,7 +24,7 @@ from nbzagreb import (
     verify_all,
 )
 from nbzagreb import _bulk, bounds, enumeration, indices, spectral
-from nbzagreb._bulk import graph6_of_mask, mask_of_edges
+from nbzagreb.graphs import _g6_pairs, edges_of_mask, graph6_of_mask, mask_of_edges
 from nbzagreb.errors import (
     ForbiddenAlpha,
     NeighborhoodRegular,
@@ -95,19 +96,45 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_mask_codec_round_trip(self, n):
+        # The integer codec of one mask and the batch decode of _bulk agree.
         # Slot 0, the pair (0, 1), is the most significant bit of a mask.
         npairs = _bulk.pair_count(n)
         rng = np.random.default_rng(n)
         masks = np.unique(np.r_[0, (1 << npairs) - 1, rng.integers(0, 1 << npairs, 500)])
         bits = _bulk._bits_of(masks, npairs)
         np.testing.assert_array_equal(_bulk._masks_of(bits), masks)
-        for mask, row in zip(masks.tolist()[:50], bits):
-            assert _bulk.edges_of_mask(n, mask) == [
-                pair for pair, bit in zip(_bulk._g6_pairs(n), row) if bit
-            ]
-            assert mask_of_edges(n, _bulk.edges_of_mask(n, mask)) == mask
+        for mask, row in zip(masks.tolist(), bits):
+            edges = edges_of_mask(n, mask)
+            assert edges == [pair for pair, bit in zip(_g6_pairs(n), row) if bit]
+            assert mask_of_edges(n, edges) == mask
+            assert mask_of_edges(n, [(j, i) for i, j in reversed(edges)]) == mask
+            assert int(_bulk._masks_of(row)) == mask
         if n > 1:
-            assert _bulk.edges_of_mask(n, 1 << (npairs - 1)) == [(0, 1)]
+            assert edges_of_mask(n, 1 << (npairs - 1)) == [(0, 1)]
+
+    def test_mask_known_answers(self):
+        # K4 sets all six slots: bitstream 111111 is data character 63 + 63.
+        assert mask_of_edges(4, complete_graph(4).edges()) == 0b111111
+        assert graph6_of_mask(4, 0b111111) == encode_graph6(complete_graph(4)) == "C~"
+        assert parse_graph6("C~").adjacency == complete_graph(4).adjacency
+        # P3 as 0-1-2: slots (0,1) and (1,2), bitstream 101 padded to 101000.
+        assert mask_of_edges(3, [(1, 0), (2, 1)]) == 0b101
+        assert graph6_of_mask(3, 0b101) == "Bg"
+        assert graph6_of_mask(1, 0) == "@"
+        assert edges_of_mask(1, 0) == []
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 11])
+    def test_parse_graph6_ignores_padding_bits(self, n):
+        # The last data character carries -npairs % 6 padding bits.
+        npairs = _bulk.pair_count(n)
+        pad = -npairs % 6
+        assert pad
+        mask = (1 << npairs) - 1
+        text = graph6_of_mask(n, mask)
+        padded = text[:-1] + chr(63 + (ord(text[-1]) - 63 | (1 << pad) - 1))
+        assert padded != text
+        assert parse_graph6(padded).adjacency == complete_graph(n).adjacency
+        assert encode_graph6(parse_graph6(padded)) == text
 
 
 class TestNeighborRows:
@@ -121,7 +148,7 @@ class TestNeighborRows:
         rows = _bulk._adj_of(_bulk._bits_of(masks, npairs), n)
         connected = _bulk._connected(rows)
         for mask, row, got in zip(masks.tolist(), rows.T.tolist(), connected.tolist()):
-            g = Graph.from_edges(n, _bulk.edges_of_mask(n, mask))
+            g = Graph.from_edges(n, edges_of_mask(n, mask))
             assert row == [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
             assert got == is_connected(g)
 

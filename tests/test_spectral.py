@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import sample_connected
 from nbzagreb import (
     Graph,
     complete_graph,
@@ -68,6 +69,24 @@ class TestSpectralRadius:
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
             spectral_radius(path_graph(4), max_iter=1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, value):
+        # The one tolerance check of every command: inf would accept the
+        # first Ritz value, and nan would never stop before step n.
+        for op in (spectral_radius, spectral_report):
+            with pytest.raises(ValueError, match="finite and positive"):
+                op(path_graph(4), tol=value)
+
+    def test_small_graphs_stop_within_n_steps(self):
+        # Why the scalar sweep needs no non-convergence record: at n <= 8
+        # Lanczos stops by step n, far below the default iteration limit.
+        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+        graphs += [g for n in (7, 8) for g in sample_connected(n, 200)]
+        assert len(graphs) == 27_476 + 400
+        for g in graphs:
+            assert spectral_radius(g).iterations <= g.n
+        assert 8 < spectral.DEFAULT_MAX_ITER
 
     def test_deterministic(self):
         a = spectral_radius(petersen())

@@ -15,17 +15,6 @@ def _load(name: str):
     return module
 
 
-def test_bench_chain_measures_and_restores_the_kernel():
-    before = dict(vars(_bulk))
-    result = _load("bench_chain").measure(4)
-    assert result["rows"] == 38  # connected labeled 4-vertex graphs
-    assert result["steps_mean"] == 0
-    assert result["settled_rows"] == result["exact_rows"] + result["strict_rows"] == 38
-    after = vars(_bulk)
-    assert after.keys() == before.keys()
-    assert all(after[name] is obj for name, obj in before.items())
-
-
 def test_bench_enumeration_measures_and_restores_the_kernel():
     before = dict(vars(_bulk))
     bench = _load("bench_enumeration")
