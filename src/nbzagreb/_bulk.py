@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -737,16 +737,8 @@ def tree_identity_sweep(n: int) -> tuple[int, int, int]:
     trees = 0
     chemical = 0
     mismatches = 0
-    combo_iter = combinations(range(npairs), n - 1)
-    batch_size = 1 << CHUNK_BITS
-    while True:
-        batch = []
-        for combo in combo_iter:
-            batch.append(combo)
-            if len(batch) == batch_size:
-                break
-        if not batch:
-            break
+    combos = combinations(range(npairs), n - 1)
+    while batch := list(islice(combos, 1 << CHUNK_BITS)):
         slots = np.array(batch, dtype=np.int64)
         bits = np.zeros((len(batch), npairs), dtype=np.uint8)
         bits[np.arange(len(batch))[:, None], slots] = 1

@@ -5,6 +5,12 @@ Five subcommands: ``compute`` (profiles, indices, reconstructions),
 estimate and lower bounds), ``verify`` (exhaustive sweep) and ``extremal``
 (equality-attaining graph search).
 
+Argparse parses and enforces every flag.  Each ``cmd_*`` takes the parsed
+arguments and returns ``(document, exit code)``, where the document is a
+JSON-ready value, or the finished text for ``compute --output csv``.
+``main`` alone serializes the document, writes it and maps exceptions to
+exit codes.
+
 Output is deterministic: JSON with fixed key order and floats rendered at
 12 significant digits, so identical inputs produce byte-identical output.
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
@@ -111,18 +117,8 @@ def _load_graph(args):
     return parse_edge_list(text)
 
 
-def _require_alphas(parser: argparse.ArgumentParser, args) -> list:
-    if not args.alpha:
-        parser.error("at least one --alpha is required")
-    return [as_alpha(a) for a in args.alpha]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-def _hist_doc(hist: dict[int, int]) -> dict:
-    return {str(k): v for k, v in hist.items()}
 
 
 def _index_doc(entry: dict, key: str, recon_key: str, p, alpha, direct, secant, unit,
@@ -141,8 +137,8 @@ def _index_doc(entry: dict, key: str, recon_key: str, p, alpha, direct, secant, 
         entry[recon_key] = {"inapplicable": reason(exc)}
 
 
-def cmd_compute(parser, args):
-    alphas = _require_alphas(parser, args)
+def cmd_compute(args):
+    alphas = [as_alpha(a) for a in args.alpha]
     g = _load_graph(args)
     p = degree_profile(g)
     entries = []
@@ -153,6 +149,11 @@ def cmd_compute(parser, args):
         _index_doc(entry, "nm2_alpha", "reconstruction_dist2", p, alpha, nm2_direct,
                    nm2_reconstruct_secant, nm2_reconstruct_unit)
         entries.append(entry)
+    if args.output == "csv":
+        lines = ["vertex,degree,nbr_degree,dist2_degree"]
+        for u in range(g.n):
+            lines.append(f"{u},{p.deg[u]},{p.nbr_deg[u]},{p.dist2_deg[u]}")
+        return "\n".join(lines), EXIT_OK
     doc = {
         "command": "compute",
         "input": args.input,
@@ -163,12 +164,12 @@ def cmd_compute(parser, args):
         "diameter": p.diameter,
         "m1": p.m1,
         "profile": {
-            "degree": list(p.deg),
-            "nbr_degree": list(p.nbr_deg),
-            "dist2_degree": list(p.dist2_deg),
-            "deg_hist": _hist_doc(p.deg_hist),
-            "nbr_hist": _hist_doc(p.nbr_hist),
-            "dist2_hist": _hist_doc(p.dist2_hist),
+            "degree": p.deg,
+            "nbr_degree": p.nbr_deg,
+            "dist2_degree": p.dist2_deg,
+            "deg_hist": p.deg_hist,
+            "nbr_hist": p.nbr_hist,
+            "dist2_hist": p.dist2_hist,
             "delta_min": p.delta_min,
             "delta_max": p.delta_max,
             "d2_min": p.d2_min,
@@ -176,16 +177,11 @@ def cmd_compute(parser, args):
         },
         "indices": entries,
     }
-    if args.output == "csv":
-        lines = ["vertex,degree,nbr_degree,dist2_degree"]
-        for u in range(g.n):
-            lines.append(f"{u},{p.deg[u]},{p.nbr_deg[u]},{p.dist2_deg[u]}")
-        return "\n".join(lines) + "\n", EXIT_OK
-    return dumps_stable(doc) + "\n", EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_bounds(parser, args):
-    alphas = _require_alphas(parser, args)
+def cmd_bounds(args):
+    alphas = [as_alpha(a) for a in args.alpha]
     g = _load_graph(args)
     p = degree_profile(g)
     try:
@@ -217,10 +213,10 @@ def cmd_bounds(parser, args):
         "congruence": congruence_doc,
         "alphas": alpha_docs,
     }
-    return dumps_stable(doc) + "\n", EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_spectral(parser, args):
+def cmd_spectral(args):
     g = _load_graph(args)
     result = spectral_report(g, tol=args.power_tol, max_iter=args.max_iter)
     ratio_holds = result.ratio_bound_exact or result.rho_squared >= result.bound_nm2_ratio
@@ -241,24 +237,23 @@ def cmd_spectral(parser, args):
         "min_nbr_bound_holds": (ratio_holds and result.bounds_ordered)
         or result.rho_squared >= result.bound_min_nbr,
     }
-    return dumps_stable(doc) + "\n", EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_verify(parser, args):
-    alphas = _require_alphas(parser, args)
+def cmd_verify(args):
     report = verify_all(
         args.n_max,
-        alphas,
+        [as_alpha(a) for a in args.alpha],
         tolerance=args.tolerance,
         jobs=args.jobs,
         allow_n8=args.allow_n8,
         engine=args.engine,
     )
     code = EXIT_OK if report.ok else EXIT_VERIFY_FAILED
-    return dumps_stable(report.to_dict()) + "\n", code
+    return report.to_dict(), code
 
 
-def cmd_extremal(parser, args):
+def cmd_extremal(args):
     alpha = as_alpha(args.alpha)
     records = find_equality_graphs(args.n, alpha, args.source, allow_n8=args.allow_n8)
     doc = {
@@ -269,7 +264,7 @@ def cmd_extremal(parser, args):
         "count": len(records),
         "records": [r.to_dict() for r in records],
     }
-    return dumps_stable(doc) + "\n", EXIT_OK
+    return doc, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"relative comparison tolerance (default {DEFAULT_TOLERANCE:g})",
     )
     alpha_flag = dict(
-        type=float, action="append", default=[],
+        type=float, action="append", required=True,
         help="index exponent, repeatable (not 0 or 1)",
     )
     allow_n8_flag = dict(action="store_true", help="permit the 2^28-mask sweep at n = 8")
@@ -341,13 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        output, code = args.func(parser, args)
+        args = build_parser().parse_args(argv)
+        doc, code = args.func(args)
+        text = doc if isinstance(doc, str) else dumps_stable(doc)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ParseError, ConfigError, ValueError) as exc:
@@ -359,7 +351,8 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         sys.stderr.write(f"error: NoConvergence: {exc}\n")
         return EXIT_NO_CONVERGENCE
-    sys.stdout.write(output)
+    sys.stdout.write(text)
+    sys.stdout.write("\n")
     return code
 
 

@@ -119,13 +119,14 @@ def spectral_radius(
     docstring): stops when the Ritz residual bound is at most
     ``tol * max(1, theta)``, on breakdown or after n steps.  At most
     ``max_iter`` steps, else :class:`NoConvergence`.  ``tol`` must be
-    finite and positive, as every tolerance is (``ValueError``).
+    finite and positive, as every tolerance is, and ``max_iter`` at least
+    1 (``ValueError``).
     """
     _check_tolerance(tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not is_connected(g):
         raise Disconnected("spectral radius estimation requires a connected graph")
-    if max_iter < 1:
-        raise NoConvergence(f"no convergence within {max_iter} iterations (tol={tol})")
     n = g.n
     deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
     src = np.repeat(np.arange(n), deg)

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -197,6 +198,13 @@ class TestSpectral:
         assert code == 4
         assert "NoConvergence" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_iter_below_one_exits_2(self, capsys, value):
+        code, out, err = run(capsys, "spectral", "--input", FIG1, f"--max-iter={value}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: ValueError: max_iter must be at least 1, got {value}\n"
+
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     def test_bad_power_tol_exits_2(self, capsys, value):
         code, out, err = run(capsys, "spectral", "--input", FIG1, f"--power-tol={value}")
@@ -324,6 +332,45 @@ def test_removed_flag_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--input", FIG2],
+        ["bounds", "--input", FIG2],
+        ["verify", "--n-max", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_alpha_is_an_argparse_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: nbzagreb ")
+    assert err.endswith(
+        f"nbzagreb {argv[0]}: error: the following arguments are required: --alpha\n"
+    )
+
+
+def test_compute_on_a_large_header_graph_copies_no_profile(capsys, tmp_path):
+    # 200,000 declared vertices and one edge: the document shares the
+    # profile's tuples and histograms, and main writes the serialized text
+    # as it is.  The parser and the imports are warmed up first.
+    path = tmp_path / "header.edges"
+    path.write_text("n 200000\n0 1\n")
+    assert run(capsys, "compute", "--alpha", "2", "--input", FIG1)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(["compute", "--alpha", "2", "--input", str(path)])
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert peak < 21_000_000
+    doc = json.loads(out)
+    assert doc["n"] == 200_000 and doc["profile"]["deg_hist"] == {"0": 199_998, "1": 2}
 
 
 class TestSerialization:

@@ -21,6 +21,7 @@ from nbzagreb import (
     is_connected,
     parse_graph6,
     path_graph,
+    spectral_report,
     verify_all,
 )
 from nbzagreb import _bulk, bounds, enumeration, indices, spectral
@@ -552,10 +553,7 @@ class TestEngineParity:
         # Both engines must fail the same instances; got is each engine's
         # own rho**2 (eigvalsh in bulk, Lanczos in scalar), so it agrees to
         # rounding only.
-        bulk_nm2, scalar_nm2 = _bulk._nm2, spectral._nm2
-        monkeypatch.setattr(_bulk, "_nm2", lambda nbr: bulk_nm2(nbr) + shift)
-        monkeypatch.setattr(spectral, "_nm2", lambda p: scalar_nm2(p) + shift)
-        monkeypatch.setattr(enumeration, "_nm2", spectral._nm2)
+        _shift_nm2(monkeypatch, shift)
 
         def records(engine):
             report = verify_all(5, (2.0,), engine=engine)
@@ -647,6 +645,14 @@ def _raise_power_of_three(monkeypatch):
     )
 
 
+def _shift_nm2(monkeypatch, shift):
+    """NM_2 + shift wherever either engine or ``spectral_report`` reads it."""
+    bulk_nm2, scalar_nm2 = _bulk._nm2, spectral._nm2
+    monkeypatch.setattr(_bulk, "_nm2", lambda nbr: bulk_nm2(nbr) + shift)
+    monkeypatch.setattr(spectral, "_nm2", lambda p: scalar_nm2(p) + shift)
+    monkeypatch.setattr(enumeration, "_nm2", spectral._nm2)
+
+
 class TestReplay:
     """Every bound and reconstruction failure record of a scalar sweep
     replays from its graph6 through the per-graph op it names."""
@@ -688,12 +694,62 @@ class TestReplay:
             replayed.add(check)
         assert replayed == replayed_checks
 
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_spectral_records_replay(self, monkeypatch, shift):
+        # Under the NM_2 faults of test_spectral_failures_under_fault, every
+        # chain record fails again through spectral_report, and every
+        # regular-graph record gives a ratio bound other than k**2.
+        _shift_nm2(monkeypatch, shift)
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        report = verify_all(5, (2.0,), engine="scalar")
+        assert report.failure_count == len(report.failures)
+        replayed = set()
+        for record in report.failures:
+            g = parse_graph6(record["graph6"])
+            r = spectral_report(g)
+            if record["check"] == "spectral_chain":
+                ratio_holds = r.ratio_bound_exact or r.rho_squared >= r.bound_nm2_ratio
+                assert not (ratio_holds and r.bounds_ordered), record
+            else:
+                assert record["check"] == "spectral_regular", record
+                k = len(g.adjacency[0])
+                assert r.bound_nm2_ratio != k * k, record
+            replayed.add(record["check"])
+        assert replayed == {"spectral_chain", "spectral_regular"}
+
 
 class TestCoefficientSignGrid:
     def test_full_grid_has_no_violations(self):
         evaluations, violations = coefficient_sign_grid([-1.0, 0.5, 2.0])
         assert violations == []
         assert evaluations > 0
+
+    @pytest.mark.parametrize(
+        "name, at, got",
+        [
+            ("secant_coefficient", (2, 7, 3), "p=2, q=7, i=3"),
+            # A unit coefficient has no q; with p + i = 12 = p_max only the
+            # pair (2, 12) evaluates it.
+            ("unit_coefficient", (2, 10), "p=2, q=12, i=10"),
+        ],
+    )
+    def test_one_flipped_coefficient_fails_the_claim(self, monkeypatch, name, at, got):
+        clean = verify_all(3, (2.0,))
+        assert clean.failure_count == 0
+        coefficient = getattr(enumeration, name)
+
+        def flipped(*args):
+            value = coefficient(*args)
+            return -value if args[:-1] == at else value
+
+        monkeypatch.setattr(enumeration, name, flipped)
+        report = verify_all(3, (2.0,))
+        assert report.checks_run == clean.checks_run
+        assert report.failure_count == len(report.failures) == 1
+        (record,) = report.failures
+        assert record["check"] == "coefficient_sign_grid"
+        assert record["alpha"] == 2.0
+        assert record["got"].startswith(f"{got}, value=")
 
     def test_evaluation_count(self):
         # per (p, q): (q - p - 1) secant and (q - p - 1) unit coefficients

@@ -70,6 +70,15 @@ class TestSpectralRadius:
         with pytest.raises(NoConvergence):
             spectral_radius(path_graph(4), max_iter=1)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_is_a_usage_error(self, max_iter):
+        # Checked with the tolerance, before the connectivity test.
+        disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+        for op in (spectral_radius, spectral_report):
+            for g in (path_graph(4), disconnected):
+                with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                    op(g, max_iter=max_iter)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, value):
         # The one tolerance check of every command: inf would accept the

@@ -18,13 +18,17 @@ named outputs; the script then compares the two objects name by name:
   code and stderr on every fixture and on seeded graphs (random ones,
   disconnected ones among them, plus cycles and stars), fed through stdin
   so that the documents do not embed a path;
-* CLI ``compute`` (JSON) on larger seeded graphs: paths, random trees and
-  trees with about n extra edges of 200 to 1000 vertices, and one
-  disconnected graph of 3000 vertices, where the ``diameter`` and
-  ``connected`` fields come from more than a few BFS levels;
+* CLI ``compute`` (JSON) and ``spectral`` on larger seeded graphs: paths,
+  random trees and trees with about n extra edges of 200 to 1000
+  vertices, and one disconnected graph of 3000 vertices, where the
+  ``diameter`` and ``connected`` fields come from more than a few BFS
+  levels;
 * CLI ``compute`` (JSON) and ``bounds`` on a 2000-leaf star, a broom, a
   hub joined to every vertex of a long path and a header-declared graph of
-  100,000 vertices with four edges.
+  100,000 vertices with four edges;
+* CLI ``verify`` for both engines at n <= 5 with tolerance 1e-9 and
+  1e-300, exit code, stderr and the report without ``elapsed``;
+* CLI ``extremal`` at n = 5 and 6 for every bound source, alpha = 2.
 
 Prints the names that differ with a short diff of each, and exits 1 if
 any output differs, 0 otherwise.  One tree takes one to two minutes.
@@ -149,12 +153,28 @@ def _family_graphs() -> dict[str, str]:
     }
 
 
-def _run_cli(main, argv, text: str) -> str:
+def _capture(main, argv, text: str) -> tuple[int, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     sys.stdin = io.StringIO(text)
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    return f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _run_cli(main, argv, text: str) -> str:
+    code, stdout, stderr = _capture(main, argv, text)
+    return f"exit {code}\n{stdout}{stderr}"
+
+
+def _run_cli_verify(main, argv) -> str:
+    """``_run_cli`` with the report's ``elapsed`` removed; every float
+    literal of the rest is kept as printed."""
+    code, stdout, stderr = _capture(main, argv, "")
+    if stdout:
+        doc = json.loads(stdout, parse_float=str)
+        del doc["elapsed"]
+        stdout = json.dumps(doc, indent=1) + "\n"
+    return f"exit {code}\n{stdout}{stderr}"
 
 
 def _cli_outputs(main) -> dict[str, str]:
@@ -179,10 +199,19 @@ def _cli_outputs(main) -> dict[str, str]:
             args = [*argv, "--input", "-", "--format", fmt]
             out[f"cli/{label}/{name}"] = _run_cli(main, args, text)
     for name, text in _large_graphs().items():
-        out[f"cli/compute/{name}"] = _run_cli(main, [*commands["compute"], "--input", "-"], text)
+        for label in ("compute", "spectral"):
+            out[f"cli/{label}/{name}"] = _run_cli(main, [*commands[label], "--input", "-"], text)
     for name, text in _family_graphs().items():
         for label in ("compute", "bounds"):
             out[f"cli/{label}/{name}"] = _run_cli(main, [*commands[label], "--input", "-"], text)
+    for engine in ("bulk", "scalar"):
+        for tol in ("1e-9", "1e-300"):
+            argv = ["verify", "--n-max", "5", *alpha_flags, "--tolerance", tol, "--engine", engine]
+            out[f"cli/verify/{engine}/n5/tol{tol}"] = _run_cli_verify(main, argv)
+    for n in ("5", "6"):
+        for source in ("secant", "unit", "congruence"):
+            argv = ["extremal", "--n", n, "--alpha", "2", "--source", source]
+            out[f"cli/extremal/{source}/n{n}"] = _run_cli(main, argv, "")
     sys.stdin = sys.__stdin__
     return out
 
