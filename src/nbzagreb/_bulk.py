@@ -28,6 +28,8 @@ distance-2 degrees, rather than over a per-graph histogram of every
 possible degree value.  Each vertex's correction term is one lookup in a
 table of coefficients indexed by the row's (min, max) degrees and the
 vertex's degree, built per exponent in every :func:`sweep_chunk` call.
+The same tables hold each line's secant slope, per (min, max) pair, and
+unit step, per min, so a row's line is a lookup too.
 Summing per vertex instead of per histogram bin changes the floating-point
 summation order, so instances within a few ulps of the tolerance can
 change verdict; the vertex sums themselves follow numpy's order for a
@@ -373,19 +375,19 @@ def _pair_row(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi * (hi - 1) // 2 + lo
 
 
-def _correction_tables(pw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _correction_tables(pw: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-vertex correction coefficients of the two reconstruction forms,
-    given pw[k] = k**alpha over every degree k < width:
+    and their lines' rates, given pw[k] = k**alpha over every degree k < width:
 
     - secant[_pair_row(lo, hi), k] = pw[k] - pw[lo] - (k - lo) * slope for
-      lo < k < hi, slope = (pw[hi] - pw[lo]) / (hi - lo);
-    - unit[lo, k] = pw[k] - pw[lo] - (k - lo) * step for k >= lo + 2, step
-      = pw[lo + 1] - pw[lo];
+      lo < k < hi, slope[_pair_row(lo, hi)] = (pw[hi] - pw[lo]) / (hi - lo);
+    - unit[lo, k] = pw[k] - pw[lo] - (k - lo) * step for k >= lo + 2,
+      step[lo] = pw[lo + 1] - pw[lo];
 
     and 0 outside each form's interior.  Every entry is the expression the
     per-vertex sum evaluates, in the same float operations, so a lookup
     gives the same bits.  A row's degrees never exceed its maximum, so the
-    unit form needs no upper cut."""
+    unit form needs no upper cut.  Returns (secant, unit, slope, step)."""
     width = pw.size
     # Offsets k - lo are small integers, exact as floats.
     k = np.arange(width, dtype=np.float64)
@@ -400,7 +402,7 @@ def _correction_tables(pw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     offset = k - lo[:, None]
     secant = (pw - pw[lo][:, None]) - offset * slope[:, None]
     secant[(offset < 1) | (k >= hi[:, None])] = 0.0
-    return secant, unit
+    return secant, unit, slope, step
 
 
 def _count_between(x: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -457,24 +459,24 @@ def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, al
 def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, tables, tolerance):
     """Secant and unit reconstructions of sum_v x_v**alpha on the graphs
     of (n, graphs) degrees x that span lo < hi, with excess = sum_v x_v -
-    n * lo, one exponent of ``tables`` (alpha, pw, secant table, unit
-    table, all ``width`` degrees wide) at a time.  After checking an exponent, yields what the bounds
-    reuse: (alpha, pw with pw[k] = k**alpha, the direct sums, their
-    tolerances, lo**alpha, the secant slope, the unit step, the two
-    reconstruction bases)."""
+    n * lo, one exponent of ``tables`` (alpha, pw and the four tables of
+    :func:`_correction_tables`, all ``width`` degrees wide) at a time.
+    After checking an exponent, yields what the bounds reuse: (alpha, pw
+    with pw[k] = k**alpha, the direct sums, their tolerances, lo**alpha,
+    the secant slope, the unit table, the two reconstruction bases)."""
     # Flat gather positions, in intp: numpy gathers far faster with intp
     # indices than with narrow ones.
     x = x.astype(np.intp)
-    secant_index = _pair_row(lo, hi) * width + x
+    pair = _pair_row(lo, hi)
+    secant_index = pair * width + x
     unit_index = lo * width + x
-    for alpha, pw, secant, unit in tables:
+    for alpha, pw, secant, unit, slopes, steps in tables:
         direct = _float_sum(pw[x])
         tol = _tolerances(tolerance, direct)
         lo_pow = pw[lo]
-        slope = (pw[hi] - lo_pow) / (hi - lo)
-        step = pw[lo + 1] - lo_pow
+        slope = slopes[pair]
         base_secant = n * lo_pow + excess * slope
-        base_unit = n * lo_pow + excess * step
+        base_unit = n * lo_pow + excess * steps[lo]
         for form, base, table, index in (
             ("secant", base_secant, secant, secant_index),
             ("unit", base_unit, unit, unit_index),
@@ -487,7 +489,7 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
                 tally, check, masks, n, bad,
                 lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
             )
-        yield alpha, pw, direct, tol, lo_pow, slope, step, base_secant, base_unit
+        yield alpha, pw, direct, tol, lo_pow, slope, unit, base_secant, base_unit
 
 
 def sweep_chunk(
@@ -609,7 +611,7 @@ def sweep_chunk(
         tally.skip("nm_bound_congruence", "gap_too_small", n_gap_small * nalpha)
         tally.skip("nm_bound_congruence", "remainder_zero", n_rem_zero * nalpha)
         tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc * nalpha)
-        for alpha, pw, direct, tol, lo_pow, slope, step, base_secant, base_unit in (
+        for alpha, pw, direct, tol, lo_pow, slope, unit, base_secant, base_unit in (
             _check_reconstructions(
                 tally, "nm", masks_s, n, nbr_s, lo, hi, excess, width, tables, tolerance
             )
@@ -621,7 +623,7 @@ def sweep_chunk(
                 upper, bi_support, alpha,
             )
             # Unit form with the top histogram term; the direction flips.
-            bound_u = base_unit + h_hi * (pw[hi] - lo_pow - (hi - lo) * step)
+            bound_u = base_unit + h_hi * unit[lo, hi]
             _check_bound(
                 tally, "nm_bound_unit", masks_s, n, direct, bound_u, tol,
                 not upper, interior2 == 0, alpha,

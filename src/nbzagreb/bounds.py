@@ -33,7 +33,8 @@ from .errors import (
 )
 from .graphs import DegreeProfile
 from .indices import (
-    HIGH, LOW, Alpha, _correction, _line, _nbr_extremes, _pow, _reconstruct, as_alpha, nm_direct,
+    HIGH, LOW, Alpha, _correction, _finite, _line, _nbr_extremes, _pow, _reconstruct, as_alpha,
+    nm_direct,
 )
 
 __all__ = [
@@ -235,7 +236,7 @@ def nm_bound_congruence(
     base = _reconstruct({}, p.n, p.m1, lo, hi, alpha)
     lo_pow, slope = _line(lo, hi, alpha)
     # The lo + r correction is added term by term, in the bulk kernel's order.
-    bound = base + _pow(lo + cd.r, alpha) - lo_pow - cd.r * slope
+    bound = _finite(base + _pow(lo + cd.r, alpha) - lo_pow - cd.r * slope)
     direction = UPPER if alpha.regime in (LOW, HIGH) else LOWER
     expected_hist = {hi: cd.q, lo + cd.r: 1, lo: p.n - cd.q - 1}
     equality = p.nbr_hist == {d: c for d, c in expected_hist.items() if c > 0}

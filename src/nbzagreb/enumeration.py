@@ -26,6 +26,7 @@ vertex relabelings, which is also the smallest graph6 encoding.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -57,7 +58,7 @@ from .bounds import (
     secant_coefficient,
     unit_coefficient,
 )
-from .errors import NTooLarge, PreconditionError, UnknownBoundSource, reason
+from .errors import NTooLarge, PowerOverflow, PreconditionError, UnknownBoundSource, reason
 from .graphs import (
     DegreeProfile,
     Graph,
@@ -71,6 +72,7 @@ from .graphs import (
 from .indices import (
     MID,
     Alpha,
+    _pow,
     as_alpha,
     nm2_direct,
     nm2_reconstruct_secant,
@@ -79,14 +81,7 @@ from .indices import (
     nm_reconstruct_secant,
     nm_reconstruct_unit,
 )
-from .spectral import (
-    _min_nbr_bound,
-    _min_nbr_numerator,
-    _nm2,
-    _ratio_bound,
-    ratio_bound_is_exact,
-    spectral_radius,
-)
+from .spectral import _min_nbr_numerator, _nm2, ratio_bound_is_exact, spectral_radius
 
 __all__ = [
     "VerificationReport",
@@ -109,6 +104,19 @@ def _check_n(n: int, allow_n8: bool) -> None:
         raise NTooLarge(
             f"n = {n} exceeds the limit ({MAX_UNGATED_N} without the n=8 override)"
         )
+
+
+def _refuse_overflow(n: int, top: int, alphas: list[Alpha]) -> None:
+    """Raise PowerOverflow, before any sweep work, for an exponent at which
+    a check on graphs of at most n vertices, every degree at most ``top``,
+    could leave the float range: each sum, line value and correction that
+    a check forms is at most 4 * n * max(1, top**alpha)."""
+    for alpha in alphas:
+        if not math.isfinite(4 * n * _pow(max(top, 1), alpha)):
+            raise PowerOverflow(
+                f"exponent {alpha.value!r} takes sums of powers of degrees up to {top} "
+                "past the float range"
+            )
 
 
 def _graph_of_mask(n: int, mask: int) -> Graph:
@@ -182,9 +190,11 @@ def enumerate_connected(
 
 
 SIGN_TOL = 1e-12
+# The largest degree of the coefficient sign grid that verify_all runs.
+GRID_P_MAX = 12
 
 
-def coefficient_sign_grid(alphas, p_max: int = 12) -> tuple[int, list[dict]]:
+def coefficient_sign_grid(alphas, p_max: int = GRID_P_MAX) -> tuple[int, list[dict]]:
     """Exhaustively check the coefficient signs for all 1 <= p < q <= p_max.
 
     Secant coefficients must be <= 0 for a < 0 or a > 1 and >= 0 for
@@ -337,8 +347,8 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
     tally.checks["spectral_chain"] += 1
     sr = spectral_radius(g)
     nm2, min_nbr_num = _nm2(p), _min_nbr_numerator(p)
-    ratio_bound = _ratio_bound(p)
-    min_nbr_bound = _min_nbr_bound(p)
+    ratio_bound = nm2 / p.m1
+    min_nbr_bound = min_nbr_num / p.m1
     rho_squared = ratio_bound if ratio_bound_is_exact(g, p) else sr.rho_squared
     if not (rho_squared >= ratio_bound and nm2 >= min_nbr_num):
         fail("spectral_chain", CHAIN_EXPECTED.format(ratio_bound, min_nbr_bound), rho_squared)
@@ -428,7 +438,9 @@ def verify_all(
     and the engine's chunk function runs once per range, in worker processes
     when ``jobs`` > 1.  Chunk results are merged in range order, so the
     report does not depend on ``jobs``.  The coefficient sign grid
-    (graph-independent) runs once per call with the same exponents.
+    (graph-independent) runs once per call with the same exponents.  An
+    exponent whose powers could leave the float range raises
+    ``PowerOverflow`` before any range runs, for both engines alike.
     """
     _check_n(n_max, allow_n8)
     alpha_objs = [as_alpha(a) for a in alphas]
@@ -440,6 +452,7 @@ def verify_all(
     chunk = _ENGINES.get(engine)
     if chunk is None:
         raise ValueError(f"unknown engine {engine!r}")
+    _refuse_overflow(n_max, max((n_max - 1) ** 2, GRID_P_MAX), alpha_objs)
     start = time.perf_counter()
     alpha_values = tuple(a.value for a in alpha_objs)
     ns, los, his = zip(
@@ -512,7 +525,8 @@ def find_equality_graphs(
     n: int, alpha, source: str, *, allow_n8: bool = False
 ) -> list[ExtremalRecord]:
     """All isomorphism classes on n vertices attaining the named bound with
-    equality, sorted by graph6 encoding."""
+    equality, sorted by graph6 encoding.  An exponent whose powers could
+    leave the float range raises ``PowerOverflow`` before the search."""
     op = _SOURCE_OPS.get(source)
     if op is None:
         raise UnknownBoundSource(
@@ -520,6 +534,7 @@ def find_equality_graphs(
         )
     _check_n(n, allow_n8)
     a = as_alpha(alpha)
+    _refuse_overflow(n, (n - 1) ** 2, [a])
     records = []
     for g in enumerate_connected(n, dedup=True, allow_n8=allow_n8):
         p = degree_profile(g)

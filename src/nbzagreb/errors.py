@@ -69,6 +69,11 @@ class ZeroBaseNegativeExponent(PreconditionError):
     """A zero degree raised to a negative power."""
 
 
+class PowerOverflow(PreconditionError):
+    """A power of a degree, or a value formed from such powers, leaves the
+    float64 range."""
+
+
 class NeighborhoodRegular(PreconditionError):
     """All neighborhood degrees coincide (min = max)."""
 

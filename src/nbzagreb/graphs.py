@@ -22,7 +22,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     DuplicateEdge,
@@ -107,17 +107,6 @@ class Graph:
             adjacency[u] = tuple(row)
         return cls(n, sum(map(len, adjacency)) // 2, tuple(adjacency))
 
-    @cached_property
-    def neighbor_bits(self) -> tuple[int, ...]:
-        """Neighbor sets as bitmasks, for fast set algebra."""
-        out = []
-        for nbrs in self.adjacency:
-            b = 0
-            for v in nbrs:
-                b |= 1 << v
-            out.append(b)
-        return tuple(out)
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
 
@@ -179,11 +168,17 @@ def degree_profile(g: Graph) -> DegreeProfile:
     The distance-2 set of u is the union of the neighbors' neighborhoods
     minus the closed neighborhood of u, i.e. exactly the vertices at
     shortest-path distance 2.  Its degree sum is sum_d d * |N2(u) & V_d|,
-    one popcount per nonzero degree class V_d.
+    one popcount per nonzero degree class V_d.  The neighbor sets are
+    bitmasks built for this call only.
     """
     adjacency = g.adjacency
     deg = tuple(map(len, adjacency))
-    bits = g.neighbor_bits
+    bits = []
+    for nbrs in adjacency:
+        b = 0
+        for v in nbrs:
+            b |= 1 << v
+        bits.append(b)
     linked = list(itertools.compress(range(g.n), deg))  # the others keep 0 in both sums
     class_bits: dict[int, int] = {}
     for u in linked:
@@ -198,6 +193,7 @@ def degree_profile(g: Graph) -> DegreeProfile:
         nbr_deg[u] = total
         two_hop &= ~(bits[u] | 1 << u)
         dist2_deg[u] = sum([d * (two_hop & mask).bit_count() for d, mask in classes])
+    del bits  # O(n**2) bits on a relabeled long path, so freed before the diameter search
     nbr_deg, dist2_deg = tuple(nbr_deg), tuple(dist2_deg)
     return DegreeProfile(
         n=g.n,

@@ -23,6 +23,7 @@ The 2-distance reconstructions require diameter exactly 2, where the total
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     ForbiddenAlpha,
     NeighborhoodRegular,
     NotDiameterTwo,
+    PowerOverflow,
     ZeroBaseNegativeExponent,
     ZeroMinDist2Degree,
 )
@@ -68,7 +70,7 @@ class Alpha:
 
     def __post_init__(self) -> None:
         v = self.value
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
             raise ForbiddenAlpha(f"exponent must be a real number, got {v!r}")
         v = float(v)
         object.__setattr__(self, "value", v)
@@ -88,25 +90,51 @@ def as_alpha(a: float | Alpha) -> Alpha:
     return a if isinstance(a, Alpha) else Alpha(a)
 
 
+def _int_exponent(top: int, v: float) -> int:
+    """v as the exponent of the exact integer path for bases up to ``top``.
+
+    Raises OverflowError before building top**v when it is at least
+    2**1024, which no float holds.  Past 1024 only the bases 0 and 1 are
+    left, and their powers do not depend on the exponent, so it is cut
+    there."""
+    k = int(min(v, 1024.0))
+    if (top.bit_length() - 1) * k >= 1024:
+        raise OverflowError
+    return k
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise PowerOverflow("a sum of powers leaves the float range")
+    return x
+
+
 def _pow(base: int, a: Alpha) -> float:
     """base**a with an exact integer path for integral a >= 2."""
     v = a.value
-    if v.is_integer() and v >= 2.0:
-        return float(base ** int(v))
     if base == 0 and v < 0.0:
         raise ZeroBaseNegativeExponent("0 raised to a negative exponent")
-    return float(base) ** v
+    try:
+        if v.is_integer() and v >= 2.0:
+            return float(base ** _int_exponent(base, v))
+        return float(base) ** v
+    except OverflowError:
+        raise PowerOverflow(f"{base}**{v!r} leaves the float range") from None
 
 
 def _powersum(values: tuple[int, ...], a: Alpha, what: str) -> float:
-    if a.value < 0.0 and min(values) == 0:
+    v = a.value
+    if v < 0.0 and min(values) == 0:
         raise ZeroBaseNegativeExponent(
             f"negative exponent requires every {what} to be at least 1"
         )
-    if a.value.is_integer() and a.value >= 2.0:
-        k = int(a.value)
-        return float(sum(x**k for x in values))
-    return sum(float(x) ** a.value for x in values)
+    try:
+        if v.is_integer() and v >= 2.0:
+            k = _int_exponent(max(values), v)
+            return _finite(float(sum(x**k for x in values)))
+        return _finite(sum(float(x) ** v for x in values))
+    except OverflowError:
+        raise PowerOverflow(f"a {what} to the power {v!r} leaves the float range") from None
 
 
 @dataclass(frozen=True)
@@ -173,7 +201,7 @@ def _reconstruct(
     for d, cnt in kept.items():
         if d != lo and d != top:
             value += cnt * _correction(d, lo, lo_pow, rate, a)
-    return value
+    return _finite(value)
 
 
 def _nbr_extremes(p: DegreeProfile) -> tuple[int, int]:

@@ -224,16 +224,6 @@ def _min_nbr_numerator(p: DegreeProfile) -> int:
     return p.m1 * (2 * lo + 1) - p.n * lo * lo - p.n * lo
 
 
-def _ratio_bound(p: DegreeProfile) -> float:
-    """NM_2 / M1 of a profile with M1 > 0."""
-    return _nm2(p) / p.m1
-
-
-def _min_nbr_bound(p: DegreeProfile) -> float:
-    """(M1*(2*lo + 1) - n*lo**2 - n*lo) / M1 of a profile with M1 > 0."""
-    return _min_nbr_numerator(p) / p.m1
-
-
 def ratio_bound_is_exact(g: Graph, p: DegreeProfile) -> bool:
     """True when rho**2 == NM_2 / M1 exactly; ``p`` is the profile of ``g``.
 
@@ -259,7 +249,7 @@ def nm2_ratio_lower_bound(g: Graph) -> float:
     p = degree_profile(g)
     if p.m1 == 0:
         raise EmptyGraph("the ratio bound needs at least one edge")
-    return _ratio_bound(p)
+    return _nm2(p) / p.m1
 
 
 def min_nbr_lower_bound(g: Graph) -> float:
@@ -268,7 +258,7 @@ def min_nbr_lower_bound(g: Graph) -> float:
     p = degree_profile(g)
     if p.m1 == 0:
         raise EmptyGraph("the minimum-degree bound needs at least one edge")
-    return _min_nbr_bound(p)
+    return _min_nbr_numerator(p) / p.m1
 
 
 def spectral_report(
@@ -281,10 +271,11 @@ def spectral_report(
     # and building the profile once is a change of its own.
     bound_nm2_ratio = nm2_ratio_lower_bound(g)
     p = degree_profile(g)
+    min_nbr_num = _min_nbr_numerator(p)
     return replace(
         base,
         bound_nm2_ratio=bound_nm2_ratio,
-        bound_min_nbr=_min_nbr_bound(p),
+        bound_min_nbr=min_nbr_num / p.m1,
         ratio_bound_exact=ratio_bound_is_exact(g, p),
-        bounds_ordered=_nm2(p) >= _min_nbr_numerator(p),
+        bounds_ordered=_nm2(p) >= min_nbr_num,
     )

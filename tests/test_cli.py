@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -258,6 +259,60 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "ValueError" in err
+
+
+class TestOverflowingExponent:
+    """Powers past the float range: compute and bounds report the exponent
+    inapplicable, the sweeps refuse it with the precondition exit code."""
+
+    @pytest.mark.parametrize("alpha", ["1000", "400.5", "1e300"])
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["compute", "--input", FIG1], 0),
+            (["compute", "--input", FIG1, "--output", "csv"], 0),
+            (["bounds", "--input", FIG1], 0),
+            (["verify", "--n-max", "4"], 3),
+            (["verify", "--n-max", "4", "--engine", "scalar"], 3),
+            (["extremal", "--n", "5", "--source", "unit"], 3),
+        ],
+    )
+    def test_documented_exit_within_two_seconds(self, capsys, alpha, argv, code):
+        # A second, fitting exponent where the command takes several.
+        more = [] if argv[0] == "extremal" else ["--alpha", "2"]
+        start = time.perf_counter()
+        got, out, err = run(capsys, *argv, "--alpha", alpha, *more)
+        assert time.perf_counter() - start < 2.0
+        assert got == code
+        if code:
+            assert out == ""
+            assert err.startswith("error: PowerOverflow: ")
+            return
+        assert err == ""
+        if argv[0] == "bounds":
+            huge, fitting = json.loads(out)["alphas"]
+            assert huge["bounds"] == []
+            reasons = {e["source"]: e["reason"] for e in huge["inapplicable"]}
+            assert reasons["secant"] == reasons["unit"] == "power_overflow"
+            assert len(fitting["bounds"]) == 2
+        elif "csv" not in argv:
+            huge, fitting = json.loads(out)["indices"]
+            assert huge["nm_alpha"] is None and huge["nm2_alpha"] is None
+            assert huge["nm_alpha_inapplicable"] == huge["nm2_alpha_inapplicable"]
+            assert huge["nm_alpha_inapplicable"] == "power_overflow"
+            assert huge["reconstruction"] == {"inapplicable": "power_overflow"}
+            assert fitting["nm_alpha"] == 528
+
+    def test_fresh_process_prints_no_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nbzagreb.cli", "verify", "--n-max", "4", "--alpha", "400.5"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: PowerOverflow: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestExtremal:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 import tracemalloc
 from concurrent.futures import Future
 from itertools import islice
@@ -30,6 +32,7 @@ from nbzagreb.errors import (
     ForbiddenAlpha,
     NeighborhoodRegular,
     NTooLarge,
+    PowerOverflow,
     PreconditionError,
     UnknownBoundSource,
     UnoccupiedRemainderDegree,
@@ -473,7 +476,7 @@ class TestBulkReconstructionKernel:
         assume(lo < hi)
         pw = np.zeros(hi + 1)
         pw[1:] = np.arange(1, hi + 1, dtype=np.float64) ** alpha
-        secant, unit = _bulk._correction_tables(pw)
+        secant, unit, _slope, _step = _bulk._correction_tables(pw)
         if form == "secant":
             rate, first, last = (pw[hi] - pw[lo]) / (hi - lo), lo + 1, hi - 1
             table, row = secant, _bulk._pair_row(np.array([lo]), np.array([hi]))
@@ -484,6 +487,28 @@ class TestBulkReconstructionKernel:
         expected, scale = _grid_excess_sum(x, alpha, lo, rate, first, last)
         # Same terms summed in another order: relative to their total size.
         assert abs(got - expected) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_line_lookups_equal_the_expressions_they_replace(self, n):
+        # The kernel reads each row's slope, unit step and unit top term
+        # from the correction tables; over every degree pair lo < hi of the
+        # sweep's width they must give the per-row expressions' bits.
+        width = (n - 1) ** 2 + 1
+        hi, lo = np.tril_indices(width, -1)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        for alpha in (-1.0, 0.5, 2.0, 3.0):
+            pw = _bulk._powers(width, alpha)
+            _secant, unit, slopes, steps = _bulk._correction_tables(pw)
+            lo_pow = pw[lo]
+            slope = (pw[hi] - lo_pow) / (hi - lo)
+            step = pw[lo + 1] - lo_pow
+            top = pw[hi] - lo_pow - (hi - lo) * step
+            for got, want in (
+                (slopes[_bulk._pair_row(lo, hi)], slope),
+                (steps[lo], step),
+                (unit[lo, hi], top),
+            ):
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_reconstruction_checks_compare(self, monkeypatch):
         # Shifting the per-vertex sum by 1.0 must fail every reconstruction
@@ -568,6 +593,106 @@ class TestEngineParity:
                 assert b["got"] == pytest.approx(s["got"], rel=1e-9)
             else:
                 assert b["got"] == s["got"]
+
+    def test_identity_records_under_fault(self, monkeypatch):
+        # Vertex 0's neighborhood and distance-2 degrees, one less in both
+        # engines: every graph misses sum nbr_deg == M1 and every
+        # diameter-2 graph misses sum dist2_deg == 2m(n - 1) - M1.  The
+        # two engines must give the same identity records, and each record
+        # replays from its graph6 through the faulted profile.
+        _lower_vertex_zero_sums(monkeypatch)
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        identities = ("m1_identity", "dist2_identity")
+
+        def records(engine):
+            report = verify_all(5, (2.0,), engine=engine)
+            assert report.failure_count == len(report.failures)
+            found = [tuple(f[k] for k in self.FIELDS) for f in report.failures
+                     if f["check"] in identities]
+            return report, sorted(found)
+
+        report, scalar = records("scalar")
+        assert records("bulk")[1] == scalar
+        counts = {check: sum(r[1] == check for r in scalar) for check in identities}
+        assert counts == {"m1_identity": 772, "dist2_identity": 395}
+        assert counts["dist2_identity"] == report.checks_run["dist2_identity"]
+        for graph6, check, alpha, expected, got in scalar:
+            assert alpha is None
+            p = degree_profile(parse_graph6(graph6))
+            faulted = enumeration.degree_profile(parse_graph6(graph6))
+            if check == "m1_identity":
+                assert expected == f"sum nbr_deg == {p.m1}"
+                assert got == sum(faulted.nbr_deg) == p.m1 - 1
+            else:
+                total2 = 2 * p.m * (p.n - 1) - p.m1
+                assert p.diameter == 2
+                assert expected == f"sum dist2_deg == {total2}"
+                assert got == sum(faulted.dist2_deg) == total2 - 1
+            assert type(got) is int
+
+    def test_scalar_classification_records_under_flipped_flags(self, monkeypatch):
+        # Both classification flags flipped in the scalar engine: a graph
+        # that is not bi-degree but has more than two neighborhood degrees
+        # breaks the first record, and one that kept the top-count pattern
+        # breaks the second.  Each record carries its histogram as a dict.
+        # The bound ops classify through bounds and stay unfaulted.
+        classify = enumeration.congruence_classify
+
+        def flipped(p):
+            cd = classify(p)
+            return dataclasses.replace(
+                cd,
+                is_bi_degree_case=not cd.is_bi_degree_case,
+                part2_constraints_hold=not cd.part2_constraints_hold,
+            )
+
+        monkeypatch.setattr(enumeration, "congruence_classify", flipped)
+        report = verify_all(5, (2.0,), engine="scalar")
+        bi = "bi-degree case implies support {min, max}"
+        top = "top-count q forces empty interior above min+r and at most one vertex at min+r"
+        want = []
+        for n in range(3, 6):
+            for g in enumerate_connected(n):
+                p = degree_profile(g)
+                try:
+                    cd = bounds.congruence_classify(p)
+                except PreconditionError:
+                    continue
+                hist, hi = p.nbr_hist, p.delta_max
+                if not cd.is_bi_degree_case and len(hist) > 2:
+                    want.append((encode_graph6(g), bi, hist))
+                if cd.r >= 1 and hist.get(hi, 0) == cd.q and cd.part2_constraints_hold:
+                    want.append((encode_graph6(g), top, hist))
+        got = [(f["graph6"], f["expected"], f["got"]) for f in report.failures]
+        assert {f["check"] for f in report.failures} == {"congruence_classify"}
+        assert {f["alpha"] for f in report.failures} == {None}
+        assert all(type(f["got"]) is dict for f in report.failures)
+        assert report.failure_count == len(got) == 660
+        assert sorted(got, key=repr) == sorted(want, key=repr)
+        assert {expected for _, expected, _ in got} == {bi, top}
+
+
+def _lower_vertex_zero_sums(monkeypatch):
+    """Vertex 0's neighborhood and distance-2 degrees lowered by 1 wherever
+    either engine builds them (the bulk engine's per-vertex sums over the
+    neighbor rows, which also feed its A(Ad))."""
+    over_bits, profile = _bulk._over_bits, enumeration.degree_profile
+
+    def bulk_sums(ufunc, rows, values):
+        out = over_bits(ufunc, rows, values)
+        if ufunc is np.add:
+            out[0] -= 1
+        return out
+
+    def scalar_profile(g):
+        p = profile(g)
+        nbr, d2 = p.nbr_deg, p.dist2_deg
+        return dataclasses.replace(
+            p, nbr_deg=(nbr[0] - 1, *nbr[1:]), dist2_deg=(d2[0] - 1, *d2[1:])
+        )
+
+    monkeypatch.setattr(_bulk, "_over_bits", bulk_sums)
+    monkeypatch.setattr(enumeration, "degree_profile", scalar_profile)
 
 
 def _bulk_report(n, alphas) -> dict:
@@ -756,6 +881,58 @@ class TestCoefficientSignGrid:
         evaluations, _ = coefficient_sign_grid([2.0], p_max=4)
         # pairs: (1,2):0+0, (1,3):1+1, (1,4):2+2, (2,3):0+0, (2,4):1+1, (3,4):0+0
         assert evaluations == 8
+
+
+class TestExponentRange:
+    """An exponent whose powers leave the float range is refused before
+    any sweep work; every exponent below that runs alike on both engines."""
+
+    @pytest.mark.parametrize("engine", ["bulk", "scalar"])
+    @pytest.mark.parametrize("alpha", [1000, 400.5, 1e300])
+    def test_verify_all_refuses_before_any_range(self, monkeypatch, engine, alpha):
+        def no_ranges(n):
+            raise AssertionError("a range was swept")
+
+        monkeypatch.setattr(_bulk, "iter_mask_ranges", no_ranges)
+        start = time.perf_counter()
+        with pytest.raises(PowerOverflow):
+            verify_all(4, (2.0, alpha), engine=engine)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("alpha", [1000, 400.5, 1e300])
+    def test_find_equality_graphs_refuses_before_the_search(self, monkeypatch, alpha):
+        # Without the refusal every class would raise, be passed over, and
+        # the search would report no records.
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(enumeration, "enumerate_connected", no_search)
+        with pytest.raises(PowerOverflow):
+            find_equality_graphs(5, alpha, "unit")
+
+    def test_largest_exponents_that_fit_run_alike(self):
+        # At n <= 5 the largest base is max(4**2, 12) = 16, and the sweep is
+        # refused from where 4 * 5 * 16**alpha overflows, near 254.9.
+        docs = []
+        for engine in ("bulk", "scalar"):
+            report = verify_all(5, (254.0, -1000.0), engine=engine)
+            assert report.ok
+            doc = report.to_dict()
+            del doc["elapsed"], doc["engine"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["checks_run"]["nm_bound_secant"] > 0
+        with pytest.raises(PowerOverflow):
+            verify_all(5, (255.0,))
+        # Equality is structural, so no class may drop out near the limit.
+        graphs = [[r.graph for r in find_equality_graphs(5, a, "secant")] for a in (254.0, 2.0)]
+        assert graphs[0] == graphs[1] != []
+
+    def test_numpy_exponents(self):
+        got = verify_all(4, np.array([2, 3])).to_dict()
+        want = verify_all(4, (2.0, 3.0)).to_dict()
+        del got["elapsed"], want["elapsed"]
+        assert got == want
 
 
 class TestFindEqualityGraphs:

@@ -309,6 +309,29 @@ class TestDegreeProfile:
         assert p.dist2_hist == {0: 1, 4999: 5000}
         assert p.diameter == 2
 
+    def test_relabeled_long_path_keeps_no_bitsets(self):
+        # Shuffled labels give most vertices high-numbered neighbors, so the
+        # neighbor bitsets take O(n**2) bits, 36 MB under tracemalloc.  They
+        # live only inside the call: nothing stays on the graph afterwards,
+        # and they are freed before the diameter search.  While the graph
+        # cached them, 36 MB stayed held and the peak was 39.1 MB.
+        n = 20_000
+        rng = random.Random(0)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph.from_edges(n, [(perm[v - 1], perm[v]) for v in range(1, n)])
+        tracemalloc.start()
+        try:
+            p = degree_profile(g)
+            assert p.nbr_hist == {2: 2, 3: 2, 4: n - 4}
+            del p
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        assert peak < 39 << 20
+        assert not hasattr(g, "neighbor_bits")
+
     def test_profile_is_frozen(self, figure1):
         p = degree_profile(figure1)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,6 +1,8 @@
 import math
+import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +35,12 @@ from nbzagreb.errors import (
     ForbiddenAlpha,
     NeighborhoodRegular,
     NotDiameterTwo,
+    PowerOverflow,
     ZeroBaseNegativeExponent,
     ZeroMinDist2Degree,
+    reason,
 )
+from nbzagreb.indices import _powersum
 
 RELATIVE_TOL = 1e-9
 SWEEP_ALPHAS = (-1.0, 0.5, 2.0, 3.0)
@@ -56,6 +61,80 @@ class TestAlpha:
     )
     def test_regimes(self, value, regime):
         assert Alpha(value).regime == regime
+
+    @pytest.mark.parametrize("value,expected", [(np.int64(2), 2.0), (np.float32(2.5), 2.5)])
+    def test_numpy_scalars_are_real_numbers(self, value, expected):
+        alpha = Alpha(value)
+        assert type(alpha.value) is float and alpha.value == expected
+        assert nm_direct(degree_profile(path_graph(5)), value) == nm_direct(
+            degree_profile(path_graph(5)), expected
+        )
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "2", None])
+    def test_non_real_values_rejected(self, value):
+        with pytest.raises(ForbiddenAlpha, match="real number"):
+            Alpha(value)
+
+
+class TestPowerOverflow:
+    """Powers past the float64 range raise a named precondition, quickly."""
+
+    @pytest.mark.parametrize("name,alpha", [("p4", 1000), ("p4", 1e300), ("figure1", 400.5)])
+    def test_direct_sum_raises_within_a_second(self, figure1, name, alpha):
+        # 3**400.5 fits a float, so the fractional case needs figure 1's 10**400.5.
+        p = degree_profile(path_graph(4) if name == "p4" else figure1)
+        start = time.perf_counter()
+        with pytest.raises(PowerOverflow) as info:
+            nm_direct(p, alpha)
+        assert time.perf_counter() - start < 1.0
+        assert reason(info.value) == "power_overflow"
+
+    @pytest.mark.parametrize("alpha", [1000, 400.5, 1e300])
+    def test_every_op_raises(self, figure1, c5_chord, alpha):
+        p = degree_profile(figure1)
+        for op in (nm_reconstruct_secant, nm_reconstruct_unit, secant_slope):
+            with pytest.raises(PowerOverflow):
+                op(p, alpha)
+        if alpha == 400.5:
+            return  # c5_chord's 2-distance degrees reach 5, and 5**400.5 fits
+        p2 = degree_profile(c5_chord)
+        for op in (nm2_reconstruct_secant, nm2_reconstruct_unit):
+            with pytest.raises(PowerOverflow):
+                op(p2, alpha)
+
+    def test_sum_past_the_range_raises(self):
+        # Each power fits, their sum does not: on the exact integer path
+        # float() refuses the sum, on the float path the sum reaches inf.
+        with pytest.raises(PowerOverflow):
+            _powersum((2**511,) * 4, Alpha(2), "value")
+        big = int(1.2e123)
+        assert math.isfinite(float(big) ** 2.5)
+        with pytest.raises(PowerOverflow):
+            _powersum((big,) * 4, Alpha(2.5), "value")
+
+    def test_line_past_the_range_raises_where_the_sum_fits(self):
+        # P5 at 511.9: NM_a is about 4**a, 1.6e308, but the secant line's
+        # base n*lo**a + (M1 - n*lo)*s is about twice that.
+        p = degree_profile(path_graph(5))
+        direct = nm_direct(p, 511.9)
+        assert math.isfinite(direct)
+        assert nm_reconstruct_unit(p, 511.9) == direct
+        with pytest.raises(PowerOverflow):
+            nm_reconstruct_secant(p, 511.9)
+
+    def test_bases_zero_and_one_at_a_huge_exponent(self):
+        # 0 and 1 keep their powers at every exponent, so nothing overflows.
+        p = degree_profile(parse_edge_list("n 3\n0 1"))
+        assert p.nbr_deg == (1, 1, 0)
+        start = time.perf_counter()
+        assert nm_direct(p, 1e300) == 2.0
+        assert nm_direct(p, 1000) == 2.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_powers_that_fit_are_unchanged(self, figure1):
+        p = degree_profile(figure1)
+        assert nm_direct(p, 300) == float(8 * 4**300 + 4 * 10**300)
+        assert nm_direct(p, 2) == 528.0
 
 
 class TestFirstZagreb:

@@ -17,7 +17,7 @@ so the same script measures any version of the function:
     python tools/bench_per_graph.py --target diameter --src /path/to/old/checkout/src --label before
 
 Graphs are built before the clock starts and each is timed once, fresh, so
-a version that reads the lazily built ``Graph.neighbor_bits`` pays for it.
+a version that caches anything on the graph pays for building it.
 Prints one JSON object with, per input set, the seconds and a checksum:
 
 * ``diameter``: ``diameter_sum``, the sum of the diameters;

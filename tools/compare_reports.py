@@ -18,14 +18,14 @@ named outputs; the script then compares the two objects name by name:
   code and stderr on every fixture and on seeded graphs (random ones,
   disconnected ones among them, plus cycles and stars), fed through stdin
   so that the documents do not embed a path;
-* CLI ``compute`` (JSON) and ``spectral`` on larger seeded graphs: paths,
-  random trees and trees with about n extra edges of 200 to 1000
-  vertices, and one disconnected graph of 3000 vertices, where the
-  ``diameter`` and ``connected`` fields come from more than a few BFS
+* CLI ``compute`` (JSON), ``bounds`` and ``spectral`` on larger seeded
+  graphs: paths, random trees and trees with about n extra edges of 200
+  to 1000 vertices, and one disconnected graph of 3000 vertices, where
+  the ``diameter`` and ``connected`` fields come from more than a few BFS
   levels;
-* CLI ``compute`` (JSON) and ``bounds`` on a 2000-leaf star, a broom, a
-  hub joined to every vertex of a long path and a header-declared graph of
-  100,000 vertices with four edges;
+* CLI ``compute`` (JSON), ``bounds`` and ``spectral`` on a 2000-leaf
+  star, a broom, a hub joined to every vertex of a long path and a
+  header-declared graph of 100,000 vertices with four edges;
 * CLI ``verify`` for both engines at n <= 5 with tolerance 1e-9 and
   1e-300, exit code, stderr and the report without ``elapsed``;
 * CLI ``extremal`` at n = 5 and 6 for every bound source, alpha = 2.
@@ -198,11 +198,8 @@ def _cli_outputs(main) -> dict[str, str]:
         for label, argv in commands.items():
             args = [*argv, "--input", "-", "--format", fmt]
             out[f"cli/{label}/{name}"] = _run_cli(main, args, text)
-    for name, text in _large_graphs().items():
-        for label in ("compute", "spectral"):
-            out[f"cli/{label}/{name}"] = _run_cli(main, [*commands[label], "--input", "-"], text)
-    for name, text in _family_graphs().items():
-        for label in ("compute", "bounds"):
+    for name, text in {**_large_graphs(), **_family_graphs()}.items():
+        for label in ("compute", "bounds", "spectral"):
             out[f"cli/{label}/{name}"] = _run_cli(main, [*commands[label], "--input", "-"], text)
     for engine in ("bulk", "scalar"):
         for tol in ("1e-9", "1e-300"):
