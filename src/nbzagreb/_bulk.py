@@ -414,10 +414,6 @@ def _count_between(x: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.nda
     return inside.view(np.int8).sum(axis=0, dtype=np.int8).astype(np.int64)
 
 
-def _tolerances(tolerance: float, reference: np.ndarray) -> np.ndarray:
-    return tolerance * np.maximum(1.0, np.abs(reference))
-
-
 def _line_excess_sum(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Per graph, the sum over its vertices of the correction-table entries
     at an (n, graphs) array of flat positions, row * width + x_v with row
@@ -472,7 +468,7 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
     unit_index = lo * width + x
     for alpha, pw, secant, unit, slopes, steps in tables:
         direct = _float_sum(pw[x])
-        tol = _tolerances(tolerance, direct)
+        tol = tolerance * np.maximum(1.0, np.abs(direct))
         lo_pow = pw[lo]
         slope = slopes[pair]
         base_secant = n * lo_pow + excess * slope

@@ -101,69 +101,83 @@ def dumps_stable(obj) -> str:
 # Input handling
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}")
-
-
 def _load_graph(args):
-    text = _read_text(args.input)
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            text = Path(args.input).read_text()
+        except OSError as exc:
+            raise ParseError(f"cannot read {args.input!r}: {exc}")
     if args.format == "graph6":
         return parse_graph6(text)
     return parse_edge_list(text)
+
+
+def _graph_doc(args, g, **fields) -> dict:
+    """A per-graph document: the command, its input and the graph's size,
+    then ``fields`` in order."""
+    return {"command": args.command, "input": args.input, "format": args.format,
+            "n": g.n, "m": g.m, **fields}
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _index_doc(entry: dict, key: str, recon_key: str, p, alpha, direct, secant, unit,
-               slope=None) -> None:
-    """The direct sum under ``key`` and its reconstructions under ``recon_key``."""
+def _index_doc(entry: dict, key: str, recon_key: str, p, alpha, direct, values: dict) -> None:
+    """The direct sum under ``key``; under ``recon_key`` each of ``values``
+    (name -> op), then the two reconstructions' residuals.  A value that
+    raises is null, followed by ``<name>_inapplicable``, and so is its
+    residual; if the direct sum or every value raises, the block is
+    ``{"inapplicable": reason}``, the direct sum's or else the secant's."""
     try:
         value = entry[key] = direct(p, alpha)
-        via_s, via_u = secant(p, alpha), unit(p, alpha)
-        recon = entry[recon_key] = {} if slope is None else {"s_alpha": slope(p, alpha)}
-        recon.update(secant=via_s, unit=via_u, residual_secant=abs(via_s - value),
-                     residual_unit=abs(via_u - value))
     except PreconditionError as exc:
-        if key not in entry:  # the direct sum itself raised
-            entry[key] = None
-            entry[f"{key}_inapplicable"] = reason(exc)
+        entry[key] = None
+        entry[f"{key}_inapplicable"] = reason(exc)
         entry[recon_key] = {"inapplicable": reason(exc)}
+        return
+    recon = {}
+    for name, op in values.items():
+        try:
+            recon[name] = op(p, alpha)
+        except PreconditionError as exc:
+            recon[name] = None
+            recon[f"{name}_inapplicable"] = reason(exc)
+    if all(recon[name] is None for name in values):
+        entry[recon_key] = {"inapplicable": recon["secant_inapplicable"]}
+        return
+    for form in ("secant", "unit"):
+        via = recon[form]
+        recon[f"residual_{form}"] = None if via is None else abs(via - value)
+    entry[recon_key] = recon
 
 
 def cmd_compute(args):
     alphas = [as_alpha(a) for a in args.alpha]
     g = _load_graph(args)
     p = degree_profile(g)
-    entries = []
-    for alpha in alphas:
-        entry: dict = {"alpha": alpha.value}
-        _index_doc(entry, "nm_alpha", "reconstruction", p, alpha, nm_direct,
-                   nm_reconstruct_secant, nm_reconstruct_unit, secant_slope)
-        _index_doc(entry, "nm2_alpha", "reconstruction_dist2", p, alpha, nm2_direct,
-                   nm2_reconstruct_secant, nm2_reconstruct_unit)
-        entries.append(entry)
     if args.output == "csv":
         lines = ["vertex,degree,nbr_degree,dist2_degree"]
         for u in range(g.n):
             lines.append(f"{u},{p.deg[u]},{p.nbr_deg[u]},{p.dist2_deg[u]}")
         return "\n".join(lines), EXIT_OK
-    doc = {
-        "command": "compute",
-        "input": args.input,
-        "format": args.format,
-        "n": g.n,
-        "m": g.m,
-        "connected": p.diameter != math.inf,
-        "diameter": p.diameter,
-        "m1": p.m1,
-        "profile": {
+    nm_values = {"s_alpha": secant_slope, "secant": nm_reconstruct_secant,
+                 "unit": nm_reconstruct_unit}
+    nm2_values = {"secant": nm2_reconstruct_secant, "unit": nm2_reconstruct_unit}
+    entries = []
+    for alpha in alphas:
+        entry: dict = {"alpha": alpha.value}
+        _index_doc(entry, "nm_alpha", "reconstruction", p, alpha, nm_direct, nm_values)
+        _index_doc(entry, "nm2_alpha", "reconstruction_dist2", p, alpha, nm2_direct, nm2_values)
+        entries.append(entry)
+    return _graph_doc(
+        args, g,
+        connected=p.diameter != math.inf,
+        diameter=p.diameter,
+        m1=p.m1,
+        profile={
             "degree": p.deg,
             "nbr_degree": p.nbr_deg,
             "dist2_degree": p.dist2_deg,
@@ -175,9 +189,8 @@ def cmd_compute(args):
             "d2_min": p.d2_min,
             "d2_max": p.d2_max,
         },
-        "indices": entries,
-    }
-    return doc, EXIT_OK
+        indices=entries,
+    ), EXIT_OK
 
 
 def cmd_bounds(args):
@@ -201,43 +214,29 @@ def cmd_bounds(args):
         alpha_docs.append(
             {"alpha": alpha.value, "bounds": reports, "inapplicable": inapplicable}
         )
-    doc = {
-        "command": "bounds",
-        "input": args.input,
-        "format": args.format,
-        "n": g.n,
-        "m": g.m,
-        "m1": p.m1,
-        "delta_min": p.delta_min,
-        "delta_max": p.delta_max,
-        "congruence": congruence_doc,
-        "alphas": alpha_docs,
-    }
-    return doc, EXIT_OK
+    return _graph_doc(
+        args, g, m1=p.m1, delta_min=p.delta_min, delta_max=p.delta_max,
+        congruence=congruence_doc, alphas=alpha_docs,
+    ), EXIT_OK
 
 
 def cmd_spectral(args):
     g = _load_graph(args)
     result = spectral_report(g, tol=args.power_tol, max_iter=args.max_iter)
     ratio_holds = result.ratio_bound_exact or result.rho_squared >= result.bound_nm2_ratio
-    doc = {
-        "command": "spectral",
-        "input": args.input,
-        "format": args.format,
-        "n": g.n,
-        "m": g.m,
-        "rho": result.rho,
-        "rho_upper": result.rho_upper,
-        "rho_squared": result.rho_squared,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "bound_nm2_ratio": result.bound_nm2_ratio,
-        "bound_min_nbr": result.bound_min_nbr,
-        "ratio_bound_holds": ratio_holds,
-        "min_nbr_bound_holds": (ratio_holds and result.bounds_ordered)
+    return _graph_doc(
+        args, g,
+        rho=result.rho,
+        rho_upper=result.rho_upper,
+        rho_squared=result.rho_squared,
+        iterations=result.iterations,
+        residual=result.residual,
+        bound_nm2_ratio=result.bound_nm2_ratio,
+        bound_min_nbr=result.bound_min_nbr,
+        ratio_bound_holds=ratio_holds,
+        min_nbr_bound_holds=(ratio_holds and result.bounds_ordered)
         or result.rho_squared >= result.bound_min_nbr,
-    }
-    return doc, EXIT_OK
+    ), EXIT_OK
 
 
 def cmd_verify(args):

@@ -64,8 +64,8 @@ from .graphs import (
     Graph,
     _g6_pairs,
     degree_profile,
-    edges_of_mask,
     encode_graph6,
+    graph_of_mask,
     is_path,
     mask_of_edges,
 )
@@ -77,7 +77,6 @@ from .indices import (
     nm2_direct,
     nm2_reconstruct_secant,
     nm2_reconstruct_unit,
-    nm_direct,
     nm_reconstruct_secant,
     nm_reconstruct_unit,
 )
@@ -119,10 +118,6 @@ def _refuse_overflow(n: int, top: int, alphas: list[Alpha]) -> None:
             )
 
 
-def _graph_of_mask(n: int, mask: int) -> Graph:
-    return Graph.from_edges(n, edges_of_mask(n, mask))
-
-
 @lru_cache(maxsize=8)
 def _perm_table(n: int) -> np.ndarray:
     """Edge-slot permutation table (n!, npairs)."""
@@ -149,7 +144,7 @@ def canonical_form(g: Graph) -> Graph:
     bitstring (hence smallest graph6 string) over all relabelings."""
     _check_n(g.n, allow_n8=True)
     keys = _orbit_keys(g.n, mask_of_edges(g.n, g.edges()))
-    return _graph_of_mask(g.n, int(keys.min()))
+    return graph_of_mask(g.n, int(keys.min()))
 
 
 def enumerate_connected(
@@ -172,7 +167,7 @@ def enumerate_connected(
     if not dedup:
         for lo, hi in _bulk.iter_mask_ranges(n):
             for mask in _bulk.connected_masks(n, lo, hi).tolist():
-                yield _graph_of_mask(n, mask)
+                yield graph_of_mask(n, mask)
         return
     seen = np.zeros(1 << _bulk.pair_count(n), dtype=bool)
     for lo, hi in _bulk.iter_mask_ranges(n):
@@ -182,7 +177,7 @@ def enumerate_connected(
             if seen[mask]:
                 continue
             seen[_orbit_keys(n, mask)] = True
-            yield _graph_of_mask(n, mask)
+            yield graph_of_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +311,10 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         bounds = _run_ops(tally, bound_ops, p, alphas, tolerance)
         for i, alpha in enumerate(alphas):
             if recon:
-                _compare_identities(fail, recon, i, alpha, nm_direct(p, alpha), tolerance)
+                # The secant bound runs wherever the reconstructions do (both
+                # need distinct extremes), and its ``computed`` is NM_a.
+                direct = bounds["nm_bound_secant"][i].computed
+                _compare_identities(fail, recon, i, alpha, direct, tolerance)
             for check, reps in bounds.items():
                 rep = reps[i]
                 if not rep.holds:
@@ -374,7 +372,7 @@ def _scalar_chunk(
     tally = Tally()
     for mask in _bulk.connected_masks(n, mask_lo, mask_hi).tolist():
         tally.graphs += 1
-        _scalar_graph_checks(_graph_of_mask(n, mask), alpha_objs, tolerance, tally)
+        _scalar_graph_checks(graph_of_mask(n, mask), alpha_objs, tolerance, tally)
     return tally
 
 

@@ -429,6 +429,9 @@ def parse_edge_list(text: str) -> Graph:
 # of ``_g6_pairs(n)``, is bit pair_count(n) - 1 - k.  So numeric order on
 # masks is lexicographic order on bitstreams, and the six-bit data
 # characters of graph6 are the mask's bits, zero-padded on the right.
+# ``mask_of_edges``, ``edges_of_mask``, ``graph_of_mask`` and
+# ``graph6_of_mask`` are the one codec of a single mask; ``parse_graph6``
+# decodes through ``graph_of_mask``.
 
 
 def pair_count(n: int) -> int:
@@ -457,6 +460,11 @@ def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
     pairs = _g6_pairs(n)
     # Binary digits, most significant first, are the slots in order.
     return [pair for pair, bit in zip(pairs, format(mask, f"0{len(pairs)}b")) if bit == "1"]
+
+
+def graph_of_mask(n: int, mask: int) -> Graph:
+    """The graph on n vertices whose edges are the mask's set slots."""
+    return Graph.from_edges(n, edges_of_mask(n, mask))
 
 
 def graph6_of_mask(n: int, mask: int) -> str:
@@ -497,7 +505,7 @@ def parse_graph6(text: str) -> Graph:
         if not 0 <= val <= 63:
             raise InvalidGraph6(f"bad data character {ch!r}")
         value = value << 6 | val
-    return Graph.from_edges(n, edges_of_mask(n, value >> (-npairs % 6)))
+    return graph_of_mask(n, value >> (-npairs % 6))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -224,6 +224,12 @@ def _min_nbr_numerator(p: DegreeProfile) -> int:
     return p.m1 * (2 * lo + 1) - p.n * lo * lo - p.n * lo
 
 
+def _need_edge(p: DegreeProfile, bound: str) -> None:
+    """EmptyGraph unless the graph has an edge, which both bounds divide by."""
+    if p.m1 == 0:
+        raise EmptyGraph(f"the {bound} bound needs at least one edge")
+
+
 def ratio_bound_is_exact(g: Graph, p: DegreeProfile) -> bool:
     """True when rho**2 == NM_2 / M1 exactly; ``p`` is the profile of ``g``.
 
@@ -236,8 +242,7 @@ def ratio_bound_is_exact(g: Graph, p: DegreeProfile) -> bool:
     bounds that component's rho**2 by NM_2 / M1 from above (Horn and
     Johnson, Matrix Analysis, section 8.1).  Needs at least one edge.
     """
-    if p.m1 == 0:
-        raise EmptyGraph("the ratio bound needs at least one edge")
+    _need_edge(p, "ratio")
     nm2, nbr = _nm2(p), p.nbr_deg
     return all(
         sum(nbr[v] for v in g.adjacency[u]) * p.m1 == nm2 * p.deg[u] for u in range(p.n)
@@ -247,8 +252,7 @@ def ratio_bound_is_exact(g: Graph, p: DegreeProfile) -> bool:
 def nm2_ratio_lower_bound(g: Graph) -> float:
     """Lower bound NM_2 / M1 on rho**2; needs at least one edge."""
     p = degree_profile(g)
-    if p.m1 == 0:
-        raise EmptyGraph("the ratio bound needs at least one edge")
+    _need_edge(p, "ratio")
     return _nm2(p) / p.m1
 
 
@@ -256,8 +260,7 @@ def min_nbr_lower_bound(g: Graph) -> float:
     """Lower bound (M1*(2*lo + 1) - n*lo**2 - n*lo) / M1 on rho**2, where
     lo is the minimum neighborhood degree; needs at least one edge."""
     p = degree_profile(g)
-    if p.m1 == 0:
-        raise EmptyGraph("the minimum-degree bound needs at least one edge")
+    _need_edge(p, "minimum-degree")
     return _min_nbr_numerator(p) / p.m1
 
 

@@ -92,6 +92,36 @@ class TestCompute:
         # vertex 0: degree 2, nbr degree 5, dist2 set {2, 4} with degrees 2 and 1
         assert lines[1] == "0,2,5,3"
 
+    def test_csv_computes_no_index(self, capsys, monkeypatch):
+        argv = ("compute", "--input", FIG2, "--alpha", "2", "--output", "csv")
+        _, table, _ = run(capsys, *argv)
+
+        def refuse(*args):
+            raise AssertionError("the table needs no index")
+
+        monkeypatch.setattr(cli, "nm_direct", refuse)
+        monkeypatch.setattr(cli, "nm2_direct", refuse)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == table
+
+    def test_reconstruction_that_fits_is_kept(self, capsys):
+        # At 511.9 on P5 only the secant line's base, 5 * 2**a + 4 * s_a,
+        # leaves the float range; the unit form and s_a fit.
+        p5 = str(FIXTURES / "paths" / "p5.edges")
+        code, out, _ = run(capsys, "compute", "--input", p5, "--alpha", "511.9")
+        assert code == 0
+        entry = json.loads(out)["indices"][0]
+        recon = entry["reconstruction"]
+        assert list(recon) == ["s_alpha", "secant", "secant_inapplicable", "unit",
+                               "residual_secant", "residual_unit"]
+        assert entry["nm_alpha"] == recon["unit"] == 1.56498277119e308
+        assert recon["s_alpha"] == 7.82491385594e307
+        assert recon["secant"] is None and recon["residual_secant"] is None
+        assert recon["secant_inapplicable"] == "power_overflow"
+        assert recon["residual_unit"] == 0
+        assert entry["reconstruction_dist2"] == {"inapplicable": "not_diameter_two"}
+
     def test_regular_graph_marks_reconstruction_inapplicable(self, capsys, tmp_path):
         star = tmp_path / "star.edges"
         star.write_text("0 1\n0 2\n0 3\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -27,7 +28,13 @@ from nbzagreb import (
     verify_all,
 )
 from nbzagreb import _bulk, bounds, enumeration, indices, spectral
-from nbzagreb.graphs import _g6_pairs, edges_of_mask, graph6_of_mask, mask_of_edges
+from nbzagreb.graphs import (
+    _g6_pairs,
+    edges_of_mask,
+    graph6_of_mask,
+    graph_of_mask,
+    mask_of_edges,
+)
 from nbzagreb.errors import (
     ForbiddenAlpha,
     NeighborhoodRegular,
@@ -115,6 +122,13 @@ class TestCanonicalForm:
             assert int(_bulk._masks_of(row)) == mask
         if n > 1:
             assert edges_of_mask(n, 1 << (npairs - 1)) == [(0, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_graph_of_mask_matches_both_decoders(self, n):
+        for mask in range(1 << _bulk.pair_count(n)):
+            g = graph_of_mask(n, mask)
+            assert g == parse_graph6(graph6_of_mask(n, mask))
+            assert g == Graph.from_edges(n, edges_of_mask(n, mask))
 
     def test_mask_known_answers(self):
         # K4 sets all six slots: bitstream 111111 is data character 63 + 63.
@@ -300,6 +314,22 @@ class TestVerifyAll:
         assert bulk.checks_run == scalar.checks_run
         assert bulk.skips == scalar.skips
         assert bulk.failures == scalar.failures == ()
+
+    def test_scalar_engine_sums_nm_once_per_bound(self, monkeypatch):
+        # The NM identity checks read NM_a from the secant bound's report,
+        # so the direct sum runs only inside the three bound ops.
+        real, calls = indices.nm_direct, []
+
+        def counted(p, alpha):
+            calls.append(alpha)
+            return real(p, alpha)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nbzagreb") and vars(module).get("nm_direct") is real:
+                monkeypatch.setattr(module, "nm_direct", counted)
+        report = verify_all(5, (-1, 0.5, 2, 3), engine="scalar")
+        bound_checks = sum(report.checks_run[f"nm_bound_{s}"] for s in bounds.BOUND_SOURCES)
+        assert len(calls) == bound_checks == 6320
 
     @pytest.mark.parametrize("engine", ["bulk", "scalar"])
     def test_parallel_matches_sequential(self, engine):
@@ -761,13 +791,21 @@ def _shift_corrections(monkeypatch):
 
 
 def _raise_power_of_three(monkeypatch):
-    # 3**alpha raised by 100 breaks the convexity the bound directions rest on.
-    pow_, powersum = indices._pow, indices._powersum
+    # 3**alpha raised by 100 in both engines breaks the convexity the bound
+    # directions rest on.
+    pow_, powersum, powers = indices._pow, indices._powersum, _bulk._powers
+
+    def faulty_powers(width, alpha):
+        pw = powers(width, alpha)
+        pw[3:4] += 100.0
+        return pw
+
     monkeypatch.setattr(indices, "_pow", lambda b, a: pow_(b, a) + (100.0 if b == 3 else 0.0))
     monkeypatch.setattr(bounds, "_pow", indices._pow)
     monkeypatch.setattr(
         indices, "_powersum", lambda v, a, what: powersum(v, a, what) + 100.0 * v.count(3)
     )
+    monkeypatch.setattr(_bulk, "_powers", faulty_powers)
 
 
 def _shift_nm2(monkeypatch, shift):
@@ -776,6 +814,66 @@ def _shift_nm2(monkeypatch, shift):
     monkeypatch.setattr(_bulk, "_nm2", lambda nbr: bulk_nm2(nbr) + shift)
     monkeypatch.setattr(spectral, "_nm2", lambda p: scalar_nm2(p) + shift)
     monkeypatch.setattr(enumeration, "_nm2", spectral._nm2)
+
+
+# The first, a middle and the last range of 2,048 masks at n = 7.
+N7_RANGES = (0, 1 << 20, (1 << 21) - 2048)
+U = np.finfo(np.float64).eps / 2
+
+
+class TestEnginesAtN7:
+    """The engines agree past n = 5, on clean runs and on failing ones."""
+
+    ALPHAS = (-1.0, 0.5, 2.0, 3.0)
+
+    def _tallies(self, tolerance):
+        for lo in N7_RANGES:
+            yield (
+                _bulk.sweep_chunk(7, lo, lo + 2048, self.ALPHAS, tolerance),
+                enumeration._scalar_chunk(7, lo, lo + 2048, self.ALPHAS, tolerance),
+            )
+
+    def test_clean_ranges_agree(self):
+        for bulk, scalar in self._tallies(1e-13):
+            assert bulk.graphs == scalar.graphs > 400
+            assert bulk.checks == scalar.checks
+            assert bulk.skips == scalar.skips
+            assert bulk.failure_count == scalar.failure_count == 0
+            assert bulk.failures == scalar.failures == []
+
+    @pytest.mark.parametrize(
+        "fault, checks",
+        [
+            (_raise_power_of_three, {"nm_bound_secant", "nm_bound_unit", "nm_bound_congruence"}),
+            (lambda mp: _shift_nm2(mp, 1), {"spectral_chain", "spectral_regular"}),
+        ],
+        ids=["power_of_three", "nm2_plus_1"],
+    )
+    def test_faulted_ranges_name_the_same_failures(self, monkeypatch, fault, checks):
+        # The same records, apart from the last bits of got: each engine
+        # sums its own way (the power fault adds 100 per vertex in the
+        # kernel, once per count in the scalar sum), and rho**2 comes from
+        # eigvalsh in one engine and Lanczos in the other.
+        fault(monkeypatch)
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        fields = ("graph6", "check", "alpha", "expected")
+
+        def key(record):
+            return repr([record[k] for k in fields])
+
+        seen = set()
+        for bulk, scalar in self._tallies(1e-9):
+            assert len(bulk.failures) == len(scalar.failures) == bulk.failure_count > 0
+            assert scalar.failure_count == bulk.failure_count
+            pairs = zip(sorted(bulk.failures, key=key), sorted(scalar.failures, key=key))
+            for b, s in pairs:
+                assert [b[k] for k in fields] == [s[k] for k in fields]
+                if isinstance(b["got"], float):
+                    assert abs(b["got"] - s["got"]) <= 4 * 7 * U * max(1.0, abs(b["got"])), b
+                else:
+                    assert b["got"] == s["got"]
+                seen.add(b["check"])
+        assert seen == checks
 
 
 class TestReplay:

@@ -372,7 +372,7 @@ class TestRatioCertificate:
 
     def test_empty_graph_rejected(self):
         lonely = Graph.from_edges(1, [])
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(EmptyGraph, match="^the ratio bound needs at least one edge$"):
             ratio_bound_is_exact(lonely, degree_profile(lonely))
 
     def test_report_carries_the_certificates(self):
@@ -407,9 +407,9 @@ class TestLowerBounds:
 
     def test_empty_graph_rejected(self):
         lonely = Graph.from_edges(1, [])
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(EmptyGraph, match="^the ratio bound needs at least one edge$"):
             nm2_ratio_lower_bound(lonely)
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(EmptyGraph, match="^the minimum-degree bound needs at least one edge$"):
             min_nbr_lower_bound(lonely)
 
     def test_report_combines_everything(self, figure1):

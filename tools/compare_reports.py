@@ -26,6 +26,10 @@ named outputs; the script then compares the two objects name by name:
 * CLI ``compute`` (JSON), ``bounds`` and ``spectral`` on a 2000-leaf
   star, a broom, a hub joined to every vertex of a long path and a
   header-declared graph of 100,000 vertices with four edges;
+* CLI ``compute`` (JSON), ``bounds`` and ``spectral`` on a one-vertex
+  ``n 1`` document, where the spectral bounds raise ``EmptyGraph``;
+* CLI ``compute`` (JSON) and ``bounds`` at exponents whose powers leave
+  the float range in part: P5 at 511.9 and figure 1 at 400.5;
 * CLI ``verify`` for both engines at n <= 5 with tolerance 1e-9 and
   1e-300, exit code, stderr and the report without ``elapsed``;
 * CLI ``extremal`` at n = 5 and 6 for every bound source, alpha = 2.
@@ -198,9 +202,13 @@ def _cli_outputs(main) -> dict[str, str]:
         for label, argv in commands.items():
             args = [*argv, "--input", "-", "--format", fmt]
             out[f"cli/{label}/{name}"] = _run_cli(main, args, text)
-    for name, text in {**_large_graphs(), **_family_graphs()}.items():
+    for name, text in {**_large_graphs(), **_family_graphs(), "n1": "n 1\n"}.items():
         for label in ("compute", "bounds", "spectral"):
             out[f"cli/{label}/{name}"] = _run_cli(main, [*commands[label], "--input", "-"], text)
+    for name, alpha in (("paths/p5.edges", "511.9"), ("figure1.edges", "400.5")):
+        for label in ("compute", "bounds"):
+            argv = [label, "--alpha", alpha, "--input", "-"]
+            out[f"cli/{label}/{name}/a{alpha}"] = _run_cli(main, argv, inputs[name][0])
     for engine in ("bulk", "scalar"):
         for tol in ("1e-9", "1e-300"):
             argv = ["verify", "--n-max", "5", *alpha_flags, "--tolerance", tol, "--engine", engine]
