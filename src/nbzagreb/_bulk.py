@@ -4,8 +4,8 @@ Graphs on n vertices are named by their edge masks, the graph6 bitstream
 read as one integer (slot k, the k-th pair in graph6 column-major order,
 at bit npairs-1-k).  :mod:`nbzagreb.graphs` owns the codec of a single
 mask; this module decodes masks only in batches (:func:`_bits_of`,
-:func:`_masks_of`, :func:`_adj_of`), and all kernels work on contiguous
-mask ranges in numpy batches.
+:func:`_adj_of`, and :func:`_decode` for a whole range), and all kernels
+work on contiguous mask ranges in numpy batches.
 
 A batch of decoded graphs is an (n, graphs) array of neighbor bitmasks,
 one set-word per vertex as in nauty: bit u of rows[v, g] is set when uv is
@@ -73,22 +73,12 @@ CHECK_NAMES = (
 FAILURE_CAP = 1000
 
 
-def _slot_shifts(npairs: int) -> np.ndarray:
-    """Bit position of each edge slot in a mask: slot k sits at bit npairs-1-k."""
-    return np.arange(npairs - 1, -1, -1, dtype=np.int64)
-
-
 def _bits_of(masks: np.ndarray, npairs: int) -> np.ndarray:
     """(len(masks), npairs) 0/1 slot bits of a 1-D array of masks, npairs
     <= 63.  Big-endian bytes unpack most significant bit first, so the
     last npairs bits of each 64-bit word are slots 0 .. npairs - 1."""
     words = np.unpackbits(masks.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
     return words[:, 64 - npairs :]
-
-
-def _masks_of(bits: np.ndarray) -> np.ndarray:
-    """Masks of 0/1 slot bits along the last axis; inverse of _bits_of."""
-    return bits @ (1 << _slot_shifts(bits.shape[-1]))
 
 
 @dataclass
@@ -280,9 +270,39 @@ def iter_mask_ranges(n: int):
 
 
 def _decode(n: int, mask_lo: int, mask_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks in [mask_lo, mask_hi) and their (masks, n) neighbor rows."""
-    masks = np.arange(mask_lo, mask_hi, dtype=np.int64)
-    return masks, _adj_of(_bits_of(masks, pair_count(n)), n)
+    """Masks in [mask_lo, mask_hi) and their (n, masks) neighbor rows.
+
+    The range is cut into aligned power-of-two blocks, each the largest
+    that starts at the current mask and ends by mask_hi.  A block's first
+    mask is decoded alone; low bit b of a mask is slot npairs - 1 - b, so
+    the block doubles once per low bit, its new half the old rows with that
+    slot's two bits set."""
+    npairs = pair_count(n)
+    mask_lo, mask_hi = int(mask_lo), int(mask_hi)
+    if not 0 <= mask_lo <= mask_hi <= 1 << npairs:
+        raise ValueError(
+            f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << npairs}) for n = {n}"
+        )
+    dtype = _row_dtype(n)
+    # edge[b]: the (n, 1) rows of the one edge at low bit b.
+    edge = np.zeros((npairs, n, 1), dtype=dtype)
+    for b, (i, j) in enumerate(reversed(_g6_pairs(n))):
+        edge[b, i] = 1 << j
+        edge[b, j] = 1 << i
+    rows = np.empty((n, mask_hi - mask_lo), dtype=dtype)
+    lo = mask_lo
+    while lo < mask_hi:
+        size = (mask_hi - lo).bit_length() - 1
+        if lo:
+            size = min(size, (lo & -lo).bit_length() - 1)
+        start = lo - mask_lo
+        rows[:, start : start + 1] = _adj_of(_bits_of(np.array([lo]), npairs), n)
+        for b in range(size):
+            width = 1 << b
+            old = rows[:, start : start + width]
+            np.bitwise_or(old, edge[b], out=rows[:, start + width : start + 2 * width])
+        lo += 1 << size
+    return np.arange(mask_lo, mask_hi, dtype=np.int64), rows
 
 
 def connected_masks(n: int, mask_lo: int, mask_hi: int) -> np.ndarray:

@@ -120,23 +120,33 @@ def _refuse_overflow(n: int, top: int, alphas: list[Alpha]) -> None:
 
 @lru_cache(maxsize=8)
 def _perm_table(n: int) -> np.ndarray:
-    """Edge-slot permutation table (n!, npairs)."""
+    """Key weights (npairs, n!): entry [s, p] is the mask bit that edge slot
+    s lands on under the p-th vertex relabeling, so the masks of every
+    relabeling of a graph are the sums of the rows of its edge slots."""
     pairs = _g6_pairs(n)
+    npairs = len(pairs)
     index = np.zeros((n, n), dtype=np.int64)
     for k, (i, j) in enumerate(pairs):
         index[i, j] = index[j, i] = k
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    table = np.empty((perms.shape[0], len(pairs)), dtype=np.int64)
+    columns = np.arange(perms.shape[0])
+    table = np.empty((npairs, perms.shape[0]), dtype=np.int64)
     for k, (i, j) in enumerate(pairs):
-        table[:, k] = index[perms[:, i], perms[:, j]]
+        # Slot k of the relabeled graph is the slot index[perm[i], perm[j]].
+        table[index[perms[:, i], perms[:, j]], columns] = 1 << (npairs - 1 - k)
     return table
 
 
 def _orbit_keys(n: int, mask: int) -> np.ndarray:
     """Masks of every relabeling of the graph encoded by ``mask``."""
     table = _perm_table(n)
-    bits = (mask >> _bulk._slot_shifts(table.shape[1])) & 1
-    return _bulk._masks_of(bits[table])
+    top = table.shape[0] - 1
+    # Added in place: gathering the rows first costs a copy of each one.
+    keys = np.zeros(table.shape[1], dtype=np.int64)
+    for slot, weights in enumerate(table):
+        if mask >> (top - slot) & 1:
+            keys += weights
+    return keys
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -155,13 +165,14 @@ def enumerate_connected(
     class.
 
     The mask space is filtered one range at a time by
-    :func:`nbzagreb._bulk.connected_masks`, which decides connectivity on
-    per-vertex neighbor bitmasks.  Dedup keeps a seen-bitmap over the whole
-    mask space and expands the isomorphism orbit of each new
-    representative, so representatives are exactly the orbit-minimal masks
-    (256 MB bitmap at n = 8).  Each range is first reduced in numpy to the
-    masks not yet seen (37,085 of the 1,866,256 connected masks at n = 7),
-    and only those reach the per-mask loop.
+    :func:`nbzagreb._bulk.connected_masks`, which decodes the range into
+    per-vertex neighbor bitmasks and decides connectivity on them.  Dedup
+    keeps a seen-bitmap over the whole mask space and marks the isomorphism
+    orbit of each new representative, its n! relabeled masks summed from
+    the key weights of :func:`_perm_table`, so representatives are exactly
+    the orbit-minimal masks (256 MB bitmap at n = 8).  Each range is first
+    reduced in numpy to the masks not yet seen (37,085 of the 1,866,256
+    connected masks at n = 7), and only those reach the per-mask loop.
     """
     _check_n(n, allow_n8)
     if not dedup:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -113,15 +114,35 @@ class TestCanonicalForm:
         rng = np.random.default_rng(n)
         masks = np.unique(np.r_[0, (1 << npairs) - 1, rng.integers(0, 1 << npairs, 500)])
         bits = _bulk._bits_of(masks, npairs)
-        np.testing.assert_array_equal(_bulk._masks_of(bits), masks)
         for mask, row in zip(masks.tolist(), bits):
-            edges = edges_of_mask(n, mask)
-            assert edges == [pair for pair, bit in zip(_g6_pairs(n), row) if bit]
+            edges = [pair for pair, bit in zip(_g6_pairs(n), row) if bit]
+            assert edges_of_mask(n, mask) == edges
+            # The codec of one mask inverts the batch decode.
             assert mask_of_edges(n, edges) == mask
             assert mask_of_edges(n, [(j, i) for i, j in reversed(edges)]) == mask
-            assert int(_bulk._masks_of(row)) == mask
         if n > 1:
             assert edges_of_mask(n, 1 << (npairs - 1)) == [(0, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_orbit_keys_are_every_relabeling(self, n):
+        self._check_orbits(n, range(1 << _bulk.pair_count(n)))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_orbit_keys_on_seeded_masks(self, n):
+        rng = np.random.default_rng(n)
+        self._check_orbits(n, rng.integers(0, 1 << _bulk.pair_count(n), 200).tolist())
+
+    @staticmethod
+    def _check_orbits(n, masks):
+        # The keys are the masks of the n! relabelings, as often as each
+        # one is reached, however the table orders them.
+        perms = list(itertools.permutations(range(n)))
+        for mask in masks:
+            edges = edges_of_mask(n, mask)
+            relabeled = [mask_of_edges(n, [(p[i], p[j]) for i, j in edges]) for p in perms]
+            keys = enumeration._orbit_keys(n, mask)
+            assert keys.dtype == np.int64
+            assert sorted(keys.tolist()) == sorted(relabeled)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_graph_of_mask_matches_both_decoders(self, n):
@@ -202,6 +223,63 @@ class TestNeighborRows:
             _bulk._adj_of(np.zeros((1, _bulk.pair_count(65)), dtype=np.uint8), 65)
         with pytest.raises(NTooLarge):
             _bulk.tree_identity_sweep(65)
+
+    @staticmethod
+    def _assert_decodes(n, lo, hi):
+        npairs = _bulk.pair_count(n)
+        masks = np.arange(lo, hi, dtype=np.int64)
+        want = _bulk._adj_of(_bulk._bits_of(masks, npairs), n)
+        got_masks, got = _bulk._decode(n, lo, hi)
+        np.testing.assert_array_equal(got_masks, masks)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype == _bulk._row_dtype(n)
+        assert got.shape == (n, hi - lo) and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_decode_of_the_whole_space(self, n):
+        self._assert_decodes(n, 0, 1 << _bulk.pair_count(n))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_decode_of_chunk_ranges(self, n):
+        # The first, a middle and the last range; at n = 8 the last ends at K8.
+        total = 1 << _bulk.pair_count(n)
+        step = 1 << _bulk.CHUNK_BITS
+        for lo in (0, total // 2 + 3 * step, total - step):
+            self._assert_decodes(n, lo, lo + step)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_decode_of_unaligned_ranges(self, n):
+        # Ranges of up to 4096 masks from seeded starts, as sample_connected
+        # takes them, then one mask, an empty range and the last mask.
+        total = 1 << _bulk.pair_count(n)
+        rng = np.random.default_rng(100 + n)
+        for start in rng.integers(0, total, 6).tolist():
+            self._assert_decodes(n, start, min(start + 4096, total))
+            self._assert_decodes(n, start, start + 1)
+            self._assert_decodes(n, start, start)
+        self._assert_decodes(n, total - 1, total)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(64, 128), (63, 65), (0, 65), (-1, 3), (5, 4), (1 << 40, 1 << 40)]
+    )
+    def test_ranges_outside_the_mask_space_are_refused(self, lo, hi):
+        # n = 4 has 2**6 masks; a mask past them used to alias its low bits.
+        with pytest.raises(ValueError, match="mask range"):
+            _bulk.connected_masks(4, lo, hi)
+        with pytest.raises(ValueError, match="mask range"):
+            _bulk.sweep_chunk(4, lo, hi, (2.0,), 1e-9)
+
+    def test_connected_masks_of_n7_holds_no_slot_bits(self):
+        # The decode doubles neighbor rows, 7 bytes a mask; the (masks, 64)
+        # unpacked slot bits of every n = 7 mask peaked at 212 MB.
+        tracemalloc.start()
+        try:
+            masks = _bulk.connected_masks(7, 0, 1 << 21)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masks.size == 1_866_256
+        assert peak < 80_000_000
 
     def test_kernel_allocates_no_dense_adjacency(self):
         # One dense (graphs, n, n) int64 copy of a full n = 7 range is

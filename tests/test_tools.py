@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from nbzagreb import _bulk
+from nbzagreb import _bulk, enumeration, find_equality_graphs
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -16,16 +16,20 @@ def _load(name: str):
 
 
 def test_bench_enumeration_measures_and_restores_the_kernel():
-    before = dict(vars(_bulk))
+    before = {module: dict(vars(module)) for module in (_bulk, enumeration)}
     bench = _load("bench_enumeration")
     result = bench.measure(4)
     assert result["connected"] == result["graphs"] == 38  # connected labeled 4-vertex graphs
     assert result["checks"] > 0 and result["failures"] == 0
     stages = ("kernel_decode_s", "kernel_connected_s", "kernel_reconstruct_s")
     assert 0 <= sum(result[key] for key in stages) <= result["kernel_s"]
-    after = vars(_bulk)
-    assert after.keys() == before.keys()
-    assert all(after[name] is obj for name, obj in before.items())
+    assert 0 <= result["orbit_keys_s"] <= result["extremal_s"]
+    want = sum(len(find_equality_graphs(4, 2.0, source)) for source in bench.SOURCES)
+    assert result["extremal_records"] == want > 0
+    for module, names in before.items():
+        after = vars(module)
+        assert after.keys() == names.keys()
+        assert all(after[name] is obj for name, obj in names.items())
     run = {"label": "before", **result}
     assert bench.disagreements(result, [run]) == []
     assert len(bench.disagreements(result, [{**run, "checks": result["checks"] + 1}])) == 1

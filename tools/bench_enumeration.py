@@ -1,8 +1,9 @@
-"""Time the connectivity filter and the bulk sweep kernel over n = 7.
+"""Time the connectivity filter, the bulk sweep kernel and the extremal search over n = 7.
 
 Runs, with the nbzagreb package found under ``--src``, first
 ``_bulk.connected_masks`` and then ``_bulk.sweep_chunk`` over every mask
 range of n = 7 (64 ranges, 2,097,152 masks, 1,866,256 of them connected),
+then ``find_equality_graphs(7, 2.0, source)`` for the three bound sources,
 in one process, so the same script measures any version of the kernels:
 
     python tools/bench_enumeration.py --src src --label after
@@ -14,23 +15,26 @@ Prints one JSON object:
 * ``connected_masks_s``: the whole ``connected_masks`` pass;
 * ``kernel_s``: the whole ``sweep_chunk`` pass;
 * ``kernel_decode_s``, ``kernel_connected_s`` and ``kernel_reconstruct_s``:
-  the part of the kernel pass spent in mask decode (``_bits_of`` plus
-  ``_adj_of``), in the connectivity filter (``_connected``) and in the
-  reconstruction checks (``_check_reconstructions``, a generator, timed
-  while it runs and not while its caller checks the bounds), timed by
-  wrapping those functions from outside;
-* ``connected``, ``graphs``, ``checks`` and ``failures``: counts that must
-  not depend on the version.
+  the part of the kernel pass spent in the range decode (``_decode``), in
+  the connectivity filter (``_connected``) and in the reconstruction
+  checks (``_check_reconstructions``, a generator, timed while it runs and
+  not while its caller checks the bounds), timed by wrapping those
+  functions from outside;
+* ``extremal_s``: the three ``find_equality_graphs`` calls, and
+  ``orbit_keys_s`` the part of them spent in ``enumeration._orbit_keys``;
+* ``connected``, ``graphs``, ``checks``, ``failures`` and
+  ``extremal_records``: counts that must not depend on the version.
 
 ``--record FILE`` also appends the object to the ``runs`` list of that JSON
 file, after checking its counts against the runs already there; on a
-disagreement it records nothing and exits 1.  The wrapped ``_bulk``
-functions are restored on return.
+disagreement it records nothing and exits 1.  The wrapped functions are
+restored on return.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -42,16 +46,20 @@ from pathlib import Path
 ALPHAS = (-1.0, 0.5, 2.0, 3.0)
 TOLERANCE = 1e-9
 N = 7
-STAGES = {"_bits_of": "kernel_decode_s", "_adj_of": "kernel_decode_s",
-          "_connected": "kernel_connected_s",
-          "_check_reconstructions": "kernel_reconstruct_s"}
-COUNTS = ("connected", "graphs", "checks", "failures")
+SOURCES = ("secant", "unit", "congruence")
+# Functions wrapped during one pass, each with the key its time adds to:
+# the _bulk stages during the kernel pass, enumeration's during the
+# extremal pass, which decodes ranges too.
+KERNEL_STAGES = {"_decode": "kernel_decode_s", "_connected": "kernel_connected_s",
+                 "_check_reconstructions": "kernel_reconstruct_s"}
+EXTREMAL_STAGES = {"_orbit_keys": "orbit_keys_s"}
+COUNTS = ("connected", "graphs", "checks", "failures", "extremal_records")
 
 
 def measure(n: int) -> dict:
-    from nbzagreb import _bulk
+    from nbzagreb import _bulk, enumeration
 
-    stats = dict.fromkeys(STAGES.values(), 0.0)
+    stats = dict.fromkeys([*KERNEL_STAGES.values(), *EXTREMAL_STAGES.values()], 0.0)
 
     def timed(func, key):
         if inspect.isgeneratorfunction(func):
@@ -80,30 +88,41 @@ def measure(n: int) -> dict:
 
         return wrapper
 
+    @contextlib.contextmanager
+    def wrapping(module, stages):
+        originals = {name: getattr(module, name) for name in stages}
+        try:
+            for name, func in originals.items():
+                setattr(module, name, timed(func, stages[name]))
+            yield
+        finally:
+            for name, func in originals.items():
+                setattr(module, name, func)
+
     ranges = list(_bulk.iter_mask_ranges(n))
     t0 = time.perf_counter()
     connected = sum(_bulk.connected_masks(n, lo, hi).size for lo, hi in ranges)
     connected_s = time.perf_counter() - t0
 
-    originals = {name: getattr(_bulk, name) for name in STAGES}
-    try:
-        for name, func in originals.items():
-            setattr(_bulk, name, timed(func, STAGES[name]))
+    with wrapping(_bulk, KERNEL_STAGES):
         t0 = time.perf_counter()
         tallies = [_bulk.sweep_chunk(n, lo, hi, ALPHAS, TOLERANCE) for lo, hi in ranges]
         kernel_s = time.perf_counter() - t0
-    finally:
-        for name, func in originals.items():
-            setattr(_bulk, name, func)
+    with wrapping(enumeration, EXTREMAL_STAGES):
+        t0 = time.perf_counter()
+        records = [enumeration.find_equality_graphs(n, 2.0, source) for source in SOURCES]
+        extremal_s = time.perf_counter() - t0
     return {
         "n": n,
         "connected_masks_s": round(connected_s, 3),
         "kernel_s": round(kernel_s, 3),
+        "extremal_s": round(extremal_s, 3),
         **{key: round(value, 3) for key, value in stats.items()},
         "connected": connected,
         "graphs": sum(t.graphs for t in tallies),
         "checks": sum(sum(t.checks.values()) for t in tallies),
         "failures": sum(t.failure_count for t in tallies),
+        "extremal_records": sum(map(len, records)),
     }
 
 

@@ -13,7 +13,11 @@ named outputs; the script then compares the two objects name by name:
   the first, a middle and the last mask range of n = 8 at tolerance
   1e-300, where every float sum over eight vertices shows its order;
 * ``find_equality_graphs`` at n = 5 and 6 for every bound source and the
-  same four exponents;
+  same four exponents, and at n = 7 with alpha = 2 for every source;
+* ``enumerate_connected(n, dedup=True)`` as graph6 lists for n <= 7, and
+  ``canonical_form`` of every fixture;
+* ``_bulk.connected_masks`` on an unaligned range of n = 7 and one of
+  n = 8;
 * CLI ``compute`` (JSON and CSV), ``bounds`` and ``spectral`` stdout, exit
   code and stderr on every fixture and on seeded graphs (random ones,
   disconnected ones among them, plus cycles and stars), fed through stdin
@@ -88,12 +92,39 @@ def _chunk_outputs(sweep_chunk) -> dict[str, str]:
 
 
 def _extremal_outputs(find_equality_graphs) -> dict[str, str]:
+    runs = [(n, alpha) for n in (5, 6) for alpha in ALPHAS] + [(7, 2.0)]
     out = {}
-    for n in (5, 6):
+    for n, alpha in runs:
         for source in ("secant", "unit", "congruence"):
-            for alpha in ALPHAS:
-                records = [r.to_dict() for r in find_equality_graphs(n, alpha, source)]
-                out[f"extremal/{source}/n{n}/a{alpha:g}"] = json.dumps(records, indent=1)
+            records = [r.to_dict() for r in find_equality_graphs(n, alpha, source)]
+            out[f"extremal/{source}/n{n}/a{alpha:g}"] = json.dumps(records, indent=1)
+    return out
+
+
+def _class_outputs(enumerate_connected, canonical_form, encode_graph6) -> dict[str, str]:
+    from nbzagreb import parse_edge_list, parse_graph6
+    from nbzagreb.errors import NbZagrebError
+
+    out = {}
+    for n in range(1, 8):
+        reps = [encode_graph6(g) for g in enumerate_connected(n, dedup=True)]
+        out[f"classes/n{n}"] = "\n".join(reps)
+    for path in sorted(FIXTURES.rglob("*")):
+        if path.is_file():
+            parse = parse_graph6 if path.suffix == ".g6" else parse_edge_list
+            try:
+                text = encode_graph6(canonical_form(parse(path.read_text())))
+            except NbZagrebError as exc:  # more vertices than canonical_form takes
+                text = f"{type(exc).__name__}: {exc}"
+            out[f"canonical/{path.relative_to(FIXTURES)}"] = text
+    return out
+
+
+def _mask_outputs(connected_masks) -> dict[str, str]:
+    out = {}
+    for n, lo, hi in ((7, 123_457, 190_001), (8, 0x5A5A123, 0x5A6B001)):
+        masks = connected_masks(n, lo, hi).tolist()
+        out[f"connected_masks/n{n}/{lo}-{hi}"] = json.dumps(masks)
     return out
 
 
@@ -223,14 +254,22 @@ def _cli_outputs(main) -> dict[str, str]:
 
 def emit() -> int:
     import nbzagreb
-    from nbzagreb._bulk import sweep_chunk
+    from nbzagreb._bulk import connected_masks, sweep_chunk
     from nbzagreb.cli import main
-    from nbzagreb.enumeration import find_equality_graphs, verify_all
+    from nbzagreb.enumeration import (
+        canonical_form,
+        enumerate_connected,
+        find_equality_graphs,
+        verify_all,
+    )
+    from nbzagreb.graphs import encode_graph6
 
     outputs = {
         **_verify_outputs(verify_all),
         **_chunk_outputs(sweep_chunk),
         **_extremal_outputs(find_equality_graphs),
+        **_class_outputs(enumerate_connected, canonical_form, encode_graph6),
+        **_mask_outputs(connected_masks),
         **_cli_outputs(main),
     }
     json.dump({"package": nbzagreb.__file__, "outputs": outputs}, sys.stdout)
