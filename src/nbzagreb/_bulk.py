@@ -30,10 +30,13 @@ table of coefficients indexed by the row's (min, max) degrees and the
 vertex's degree, built per exponent in every :func:`sweep_chunk` call.
 The same tables hold each line's secant slope, per (min, max) pair, and
 unit step, per min, so a row's line is a lookup too.
-Summing per vertex instead of per histogram bin changes the floating-point
-summation order, so instances within a few ulps of the tolerance can
-change verdict; the vertex sums themselves follow numpy's order for a
-(graphs, n) array summed over axis 1 (see :func:`_float_sum`).
+Both engines add a graph's direct sum NM_a vertex by vertex, left to right
+(see :func:`_vertex_fsum`), so they fail the same bound instances even at
+tolerance 1e-300, where every inexact comparison fails.  Only the
+correction sums of the reconstructions add in another order, per vertex
+here and per histogram bin in the scalar engine, so a reconstruction
+instance within a few ulps of the tolerance can change verdict between
+the engines.
 
 The sweep kernel mirrors the scalar operations in :mod:`nbzagreb.indices`,
 :mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check,
@@ -238,27 +241,12 @@ def _vertex_sum(values: np.ndarray) -> np.ndarray:
     return values.sum(axis=0, dtype=values.dtype).astype(np.int64)
 
 
-def _float_sum(terms: np.ndarray) -> np.ndarray:
-    """Per graph, the sum over the vertex rows of (n, graphs) float terms,
-    bit for bit the sum numpy's ``sum(axis=1)`` gives on the (graphs, n)
-    transpose.  Below 8 terms that adds in order; from 8 (up to numpy's
-    128-term pairwise block) it keeps 8 running partial sums, adds them as
-    ((0+1)+(2+3))+((4+5)+(6+7)) and then the leftover terms in order."""
-    n = terms.shape[0]
-    if n < 8:
-        total = terms[0].copy()
-        for row in terms[1:]:
-            total += row
-        return total
-    tail = n - n % 8
-    part = terms[:8].copy()
-    for block in range(8, tail, 8):
-        part += terms[block : block + 8]
-    total = (part[0] + part[1]) + (part[2] + part[3])
-    total += (part[4] + part[5]) + (part[6] + part[7])
-    for row in terms[tail:]:
-        total += row
-    return total
+def _vertex_fsum(terms: np.ndarray) -> np.ndarray:
+    """Per graph, the sum of (n, graphs) float terms added vertex by vertex,
+    left to right, as the scalar engine's ``sum`` adds them.  numpy's axis-0
+    reduction adds the rows in that order; one graph, though, is a single
+    contiguous reduction, which numpy adds pairwise from 8 terms on."""
+    return terms.sum(axis=0) if terms.shape[1] > 1 else sum(terms)
 
 
 def iter_mask_ranges(n: int):
@@ -363,7 +351,7 @@ def batched_power_iteration(rows: np.ndarray, ratio: np.ndarray, settled: np.nda
     Returns (rho_sq, solves): solves is an int64 count per graph, 0 on
     settled graphs and 1 on solved ones.  The name and ``result[1]`` stay
     for perfbench's ``bulk.power_iteration*`` metrics; the re-pin of
-    ROADMAP item 6 inlines this function into :func:`sweep_chunk`.
+    ROADMAP item 9 inlines this function into :func:`sweep_chunk`.
     """
     open_rows = ~settled
     rho_sq = ratio.copy()
@@ -440,7 +428,7 @@ def _line_excess_sum(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     the graph's row of the table (see :func:`_correction_tables`): the sum
     over the vertices inside the form of x_v**alpha - lo**alpha - (x_v -
     lo) * rate."""
-    return _float_sum(table.ravel()[index])
+    return _vertex_fsum(table.ravel()[index])
 
 
 def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
@@ -487,7 +475,7 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
     secant_index = pair * width + x
     unit_index = lo * width + x
     for alpha, pw, secant, unit, slopes, steps in tables:
-        direct = _float_sum(pw[x])
+        direct = _vertex_fsum(pw[x])
         tol = tolerance * np.maximum(1.0, np.abs(direct))
         lo_pow = pw[lo]
         slope = slopes[pair]

@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--alpha", **alpha_flag)
     sp.add_argument("--tolerance", **tolerance_flag)
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes (either engine)")
+    sp.add_argument("--jobs", type=int, default=1, help="at most this many worker processes")
     sp.add_argument("--allow-n8", **allow_n8_flag)
     sp.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")
     sp.set_defaults(func=cmd_verify)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -445,9 +446,11 @@ def verify_all(
 
     The mask space of each n is split into ranges (``_bulk.iter_mask_ranges``)
     and the engine's chunk function runs once per range, in worker processes
-    when ``jobs`` > 1.  Chunk results are merged in range order, so the
-    report does not depend on ``jobs``.  The coefficient sign grid
-    (graph-independent) runs once per call with the same exponents.  An
+    when ``jobs`` > 1: no more of them than there are ranges or CPUs, since
+    a pool starts all of its workers at the first task.  Chunk results are
+    merged in range order, so the report does not depend on ``jobs`` beyond
+    recording it.  The coefficient sign grid (graph-independent) runs once
+    per call with the same exponents.  An
     exponent whose powers could leave the float range raises
     ``PowerOverflow`` before any range runs, for both engines alike.
     """
@@ -469,7 +472,8 @@ def verify_all(
     )
     total = Tally()
     by_n: dict[int, int] = {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(ns), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         tallies = mapper(
             chunk, ns, los, his, itertools.repeat(alpha_values), itertools.repeat(tolerance)

@@ -107,31 +107,12 @@ class Graph:
             adjacency[u] = tuple(row)
         return cls(n, sum(map(len, adjacency)) // 2, tuple(adjacency))
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def edges(self):
         """Yield each edge once as (u, v) with u < v, in sorted order."""
         for u, nbrs in enumerate(self.adjacency):
             for v in nbrs:
                 if u < v:
                     yield (u, v)
-
-    def adjacency_matrix(self):
-        """Dense 0/1 adjacency matrix as a float numpy array."""
-        import numpy as np
-
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
 
 
 @dataclass(frozen=True)

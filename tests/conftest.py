@@ -2,8 +2,9 @@
 
 The oracle helpers deliberately avoid the library's own profile machinery:
 neighborhood degrees come straight from the adjacency tuples, distance-2
-degrees from a plain BFS, and graph enumeration from itertools edge
-subsets.  Library results are always compared against these.
+degrees from a plain BFS, the spectral radius from a dense eigensolve, and
+graph enumeration from itertools edge subsets.  Library results are always
+compared against these.
 """
 
 import heapq
@@ -11,6 +12,7 @@ from collections import deque
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nbzagreb import Graph, parse_edge_list
@@ -73,6 +75,14 @@ def oracle_dist2_degrees(g: Graph) -> list[int]:
 
 def oracle_nm(g: Graph, alpha: float) -> float:
     return sum(d**alpha for d in oracle_nbr_degrees(g))
+
+
+def oracle_rho(g: Graph) -> float:
+    """Spectral radius from numpy's dense symmetric eigensolver."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def all_graphs(n: int):

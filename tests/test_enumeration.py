@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import os
 import sys
 import time
 import tracemalloc
@@ -50,6 +51,31 @@ from nbzagreb.errors import (
 
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 CLASSES_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+
+def assert_failing_runs_agree(bulk: list[dict], scalar: list[dict]) -> None:
+    """The engines' failure records name the same (graph6, check, alpha)
+    instances on every check but the reconstructions, whose correction
+    sums the engines add in different orders; a reconstruction instance
+    that both fail carries the same direct sum, bit for bit."""
+    def split(failures):
+        other, direct = [], {}
+        for f in failures:
+            key = (f["graph6"], f["check"], f["alpha"])
+            if "_reconstruct_" in f["check"]:
+                direct[key] = f["expected"].hex()
+            else:
+                other.append(key)
+        return sorted(other, key=repr), direct
+
+    bulk_other, bulk_direct = split(bulk)
+    scalar_other, scalar_direct = split(scalar)
+    assert bulk_other == scalar_other
+    shared = bulk_direct.keys() & scalar_direct.keys()
+    assert shared
+    assert {key: bulk_direct[key] for key in shared} == {
+        key: scalar_direct[key] for key in shared
+    }
 
 
 class TestEnumerate:
@@ -305,6 +331,22 @@ class TestNeighborRows:
         assert bulk.skips == scalar.skips
         assert bulk.failures == scalar.failures == []
 
+    @pytest.mark.parametrize("lo,hi", [
+        (0x5A5A000, 0x5A5A400), ((1 << 28) - 1024, 1 << 28), (0x5A5A005, 0x5A5A006),
+    ])
+    def test_bulk_matches_scalar_at_n8_at_zero_tolerance(self, monkeypatch, lo, hi):
+        # Every inexact comparison fails at tolerance 1e-300, so the two
+        # engines agree only if they add each direct sum in the same order,
+        # at n = 8 too, where numpy would add one graph's terms pairwise.
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        alphas = (-1.0, 0.5, 2.0, 3.0)
+        bulk = _bulk.sweep_chunk(8, lo, hi, alphas, 1e-300)
+        scalar = enumeration._scalar_chunk(8, lo, hi, alphas, 1e-300)
+        assert bulk.checks == scalar.checks
+        assert bulk.failure_count == len(bulk.failures)
+        assert scalar.failure_count == len(scalar.failures)
+        assert_failing_runs_agree(bulk.failures, scalar.failures)
+
     def test_sum_dtype_holds_x3_on_k8(self):
         # x3 = A(Ad) peaks on K_n at (n - 1)**3 per vertex, and its sum over
         # the vertices at n (n - 1)**3.
@@ -318,15 +360,19 @@ class TestNeighborRows:
         assert _bulk._vertex_sum(x3).tolist() == [n * 343]
 
     @pytest.mark.parametrize("n", [*range(1, 9), 9, 16, 17, 64])
-    def test_float_sum_is_numpy_axis1_sum(self, n):
-        # The reports carry float sums over vertices, so the vertex-major
-        # sum must give numpy's (graphs, n) axis-1 sum bit for bit.
+    def test_vertex_fsum_adds_left_to_right(self, n):
+        # The scalar engine adds a graph's terms vertex by vertex, so the
+        # bulk vertex sum must do the same bit for bit, on one graph too.
         rng = np.random.default_rng(n)
-        values = rng.standard_normal((5000, n)) * 10.0 ** rng.integers(-6, 7, (5000, n))
-        got = _bulk._float_sum(np.ascontiguousarray(values.T))
-        np.testing.assert_array_equal(got.view(np.uint64), values.sum(axis=1).view(np.uint64))
+        for graphs in (5000, 1):
+            values = rng.standard_normal((n, graphs)) * 10.0 ** rng.integers(-6, 7, (n, graphs))
+            want = values[0].copy()
+            for row in values[1:]:
+                want = want + row
+            got = _bulk._vertex_fsum(values)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("lo,failures", [(0, 13_992), ((1 << 28) - (1 << 15), 54_280)])
+    @pytest.mark.parametrize("lo,failures", [(0, 18_969), ((1 << 28) - (1 << 15), 67_953)])
     def test_n8_failure_count_at_zero_tolerance(self, lo, failures):
         # At tolerance 1e-300 every inexact float comparison fails, so the
         # count moves with any change in float summation order.
@@ -393,6 +439,16 @@ class TestVerifyAll:
         assert bulk.skips == scalar.skips
         assert bulk.failures == scalar.failures == ()
 
+    def test_engines_agree_at_zero_tolerance(self, monkeypatch):
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        alphas = [-1.0, 0.5, 2.0, 3.0]
+        bulk = verify_all(5, alphas, tolerance=1e-300, engine="bulk")
+        scalar = verify_all(5, alphas, tolerance=1e-300, engine="scalar")
+        assert bulk.checks_run == scalar.checks_run
+        assert bulk.failure_count == len(bulk.failures)
+        assert scalar.failure_count == len(scalar.failures)
+        assert_failing_runs_agree(bulk.failures, scalar.failures)
+
     def test_scalar_engine_sums_nm_once_per_bound(self, monkeypatch):
         # The NM identity checks read NM_a from the secant bound's report,
         # so the direct sum runs only inside the three bound ops.
@@ -425,7 +481,7 @@ class TestVerifyAll:
             """Runs tasks in-process and records the (n, lo, hi) of each."""
 
             def __init__(self, max_workers):
-                assert max_workers == 2
+                assert max_workers == min(2, os.cpu_count() or 1)
 
             def __enter__(self):
                 return self
@@ -453,6 +509,30 @@ class TestVerifyAll:
             doc.pop("elapsed")
         sequential.pop("jobs")
         assert pooled == sequential
+
+    def test_pool_starts_at_most_one_worker_per_task_and_cpu(self, monkeypatch):
+        # A process pool forks all of its workers at the first task, so
+        # jobs is a ceiling: n <= 2 is two ranges.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        report = verify_all(2, [2.0], jobs=10**6)
+        assert sizes == [min(2, os.cpu_count() or 1)]
+        assert report.jobs == 10**6
+        assert report.graphs_checked == 2
 
     def test_skip_reasons_are_named(self):
         report = verify_all(4, [2.0])

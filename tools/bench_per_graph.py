@@ -67,7 +67,12 @@ def inputs() -> dict:
 def eigvalsh_radius(g) -> float:
     import numpy as np
 
-    return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1]) if g.m else 0.0
+    if not g.m:
+        return 0.0
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def _diameter_fields(graphs, values) -> dict:

@@ -11,7 +11,9 @@ named outputs; the script then compares the two objects name by name:
   instance fails), and bulk at n <= 7 with tolerance 1e-9 and 1e-300;
 * ``_bulk.sweep_chunk`` tallies (counts, skips and failure records) on
   the first, a middle and the last mask range of n = 8 at tolerance
-  1e-300, where every float sum over eight vertices shows its order;
+  1e-300, where every float sum over eight vertices shows its order, and
+  ``enumeration._scalar_chunk`` tallies at the same tolerance on the
+  1,024-mask ranges that start there, the last one ending at 2^28;
 * ``find_equality_graphs`` at n = 5 and 6 for every bound source and the
   same four exponents, and at n = 7 with alpha = 2 for every source;
 * ``enumerate_connected(n, dedup=True)`` as graph6 lists for n <= 7, and
@@ -76,10 +78,13 @@ def _verify_outputs(verify_all) -> dict[str, str]:
     return out
 
 
-def _chunk_outputs(sweep_chunk) -> dict[str, str]:
+def _chunk_outputs(sweep_chunk, scalar_chunk) -> dict[str, str]:
+    starts = (0, 4000 << 15)
+    runs = [("sweep_chunk", sweep_chunk, lo, 1 << 15) for lo in (*starts, (1 << 28) - (1 << 15))]
+    runs += [("scalar_chunk", scalar_chunk, lo, 1024) for lo in (*starts, (1 << 28) - 1024)]
     out = {}
-    for lo in (0, 4000 << 15, (1 << 28) - (1 << 15)):
-        tally = sweep_chunk(8, lo, lo + (1 << 15), ALPHAS, 1e-300)
+    for name, chunk, lo, size in runs:
+        tally = chunk(8, lo, lo + size, ALPHAS, 1e-300)
         doc = {
             "graphs": tally.graphs,
             "checks": dict(tally.checks),
@@ -87,7 +92,7 @@ def _chunk_outputs(sweep_chunk) -> dict[str, str]:
             "failure_count": tally.failure_count,
             "failures": tally.failures,
         }
-        out[f"sweep_chunk/n8/lo{lo}/tol1e-300"] = json.dumps(doc, indent=1, sort_keys=True)
+        out[f"{name}/n8/lo{lo}/tol1e-300"] = json.dumps(doc, indent=1, sort_keys=True)
     return out
 
 
@@ -257,6 +262,7 @@ def emit() -> int:
     from nbzagreb._bulk import connected_masks, sweep_chunk
     from nbzagreb.cli import main
     from nbzagreb.enumeration import (
+        _scalar_chunk,
         canonical_form,
         enumerate_connected,
         find_equality_graphs,
@@ -266,7 +272,7 @@ def emit() -> int:
 
     outputs = {
         **_verify_outputs(verify_all),
-        **_chunk_outputs(sweep_chunk),
+        **_chunk_outputs(sweep_chunk, _scalar_chunk),
         **_extremal_outputs(find_equality_graphs),
         **_class_outputs(enumerate_connected, canonical_form, encode_graph6),
         **_mask_outputs(connected_masks),
