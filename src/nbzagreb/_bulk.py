@@ -243,10 +243,11 @@ def _vertex_sum(values: np.ndarray) -> np.ndarray:
 
 def _vertex_fsum(terms: np.ndarray) -> np.ndarray:
     """Per graph, the sum of (n, graphs) float terms added vertex by vertex,
-    left to right, as the scalar engine's ``sum`` adds them.  numpy's axis-0
-    reduction adds the rows in that order; one graph, though, is a single
-    contiguous reduction, which numpy adds pairwise from 8 terms on."""
-    return terms.sum(axis=0) if terms.shape[1] > 1 else sum(terms)
+    left to right, as the scalar engine adds them."""
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
 
 
 def iter_mask_ranges(n: int):

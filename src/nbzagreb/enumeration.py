@@ -445,9 +445,10 @@ def verify_all(
     """Run every applicable check on every connected graph with n <= n_max.
 
     The mask space of each n is split into ranges (``_bulk.iter_mask_ranges``)
-    and the engine's chunk function runs once per range, in worker processes
-    when ``jobs`` > 1: no more of them than there are ranges or CPUs, since
-    a pool starts all of its workers at the first task.  Chunk results are
+    and the engine's chunk function runs once per range, in up to ``jobs``
+    worker processes: no more of them than there are ranges or CPUs, since
+    a pool starts all of its workers at the first task, and in-process when
+    that leaves one.  Chunk results are
     merged in range order, so the report does not depend on ``jobs`` beyond
     recording it.  The coefficient sign grid (graph-independent) runs once
     per call with the same exponents.  An
@@ -473,7 +474,7 @@ def verify_all(
     total = Tally()
     by_n: dict[int, int] = {}
     workers = min(jobs, len(ns), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         tallies = mapper(
             chunk, ns, los, his, itertools.repeat(alpha_values), itertools.repeat(tolerance)

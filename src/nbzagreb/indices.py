@@ -132,7 +132,10 @@ def _powersum(values: tuple[int, ...], a: Alpha, what: str) -> float:
         if v.is_integer() and v >= 2.0:
             k = _int_exponent(max(values), v)
             return _finite(float(sum(x**k for x in values)))
-        return _finite(sum(float(x) ** v for x in values))
+        total = 0.0
+        for x in values:
+            total += float(x) ** v
+        return _finite(total)
     except OverflowError:
         raise PowerOverflow(f"a {what} to the power {v!r} leaves the float range") from None
 

@@ -363,14 +363,20 @@ class TestNeighborRows:
     def test_vertex_fsum_adds_left_to_right(self, n):
         # The scalar engine adds a graph's terms vertex by vertex, so the
         # bulk vertex sum must do the same bit for bit, on one graph too.
+        # Each case is (n, graphs) in C order, one graph, two graphs, and
+        # (n, graphs) in Fortran order.
         rng = np.random.default_rng(n)
-        for graphs in (5000, 1):
+        for graphs, order in ((5000, "C"), (1, "C"), (2, "C"), (5000, "F")):
             values = rng.standard_normal((n, graphs)) * 10.0 ** rng.integers(-6, 7, (n, graphs))
-            want = values[0].copy()
-            for row in values[1:]:
-                want = want + row
+            values = np.asarray(values, order=order)
+            want = []
+            for g in range(graphs):
+                total = 0.0
+                for v in range(n):
+                    total += float(values[v, g])
+                want.append(total)
             got = _bulk._vertex_fsum(values)
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     @pytest.mark.parametrize("lo,failures", [(0, 18_969), ((1 << 28) - (1 << 15), 67_953)])
     def test_n8_failure_count_at_zero_tolerance(self, lo, failures):
@@ -481,7 +487,7 @@ class TestVerifyAll:
             """Runs tasks in-process and records the (n, lo, hi) of each."""
 
             def __init__(self, max_workers):
-                assert max_workers == min(2, os.cpu_count() or 1)
+                assert max_workers == 2
 
             def __enter__(self):
                 return self
@@ -500,6 +506,7 @@ class TestVerifyAll:
 
         sequential = verify_all(4, [2.0, 0.5], engine="scalar").to_dict()
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         pooled = verify_all(4, [2.0, 0.5], engine="scalar", jobs=2).to_dict()
         assert chunks == [
             (n, lo, hi) for n in range(1, 5) for lo, hi in _bulk.iter_mask_ranges(n)
@@ -510,9 +517,15 @@ class TestVerifyAll:
         sequential.pop("jobs")
         assert pooled == sequential
 
-    def test_pool_starts_at_most_one_worker_per_task_and_cpu(self, monkeypatch):
+    @pytest.mark.parametrize("n_max,cpus,workers", [
+        (2, 4, [2]), (2, None, []), (2, 1, []), (1, 4, []), (4, 3, [3]),
+    ])
+    def test_pool_starts_at_most_one_worker_per_task_and_cpu(
+        self, monkeypatch, n_max, cpus, workers
+    ):
         # A process pool forks all of its workers at the first task, so
-        # jobs is a ceiling: n <= 2 is two ranges.
+        # jobs is a ceiling: n <= 2 is two ranges and n = 1 one, and a
+        # single worker runs in-process without a pool.
         sizes = []
 
         class RecordingPool:
@@ -529,10 +542,11 @@ class TestVerifyAll:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
-        report = verify_all(2, [2.0], jobs=10**6)
-        assert sizes == [min(2, os.cpu_count() or 1)]
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = verify_all(n_max, [2.0], jobs=10**6)
+        assert sizes == workers
         assert report.jobs == 10**6
-        assert report.graphs_checked == 2
+        assert report.graphs_checked == sum(LABELED_CONNECTED[n] for n in range(1, n_max + 1))
 
     def test_skip_reasons_are_named(self):
         report = verify_all(4, [2.0])
