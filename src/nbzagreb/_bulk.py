@@ -39,9 +39,10 @@ instance within a few ulps of the tolerance can change verdict between
 the engines.
 
 The sweep kernel mirrors the scalar operations in :mod:`nbzagreb.indices`,
-:mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check,
-including the skip-reason accounting, so that reports from both engines are
-directly comparable.
+:mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check, so
+that reports from both engines are directly comparable.  A check's
+preconditions are one :func:`_gate`, rungs in its op's raise order: a
+graph is skipped under the first rung it fails and run if it passes all.
 """
 
 from __future__ import annotations
@@ -448,10 +449,28 @@ def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
     tally.failure_count += failing.size - kept.size
 
 
+def _gate(tally, checks, reps, *rungs):
+    """Count the rows of ``checks`` as their per-graph op decides them.
+    Each rung is (reason, holds), a per-row bool array, in the op's raise
+    order: a row is skipped under the first rung it fails and run if it
+    passes all; each row counts ``reps`` times (once per exponent).
+    Returns the passing rows."""
+    passing = True
+    for reason, holds in rungs:
+        skipped = int(np.count_nonzero(passing & ~holds)) * reps
+        for check in checks:
+            tally.skip(check, reason, skipped)
+        passing = passing & holds
+    run = int(np.count_nonzero(passing)) * reps
+    for check in checks:
+        tally.checks[check] += run
+    return passing
+
+
 def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, alpha):
     """Per row, direct must lie below bound (upper) or above it, and within
-    tol of it on rows whose structural equality flag is set."""
-    tally.checks[check] += direct.size
+    tol of it on rows whose structural equality flag is set, of the rows
+    the check's :func:`_gate` passed and counted."""
     ok = direct <= bound + tol if upper else direct >= bound - tol
     ok &= ~equality | (np.abs(direct - bound) <= tol)
     _report_rows(
@@ -465,10 +484,11 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
     """Secant and unit reconstructions of sum_v x_v**alpha on the graphs
     of (n, graphs) degrees x that span lo < hi, with excess = sum_v x_v -
     n * lo, one exponent of ``tables`` (alpha, pw and the four tables of
-    :func:`_correction_tables`, all ``width`` degrees wide) at a time.
-    After checking an exponent, yields what the bounds reuse: (alpha, pw
-    with pw[k] = k**alpha, the direct sums, their tolerances, lo**alpha,
-    the secant slope, the unit table, the two reconstruction bases)."""
+    :func:`_correction_tables`, all ``width`` degrees wide) at a time, on
+    the rows their :func:`_gate` passed and counted.  After checking an
+    exponent, yields what the bounds reuse: (alpha, pw with pw[k] =
+    k**alpha, the direct sums, their tolerances, lo**alpha, the secant
+    slope, the unit table, the two reconstruction bases)."""
     # Flat gather positions, in intp: numpy gathers far faster with intp
     # indices than with narrow ones.
     x = x.astype(np.intp)
@@ -488,7 +508,6 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
         ):
             check = f"{prefix}_reconstruct_{form}"
             recon = base + _line_excess_sum(table, index)
-            tally.checks[check] += x.shape[1]
             bad = np.abs(recon - direct) > tol
             _report_rows(
                 tally, check, masks, n, bad,
@@ -550,99 +569,83 @@ def sweep_chunk(
         lambda r: int(nbr_total[r]),
     )
 
-    # --- Neighborhood-degree checks (hypothesis n >= 3).
-    nm_checks = (
-        "nm_reconstruct_secant",
-        "nm_reconstruct_unit",
-        "nm_bound_secant",
-        "nm_bound_unit",
+    # --- Neighborhood-degree checks.  Below n = 3 every graph is
+    # neighborhood-regular, so these stages run on no rows there.  No
+    # quotient of a row with lo < hi is non-positive: excess = sum_v (nbr_v
+    # - lo) >= hi - lo, the vertex at hi alone contributing that much.  A
+    # regular row divides by 1; it fails an earlier rung of every gate
+    # that reads the quotient.
+    gap = big_delta - delta
+    excess = m1 - n * delta
+    quot, rem = np.divmod(excess, np.maximum(gap, 1))
+    at_rem = _count_between(nbr, delta + rem, delta + rem)
+    n3 = ("n_lt_3", np.full(b, n >= 3))
+    gap2 = ("gap_too_small", gap >= 2)
+    sel = _gate(
+        tally,
+        ("nm_reconstruct_secant", "nm_reconstruct_unit", "nm_bound_secant", "nm_bound_unit"),
+        nalpha, n3, ("neighborhood_regular", gap > 0),
     )
-    if n < 3:
-        for check in nm_checks + ("nm_bound_congruence",):
-            tally.skip(check, "n_lt_3", b * nalpha)
-        tally.skip("congruence_classify", "n_lt_3", b)
-    else:
-        # Every check below needs lo < hi, so the stage runs on those rows.
-        sel = delta != big_delta
-        masks_s = masks[sel]
-        nbr_s = nbr.compress(sel, axis=1)
-        lo = delta[sel]
-        hi = big_delta[sel]
-        n_regular = b - masks_s.size
-        gap = hi - lo
-        excess = m1[sel] - n * lo
-        # No quotient is non-positive: excess = sum_v (nbr_v - lo) >= hi - lo,
-        # the vertex at hi alone contributing that much.
-        quot, rem = np.divmod(excess, gap)
-        gap_ok = gap >= 2
-        rem_pos = gap_ok & (rem >= 1)
-        at_rem = _count_between(nbr_s, lo + rem, lo + rem)
-        occupied = rem_pos & (at_rem >= 1)
+    classified = _gate(tally, ("congruence_classify",), 1, n3, gap2)
+    occupied = _gate(
+        tally, ("nm_bound_congruence",), nalpha, n3, gap2,
+        ("remainder_zero", rem >= 1), ("unoccupied_remainder_degree", at_rem >= 1),
+    )
 
-        n_gap_small = n_regular + int((~gap_ok).sum())
-        n_rem_zero = int((gap_ok & (rem == 0)).sum())
-        n_unocc = int((rem_pos & ~occupied).sum())
+    # Classification consistency (alpha-independent).
+    h_hi = _count_between(nbr, big_delta, big_delta)
+    h_lo = _count_between(nbr, delta, delta)
 
-        # Classification consistency (alpha-independent).
-        tally.checks["congruence_classify"] += int(gap_ok.sum())
-        tally.skip("congruence_classify", "gap_too_small", n_gap_small)
-        h_hi = _count_between(nbr_s, hi, hi)
-        h_lo = _count_between(nbr_s, lo, lo)
+    def nbr_hist(r):
+        hist = _row_hist(nbr[:, r : r + 1], width)[0]
+        return {d: c for d, c in enumerate(hist.tolist()) if c}
 
-        def nbr_hist(r):
-            hist = _row_hist(nbr_s[:, r : r + 1], width)[0]
-            return {d: c for d, c in enumerate(hist.tolist()) if c}
+    bi_support = h_lo + h_hi == n
+    bad = classified & (rem == 0) & (h_hi == quot) & ~bi_support
+    _report_rows(tally, "congruence_classify", masks, n, bad, BI_DEGREE_SUPPORT, nbr_hist)
+    interior = _count_between(nbr, delta + rem + 1, big_delta - 1)
+    bad = classified & (rem >= 1) & (h_hi == quot) & ((interior != 0) | (at_rem > 1))
+    _report_rows(tally, "congruence_classify", masks, n, bad, TOP_COUNT_PATTERN, nbr_hist)
 
-        bi_support = h_lo + h_hi == n
-        bad = gap_ok & (rem == 0) & (h_hi == quot) & ~bi_support
-        _report_rows(
-            tally, "congruence_classify", masks_s, n, bad,
-            BI_DEGREE_SUPPORT, nbr_hist,
+    # The reconstructions and bounds run on the lo < hi rows; the
+    # congruence bound on those of them its gate let through.
+    masks_s = masks[sel]
+    nbr_s = nbr.compress(sel, axis=1)
+    lo = delta[sel]
+    hi = big_delta[sel]
+    h_hi_s = h_hi[sel]
+    bi_support_s = bi_support[sel]
+    interior2 = _count_between(nbr_s, lo + 2, hi - 1)
+    occ = np.flatnonzero(occupied[sel])
+    masks_c = masks[occupied]
+    r_c = rem[occupied]
+    lo_r_c = delta[occupied] + r_c
+    pattern = ((h_hi == quot) & (at_rem == 1) & (h_lo == n - quot - 1))[occupied]
+    for alpha, pw, direct, tol, lo_pow, slope, unit, base_secant, base_unit in (
+        _check_reconstructions(
+            tally, "nm", masks_s, n, nbr_s, lo, hi, excess[sel], width, tables, tolerance
         )
-        interior = _count_between(nbr_s, lo + rem + 1, hi - 1)
-        bad = rem_pos & (h_hi == quot) & ((interior != 0) | (at_rem > 1))
-        _report_rows(
-            tally, "congruence_classify", masks_s, n, bad, TOP_COUNT_PATTERN, nbr_hist,
+    ):
+        upper = alpha < 0.0 or alpha > 1.0
+        # Secant form: equality exactly on bi-supported rows.
+        _check_bound(
+            tally, "nm_bound_secant", masks_s, n, direct, base_secant, tol,
+            upper, bi_support_s, alpha,
         )
-
-        interior2 = _count_between(nbr_s, lo + 2, hi - 1)
-        occ = np.flatnonzero(occupied)
-        masks_c = masks_s[occ]
-        r_c = rem[occ]
-        lo_r_c = lo[occ] + r_c
-        pattern = ((h_hi == quot) & (at_rem == 1) & (h_lo == n - quot - 1))[occ]
-        for check in nm_checks:
-            tally.skip(check, "neighborhood_regular", n_regular * nalpha)
-        tally.skip("nm_bound_congruence", "gap_too_small", n_gap_small * nalpha)
-        tally.skip("nm_bound_congruence", "remainder_zero", n_rem_zero * nalpha)
-        tally.skip("nm_bound_congruence", "unoccupied_remainder_degree", n_unocc * nalpha)
-        for alpha, pw, direct, tol, lo_pow, slope, unit, base_secant, base_unit in (
-            _check_reconstructions(
-                tally, "nm", masks_s, n, nbr_s, lo, hi, excess, width, tables, tolerance
-            )
-        ):
-            upper = alpha < 0.0 or alpha > 1.0
-            # Secant form: equality exactly on bi-supported rows.
-            _check_bound(
-                tally, "nm_bound_secant", masks_s, n, direct, base_secant, tol,
-                upper, bi_support, alpha,
-            )
-            # Unit form with the top histogram term; the direction flips.
-            bound_u = base_unit + h_hi * unit[lo, hi]
-            _check_bound(
-                tally, "nm_bound_unit", masks_s, n, direct, bound_u, tol,
-                not upper, interior2 == 0, alpha,
-            )
-            bound_c = base_secant[occ] + pw[lo_r_c] - lo_pow[occ] - r_c * slope[occ]
-            _check_bound(
-                tally, "nm_bound_congruence", masks_c, n, direct[occ], bound_c, tol[occ],
-                upper, pattern, alpha,
-            )
+        # Unit form with the top histogram term; the direction flips.
+        bound_u = base_unit + h_hi_s * unit[lo, hi]
+        _check_bound(
+            tally, "nm_bound_unit", masks_s, n, direct, bound_u, tol,
+            not upper, interior2 == 0, alpha,
+        )
+        bound_c = base_secant[occ] + pw[lo_r_c] - lo_pow[occ] - r_c * slope[occ]
+        _check_bound(
+            tally, "nm_bound_congruence", masks_c, n, direct[occ], bound_c, tol[occ],
+            upper, pattern, alpha,
+        )
 
     # --- Distance-2 identities (diameter exactly 2).
-    n_diam2 = int(diam2.sum())
-    tally.checks["dist2_identity"] += n_diam2
-    tally.skip("dist2_identity", "not_diameter_two", b - n_diam2)
+    _gate(tally, ("dist2_identity",), 1, ("not_diameter_two", diam2))
     total2 = 2 * m * (n - 1) - m1
     d2_total = _vertex_sum(d2)
     _report_rows(
@@ -651,28 +654,30 @@ def sweep_chunk(
         lambda r: int(d2_total[r]),
     )
 
-    elig2 = diam2 & (d2_min >= 1) & (d2_min != d2_max)
-    n_zero_min = int((diam2 & (d2_min == 0)).sum())
-    n_d2_regular = int((diam2 & (d2_min >= 1) & (d2_min == d2_max)).sum())
-    masks2 = masks[elig2]
-    d2_s = d2.compress(elig2, axis=1)
+    elig2 = _gate(
+        tally, ("nm2_reconstruct_secant", "nm2_reconstruct_unit"), nalpha,
+        ("not_diameter_two", diam2), ("zero_min_dist2_degree", d2_min >= 1),
+        ("dist2_regular", d2_min != d2_max),
+    )
     lo2 = d2_min[elig2]
-    hi2 = d2_max[elig2]
     excess2 = total2[elig2] - n * lo2
-    for check in ("nm2_reconstruct_secant", "nm2_reconstruct_unit"):
-        tally.skip(check, "not_diameter_two", (b - n_diam2) * nalpha)
-        tally.skip(check, "zero_min_dist2_degree", n_zero_min * nalpha)
-        tally.skip(check, "dist2_regular", n_d2_regular * nalpha)
     for _ in _check_reconstructions(
-        tally, "nm2", masks2, n, d2_s, lo2, hi2, excess2, width, tables, tolerance
+        tally, "nm2", masks[elig2], n, d2.compress(elig2, axis=1), lo2, d2_max[elig2],
+        excess2, width, tables, tolerance,
     ):
         pass
 
     # --- Spectral chain and regular-graph equalities.  The links between
     # the two bounds are integer comparisons over the common denominator M1.
+    has_edges = ("no_edges", m1 > 0)
+    _gate(tally, ("spectral_chain",), 1, has_edges)
+    # A connected k-regular graph has A 1 = k 1, so rho = k: only the two
+    # bounds need checking.
+    regular = _gate(
+        tally, ("spectral_regular",), 1, has_edges,
+        ("not_regular", deg.min(axis=0) == deg.max(axis=0)),
+    )
     if n == 1:
-        tally.skip("spectral_chain", "no_edges", b)
-        tally.skip("spectral_regular", "no_edges", b)
         return tally
     nm2 = _nm2(nbr)
     ratio_bound = nm2 / m1
@@ -685,7 +690,6 @@ def sweep_chunk(
     settled = exact | (strict & (nm2 >= min_nbr_num))
     rho_sq, _solves = batched_power_iteration(rows, ratio_bound, settled)
 
-    tally.checks["spectral_chain"] += b
     bad = (rho_sq < ratio_bound) | (nm2 < min_nbr_num)
     _report_rows(
         tally, "spectral_chain", masks, n, bad,
@@ -693,12 +697,6 @@ def sweep_chunk(
         lambda r: float(rho_sq[r]),
     )
 
-    # A connected k-regular graph has A 1 = k 1, so rho = k: only the two
-    # bounds need checking.
-    regular = deg.min(axis=0) == deg.max(axis=0)
-    n_regular_deg = int(regular.sum())
-    tally.checks["spectral_regular"] += n_regular_deg
-    tally.skip("spectral_regular", "not_regular", b - n_regular_deg)
     k2 = deg[0].astype(np.int64) ** 2
     bad = regular & ((nm2 != k2 * m1) | (min_nbr_num != k2 * m1))
     _report_rows(

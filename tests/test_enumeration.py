@@ -642,6 +642,20 @@ RECONSTRUCT_CHECKS = (
 )
 
 
+class TestGate:
+    def test_rows_count_under_their_first_failed_rung(self):
+        # Row 1 fails both rungs and counts under the first only; every
+        # count is multiplied by reps; rows 0 and 4 pass and run.
+        tally = _bulk.Tally()
+        first = np.array([True, False, False, True, True])
+        second = np.array([True, False, True, False, True])
+        passing = _bulk._gate(tally, ("a", "b"), 3, ("first", first), ("second", second))
+        assert passing.tolist() == [True, False, False, False, True]
+        for check in ("a", "b"):
+            assert tally.skips[check] == {"first": 6, "second": 3}
+            assert tally.checks[check] == 6
+
+
 def _grid_excess_sum(x, alpha, lo, rate, first, last):
     """The histogram-grid form of the per-vertex sum: bin the degrees, then
     weight each degree value's term by its count."""
@@ -727,6 +741,29 @@ class TestBulkReconstructionKernel:
 
 class TestEngineParity:
     FIELDS = ("graph6", "check", "alpha", "expected", "got")
+
+    def test_engines_agree_graph_by_graph(self):
+        # Aggregate counts let two graphs that swap skip reasons cancel
+        # out, so each graph runs alone, as a one-mask range, through both
+        # chunk functions: every connected graph with n <= 5, then 200
+        # seeded connected graphs of n = 7.
+        alphas = (-1.0, 0.5, 2.0, 3.0)
+        cases = [
+            (n, mask)
+            for n in range(1, 6)
+            for mask in _bulk.connected_masks(n, 0, 1 << (n * (n - 1) // 2)).tolist()
+        ]
+        rng = np.random.default_rng(7)
+        cases += [(7, mask) for mask in rng.choice(_bulk.connected_masks(7, 0, 1 << 21), 200,
+                                                   replace=False).tolist()]
+        assert len(cases) == sum(LABELED_CONNECTED.values()) + 200
+        for n, mask in cases:
+            bulk = _bulk.sweep_chunk(n, mask, mask + 1, alphas, 1e-9)
+            scalar = enumeration._scalar_chunk(n, mask, mask + 1, alphas, 1e-9)
+            assert bulk.graphs == scalar.graphs == 1, (n, mask)
+            # Counter equality treats a missing check as a zero count.
+            assert bulk.checks == scalar.checks, (n, mask)
+            assert bulk.skips == scalar.skips, (n, mask)
 
     def test_failing_run_under_fault(self, monkeypatch):
         # Raise 3**alpha by 100 in both engines.  The reconstructions hold
@@ -1049,8 +1086,8 @@ class TestEnginesAtN7:
 
 
 class TestReplay:
-    """Every bound and reconstruction failure record of a scalar sweep
-    replays from its graph6 through the per-graph op it names."""
+    """Every failure record of a scalar sweep replays from its graph6
+    through the per-graph code that computed it."""
 
     @pytest.mark.parametrize(
         "fault, replayed_checks",
@@ -1111,6 +1148,41 @@ class TestReplay:
                 assert r.bound_nm2_ratio != k * k, record
             replayed.add(record["check"])
         assert replayed == {"spectral_chain", "spectral_regular"}
+
+    def test_identity_records_replay(self, monkeypatch):
+        # The last vertex's neighborhood and distance-2 degrees, one more in
+        # the profile the scalar engine builds: every graph misses sum
+        # nbr_deg == M1 and every diameter-2 graph misses sum dist2_deg ==
+        # 2m(n - 1) - M1.  Each record's got replays from its graph6
+        # through the same faulted profile, and its expected holds the
+        # exact total of the unfaulted one.
+        profile = enumeration.degree_profile
+
+        def faulted(g):
+            p = profile(g)
+            nbr, d2 = p.nbr_deg, p.dist2_deg
+            return dataclasses.replace(
+                p, nbr_deg=(*nbr[:-1], nbr[-1] + 1), dist2_deg=(*d2[:-1], d2[-1] + 1)
+            )
+
+        monkeypatch.setattr(enumeration, "degree_profile", faulted)
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        report = verify_all(5, (2.0,), engine="scalar")
+        assert report.failure_count == len(report.failures)
+        degrees = {"m1_identity": "nbr_deg", "dist2_identity": "dist2_deg"}
+        replayed = dict.fromkeys(degrees, 0)
+        for record in report.failures:
+            name = degrees.get(record["check"])
+            if name is None:
+                continue
+            g = parse_graph6(record["graph6"])
+            got = sum(getattr(enumeration.degree_profile(g), name))
+            exact = sum(getattr(degree_profile(g), name))
+            assert record["got"] == got != exact, record
+            assert record["expected"] == _bulk.SUM_EXPECTED.format(name, exact), record
+            replayed[record["check"]] += 1
+        assert replayed == {check: report.checks_run[check] for check in degrees}
+        assert replayed == {"m1_identity": 772, "dist2_identity": 395}
 
 
 class TestCoefficientSignGrid:

@@ -9,11 +9,16 @@ named outputs; the script then compares the two objects name by name:
   failure records included: both engines at n <= 6 with tolerance 1e-9
   and 1e-13, both engines at n <= 5 with tolerance 1e-300 (every inexact
   instance fails), and bulk at n <= 7 with tolerance 1e-9 and 1e-300;
-* ``_bulk.sweep_chunk`` tallies (counts, skips and failure records) on
-  the first, a middle and the last mask range of n = 8 at tolerance
-  1e-300, where every float sum over eight vertices shows its order, and
-  ``enumeration._scalar_chunk`` tallies at the same tolerance on the
-  1,024-mask ranges that start there, the last one ending at 2^28;
+* ``_bulk.sweep_chunk`` and ``enumeration._scalar_chunk`` tallies
+  (counts, skips and failure records; checks with a zero count are
+  dropped, as ``Counter`` equality ignores them) on the whole mask space
+  of n = 1, 2 and 3 at tolerance 1e-9 and 1e-300, where every graph is
+  neighborhood-regular and fails the NM checks' preconditions;
+* ``_bulk.sweep_chunk`` tallies on the first, a middle and the last mask
+  range of n = 8 at tolerance 1e-300, where every float sum over eight
+  vertices shows its order, and ``enumeration._scalar_chunk`` tallies at
+  the same tolerance on the 1,024-mask ranges that start there, the last
+  one ending at 2^28;
 * ``find_equality_graphs`` at n = 5 and 6 for every bound source and the
   same four exponents, and at n = 7 with alpha = 2 for every source;
 * ``enumerate_connected(n, dedup=True)`` as graph6 lists for n <= 7, and
@@ -78,21 +83,33 @@ def _verify_outputs(verify_all) -> dict[str, str]:
     return out
 
 
+def _tally_doc(tally) -> str:
+    """A tally as JSON; checks with a zero count are dropped, as ``Counter``
+    equality ignores them."""
+    doc = {
+        "graphs": tally.graphs,
+        "checks": {check: count for check, count in tally.checks.items() if count},
+        "skips": {check: dict(reasons) for check, reasons in tally.skips.items()},
+        "failure_count": tally.failure_count,
+        "failures": tally.failures,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
 def _chunk_outputs(sweep_chunk, scalar_chunk) -> dict[str, str]:
+    chunks = (("sweep_chunk", sweep_chunk), ("scalar_chunk", scalar_chunk))
+    out = {}
+    for n in (1, 2, 3):
+        for name, chunk in chunks:
+            for tol in (1e-9, 1e-300):
+                tally = chunk(n, 0, 1 << n * (n - 1) // 2, ALPHAS, tol)
+                out[f"{name}/n{n}/all/tol{tol:g}"] = _tally_doc(tally)
     starts = (0, 4000 << 15)
     runs = [("sweep_chunk", sweep_chunk, lo, 1 << 15) for lo in (*starts, (1 << 28) - (1 << 15))]
     runs += [("scalar_chunk", scalar_chunk, lo, 1024) for lo in (*starts, (1 << 28) - 1024)]
-    out = {}
     for name, chunk, lo, size in runs:
         tally = chunk(8, lo, lo + size, ALPHAS, 1e-300)
-        doc = {
-            "graphs": tally.graphs,
-            "checks": dict(tally.checks),
-            "skips": {check: dict(reasons) for check, reasons in tally.skips.items()},
-            "failure_count": tally.failure_count,
-            "failures": tally.failures,
-        }
-        out[f"{name}/n8/lo{lo}/tol1e-300"] = json.dumps(doc, indent=1, sort_keys=True)
+        out[f"{name}/n8/lo{lo}/tol1e-300"] = _tally_doc(tally)
     return out
 
 
