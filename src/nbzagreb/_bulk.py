@@ -450,20 +450,20 @@ def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
 
 
 def _gate(tally, checks, reps, *rungs):
-    """Count the rows of ``checks`` as their per-graph op decides them.
-    Each rung is (reason, holds), a per-row bool array, in the op's raise
-    order: a row is skipped under the first rung it fails and run if it
-    passes all; each row counts ``reps`` times (once per exponent).
-    Returns the passing rows."""
-    passing = True
+    """Count the rows of ``checks`` as their per-graph op decides them and
+    return the passing rows.  Each rung is (reason, holds), a per-row bool
+    array, in the op's raise order: a row is skipped under the first rung
+    it fails and run if it passes all, ``reps`` times (once per exponent)."""
+    passing = np.ones(rungs[0][1].shape, dtype=bool)
+    left = passing.size
     for reason, holds in rungs:
-        skipped = int(np.count_nonzero(passing & ~holds)) * reps
+        passing &= holds
+        now = int(np.count_nonzero(passing))
         for check in checks:
-            tally.skip(check, reason, skipped)
-        passing = passing & holds
-    run = int(np.count_nonzero(passing)) * reps
+            tally.skip(check, reason, (left - now) * reps)
+        left = now
     for check in checks:
-        tally.checks[check] += run
+        tally.checks[check] += left * reps
     return passing
 
 
@@ -532,8 +532,6 @@ def sweep_chunk(
     masks, rows = masks[keep], rows.compress(keep, axis=1)
     b = masks.size
     tally.graphs = b
-    if b == 0:
-        return tally
     nalpha = len(alphas)
 
     deg = _degrees(rows)
@@ -569,12 +567,10 @@ def sweep_chunk(
         lambda r: int(nbr_total[r]),
     )
 
-    # --- Neighborhood-degree checks.  Below n = 3 every graph is
-    # neighborhood-regular, so these stages run on no rows there.  No
-    # quotient of a row with lo < hi is non-positive: excess = sum_v (nbr_v
-    # - lo) >= hi - lo, the vertex at hi alone contributing that much.  A
-    # regular row divides by 1; it fails an earlier rung of every gate
-    # that reads the quotient.
+    # --- Neighborhood-degree checks; below n = 3 every graph is
+    # neighborhood-regular, so they run on no rows.  Regular rows divide by
+    # 1 and fail an earlier rung of every gate that reads the quotient; no
+    # other quotient is non-positive, as excess >= hi - lo (the vertex at hi).
     gap = big_delta - delta
     excess = m1 - n * delta
     quot, rem = np.divmod(excess, np.maximum(gap, 1))
@@ -607,23 +603,26 @@ def sweep_chunk(
     bad = classified & (rem >= 1) & (h_hi == quot) & ((interior != 0) | (at_rem > 1))
     _report_rows(tally, "congruence_classify", masks, n, bad, TOP_COUNT_PATTERN, nbr_hist)
 
-    # The reconstructions and bounds run on the lo < hi rows; the
-    # congruence bound on those of them its gate let through.
-    masks_s = masks[sel]
+    # The bounds run on the lo < hi rows, the congruence bound on its gate's
+    # rows (at positions occ among them).  Row indices gather far faster than
+    # sparse bool masks, and the loop runs faster with the full-row counts freed.
+    rows_s = np.flatnonzero(sel)
+    rows_c = np.flatnonzero(occupied)
+    masks_s = masks[rows_s]
     nbr_s = nbr.compress(sel, axis=1)
-    lo = delta[sel]
-    hi = big_delta[sel]
-    h_hi_s = h_hi[sel]
-    bi_support_s = bi_support[sel]
+    lo = delta[rows_s]
+    hi = big_delta[rows_s]
+    h_hi_s = h_hi[rows_s]
+    bi_support_s = bi_support[rows_s]
     interior2 = _count_between(nbr_s, lo + 2, hi - 1)
-    occ = np.flatnonzero(occupied[sel])
-    masks_c = masks[occupied]
-    r_c = rem[occupied]
-    lo_r_c = delta[occupied] + r_c
-    pattern = ((h_hi == quot) & (at_rem == 1) & (h_lo == n - quot - 1))[occupied]
+    occ = np.flatnonzero(occupied[rows_s])
+    r_c = rem[rows_c]
+    lo_r_c = delta[rows_c] + r_c
+    pattern = ((h_hi == quot) & (at_rem == 1) & (h_lo == n - quot - 1))[rows_c]
+    del gap, quot, at_rem, h_lo, h_hi, interior
     for alpha, pw, direct, tol, lo_pow, slope, unit, base_secant, base_unit in (
         _check_reconstructions(
-            tally, "nm", masks_s, n, nbr_s, lo, hi, excess[sel], width, tables, tolerance
+            tally, "nm", masks_s, n, nbr_s, lo, hi, excess[rows_s], width, tables, tolerance
         )
     ):
         upper = alpha < 0.0 or alpha > 1.0
@@ -640,7 +639,7 @@ def sweep_chunk(
         )
         bound_c = base_secant[occ] + pw[lo_r_c] - lo_pow[occ] - r_c * slope[occ]
         _check_bound(
-            tally, "nm_bound_congruence", masks_c, n, direct[occ], bound_c, tol[occ],
+            tally, "nm_bound_congruence", masks[rows_c], n, direct[occ], bound_c, tol[occ],
             upper, pattern, alpha,
         )
 
