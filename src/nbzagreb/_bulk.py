@@ -42,7 +42,8 @@ The sweep kernel mirrors the scalar operations in :mod:`nbzagreb.indices`,
 :mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check, so
 that reports from both engines are directly comparable.  A check's
 preconditions are one :func:`_gate`, rungs in its op's raise order: a
-graph is skipped under the first rung it fails and run if it passes all.
+graph is skipped under the first rung it fails and run if it passes all,
+as in the scalar engine's per-graph :func:`nbzagreb.enumeration._gate`.
 """
 
 from __future__ import annotations
@@ -658,10 +659,11 @@ def sweep_chunk(
         ("not_diameter_two", diam2), ("zero_min_dist2_degree", d2_min >= 1),
         ("dist2_regular", d2_min != d2_max),
     )
-    lo2 = d2_min[elig2]
-    excess2 = total2[elig2] - n * lo2
+    rows2 = np.flatnonzero(elig2)
+    lo2 = d2_min[rows2]
+    excess2 = total2[rows2] - n * lo2
     for _ in _check_reconstructions(
-        tally, "nm2", masks[elig2], n, d2.compress(elig2, axis=1), lo2, d2_max[elig2],
+        tally, "nm2", masks[rows2], n, d2.compress(elig2, axis=1), lo2, d2_max[rows2],
         excess2, width, tables, tolerance,
     ):
         pass

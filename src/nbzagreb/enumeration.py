@@ -243,12 +243,10 @@ def coefficient_sign_grid(alphas, p_max: int = GRID_P_MAX) -> tuple[int, list[di
 # ---------------------------------------------------------------------------
 # Scalar engine
 #
-# Every check that has a per-graph op runs that op, and a PreconditionError
-# it raises becomes the skip reason (the exception's snake_case name).  The
-# engine names only not_diameter_two for the distance-2 identity, no_edges
-# and not_regular, which no op decides, and n_lt_3: for n <= 2 the ops would
-# raise neighborhood_regular or gap_too_small, but the bulk engine reports
-# n_lt_3 there, and both engines must give the same report.
+# Every check counts through one _gate.  Its rungs are the preconditions no
+# op decides, and the first one a graph fails names the skip; past them, a
+# PreconditionError its op raises names it (errors.reason).  n_lt_3 is a rung
+# because the bulk engine reports it where the ops would raise another name.
 
 _NM_OPS = {
     "nm_reconstruct_secant": nm_reconstruct_secant,
@@ -261,20 +259,35 @@ _NM2_OPS = {
 }
 
 
-def _run_ops(tally: Tally, ops: dict, p: DegreeProfile, alphas: list[Alpha], *args) -> dict:
-    """Each op's results at every exponent, keyed by check.
+def _gate(tally: Tally, check: str, reps: int, *rungs, op=lambda: True):
+    """Count one graph's ``check`` ``reps`` times and return ``op()``, or
+    None on a skip: the first (reason, holds) rung that fails names the skip
+    and ``op`` is not called; else a PreconditionError from ``op`` names it."""
+    for why, holds in rungs:
+        if not holds:
+            tally.skip(check, why, reps)
+            return None
+    try:
+        result = op()
+    except PreconditionError as exc:
+        tally.skip(check, reason(exc), reps)
+        return None
+    tally.checks[check] += reps
+    return result
 
-    On a connected graph no precondition depends on the exponent, so an op
-    that raises is skipped at every exponent under one reason.
-    """
+
+def _run_ops(tally: Tally, ops: dict, p: DegreeProfile, alphas: list[Alpha], *args,
+             rungs=()) -> dict:
+    """Each op's results at every exponent, keyed by check, counted through
+    :func:`_gate` behind ``rungs``.  On a connected graph no precondition
+    depends on the exponent, so an op that raises is skipped at every
+    exponent under one reason."""
     results = {}
     for check, op in ops.items():
-        try:
-            results[check] = [op(p, alpha, *args) for alpha in alphas]
-        except PreconditionError as exc:
-            tally.skip(check, reason(exc), len(alphas))
-        else:
-            tally.checks[check] += len(alphas)
+        values = _gate(tally, check, len(alphas), *rungs,
+                       op=lambda: [op(p, alpha, *args) for alpha in alphas])
+        if values is not None:
+            results[check] = values
     return results
 
 
@@ -289,7 +302,6 @@ def _compare_identities(fail, recon: dict, i: int, alpha: Alpha, direct: float,
 def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally: Tally):
     p = degree_profile(g)
     n = p.n
-    nalpha = len(alphas)
 
     def fail(check, expected, got, alpha=None):
         # A full tally only counts, so it needs no graph6.
@@ -301,42 +313,31 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
     if nbr_total != p.m1:
         fail("m1_identity", SUM_EXPECTED.format("nbr_deg", p.m1), nbr_total)
 
-    if n < 3:
-        for check in (*_NM_OPS, *(f"nm_bound_{source}" for source in _SOURCE_OPS)):
-            tally.skip(check, "n_lt_3", nalpha)
-        tally.skip("congruence_classify", "n_lt_3", 1)
-    else:
-        try:
-            cd = congruence_classify(p)
-        except PreconditionError as exc:
-            tally.skip("congruence_classify", reason(exc), 1)
-        else:
-            tally.checks["congruence_classify"] += 1
-            lo, hi = p.delta_min, p.delta_max
-            if cd.is_bi_degree_case and set(p.nbr_hist) != {lo, hi}:
-                fail("congruence_classify", BI_DEGREE_SUPPORT, dict(p.nbr_hist))
-            if cd.r >= 1 and p.nbr_hist.get(hi, 0) == cd.q and not cd.part2_constraints_hold:
-                fail("congruence_classify", TOP_COUNT_PATTERN, dict(p.nbr_hist))
+    n3 = ("n_lt_3", n >= 3)
+    cd = _gate(tally, "congruence_classify", 1, n3, op=lambda: congruence_classify(p))
+    if cd is not None:
+        lo, hi = p.delta_min, p.delta_max
+        if cd.is_bi_degree_case and set(p.nbr_hist) != {lo, hi}:
+            fail("congruence_classify", BI_DEGREE_SUPPORT, dict(p.nbr_hist))
+        if cd.r >= 1 and p.nbr_hist.get(hi, 0) == cd.q and not cd.part2_constraints_hold:
+            fail("congruence_classify", TOP_COUNT_PATTERN, dict(p.nbr_hist))
 
-        recon = _run_ops(tally, _NM_OPS, p, alphas)
-        bound_ops = {f"nm_bound_{source}": op for source, op in _SOURCE_OPS.items()}
-        bounds = _run_ops(tally, bound_ops, p, alphas, tolerance)
-        for i, alpha in enumerate(alphas):
-            if recon:
-                # The secant bound runs wherever the reconstructions do (both
-                # need distinct extremes), and its ``computed`` is NM_a.
-                direct = bounds["nm_bound_secant"][i].computed
-                _compare_identities(fail, recon, i, alpha, direct, tolerance)
-            for check, reps in bounds.items():
-                rep = reps[i]
-                if not rep.holds:
-                    expected = bound_expected(rep.direction == UPPER, rep.bound, rep.equality)
-                    fail(check, expected, rep.computed, alpha=alpha.value)
+    recon = _run_ops(tally, _NM_OPS, p, alphas, rungs=(n3,))
+    bound_ops = {f"nm_bound_{source}": op for source, op in _SOURCE_OPS.items()}
+    bounds = _run_ops(tally, bound_ops, p, alphas, tolerance, rungs=(n3,))
+    for i, alpha in enumerate(alphas):
+        if recon:
+            # The secant bound runs wherever the reconstructions do (both
+            # need distinct extremes), and its ``computed`` is NM_a.
+            direct = bounds["nm_bound_secant"][i].computed
+            _compare_identities(fail, recon, i, alpha, direct, tolerance)
+        for check, reps in bounds.items():
+            rep = reps[i]
+            if not rep.holds:
+                expected = bound_expected(rep.direction == UPPER, rep.bound, rep.equality)
+                fail(check, expected, rep.computed, alpha=alpha.value)
 
-    if p.diameter != 2:
-        tally.skip("dist2_identity", "not_diameter_two", 1)
-    else:
-        tally.checks["dist2_identity"] += 1
+    if _gate(tally, "dist2_identity", 1, ("not_diameter_two", p.diameter == 2)):
         total2 = 2 * p.m * (n - 1) - p.m1
         d2_total = sum(p.dist2_deg)
         if d2_total != total2:
@@ -346,15 +347,16 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         for i, alpha in enumerate(alphas):
             _compare_identities(fail, recon2, i, alpha, nm2_direct(p, alpha), tolerance)
 
-    if p.m1 == 0:
-        tally.skip("spectral_chain", "no_edges", 1)
-        tally.skip("spectral_regular", "no_edges", 1)
+    has_edges = ("no_edges", p.m1 > 0)
+    # A connected k-regular graph has A 1 = k 1, so rho = k.
+    regular = _gate(tally, "spectral_regular", 1, has_edges,
+                    ("not_regular", min(p.deg) == max(p.deg)))
+    if not _gate(tally, "spectral_chain", 1, has_edges):
         return
     # The chain holds by the integer certificate or by the converged rho,
     # and its second link and the regular-graph equalities are integer
     # comparisons over the common denominator M1.  At n <= 8 Lanczos stops
     # by step n, far below its iteration limit, so it always converges.
-    tally.checks["spectral_chain"] += 1
     sr = spectral_radius(g)
     nm2, min_nbr_num = _nm2(p), _min_nbr_numerator(p)
     ratio_bound = nm2 / p.m1
@@ -362,17 +364,13 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
     rho_squared = ratio_bound if ratio_bound_is_exact(g, p) else sr.rho_squared
     if not (rho_squared >= ratio_bound and nm2 >= min_nbr_num):
         fail("spectral_chain", CHAIN_EXPECTED.format(ratio_bound, min_nbr_bound), rho_squared)
-    if min(p.deg) == max(p.deg):
-        # A connected k-regular graph has A 1 = k 1, so rho = k.
-        tally.checks["spectral_regular"] += 1
+    if regular:
         k2 = p.deg[0] * p.deg[0]
         if not (nm2 == k2 * p.m1 and min_nbr_num == k2 * p.m1):
             fail(
                 "spectral_regular", REGULAR_EXPECTED.format(k2),
                 REGULAR_GOT.format(ratio_bound, min_nbr_bound),
             )
-    else:
-        tally.skip("spectral_regular", "not_regular", 1)
 
 
 def _scalar_chunk(

@@ -656,6 +656,60 @@ class TestGate:
             assert tally.checks[check] == 6
 
 
+class TestScalarGate:
+    def test_first_failed_rung_names_the_skip_and_the_op_is_not_called(self):
+        tally = _bulk.Tally()
+        calls = []
+        got = enumeration._gate(
+            tally, "a", 3, ("first", False), ("second", False), op=lambda: calls.append(1)
+        )
+        assert got is None and calls == []
+        assert tally.skips["a"] == {"first": 3}
+        assert tally.checks["a"] == 0
+
+    def test_op_precondition_names_the_skip_once_the_rungs_pass(self):
+        def op():
+            raise NeighborhoodRegular("raised by the test")
+
+        tally = _bulk.Tally()
+        assert enumeration._gate(tally, "a", 2, ("first", True), op=op) is None
+        assert tally.skips["a"] == {"neighborhood_regular": 2}
+        assert tally.checks["a"] == 0
+
+    def test_passing_gate_counts_reps_runs_and_returns_the_result(self):
+        tally = _bulk.Tally()
+        assert enumeration._gate(tally, "a", 4, ("first", True), op=lambda: "value") == "value"
+        assert enumeration._gate(tally, "b", 1, ("first", True)) is True
+        assert tally.checks == {"a": 4, "b": 1}
+        assert tally.skips == {}
+
+    def test_other_exceptions_propagate(self):
+        def op():
+            raise ValueError("not a precondition")
+
+        tally = _bulk.Tally()
+        with pytest.raises(ValueError):
+            enumeration._gate(tally, "a", 1, ("first", True), op=op)
+        assert not tally.checks and tally.skips == {}
+
+    def test_rungs_run_before_ops_in_the_engine(self, monkeypatch):
+        # Of the 44 connected graphs with n <= 4, one has no edge and two
+        # have n < 3; the ops behind those rungs must not see them.
+        calls = dict.fromkeys(("spectral_radius", "congruence_classify"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(enumeration, name, counting(name, getattr(enumeration, name)))
+        report = verify_all(4, (2.0,), engine="scalar")
+        assert report.graphs_checked == 44 and report.ok
+        assert calls == {"spectral_radius": 43, "congruence_classify": 42}
+
+
 def _grid_excess_sum(x, alpha, lo, rate, first, last):
     """The histogram-grid form of the per-vertex sum: bin the degrees, then
     weight each degree value's term by its count."""

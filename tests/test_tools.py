@@ -1,6 +1,7 @@
 """Smoke tests of the measurement scripts under ``tools/``."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from nbzagreb import _bulk, enumeration, find_equality_graphs
@@ -55,3 +56,17 @@ def test_bench_per_graph_measures_both_targets_and_checks_sums():
     assert len(bench.disagreements("spectral_radius", spec_run, [shifted])) == 1
     # radius sums are compared within a label only
     assert bench.disagreements("spectral_radius", spec_run, [{**shifted, "label": "before"}]) == []
+
+
+def test_bench_scalar_times_one_tree_against_itself():
+    bench = _load("bench_scalar")
+    src = Path(enumeration.__file__).resolve().parents[1]
+    result = bench.measure([src, src], pairs=2, n_max=4)
+    assert result["tallies_agree"]
+    assert len(result["pairs_s"]) == 2
+    assert all(s > 0 for pair in result["pairs_s"] for s in pair)
+    for median, (q1, q3) in zip(result["median_s"], result["quartiles_s"]):
+        assert 0 < q1 <= median <= q3
+    assert 0 <= result["second_faster"] <= 2
+    # The copies leave no module behind.
+    assert not [name for name in sys.modules if name.startswith("nbzagreb_")]
