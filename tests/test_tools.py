@@ -1,72 +1,158 @@
-"""Smoke tests of the measurement scripts under ``tools/``."""
+"""Tests of the A/B timing harness ``tools/bench_ab.py``, at tiny sizes."""
 
+import importlib
 import importlib.util
+import inspect
+import json
+import math
+import shutil
+import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from nbzagreb import _bulk, enumeration, find_equality_graphs
+import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+import nbzagreb
+from nbzagreb import _bulk, enumeration, find_equality_graphs, verify_all
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(enumeration.__file__).resolve().parents[1]
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+@pytest.fixture
+def bench(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for name, value in {"N": 4, "N_MAX": 4, "PATH_N": 30}.items():
+        monkeypatch.setattr(module, name, value)
     return module
 
 
-def test_bench_enumeration_measures_and_restores_the_kernel():
-    before = {module: dict(vars(module)) for module in (_bulk, enumeration)}
-    bench = _load("bench_enumeration")
-    result = bench.measure(4)
-    assert result["connected"] == result["graphs"] == 38  # connected labeled 4-vertex graphs
-    assert result["checks"] > 0 and result["failures"] == 0
-    stages = ("kernel_decode_s", "kernel_connected_s", "kernel_reconstruct_s")
-    assert 0 <= sum(result[key] for key in stages) <= result["kernel_s"]
-    assert 0 <= result["orbit_keys_s"] <= result["extremal_s"]
-    want = sum(len(find_equality_graphs(4, 2.0, source)) for source in bench.SOURCES)
-    assert result["extremal_records"] == want > 0
+def _run(bench, capsys, target, srcs, *extra):
+    args = ["--target", target, "--pairs", "1", *extra]
+    for src in srcs:
+        args += ["--src", str(src)]
+    code = bench.main(args)
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+def test_help_names_every_target():
+    result = subprocess.run(
+        [sys.executable, "tools/bench_ab.py", "--help"], cwd=ROOT,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    for target in ("enumeration", "scalar", "diameter", "spectral_radius"):
+        assert target in result.stdout
+
+
+@pytest.mark.parametrize("target", ["enumeration", "scalar", "diameter", "spectral_radius"])
+def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
+    modules = dict(sys.modules)
+    record = tmp_path / "runs.json"
+    record.write_text('{"runs": [{"earlier": 1}]}')
+    code, result, err = _run(bench, capsys, target, [SRC, SRC], "--record", str(record))
+    assert code == 0, err
+    assert result["disagreements"] == [] and result["results"][0] == result["results"][1]
+    assert json.loads(record.read_text())["runs"] == [{"earlier": 1}, result]
+    (pair,) = result["pairs_s"]
+    for seconds, median in zip(pair, result["median_s"]):
+        assert seconds == median and seconds["total_s"] > 0
+    assert 0 <= result["second_faster"] <= 1 and len(result["gaps"]) == 1
+    # The copies, their stand-in for nbzagreb and perfbench's workloads are gone.
+    new = sys.modules.keys() - modules.keys()
+    assert not [name for name in new if name.startswith("nbzagreb") or name == "workloads"]
+    assert all(sys.modules[name] is module for name, module in modules.items())
+    assert sys.modules["nbzagreb"] is nbzagreb
+
+    got, s = result["results"][0], pair[0]
+    if target == "enumeration":
+        assert got["connected"] == got["graphs"] == 38  # connected labeled 4-vertex graphs
+        assert got["checks"] > 0 and got["failures"] == 0
+        want = sum(len(find_equality_graphs(4, 2.0, source)) for source in bench.SOURCES)
+        assert got["extremal_records"] == want > 0
+        stages = ("kernel_decode_s", "kernel_connected_s", "kernel_reconstruct_s")
+        assert 0 < sum(s[key] for key in stages) <= s["kernel_s"]
+        assert 0 < s["orbit_keys_s"] <= s["extremal_s"]
+        # total_s adds each unit's fastest total, not the sum of its fastest parts.
+        assert s["total_s"] >= s["connected_masks_s"] + s["kernel_s"] + s["extremal_s"] - 1e-3
+    elif target == "scalar":
+        report = verify_all(4, bench.ALPHAS, engine="scalar", jobs=1)
+        del report.checks_run["coefficient_sign_grid"]  # run by verify_all, not per graph
+        assert got == {
+            "graphs": 1 + 1 + 4 + 38, "failure_count": 0,
+            **{f"checks.{check}": count for check, count in report.checks_run.items() if count},
+            **{f"skips.{check}.{reason}": count
+               for check, reasons in report.skips.items() for reason, count in reasons.items()},
+        }
+    else:
+        # Today's per_graph checksums at seed 1 (BENCH_diameter.json and
+        # BENCH_spectral_radius.json); the path has 30 vertices here.
+        assert [got[name]["graphs"] for name in got] == [40, 44, 1]
+        if target == "diameter":
+            assert got["per_graph"]["diameter_sum"] == 3739
+            assert got["path2000"]["diameter_sum"] == 29
+        else:
+            assert got["per_graph"]["rho_sum"] == pytest.approx(143.75598384098117, rel=1e-12)
+            assert got["path2000"]["rho_sum"] == pytest.approx(2 * math.cos(math.pi / 31))
+            assert all(abs(entry["rho_sum_rel_err"]) < 1e-12 for entry in got.values())
+            assert all(entry["iterations_mean"] > 0 for entry in got.values())
+
+
+# One injected fault per engine: NM_2 + 1 where each engine computes it.
+FAULTS = {
+    "enumeration": ("_bulk.py", "return (nbr * nbr).sum(axis=0)", "failures"),
+    "scalar": ("spectral.py", "return sum(d * d for d in p.nbr_deg)", "failure_count"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(FAULTS))
+def test_differing_counts_exit_1_and_record_nothing(bench, capsys, tmp_path, target):
+    file, line, field = FAULTS[target]
+    faulty = tmp_path / "src"
+    shutil.copytree(SRC / "nbzagreb", faulty / "nbzagreb",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = faulty / "nbzagreb" / file
+    assert line in path.read_text()
+    path.write_text(path.read_text().replace(line, line + " + 1"))
+    record = tmp_path / "runs.json"
+    code, result, err = _run(bench, capsys, target, [SRC, faulty], "--record", str(record))
+    assert code == 1 and f"results.{field}: 0 vs" in "\n".join(result["disagreements"])
+    assert result["results"][0][field] == 0 < result["results"][1][field]
+    assert f"results.{field}:" in err
+    assert not record.exists()
+
+
+def test_wrapped_stages_are_timed_and_restored(bench):
+    tree = SimpleNamespace(modules={"_bulk": _bulk, "enumeration": enumeration})
+    before = {module: dict(vars(module)) for module in tree.modules.values()}
+    sweep = lambda: _bulk.sweep_chunk(4, 0, 64, bench.ALPHAS, 1e-9)  # noqa: E731
+    seconds, tally = bench._pass(tree, "kernel_s", bench.KERNEL_STAGES, sweep)
+    assert tally.graphs == 38 and seconds["kernel_s"] == seconds["total_s"]
+    stages = [seconds[key] for _module, _name, key in bench.KERNEL_STAGES]
+    assert all(v > 0 for v in stages) and sum(stages) <= seconds["kernel_s"]
+
+    def broken():
+        enumeration.find_equality_graphs(4, 2.0, "secant")
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError):
+        bench._pass(tree, "extremal_s", bench.KERNEL_STAGES + bench.EXTREMAL_STAGES, broken)
     for module, names in before.items():
         after = vars(module)
         assert after.keys() == names.keys()
         assert all(after[name] is obj for name, obj in names.items())
-    run = {"label": "before", **result}
-    assert bench.disagreements(result, [run]) == []
-    assert len(bench.disagreements(result, [{**run, "checks": result["checks"] + 1}])) == 1
 
 
-def test_bench_per_graph_measures_both_targets_and_checks_sums():
-    from nbzagreb.graphs import complete_graph, path_graph, star_graph
-
-    bench = _load("bench_per_graph")
-    sets = {"small": [path_graph(7), star_graph(5), complete_graph(4)]}
-    diam = bench.measure("diameter", sets)["small"]
-    assert (diam["graphs"], diam["diameter_sum"]) == (3, 6 + 2 + 1)
-    spec = bench.measure("spectral_radius", sets)["small"]
-    assert abs(spec["rho_sum_rel_err"]) < 1e-12
-    assert spec["iterations_mean"] > 0
-
-    run = {"label": "after", "small": diam}
-    assert bench.disagreements("diameter", run, [run]) == []
-    other = {"label": "before", "small": {**diam, "diameter_sum": 10}}
-    assert len(bench.disagreements("diameter", run, [other])) == 1
-    spec_run = {"label": "after", "small": spec}
-    shifted = {"label": "after", "small": {**spec, "rho_sum": spec["rho_sum"] * (1 + 1e-6)}}
-    assert len(bench.disagreements("spectral_radius", spec_run, [shifted])) == 1
-    # radius sums are compared within a label only
-    assert bench.disagreements("spectral_radius", spec_run, [{**shifted, "label": "before"}]) == []
-
-
-def test_bench_scalar_times_one_tree_against_itself():
-    bench = _load("bench_scalar")
-    src = Path(enumeration.__file__).resolve().parents[1]
-    result = bench.measure([src, src], pairs=2, n_max=4)
-    assert result["tallies_agree"]
-    assert len(result["pairs_s"]) == 2
-    assert all(s > 0 for pair in result["pairs_s"] for s in pair)
-    for median, (q1, q3) in zip(result["median_s"], result["quartiles_s"]):
-        assert 0 < q1 <= median <= q3
-    assert 0 <= result["second_faster"] <= 2
-    # The copies leave no module behind.
-    assert not [name for name in sys.modules if name.startswith("nbzagreb_")]
+def test_every_called_and_wrapped_attribute_exists(bench):
+    """A rename in src/ fails here rather than in the middle of a measurement."""
+    for module, names in bench.CALLED.items():
+        owner = importlib.import_module(f"nbzagreb.{module}")
+        for name in names:
+            assert hasattr(owner, name), f"nbzagreb.{module}.{name} is gone"
+    for module, name, _key in bench.KERNEL_STAGES + bench.EXTREMAL_STAGES:
+        func = getattr(importlib.import_module(f"nbzagreb.{module}"), name, None)
+        assert inspect.isfunction(func), f"nbzagreb.{module}.{name} is gone"

@@ -1,0 +1,306 @@
+"""Time one target of two nbzagreb source trees against each other in one process.
+
+    python tools/bench_ab.py --target T --src OLD/src --src NEW/src [--pairs 10] [--record FILE]
+
+Both packages are copied under names of their own and imported side by
+side.  A pair runs each work unit on both trees, the first tree alternating
+between pairs, and sums per tree each unit's fastest of ``REPEATS``
+back-to-back runs (``total_s``); inputs are built off the clock.  Targets,
+their units, seconds keys and results:
+
+* ``enumeration``: per mask range of n = 7, ``_bulk.connected_masks``
+  (``connected_masks_s``) and ``_bulk.sweep_chunk`` at ``ALPHAS`` and
+  ``TOLERANCE`` (``kernel_s``), with its time inside ``_decode``,
+  ``_connected`` and, while it runs, ``_check_reconstructions``
+  (``kernel_decode_s``, ``kernel_connected_s``, ``kernel_reconstruct_s``);
+  per bound source, ``find_equality_graphs(7, 2.0, source)``
+  (``extremal_s``), with its time inside ``_orbit_keys`` (``orbit_keys_s``).
+  ``connected``, ``graphs``, ``checks``, ``failures``, ``extremal_records``.
+* ``scalar``: per mask range of n <= 6, cut to ``UNIT`` masks,
+  ``enumeration._scalar_chunk`` (``scalar_s``).  ``graphs``,
+  ``failure_count``, nonzero ``checks.<check>``, ``skips.<check>.<reason>``.
+* ``diameter``, ``spectral_radius``: that function per ``UNIT`` graphs of
+  perfbench's 40 ``per_graph`` inputs at seed 1, every connected graph with
+  n <= 6 and the 2000-vertex path (``per_graph_s``, ``connected_n6_s``,
+  ``path2000_s``), built afresh by the tree's ``Graph`` for every run, so
+  caching on the graph is paid for.  Per set ``graphs`` and ``diameter_sum``,
+  or ``rho_sum``, ``rho_sum_rel_err`` against ``numpy.linalg.eigvalsh`` and
+  ``iterations_mean``.
+
+Prints as JSON ``target``, ``trees``, ``sizes``, ``machine``, each pair's
+seconds (``pairs_s``), each tree's ``median_s`` and ``quartiles_s``, each
+pair's relative gap of the second tree's ``total_s`` (``gaps``),
+``median_gap``, ``second_faster``, each tree's ``results`` and their
+``disagreements`` (counts and diameter sums exactly, radius sums to 1e-9
+relative).  Any disagreement exits 1; else ``--record FILE`` appends the
+object to the ``runs`` list of FILE.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import inspect
+import json
+import math
+import os
+import platform
+import random
+import shutil
+import sys
+import tempfile
+import time
+from collections import Counter
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REPEATS = 3
+UNIT = 1024
+N = 7
+N_MAX = 6
+PATH_N = 2000
+ALPHAS = (-1.0, 0.5, 2.0, 3.0)
+TOLERANCE = 1e-9
+SOURCES = ("secant", "unit", "congruence")
+# Reported, not compared: they may differ between correct versions.
+UNCOMPARED = {"rho_sum_rel_err", "iterations_mean"}
+# The nbzagreb attributes the harness calls, by module.
+CALLED = {
+    "_bulk": ("iter_mask_ranges", "connected_masks", "sweep_chunk"),
+    "enumeration": ("enumerate_connected", "find_equality_graphs", "_scalar_chunk"),
+    "graphs": ("Graph", "diameter"),
+    "spectral": ("spectral_radius",),
+}
+# Functions timed inside a pass by wrapping them: (module, name, seconds key).
+KERNEL_STAGES = (("_bulk", "_decode", "kernel_decode_s"),
+                 ("_bulk", "_connected", "kernel_connected_s"),
+                 ("_bulk", "_check_reconstructions", "kernel_reconstruct_s"))
+EXTREMAL_STAGES = (("enumeration", "_orbit_keys", "orbit_keys_s"),)
+
+
+def _timed(func, key, seconds):
+    """``func`` adding its running time to seconds[key]; a generator's time
+    counts only while it runs, not while its caller holds an item."""
+    if inspect.isgeneratorfunction(func):
+        step, done = _timed(next, key, seconds), object()
+        return lambda *args, **kwargs: iter(partial(step, func(*args, **kwargs), done), done)
+
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            seconds[key] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def _pass(tree, key, stages, call):
+    """Seconds of ``call()`` as ``key`` and ``total_s``, of each wrapped stage, and its result."""
+    seconds = Counter({stage: 0.0 for _mod, _name, stage in stages})
+    originals = [(tree.modules[mod], name, getattr(tree.modules[mod], name))
+                 for mod, name, _key in stages]
+    try:
+        for (module, name, func), (_mod, _name, stage) in zip(originals, stages):
+            setattr(module, name, _timed(func, stage, seconds))
+        t0 = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - t0
+        seconds.update({key: elapsed, "total_s": elapsed})
+        return seconds, result
+    finally:
+        for module, name, func in originals:
+            setattr(module, name, func)
+
+
+def _mask_range(lo, hi, tree):
+    seconds, masks = _pass(tree, "connected_masks_s", (), lambda: tree.connected_masks(N, lo, hi))
+    kernel, tally = _pass(tree, "kernel_s", KERNEL_STAGES,
+                          lambda: tree.sweep_chunk(N, lo, hi, ALPHAS, TOLERANCE))
+    seconds.update(kernel)
+    return seconds, {"connected": masks.size, "graphs": tally.graphs,
+                     "checks": sum(tally.checks.values()), "failures": tally.failure_count}
+
+
+def _extremal(source, tree):
+    seconds, records = _pass(tree, "extremal_s", EXTREMAL_STAGES,
+                             lambda: tree.find_equality_graphs(N, 2.0, source))
+    return seconds, {"extremal_records": len(records)}
+
+
+def _scalar(n, lo, hi, tree):
+    seconds, tally = _pass(tree, "scalar_s", (),
+                           lambda: tree._scalar_chunk(n, lo, hi, ALPHAS, TOLERANCE))
+    counts = {"graphs": tally.graphs, "failure_count": tally.failure_count}
+    counts.update((f"checks.{check}", count) for check, count in tally.checks.items() if count)
+    counts.update((f"skips.{check}.{reason}", count)
+                  for check, reasons in tally.skips.items() for reason, count in reasons.items())
+    return seconds, counts
+
+
+def _per_graph(func, set_name, specs, tree):
+    graphs = [tree.Graph.from_edges(n, edges) for n, edges in specs]
+    call = getattr(tree, func)
+    seconds, values = _pass(tree, f"{set_name}_s", (), lambda: [call(g) for g in graphs])
+    return seconds, (set_name, values)
+
+
+def _counts(values):
+    total = Counter()
+    for counts in values:
+        total.update(counts)
+    return dict(total)
+
+
+def _enumeration_target(tree):
+    units = [partial(_mask_range, lo, hi) for lo, hi in tree.iter_mask_ranges(N)]
+    return units + [partial(_extremal, source) for source in SOURCES], _counts
+
+
+def _scalar_target(tree):
+    units = [partial(_scalar, n, start, min(start + UNIT, hi)) for n in range(1, N_MAX + 1)
+             for lo, hi in tree.iter_mask_ranges(n) for start in range(lo, hi, UNIT)]
+    return units, _counts
+
+
+def _eigvalsh_radius(n, edges) -> float:
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
+def _per_graph_target(func, tree):
+    # perfbench/workloads.py imports nbzagreb: the tree stands in for it while
+    # it loads, and no bytecode is written under perfbench/.
+    with mock.patch.dict(sys.modules, nbzagreb=sys.modules[tree.package]), \
+            mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]), \
+            mock.patch.object(sys, "dont_write_bytecode", True):
+        workloads = importlib.import_module("workloads")
+    rng = random.Random(1)  # the per_graph workload's seed
+    sets = {
+        "per_graph": [workloads.make_graph(i, rng) for i in range(workloads.PER_GRAPH_BATCH)],
+        "connected_n6": [(g.n, list(g.edges()))
+                         for n in range(1, N_MAX + 1) for g in tree.enumerate_connected(n)],
+        "path2000": [(PATH_N, [(v - 1, v) for v in range(1, PATH_N)])],
+    }
+    units = [partial(_per_graph, func, name, specs[start:start + UNIT])
+             for name, specs in sets.items() for start in range(0, len(specs), UNIT)]
+
+    def summary(values):
+        out = {}
+        for name, specs in sets.items():
+            got = [value for set_name, chunk in values if set_name == name for value in chunk]
+            out[name] = {"graphs": len(got)}
+            if func == "diameter":
+                out[name]["diameter_sum"] = sum(got)
+                continue
+            rho_sum = math.fsum(r.rho for r in got)
+            want = math.fsum(_eigvalsh_radius(n, edges) for n, edges in specs)
+            out[name].update(rho_sum=rho_sum, rho_sum_rel_err=(rho_sum - want) / want,
+                             iterations_mean=round(sum(r.iterations for r in got) / len(got), 2))
+        return out
+
+    return units, summary
+
+
+TARGETS = {
+    "enumeration": _enumeration_target,
+    "scalar": _scalar_target,
+    "diameter": partial(_per_graph_target, "diameter"),
+    "spectral_radius": partial(_per_graph_target, "spectral_radius"),
+}
+
+
+def _disagreements(a, b, where: str = "results") -> list[str]:
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [problem for key in sorted(a.keys() | b.keys()) if key not in UNCOMPARED
+                for problem in _disagreements(a.get(key), b.get(key), f"{where}.{key}")]
+    same = math.isclose(a, b, rel_tol=1e-9) if isinstance(a, float) else a == b
+    return [] if same else [f"{where}: {a!r} vs {b!r}"]
+
+
+def measure(target: str, srcs, pairs: int) -> dict:
+    """Time ``pairs`` alternating pairs of ``target`` on the trees under ``srcs``."""
+    # Each tree is imported from a copy under a name of its own; on exit
+    # sys.modules and sys.path are as they were, so the copies are gone.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(sys.modules), \
+            mock.patch.object(sys, "path", [tmp, *sys.path]):
+        trees = []
+        for i, src in enumerate(srcs):
+            name = f"nbzagreb_{Path(tmp).name}_{i}"
+            shutil.copytree(Path(src) / "nbzagreb", Path(tmp) / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            modules = {mod: importlib.import_module(f"{name}.{mod}") for mod in CALLED}
+            attrs = {attr: getattr(modules[mod], attr) for mod in CALLED for attr in CALLED[mod]}
+            trees.append(SimpleNamespace(package=name, modules=modules, **attrs))
+        units, summary = TARGETS[target](trees[0])
+        seconds = []
+        values = [[None] * len(units) for _ in trees]
+        for pair in range(pairs):
+            sums = [Counter() for _ in trees]
+            for u, unit in enumerate(units):
+                for i in (0, 1) if pair % 2 == 0 else (1, 0):
+                    best = {}
+                    for _ in range(REPEATS):
+                        seconds_u, values[i][u] = unit(trees[i])
+                        best = {k: min(v, best.get(k, v)) for k, v in seconds_u.items()}
+                    sums[i].update(best)
+            seconds.append([{k: round(v, 4) for k, v in tree_s.items()} for tree_s in sums])
+        results = [summary(tree_values) for tree_values in values]
+    per_tree = [{k: [pair[i][k] for pair in seconds] for k in seconds[0][i]} for i in (0, 1)]
+    gaps = [second["total_s"] / first["total_s"] - 1 for first, second in seconds]
+    return {
+        "target": target,
+        "trees": [str(src) for src in srcs],
+        "sizes": {"n": N, "n_max": N_MAX, "path_n": PATH_N, "unit": UNIT, "repeats": REPEATS},
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "pairs_s": seconds,
+        "median_s": [{k: round(float(np.median(v)), 4) for k, v in tree_s.items()}
+                     for tree_s in per_tree],
+        "quartiles_s": [{k: [round(float(q), 4) for q in np.percentile(v, [25, 75])]
+                         for k, v in tree_s.items()} for tree_s in per_tree],
+        "gaps": [round(gap, 4) for gap in gaps],
+        "median_gap": round(float(np.median(gaps)), 4),
+        "second_faster": sum(gap < 0 for gap in gaps),
+        "results": results,
+        "disagreements": _disagreements(*results),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--target", required=True, choices=tuple(TARGETS))
+    parser.add_argument("--src", action="append", default=[],
+                        help="directory holding the nbzagreb package; give exactly two")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs to time")
+    parser.add_argument("--record", help="JSON file whose 'runs' list receives the result")
+    args = parser.parse_args(argv)
+    if len(args.src) != 2:
+        parser.error("give --src exactly twice")
+    if args.pairs < 1:
+        parser.error("need --pairs >= 1")
+    for src in args.src:
+        if not (Path(src) / "nbzagreb" / "__init__.py").is_file():
+            parser.error(f"no nbzagreb package under {src}")
+    result = measure(args.target, [Path(src).resolve() for src in args.src], args.pairs)
+    print(json.dumps(result))
+    if result["disagreements"]:
+        print("the trees disagree:\n" + "\n".join(result["disagreements"]), file=sys.stderr)
+        return 1
+    if args.record:
+        path = Path(args.record)
+        doc = json.loads(path.read_text()) if path.exists() else {"runs": []}
+        doc["runs"].append(result)
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
