@@ -4,7 +4,13 @@ Compute NM_a and its 2-distance variant, reconstruct them exactly from
 degree histograms, evaluate sharp bounds with structural equality
 detection, lower-bound the adjacency spectral radius, and verify all of it
 exhaustively over every small graph.
+
+The names from ``enumeration`` and ``spectral`` are loaded on first access
+(PEP 562), so that importing the package, or running the per-graph CLI
+commands ``compute`` and ``bounds``, loads no numpy.
 """
+
+import importlib
 
 from .bounds import (
     BOUND_SOURCES,
@@ -16,15 +22,6 @@ from .bounds import (
     nm_bound_unit,
     secant_coefficient,
     unit_coefficient,
-)
-from .enumeration import (
-    ExtremalRecord,
-    VerificationReport,
-    canonical_form,
-    enumerate_connected,
-    find_equality_graphs,
-    coefficient_sign_grid,
-    verify_all,
 )
 from .graphs import (
     DegreeProfile,
@@ -58,14 +55,24 @@ from .indices import (
     secant_slope,
     two_distance_index,
 )
-from .spectral import (
-    SpectralResult,
-    min_nbr_lower_bound,
-    nm2_ratio_lower_bound,
-    ratio_bound_is_exact,
-    spectral_radius,
-    spectral_report,
-)
+
+# The public names of the two modules that import numpy, each mapped to its
+# module, which ``__getattr__`` imports on first access.
+_LAZY = {
+    "ExtremalRecord": "enumeration",
+    "VerificationReport": "enumeration",
+    "canonical_form": "enumeration",
+    "coefficient_sign_grid": "enumeration",
+    "enumerate_connected": "enumeration",
+    "find_equality_graphs": "enumeration",
+    "verify_all": "enumeration",
+    "SpectralResult": "spectral",
+    "min_nbr_lower_bound": "spectral",
+    "nm2_ratio_lower_bound": "spectral",
+    "ratio_bound_is_exact": "spectral",
+    "spectral_radius": "spectral",
+    "spectral_report": "spectral",
+}
 
 __version__ = "0.1.0"
 
@@ -121,3 +128,17 @@ __all__ = [
     "unit_coefficient",
     "verify_all",
 ]
+
+
+def __getattr__(name):
+    """Resolve a lazy public name through its submodule, on every access:
+    the value is read from the submodule and not stored here, so a name
+    replaced there (for instance by a tracer) is what callers get."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

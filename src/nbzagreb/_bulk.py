@@ -252,10 +252,11 @@ def _vertex_fsum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def iter_mask_ranges(n: int):
-    """Split the full mask space of n-vertex graphs into chunk ranges."""
+def iter_mask_ranges(n: int, bits: int = CHUNK_BITS):
+    """Split the full mask space of n-vertex graphs into ranges of
+    ``1 << bits`` masks."""
     total = 1 << pair_count(n)
-    step = 1 << CHUNK_BITS
+    step = 1 << bits
     for lo in range(0, total, step):
         yield lo, min(lo + step, total)
 

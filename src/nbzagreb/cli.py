@@ -15,6 +15,10 @@ Output is deterministic: JSON with fixed key order and floats rendered at
 12 significant digits, so identical inputs produce byte-identical output.
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 precondition violation, 4 numerical non-convergence.
+
+``spectral``, ``verify`` and ``extremal`` import the numpy engines they
+call inside their ``cmd_*``, so ``compute`` and ``bounds`` never load
+numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from functools import cache
 from pathlib import Path
 
 from .bounds import BOUND_SOURCES, DEFAULT_TOLERANCE, _SOURCE_OPS, congruence_classify
-from .enumeration import find_equality_graphs, verify_all
 from .errors import (
     ConfigError,
     NoConvergence,
@@ -47,7 +50,6 @@ from .indices import (
     nm_reconstruct_unit,
     secant_slope,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -221,8 +223,11 @@ def cmd_bounds(args):
 
 
 def cmd_spectral(args):
+    from .spectral import spectral_report
+
     g = _load_graph(args)
-    result = spectral_report(g, tol=args.power_tol, max_iter=args.max_iter)
+    given = {"tol": args.power_tol, "max_iter": args.max_iter}
+    result = spectral_report(g, **{k: v for k, v in given.items() if v is not None})
     ratio_holds = result.ratio_bound_exact or result.rho_squared >= result.bound_nm2_ratio
     return _graph_doc(
         args, g,
@@ -240,6 +245,8 @@ def cmd_spectral(args):
 
 
 def cmd_verify(args):
+    from .enumeration import verify_all
+
     report = verify_all(
         args.n_max,
         [as_alpha(a) for a in args.alpha],
@@ -253,6 +260,8 @@ def cmd_verify(args):
 
 
 def cmd_extremal(args):
+    from .enumeration import find_equality_graphs
+
     alpha = as_alpha(args.alpha)
     records = find_equality_graphs(args.n, alpha, args.source, allow_n8=args.allow_n8)
     doc = {
@@ -310,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectral", help="spectral radius and lower bounds")
     add_input_flags(sp)
-    sp.add_argument("--power-tol", type=float, default=DEFAULT_TOL,
+    sp.add_argument("--power-tol", type=float,
                     help="relative bound on the Lanczos Ritz residual")
-    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    sp.add_argument("--max-iter", type=int)
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("verify", help="exhaustive sweep over all connected graphs")

@@ -391,6 +391,11 @@ def _scalar_chunk(
 
 # Per-chunk function of each engine: (n, mask_lo, mask_hi, alphas, tolerance) -> Tally.
 _ENGINES = {"bulk": _bulk.sweep_chunk, "scalar": _scalar_chunk}
+# log2 of each engine's task size in masks.  The scalar engine takes about
+# 0.5 ms a graph, so n = 6 (2^15 masks) is cut into 32 tasks, enough to keep
+# up to 16 workers busy; one 2^15 range would hold 26,704 of its 27,476
+# graphs.  The bulk kernel keeps whole 2^15-mask ranges.
+_TASK_BITS = {"bulk": _bulk.CHUNK_BITS, "scalar": 10}
 
 
 def _report_doc(fields) -> dict:
@@ -442,11 +447,11 @@ def verify_all(
 ) -> VerificationReport:
     """Run every applicable check on every connected graph with n <= n_max.
 
-    The mask space of each n is split into ranges (``_bulk.iter_mask_ranges``)
-    and the engine's chunk function runs once per range, in up to ``jobs``
-    worker processes: no more of them than there are ranges or CPUs, since
-    a pool starts all of its workers at the first task, and in-process when
-    that leaves one.  Chunk results are
+    The mask space of each n is split into ranges (``_bulk.iter_mask_ranges``,
+    smaller for the scalar engine) and the engine's chunk function runs once
+    per range, in up to ``jobs`` worker processes: no more of them than
+    there are ranges or CPUs, since a pool starts all of its workers at the
+    first task, and in-process when that leaves one.  Chunk results are
     merged in range order, so the report does not depend on ``jobs`` beyond
     recording it.  The coefficient sign grid (graph-independent) runs once
     per call with the same exponents.  An
@@ -466,9 +471,10 @@ def verify_all(
     _refuse_overflow(n_max, max((n_max - 1) ** 2, GRID_P_MAX), alpha_objs)
     start = time.perf_counter()
     alpha_values = tuple(a.value for a in alpha_objs)
-    ns, los, his = zip(
-        *((n, lo, hi) for n in range(1, n_max + 1) for lo, hi in _bulk.iter_mask_ranges(n))
-    )
+    ns, los, his = zip(*(
+        (n, lo, hi) for n in range(1, n_max + 1)
+        for lo, hi in _bulk.iter_mask_ranges(n, _TASK_BITS[engine])
+    ))
     total = Tally()
     by_n: dict[int, int] = {}
     workers = min(jobs, len(ns), os.cpu_count() or 1)

@@ -345,6 +345,31 @@ class TestOverflowingExponent:
         assert "Traceback" not in proc.stderr
 
 
+def test_per_graph_commands_load_no_numpy_in_a_fresh_process():
+    # compute and bounds run on pure Python; spectral loads numpy when it
+    # is called, in the same process.
+    script = """if True:
+        import contextlib, io, json, sys
+        from nbzagreb.cli import main
+        heavy = lambda: [m for m in ("numpy", "concurrent.futures.process") if m in sys.modules]
+        codes = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("compute", "bounds"):
+                codes[command] = main([command, "--input", sys.argv[1], "--alpha", "2"])
+            before = heavy()
+            codes["spectral"] = main(["spectral", "--input", sys.argv[1]])
+        print(json.dumps({"codes": codes, "before": before, "after": heavy()}))
+    """
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, FIG1], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == {"compute": 0, "bounds": 0, "spectral": 0}
+    assert got["before"] == []
+    assert "numpy" in got["after"]
+
+
 class TestExtremal:
     def test_unit_form_contains_p4(self, capsys):
         code, out, _ = run(

@@ -508,14 +508,47 @@ class TestVerifyAll:
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         pooled = verify_all(4, [2.0, 0.5], engine="scalar", jobs=2).to_dict()
+        bits = enumeration._TASK_BITS["scalar"]
         assert chunks == [
-            (n, lo, hi) for n in range(1, 5) for lo, hi in _bulk.iter_mask_ranges(n)
+            (n, lo, hi) for n in range(1, 5) for lo, hi in _bulk.iter_mask_ranges(n, bits)
         ]
         assert pooled.pop("jobs") == 2
         for doc in (sequential, pooled):
             doc.pop("elapsed")
         sequential.pop("jobs")
         assert pooled == sequential
+
+    def test_scalar_engine_splits_n6_into_small_tasks(self, monkeypatch):
+        # One 2^15-mask task would hold 26,704 of the 27,476 graphs at
+        # n <= 6 and leave every other worker idle while it runs.
+        tasks = []
+
+        def record(n, lo, hi, alphas, tolerance):
+            tasks.append((n, lo, hi))
+            return _bulk.Tally()
+
+        monkeypatch.setitem(enumeration._ENGINES, "scalar", record)
+        verify_all(6, [2.0], engine="scalar")
+        n6 = [(lo, hi) for n, lo, hi in tasks if n == 6]
+        assert n6 == [(lo, lo + 1024) for lo in range(0, 1 << 15, 1024)]
+        assert max(_bulk.connected_masks(6, lo, hi).size for lo, hi in n6) == 960
+
+    def test_scalar_report_is_the_same_at_any_task_size_and_jobs(self, monkeypatch):
+        # Tasks of 16 masks split n = 4 and n = 5 into 4 and 64 ranges; the
+        # pooled report merges them back into the one-task-per-n report.
+        def doc(report):
+            d = report.to_dict()
+            d.pop("elapsed")
+            return d
+
+        alphas = [-1.0, 0.5, 2.0]
+        whole = doc(verify_all(5, alphas, engine="scalar", tolerance=1e-300))
+        assert whole.pop("jobs") == 1 and whole["failure_count"] > _bulk.FAILURE_CAP
+        monkeypatch.setitem(enumeration._TASK_BITS, "scalar", 4)
+        for jobs in (1, 2):
+            split = doc(verify_all(5, alphas, engine="scalar", tolerance=1e-300, jobs=jobs))
+            assert split.pop("jobs") == jobs
+            assert split == whole
 
     @pytest.mark.parametrize("n_max,cpus,workers", [
         (2, 4, [2]), (2, None, []), (2, 1, []), (1, 4, []), (4, 3, [3]),

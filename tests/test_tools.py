@@ -45,7 +45,7 @@ def test_help_names_every_target():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    for target in ("enumeration", "scalar", "diameter", "spectral_radius"):
+    for target in ("enumeration", "scalar", "diameter", "spectral_radius", "startup"):
         assert target in result.stdout
 
 
@@ -124,6 +124,37 @@ def test_differing_counts_exit_1_and_record_nothing(bench, capsys, tmp_path, tar
     assert result["results"][0][field] == 0 < result["results"][1][field]
     assert f"results.{field}:" in err
     assert not record.exists()
+
+
+def test_startup_runs_fresh_interpreters_and_compares_their_stdout(
+    bench, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    code, result, err = _run(bench, capsys, "startup", [SRC, SRC])
+    assert code == 0, err
+    got = result["results"][0]
+    assert list(got) == list(bench.STARTUP) and result["results"][1] == got
+    assert all(entry["exit"] == 0 for entry in got.values())
+    assert got["import"]["stdout"] == ""
+    for command in ("compute", "bounds", "spectral"):
+        assert json.loads(got[command]["stdout"])["command"] == command
+    for seconds in result["pairs_s"][0]:
+        units = sum(seconds[f"{name}_s"] for name in bench.STARTUP)
+        assert seconds["total_s"] == pytest.approx(units, abs=1e-3) and units > 0
+
+    # A tree that prints n + 1 disagrees on every per-graph command.
+    faulty = tmp_path / "src"
+    shutil.copytree(SRC / "nbzagreb", faulty / "nbzagreb",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = faulty / "nbzagreb" / "cli.py"
+    assert '"n": g.n,' in path.read_text()
+    path.write_text(path.read_text().replace('"n": g.n,', '"n": g.n + 1,'))
+    record = tmp_path / "runs.json"
+    code, result, err = _run(bench, capsys, "startup", [SRC, faulty], "--record", str(record))
+    assert code == 1 and not record.exists()
+    assert [line.split(":")[0] for line in result["disagreements"]] == [
+        f"results.{command}.stdout" for command in ("bounds", "compute", "spectral")
+    ]
 
 
 def test_wrapped_stages_are_timed_and_restored(bench):

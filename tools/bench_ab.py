@@ -3,7 +3,8 @@
     python tools/bench_ab.py --target T --src OLD/src --src NEW/src [--pairs 10] [--record FILE]
 
 Both packages are copied under names of their own and imported side by
-side.  A pair runs each work unit on both trees, the first tree alternating
+side; the ``startup`` target runs each tree in fresh interpreters instead.
+A pair runs each work unit on both trees, the first tree alternating
 between pairs, and sums per tree each unit's fastest of ``REPEATS``
 back-to-back runs (``total_s``); inputs are built off the clock.  Targets,
 their units, seconds keys and results:
@@ -26,14 +27,20 @@ their units, seconds keys and results:
   caching on the graph is paid for.  Per set ``graphs`` and ``diameter_sum``,
   or ``rho_sum``, ``rho_sum_rel_err`` against ``numpy.linalg.eigvalsh`` and
   ``iterations_mean``.
+* ``startup``: per command of ``STARTUP``, a fresh interpreter with the
+  tree's directory first on ``PYTHONPATH``: ``import nbzagreb.cli``
+  (``import_s``), then ``compute``, ``bounds`` and ``spectral`` on
+  ``fixtures/figure1.edges`` (``compute_s``, ``bounds_s``, ``spectral_s``),
+  wall time including the interpreter's own start.  Per command ``exit``
+  and ``stdout``.
 
 Prints as JSON ``target``, ``trees``, ``sizes``, ``machine``, each pair's
 seconds (``pairs_s``), each tree's ``median_s`` and ``quartiles_s``, each
 pair's relative gap of the second tree's ``total_s`` (``gaps``),
 ``median_gap``, ``second_faster``, each tree's ``results`` and their
-``disagreements`` (counts and diameter sums exactly, radius sums to 1e-9
-relative).  Any disagreement exits 1; else ``--record FILE`` appends the
-object to the ``runs`` list of FILE.
+``disagreements`` (counts, diameter sums, exit codes and stdout exactly,
+radius sums to 1e-9 relative).  Any disagreement exits 1; else
+``--record FILE`` appends the object to the ``runs`` list of FILE.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import os
 import platform
 import random
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -58,7 +66,8 @@ from unittest import mock
 
 import numpy as np
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 REPEATS = 3
 UNIT = 1024
 N = 7
@@ -81,6 +90,14 @@ KERNEL_STAGES = (("_bulk", "_decode", "kernel_decode_s"),
                  ("_bulk", "_connected", "kernel_connected_s"),
                  ("_bulk", "_check_reconstructions", "kernel_reconstruct_s"))
 EXTREMAL_STAGES = (("enumeration", "_orbit_keys", "orbit_keys_s"),)
+# The startup target's commands: interpreter arguments by name.
+FIGURE1 = ("--input", str(ROOT / "fixtures" / "figure1.edges"))
+STARTUP = {
+    "import": ("-c", "import nbzagreb.cli"),
+    "compute": ("-m", "nbzagreb.cli", "compute", *FIGURE1, "--alpha", "2", "--alpha", "0.5"),
+    "bounds": ("-m", "nbzagreb.cli", "bounds", *FIGURE1, "--alpha", "2", "--alpha", "0.5"),
+    "spectral": ("-m", "nbzagreb.cli", "spectral", *FIGURE1),
+}
 
 
 def _timed(func, key, seconds):
@@ -209,11 +226,27 @@ def _per_graph_target(func, tree):
     return units, summary
 
 
+def _startup(name, tree):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree.src), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *STARTUP[name]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - t0
+    result = {"exit": proc.returncode, "stdout": proc.stdout}
+    return {f"{name}_s": elapsed, "total_s": elapsed}, (name, result)
+
+
+def _startup_target(tree):
+    return [partial(_startup, name) for name in STARTUP], dict
+
+
 TARGETS = {
     "enumeration": _enumeration_target,
     "scalar": _scalar_target,
     "diameter": partial(_per_graph_target, "diameter"),
     "spectral_radius": partial(_per_graph_target, "spectral_radius"),
+    "startup": _startup_target,
 }
 
 
@@ -238,7 +271,7 @@ def measure(target: str, srcs, pairs: int) -> dict:
                             ignore=shutil.ignore_patterns("__pycache__"))
             modules = {mod: importlib.import_module(f"{name}.{mod}") for mod in CALLED}
             attrs = {attr: getattr(modules[mod], attr) for mod in CALLED for attr in CALLED[mod]}
-            trees.append(SimpleNamespace(package=name, modules=modules, **attrs))
+            trees.append(SimpleNamespace(package=name, src=src, modules=modules, **attrs))
         units, summary = TARGETS[target](trees[0])
         seconds = []
         values = [[None] * len(units) for _ in trees]
