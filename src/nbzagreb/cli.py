@@ -228,7 +228,10 @@ def cmd_spectral(args):
     g = _load_graph(args)
     given = {"tol": args.power_tol, "max_iter": args.max_iter}
     result = spectral_report(g, **{k: v for k, v in given.items() if v is not None})
-    ratio_holds = result.ratio_bound_exact or result.rho_squared >= result.bound_nm2_ratio
+    # The integer certificates decide both links; rho**2 is compared only
+    # where they leave one open, which Cauchy-Schwarz rules out.
+    ratio_holds = (result.ratio_bound_exact or result.ratio_bound_strict
+                   or result.rho_squared >= result.bound_nm2_ratio)
     return _graph_doc(
         args, g,
         rho=result.rho,

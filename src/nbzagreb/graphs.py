@@ -212,6 +212,9 @@ def diameter(g: Graph) -> int | float:
     bound reaches 2i, and otherwise raises it to the largest eccentricity
     on level i, which one bit-parallel multi-source BFS yields.
 
+    A connected graph with m = n - 1 is a tree, whose diameter is ecc(a):
+    the far end of any BFS ends a longest path, so two passes settle it.
+
     The cost is three BFS passes, O(n + m) time and memory, plus for each
     fringe level that does not stop the search O(ecc * m) ORs of bitsets
     one bit per source.  The sources run in blocks whose bitsets take at
@@ -224,6 +227,8 @@ def diameter(g: Graph) -> int | float:
     a = order[-1]
     order, dist_a = _bfs(adjacency, a)
     lower = dist_a[order[-1]]  # ecc(a), known exactly, so a is no fringe source
+    if g.m == g.n - 1:
+        return lower  # a tree
     u = order[-1]
     while dist_a[u] > (lower + 1) // 2:  # walk back from the far end b
         u = next(w for w in adjacency[u] if dist_a[w] == dist_a[u] - 1)
@@ -341,7 +346,7 @@ def parse_edge_list(text: str) -> Graph:
     edges: set[tuple[int, int]] = set()
     first_content = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         tokens = line.split()
@@ -367,17 +372,24 @@ def parse_edge_list(text: str) -> Graph:
         first_content = False
         if len(tokens) != 2:
             raise MalformedLine(f"line {lineno}: expected 'u v', got {_echo(line)}")
-        try:
-            u, v = _decimal(tokens[0]), _decimal(tokens[1])
-        except OverflowError:
-            raise MalformedLine(
-                f"line {lineno}: vertex id too long (over {_MAX_DIGITS} digits) in {_echo(line)}"
-            )
-        except ValueError:
-            raise MalformedLine(f"line {lineno}: non-decimal vertex id in {_echo(line)}")
+        left, right = tokens
+        # Short ASCII digit tokens are what int() reads exactly; _decimal
+        # vets and names everything else.
+        if (len(left) <= _MAX_DIGITS >= len(right) and left.isascii() and right.isascii()
+                and left.isdigit() and right.isdigit()):
+            u, v = int(left), int(right)
+        else:
+            try:
+                u, v = _decimal(left), _decimal(right)
+            except OverflowError:
+                raise MalformedLine(
+                    f"line {lineno}: vertex id too long (over {_MAX_DIGITS} digits) in {_echo(line)}"
+                )
+            except ValueError:
+                raise MalformedLine(f"line {lineno}: non-decimal vertex id in {_echo(line)}")
         if u == v:
             raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in edges:
             raise DuplicateEdge(f"line {lineno}: duplicate edge {key}")
         edges.add(key)

@@ -18,7 +18,11 @@ whenever x is positive (Horn and Johnson, Matrix Analysis, section 8.1).
 
 The basis grows as needed up to a fixed byte budget; past it the
 iteration restarts from its current Ritz vector, so memory stays
-O(n * cap + m).  T is eigendecomposed at geometrically spaced steps only.
+O(n * cap + m).  The top Ritz pair is found at geometrically spaced steps
+only, and without a dense eigensolve: Laguerre's iteration on the LDL^T
+pivots of x I - T gives theta and two inverse-iteration solves with the
+tridiagonal recurrence give s, each pass O(k) (:func:`_top_ritz`), so no
+``numpy.linalg`` routine runs in the loop.
 
 The two lower bounds on rho**2, both expressed through the first Zagreb
 index M1 and the minimum neighborhood degree lo:
@@ -41,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -65,6 +70,7 @@ DEFAULT_MAX_ITER = 100_000
 # that needs more basis vectors than fit restarts from its Ritz vector.
 _BASIS_BYTES = 64 << 20
 _FINFO = np.finfo(np.float64)
+_EPS = float(_FINFO.eps)
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,9 @@ class SpectralResult:
     (or the quotient overflows); it is reported, not used to stop.  The
     bound fields are None when only the radius was requested.
     ``ratio_bound_exact`` says rho**2 == bound_nm2_ratio exactly (see
-    :func:`ratio_bound_is_exact`); ``bounds_ordered`` says
+    :func:`ratio_bound_is_exact`); ``ratio_bound_strict`` says
+    rho**2 > bound_nm2_ratio, by the integer test |A**2 d|**2 * M1 > NM_2**2
+    (see :func:`spectral_report`); ``bounds_ordered`` says
     bound_nm2_ratio >= bound_min_nbr, compared in integers.
     """
 
@@ -95,19 +103,108 @@ class SpectralResult:
     bound_min_nbr: float | None = None
     ratio_bound_exact: bool | None = None
     bounds_ordered: bool | None = None
+    ratio_bound_strict: bool | None = None
 
 
-def _top_ritz(alpha: list[float], beta: list[float]) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of the Lanczos matrix and its unit eigenvector.
+def _top_ritz(alpha: list[float], beta: list[float]) -> tuple[float, list[float]]:
+    """Largest eigenvalue theta of the Lanczos matrix T and its unit
+    eigenvector s, in a few passes of O(k) each.
 
-    ``alpha`` is the diagonal and ``beta`` the off-diagonal; eigh reads
-    the lower triangle only.
+    ``alpha`` is the diagonal of T and ``beta`` its off-diagonal, which
+    Lanczos makes positive.  ``floor`` is eps times a bound on ||T||, the
+    rounding level of the pivots below.  k <= 2 has a closed form.
+
+    theta: Laguerre's iteration on det(x I - T) (Parlett, "Laguerre's
+    method applied to the matrix eigenvalue problem", Math. Comp. 18
+    (1964) 464-485).  The LDL^T pivots d_i = x - alpha_i -
+    beta_{i-1}**2 / d_{i-1} of x I - T multiply to that determinant, so one
+    pass over them and their first two derivatives in x gives
+    S1 = sum_j 1 / (x - theta_j) and S2 = sum_j 1 / (x - theta_j)**2.  The
+    roots are real, so from Gershgorin's upper bound the steps
+    x -= k / (S1 + sqrt((k - 1) (k S2 - S1**2))) fall monotonically and
+    cubically onto theta, which is at least x - S1 / S2 before each step.
+    The pivots are all positive exactly when x is above every eigenvalue,
+    so the iteration stops once that bracket is ``floor`` wide, a step no
+    longer lowers x, or a pivot falls below ``floor``.
+
+    s: two solves of inverse iteration with the Thomas recurrence, from the
+    all-ones vector, which overlaps the positive top eigenvector.  The shift
+    sigma is theta + floor, raised while a pivot of sigma I - T is below
+    -floor; pivots below ``floor`` are then raised to it, which moves T by
+    at most 2 * floor, so the factorization is a Cholesky one of a nearby
+    positive definite matrix and the solve is stable.  After one solve the
+    other eigenvectors still make up about (sigma - theta) / gap of the
+    result: little against the whole vector, but not against the tiny last
+    entries of a converged Ritz vector, which beta_k * |s_k| reads.  The
+    second solve squares that share.
     """
     k = len(alpha)
-    t = np.diag(alpha)
-    t.flat[k :: k + 1] = beta
-    values, vectors = np.linalg.eigh(t)
-    return float(values[-1]), vectors[:, -1]
+    if k <= 2:
+        if k == 1:
+            return alpha[0], [1.0]
+        (a, c), b = alpha, beta[0]
+        theta = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+        u, v = (theta - c, b) if a >= c else (b, theta - a)
+        size = math.hypot(u, v)
+        return theta, [u / size, v / size]
+    prev = [0.0, *beta]  # beta_{i-1}, zero on the first row
+    x = max(map(add, map(add, alpha, prev), [*beta, 0.0]))  # Gershgorin
+    floor = _EPS * (max(map(abs, alpha)) + 2.0 * max(beta))
+    while True:
+        # g and h are d_i' / d_i and d_i'' / d_i; S1 sums g, S2 sums g**2 - h.
+        d, g, h, s1, s2 = 1.0, 0.0, 0.0, 0.0, 0.0
+        for a, b in zip(alpha, prev):
+            t = b * b / d
+            d = x - a - t
+            if d < floor:
+                break
+            r = 1.0 / d
+            h = t * (h - 2.0 * g * g) * r
+            g = (1.0 + t * g) * r
+            s1 += g
+            s2 += g * g - h
+        else:
+            step = k / (s1 + math.sqrt(max(0.0, (k - 1) * (k * s2 - s1 * s1))))
+            if x - step < x:
+                x -= step
+                if s1 / s2 - step > floor:
+                    continue
+        break
+    theta, nudge = x, floor
+    while True:
+        x += nudge
+        nudge *= 2.0
+        # mult[i] = beta_{i-1} / d_{i-1} links rows i - 1 and i; ws is the
+        # forward substitution of the all-ones vector.
+        piv, mult, ws, d, w = [], [], [], 1.0, 0.0
+        for a, b in zip(alpha, prev):
+            m = b / d
+            d = x - a - b * m
+            if d < -floor:
+                break
+            if d < floor:
+                d = floor
+            piv.append(d)
+            mult.append(m)
+            w = 1.0 + m * w
+            ws.append(w)
+        else:
+            break
+    for second in (False, True):
+        y, z, link = [], 0.0, 0.0
+        for w, p, m in zip(reversed(ws), reversed(piv), reversed(mult)):
+            z = w / p + link * z
+            link = m
+            y.append(z)
+        if second:
+            break
+        ws, w = [], 0.0
+        for v, m in zip(reversed(y), mult):
+            w = v + m * w
+            ws.append(w)
+    size = math.hypot(*y)
+    s = [v / size for v in reversed(y)]
+    return theta, s
 
 
 def spectral_radius(
@@ -137,7 +234,7 @@ def spectral_radius(
 
     # ||A|| <= the maximum degree, and a Krylov space that A maps into
     # itself leaves a residual of rounding size, below this floor.
-    floor = math.sqrt(n) * float(_FINFO.eps) * int(deg.max())
+    floor = math.sqrt(n) * _EPS * int(deg.max())
     cap = max(2, min(n, _BASIS_BYTES // (8 * n)))
     steps, restart = 0, None
     while True:
@@ -156,23 +253,23 @@ def spectral_radius(
             w -= alpha[0] * basis[0]
         beta: list[float] = []
         steps += 1
-        # T is eigendecomposed at step 8, then whenever k has grown by a
-        # quarter, and before any stop; small graphs break down first.
+        # The top Ritz pair is found at step 8, then whenever k has grown by
+        # a quarter, and before any stop; small graphs break down first.
         k, check = 1, 8
         while True:
             b = math.sqrt(w @ w)
             done = b <= floor or k == n
             if done or k >= check or k == cap or steps == max_iter:
                 theta, s = _top_ritz(alpha, beta)
-                residual = b * abs(float(s[-1]))
+                residual = b * abs(s[-1])
                 if done or residual <= tol * max(1.0, theta):
-                    return _ritz_result(matvec, s @ basis[:k], steps, residual)
+                    return _ritz_result(matvec, np.dot(s, basis[:k]), steps, residual)
                 if steps == max_iter:
                     raise NoConvergence(
                         f"no convergence within {max_iter} iterations (tol={tol})"
                     )
                 if k == cap:
-                    restart = s @ basis[:k]
+                    restart = np.dot(s, basis[:k])
                     break
                 check = k + k // 4
             if k == len(basis):
@@ -243,10 +340,18 @@ def ratio_bound_is_exact(g: Graph, p: DegreeProfile) -> bool:
     Johnson, Matrix Analysis, section 8.1).  Needs at least one edge.
     """
     _need_edge(p, "ratio")
-    nm2, nbr = _nm2(p), p.nbr_deg
-    return all(
-        sum(nbr[v] for v in g.adjacency[u]) * p.m1 == nm2 * p.deg[u] for u in range(p.n)
-    )
+    return _parallel(_x3(g, p), p, _nm2(p))
+
+
+def _x3(g: Graph, p: DegreeProfile):
+    """A(A d) vertex by vertex: each neighborhood's sum of neighborhood degrees."""
+    nbr = p.nbr_deg
+    return (sum(nbr[v] for v in neighbors) for neighbors in g.adjacency)
+
+
+def _parallel(x3, p: DegreeProfile, nm2: int) -> bool:
+    """x3 * M1 == NM_2 * d on every vertex, stopping at the first miss."""
+    return all(x * p.m1 == nm2 * d for x, d in zip(x3, p.deg))
 
 
 def nm2_ratio_lower_bound(g: Graph) -> float:
@@ -274,11 +379,17 @@ def spectral_report(
     # and building the profile once is a change of its own.
     bound_nm2_ratio = nm2_ratio_lower_bound(g)
     p = degree_profile(g)
-    min_nbr_num = _min_nbr_numerator(p)
+    nm2, min_nbr_num = _nm2(p), _min_nbr_numerator(p)
+    # By Cauchy-Schwarz NM_2**2 = (d . A**2 d)**2 <= |A**2 d|**2 * M1, with
+    # equality exactly when A**2 d is parallel to d; |A**2 d|**2 / NM_2 is
+    # the Rayleigh quotient of A**2 at A d, so strict puts rho**2 above
+    # NM_2 / M1.  Every graph is exact or strict, never both.
+    x3 = list(_x3(g, p))
     return replace(
         base,
         bound_nm2_ratio=bound_nm2_ratio,
         bound_min_nbr=min_nbr_num / p.m1,
-        ratio_bound_exact=ratio_bound_is_exact(g, p),
-        bounds_ordered=_nm2(p) >= min_nbr_num,
+        ratio_bound_exact=_parallel(x3, p, nm2),
+        bounds_ordered=nm2 >= min_nbr_num,
+        ratio_bound_strict=sum(x * x for x in x3) * p.m1 > nm2 * nm2,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -214,6 +215,25 @@ class TestSpectral:
         assert code == 0
         doc = json.loads(out)
         assert doc["bound_nm2_ratio"] == doc["bound_min_nbr"]
+        assert doc["ratio_bound_holds"] is True
+        assert doc["min_nbr_bound_holds"] is True
+
+    def test_strict_graphs_hold_whatever_rho_reads(self, capsys, monkeypatch):
+        # Figure 1 is strict: rho**2 > NM_2 / M1 in integers.  With the
+        # radius read far too low, both fields still come from the
+        # certificates and bounds_ordered.
+        from nbzagreb import spectral
+
+        real = spectral.spectral_radius
+
+        def low(g, **kwargs):
+            r = real(g, **kwargs)
+            return dataclasses.replace(r, rho=1.0, rho_squared=1.0)
+
+        monkeypatch.setattr(spectral, "spectral_radius", low)
+        code, out, _ = run(capsys, "spectral", "--input", FIG1)
+        doc = json.loads(out)
+        assert code == 0 and doc["rho_squared"] == 1.0 < doc["bound_min_nbr"]
         assert doc["ratio_bound_holds"] is True
         assert doc["min_nbr_bound_holds"] is True
 

@@ -92,6 +92,24 @@ class TestParseEdgeList:
 
     def test_leading_zeros_do_not_count_as_length(self):
         assert parse_edge_list("n " + "0" * 5000 + "3").n == 3
+        assert list(parse_edge_list("n 10\n007 1").edges()) == [(1, 7)]
+        assert list(parse_edge_list("0 " + "0" * 25 + "1").edges()) == [(0, 1)]
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("0 \u0663", MalformedLine, "line 1: non-decimal vertex id in '0 \u0663'"),
+        ("0 \u00b2", MalformedLine, "line 1: non-decimal vertex id in '0 \u00b2'"),
+        ("0 " + "1" * (graphs._MAX_DIGITS + 1), MalformedLine,
+         f"line 1: vertex id too long (over {graphs._MAX_DIGITS} digits) "
+         f"in '0 {'1' * (graphs._MAX_DIGITS + 1)}'"),
+        ("0 1\n2 2", SelfLoop, "line 2: self-loop at vertex 2"),
+        ("0 1\n1 2 # c\n2 0\n0 2", DuplicateEdge, "line 4: duplicate edge (0, 2)"),
+    ])
+    def test_edge_line_errors(self, text, error, message):
+        # Digits that are not ASCII pass str.isdigit(), and int() would read
+        # some of them: such tokens must reach _decimal, which refuses them.
+        with pytest.raises(error) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
 
     def test_empty_input(self):
         with pytest.raises(MalformedLine):
@@ -481,9 +499,12 @@ class TestDiameterConnectivity:
         assert fringe_calls == []
 
     def test_fringe_level_in_blocks(self, fringe_calls, monkeypatch):
-        # A budget of n bytes gives blocks of 8 sources, so the 150-leaf top
-        # fringe of the double star runs in 19 blocks.
+        # A budget of n bytes gives blocks of 8 sources, so the top fringe of
+        # the double star, 150 leaves less the far end a, runs in 19 blocks.
+        # An edge between two leaves of one hub keeps the diameter at 3 and
+        # makes the graph no tree, which two BFS passes would settle.
         g = double_star(150)
+        g = Graph.from_edges(g.n, [*g.edges(), (2, 3)])
         monkeypatch.setattr(graphs, "_REACH_BYTES", g.n)
         assert diameter(g) == 3
         assert len(fringe_calls) == 19
@@ -492,6 +513,28 @@ class TestDiameterConnectivity:
             g = tree_plus_edges(n, n, n)
             monkeypatch.setattr(graphs, "_REACH_BYTES", g.n // 2)
             assert diameter(g) == oracle_diameter(g)
+
+    def test_trees_take_two_sweeps(self, monkeypatch):
+        # m = n - 1 on a connected graph makes it a tree, settled by the
+        # second BFS; one more edge brings back the middle vertex's BFS.
+        calls = []
+        real = graphs._bfs
+
+        def counting(adjacency, root):
+            calls.append(root)
+            return real(adjacency, root)
+
+        monkeypatch.setattr(graphs, "_bfs", counting)
+        rng = random.Random(7)
+        trees = [Graph.from_edges(n, random_tree(n, rng)) for n in (2, 3, 10, 300)]
+        for g in [*trees, star_graph(40), double_star(30), path_graph(50)]:
+            calls.clear()
+            assert diameter(g) == oracle_diameter(g)
+            assert len(calls) == 2
+        calls.clear()
+        g = tree_plus_edges(300, 1, 3)
+        assert diameter(g) == oracle_diameter(g)
+        assert len(calls) >= 3
 
     @pytest.mark.parametrize(
         "build",

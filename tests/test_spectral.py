@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import oracle_rho, sample_connected
+from conftest import load_fixture, oracle_rho, sample_connected
 from nbzagreb import (
     Graph,
+    SpectralResult,
     complete_graph,
     cycle_graph,
     degree_profile,
@@ -232,6 +233,69 @@ class TestLanczos:
         assert r.residual <= 1.0001 * spectral.DEFAULT_TOL * r.rho
 
 
+def _tridiagonal(k: int, kind: str, rng: random.Random) -> tuple[list[float], list[float]]:
+    """Diagonal and positive off-diagonal of a seeded k x k tridiagonal:
+    random entries, every fifth off-diagonal near breakdown, one shared
+    diagonal value, or the path's adjacency."""
+    alpha = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+    beta = [rng.uniform(0.01, 1.0) for _ in range(k - 1)]
+    if kind == "near_breakdown":
+        beta = [1e-13 * b if i % 5 == 2 else b for i, b in enumerate(beta)]
+    elif kind == "equal_diagonal":
+        alpha = [0.5] * k
+    elif kind == "path":
+        alpha, beta = [0.0] * k, [1.0] * (k - 1)
+    return alpha, beta
+
+
+def _seeded_tree(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+class TestTopRitz:
+    """The O(k) top Ritz pair against a dense eigensolve, and the Lanczos
+    loop that uses it."""
+
+    @pytest.mark.parametrize("kind", ["random", "near_breakdown", "equal_diagonal", "path"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 40, 200, 1000])
+    def test_against_eigh(self, k, kind):
+        alpha, beta = _tridiagonal(k, kind, random.Random(k))
+        t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        values, vectors = np.linalg.eigh(t)
+        theta, s = spectral._top_ritz(alpha, beta)
+        # theta within a few ulps of ||T||, s a unit vector within 1e-12 of
+        # eigh's up to sign.
+        assert abs(theta - values[-1]) <= 16 * U * max(abs(values[0]), abs(values[-1]))
+        s, v = np.array(s), vectors[:, -1]
+        assert abs(s @ s - 1.0) <= 8 * U * k
+        assert min(abs(s - v).max(), abs(s + v).max()) <= 1e-12
+
+    def test_spectral_radius_calls_no_linalg(self, monkeypatch, figure1):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for g in (figure1, petersen(), path_graph(300), _seeded_tree(600, 26)):
+            spectral_radius(g)
+        # The restart path too.
+        monkeypatch.setattr(spectral, "_BASIS_BYTES", 10 * 8 * 300)
+        assert spectral_radius(path_graph(300)).iterations > 10
+
+    @pytest.mark.parametrize("name,build,steps", [
+        ("P200", lambda: path_graph(200), 100),
+        ("P1000", lambda: path_graph(1000), 500),
+        ("figure1", lambda: load_fixture("figure1.edges"), 2),
+        ("tree600", lambda: _seeded_tree(600, 26), 51),
+    ])
+    def test_step_counts(self, name, build, steps):
+        # The counts of the dense eigensolve this routine replaced: the
+        # checkpoints and the stop rule read the same Ritz pair.
+        assert spectral_radius(build()).iterations == steps
+
+
 def _connected_rows(n: int, stride: int = 1):
     """Masks and (n, graphs) neighbor rows of connected n-vertex graphs."""
     masks = connected_masks(n, 0, 1 << pair_count(n))[::stride]
@@ -369,11 +433,28 @@ class TestRatioCertificate:
 
     def test_report_carries_the_certificates(self):
         rep = spectral_report(parse_graph6("CF"))
-        # The Rayleigh quotient lands just below rho**2 == 3; the
-        # certificate decides the equality.
-        assert rep.rho_squared < rep.bound_nm2_ratio == 3.0
-        assert rep.ratio_bound_exact and rep.bounds_ordered
-        assert spectral_radius(parse_graph6("CF")).ratio_bound_exact is None
+        # The Rayleigh quotient lands within rounding of rho**2 == 3 but
+        # not on it; the certificate decides the equality.
+        assert rep.rho_squared != rep.bound_nm2_ratio == 3.0
+        assert abs(rep.rho_squared - 3.0) <= 16 * U * 3.0
+        assert rep.ratio_bound_exact and not rep.ratio_bound_strict and rep.bounds_ordered
+        radius_only = spectral_radius(parse_graph6("CF"))
+        assert radius_only.ratio_bound_exact is radius_only.ratio_bound_strict is None
+
+    def test_exact_xor_strict_exhaustively(self, monkeypatch):
+        # Cauchy-Schwarz: NM_2**2 <= |A**2 d|**2 * M1, with equality exactly
+        # when A**2 d is parallel to d.  The certificates do not read the
+        # radius, so a stand-in keeps this sweep fast.
+        stand_in = SpectralResult(rho=1.0, rho_squared=1.0, iterations=1, residual=0.0)
+        monkeypatch.setattr(spectral, "spectral_radius", lambda g, tol, max_iter: stand_in)
+        counts = {True: 0, False: 0}
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                rep = spectral_report(g)
+                assert rep.ratio_bound_exact != rep.ratio_bound_strict, g.edges()
+                counts[rep.ratio_bound_exact] += 1
+        assert counts[True] > 0 and counts[False] > 0
+        assert sum(counts.values()) == 27_475
 
 
 class TestLowerBounds:
