@@ -95,6 +95,8 @@ def dumps_stable(obj) -> str:
         items = ", ".join(f"{dumps_stable(str(k))}: {dumps_stable(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {int}:  # exact ints: bools still print as true and false
+            return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(dumps_stable(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -53,6 +53,10 @@ class VertexCountTooLarge(ConfigError):
     pass
 
 
+class ProfileTooLarge(ConfigError):
+    """Distance-2 sums past both the stamp step budget and the bitset cap."""
+
+
 class UnknownBoundSource(ConfigError):
     pass
 

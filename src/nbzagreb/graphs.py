@@ -29,6 +29,7 @@ from .errors import (
     InvalidGraph6,
     MalformedLine,
     NonContiguousIds,
+    ProfileTooLarge,
     SelfLoop,
     VertexCountTooLarge,
 )
@@ -143,39 +144,56 @@ class DegreeProfile:
     diameter: int | float
 
 
+# The distance-2 sums take one of two methods, chosen from the input.  On
+# seeded G(n, p) graphs at n = 100, 300 and 1000, stamps beat bitsets below
+# M1 / (n + 2m) of about 8 to 10 and lose above it.  Stamps are about 4x
+# faster on trees and paths (ratio 2) and 2x at ratio 4, but 40x slower on
+# K300 (ratio 298) and about 100x on the 5,000-leaf star (ratio 1667).
+_BITSET_RATIO = 8
+# Largest mask footprint the bitset method may build: 2**28 bits, 32 MiB
+# (about 36 MB as Python ints).  A path with shuffled labels reaches it near
+# 20,000 vertices, a star whose hub is the last vertex at 16,383 leaves.
+_BITSET_BITS = 1 << 28
+# Most stamp steps (M1) taken where the bitsets would exceed their cap:
+# 2**26 steps, one to three seconds at 20-50 ns a step.
+_STAMP_STEPS = 1 << 26
+
+
 def degree_profile(g: Graph) -> DegreeProfile:
     """Compute all degree-like quantities of ``g``.
 
     The distance-2 set of u is the union of the neighbors' neighborhoods
     minus the closed neighborhood of u, i.e. exactly the vertices at
-    shortest-path distance 2.  Its degree sum is sum_d d * |N2(u) & V_d|,
-    one popcount per nonzero degree class V_d.  The neighbor sets are
-    bitmasks built for this call only.
+    shortest-path distance 2.  Its degree sum takes one of two methods:
+
+    * stamps (:func:`_stamp_sums`): O(n) memory and n + 2m + M1 steps,
+      since each row N(v) is walked once from each of its deg(v) neighbors;
+    * bitsets (:func:`_bitset_sums`): one mask per vertex and one per
+      degree class, freed before the diameter search, whose footprint is
+      the sum over u of max N(u) + 1 bits plus n bits per class, O(n**2)
+      bits on a relabeled sparse graph, but a word-parallel OR per step.
+
+    Bitsets run where M1 exceeds ``_BITSET_RATIO`` * (n + 2m), the measured
+    crossover, and their footprint fits ``_BITSET_BITS``; stamps run
+    everywhere else, so every input whose M1 is linear in its size is
+    profiled in O(n + m) memory.  Where the footprint is past the cap and
+    M1 past ``_STAMP_STEPS`` as well, ``ProfileTooLarge`` is raised.
     """
     adjacency = g.adjacency
     deg = tuple(map(len, adjacency))
-    bits = []
-    for nbrs in adjacency:
-        b = 0
-        for v in nbrs:
-            b |= 1 << v
-        bits.append(b)
-    linked = list(itertools.compress(range(g.n), deg))  # the others keep 0 in both sums
-    class_bits: dict[int, int] = {}
-    for u in linked:
-        class_bits[deg[u]] = class_bits.get(deg[u], 0) | 1 << u
-    classes = list(class_bits.items())
-    nbr_deg, dist2_deg = [0] * g.n, [0] * g.n
-    for u in linked:
-        two_hop = total = 0
-        for v in adjacency[u]:
-            two_hop |= bits[v]
-            total += deg[v]
-        nbr_deg[u] = total
-        two_hop &= ~(bits[u] | 1 << u)
-        dist2_deg[u] = sum([d * (two_hop & mask).bit_count() for d, mask in classes])
-    del bits  # O(n**2) bits on a relabeled long path, so freed before the diameter search
-    nbr_deg, dist2_deg = tuple(nbr_deg), tuple(dist2_deg)
+    m1 = sum(d * d for d in deg)
+    sums = _stamp_sums
+    if m1 > _BITSET_RATIO * (g.n + 2 * g.m):
+        # Rows are sorted, so each mask's length is its row's last entry.
+        bits = sum(row[-1] + 1 for row in adjacency if row) + len(set(deg)) * g.n
+        if bits <= _BITSET_BITS:
+            sums = _bitset_sums
+        elif m1 > _STAMP_STEPS:
+            raise ProfileTooLarge(
+                f"distance-2 sums need {m1:,} stamp steps (budget {_STAMP_STEPS:,}) "
+                f"or {bits:,} mask bits (cap {_BITSET_BITS:,})"
+            )
+    nbr_deg, dist2_deg = map(tuple, sums(adjacency, deg))
     return DegreeProfile(
         n=g.n,
         m=g.m,
@@ -189,9 +207,62 @@ def degree_profile(g: Graph) -> DegreeProfile:
         delta_max=max(nbr_deg),
         d2_min=min(dist2_deg),
         d2_max=max(dist2_deg),
-        m1=sum(d * d for d in deg),
+        m1=m1,
         diameter=diameter(g),
     )
+
+
+def _stamp_sums(adjacency, deg) -> tuple[list[int], list[int]]:
+    """Neighborhood and distance-2 degree sums by a stamp array: N[u] is
+    stamped u, then every w in N(v), v in N(u), not yet stamped u is at
+    distance 2, is stamped and adds deg(w)."""
+    n = len(adjacency)
+    stamp = [-1] * n
+    nbr_deg, dist2_deg = [0] * n, [0] * n
+    for u in itertools.compress(range(n), deg):  # the others keep 0 in both sums
+        nbrs = adjacency[u]
+        stamp[u] = u
+        total = 0
+        for v in nbrs:
+            stamp[v] = u
+            total += deg[v]
+        nbr_deg[u] = total
+        total = 0
+        for v in nbrs:
+            for w in adjacency[v]:
+                if stamp[w] != u:
+                    stamp[w] = u
+                    total += deg[w]
+        dist2_deg[u] = total
+    return nbr_deg, dist2_deg
+
+
+def _bitset_sums(adjacency, deg) -> tuple[list[int], list[int]]:
+    """Neighborhood and distance-2 degree sums by neighbor bitsets: the
+    distance-2 sum of u is sum_d d * |N2(u) & V_d|, one popcount per nonzero
+    degree class V_d."""
+    n = len(adjacency)
+    bits = []
+    for nbrs in adjacency:
+        b = 0
+        for v in nbrs:
+            b |= 1 << v
+        bits.append(b)
+    linked = list(itertools.compress(range(n), deg))  # the others keep 0 in both sums
+    class_bits: dict[int, int] = {}
+    for u in linked:
+        class_bits[deg[u]] = class_bits.get(deg[u], 0) | 1 << u
+    classes = list(class_bits.items())
+    nbr_deg, dist2_deg = [0] * n, [0] * n
+    for u in linked:
+        two_hop = total = 0
+        for v in adjacency[u]:
+            two_hop |= bits[v]
+            total += deg[v]
+        nbr_deg[u] = total
+        two_hop &= ~(bits[u] | 1 << u)
+        dist2_deg[u] = sum([d * (two_hop & mask).bit_count() for d, mask in classes])
+    return nbr_deg, dist2_deg
 
 
 # Bytes of source bitsets one multi-source BFS in ``diameter`` may hold: a
@@ -335,13 +406,70 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
+@lru_cache(maxsize=None)
+def _plain_document():
+    """Pattern of a plain document: only 'u v' lines of at most _MAX_DIGITS
+    ASCII digits each, split by '\\n' or '\\r\\n'.  Compiled on first use,
+    so importing the module costs nothing."""
+    import re
+
+    token = f"[0-9]{{1,{_MAX_DIGITS}}}"
+    return re.compile(rf"(?:{token} {token}\r?\n)*{token} {token}(?:\r?\n)?")
+
+
+def _plain_edges(text: str) -> set[tuple[int, int]] | None:
+    """The edge set of a plain document in one pass: split once, read every
+    token with int() and normalize the pairs.  None for any other document,
+    and for a plain one with a self-loop or duplicate edge, which the line
+    loop then names."""
+    if not _plain_document().fullmatch(text):
+        return None
+    tokens = text.split()
+    ids = map(int, tokens)
+    # A self-loop becomes None and a duplicate shrinks the set.
+    edges = {(u, v) if u < v else (v, u) if v < u else None for u, v in zip(ids, ids)}
+    if None in edges or len(edges) * 2 < len(tokens):
+        return None
+    return edges
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse an edge-list document into a :class:`Graph`.
 
     An optional first line ``n <count>`` declares the vertex count, which
     permits isolated vertices; a count above ``MAX_DECLARED_N`` raises
     ``VertexCountTooLarge``.  Without it, ids must cover 0..max exactly.
+    A plain document, only 'u v' lines, is read in one pass
+    (:func:`_plain_edges`); every other goes line by line, and both give
+    the same graph or the same error.
     """
+    declared_n = None
+    edges = _plain_edges(text)
+    if edges is None:
+        declared_n, edges = _edge_lines(text)
+    ids = set(itertools.chain.from_iterable(edges))
+    if declared_n is None:
+        if not ids:
+            raise MalformedLine("empty input: no edges and no 'n <count>' header")
+        n = max(ids) + 1
+        # Distinct non-negative ids cover 0..n-1 exactly when there are n of
+        # them; the first few gaps are named, scanning at most len(ids) + 5 ids.
+        if len(ids) != n:
+            gaps = (i for i in range(n) if i not in ids)
+            raise NonContiguousIds(
+                f"ids must cover 0..{n - 1}; {n - len(ids)} missing, "
+                f"first {list(itertools.islice(gaps, 5))}"
+            )
+    else:
+        n = declared_n
+        if ids and max(ids) >= n:
+            raise NonContiguousIds(f"vertex id {max(ids)} exceeds declared n={n}")
+    return Graph.from_edges(n, edges)
+
+
+def _edge_lines(text: str) -> tuple[int | None, set[tuple[int, int]]]:
+    """The declared vertex count, if any, and the edge set of a document,
+    read line by line; each malformed line raises, naming its number."""
     declared_n: int | None = None
     edges: set[tuple[int, int]] = set()
     first_content = True
@@ -393,25 +521,7 @@ def parse_edge_list(text: str) -> Graph:
         if key in edges:
             raise DuplicateEdge(f"line {lineno}: duplicate edge {key}")
         edges.add(key)
-
-    ids = set(itertools.chain.from_iterable(edges))
-    if declared_n is None:
-        if not ids:
-            raise MalformedLine("empty input: no edges and no 'n <count>' header")
-        n = max(ids) + 1
-        # Distinct non-negative ids cover 0..n-1 exactly when there are n of
-        # them; the first few gaps are named, scanning at most len(ids) + 5 ids.
-        if len(ids) != n:
-            gaps = (i for i in range(n) if i not in ids)
-            raise NonContiguousIds(
-                f"ids must cover 0..{n - 1}; {n - len(ids)} missing, "
-                f"first {list(itertools.islice(gaps, 5))}"
-            )
-    else:
-        n = declared_n
-        if ids and max(ids) >= n:
-            raise NonContiguousIds(f"vertex id {max(ids)} exceeds declared n={n}")
-    return Graph.from_edges(n, edges)
+    return declared_n, edges
 
 
 # ---------------------------------------------------------------------------

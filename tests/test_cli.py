@@ -511,6 +511,14 @@ class TestSerialization:
         assert dumps_stable(float("inf")) == '"infinity"'
         assert dumps_stable({"a": [1, True, None]}) == '{"a": [1, true, null]}'
 
+    def test_int_arrays(self):
+        # A list of exact ints is joined at once; bools and floats among
+        # ints still print as JSON literals.
+        assert dumps_stable([3, 0, -12]) == "[3, 0, -12]"
+        assert dumps_stable((1, True, 2.5, False, 0)) == "[1, true, 2.5, false, 0]"
+        assert dumps_stable([True, False]) == "[true, false]"
+        assert dumps_stable([]) == dumps_stable(()) == "[]"
+
     def test_twelve_significant_digits(self):
         assert dumps_stable(7.333333333333333) == "7.33333333333"
         assert dumps_stable(1e-10) == "1e-10"

@@ -36,8 +36,10 @@ from nbzagreb.errors import (
     DuplicateEdge,
     InvalidGraph6,
     MalformedLine,
+    NbZagrebError,
     NonContiguousIds,
     ParseError,
+    ProfileTooLarge,
     SelfLoop,
     VertexCountTooLarge,
 )
@@ -233,6 +235,48 @@ def _graphs(max_n: int, max_pairs: int):
     )
 
 
+# Each feature sends a document to the line loop.
+_TOKEN_FEATURES = {
+    "zeros": lambda token: "00" + token,
+    "long_zeros": lambda token: "0" * graphs._MAX_DIGITS + token,
+    "too_long": lambda token: "1" * (graphs._MAX_DIGITS + 1),
+}
+_SEPARATORS = {"tab": "\t", "spaces": "  "}
+
+
+@st.composite
+def _documents(draw):
+    """Plain 'u v' lines over ids 0..5, so that duplicate and reversed edges,
+    self-loops and id gaps are common, split by LF or CRLF; then up to three
+    of: a tab or two spaces between ids, leading zeros, a token longer than
+    _MAX_DIGITS with or without leading zeros, a blank line, an 'n' header."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+    lines = [[str(u), " ", str(v)] for u, v in pairs]
+    features = st.sampled_from([*_TOKEN_FEATURES, *_SEPARATORS, "blank", "header"])
+    for feature, at in draw(st.lists(st.tuples(features, st.integers(0, 15)), max_size=3)):
+        if feature == "blank":
+            lines.insert(at % (len(lines) + 1), [""])
+        elif feature == "header":
+            lines.insert(0, [draw(st.sampled_from(["n 10", "n 4"]))])
+        elif lines and len(line := lines[at % len(lines)]) == 3:
+            if feature in _SEPARATORS:
+                line[1] = _SEPARATORS[feature]
+            else:
+                line[at % 2 * 2] = _TOKEN_FEATURES[feature](line[at % 2 * 2])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["", newline])) if lines else ""
+    return newline.join(map("".join, lines)) + end
+
+
+def _outcome(doc: str):
+    """The graph a document parses to, or its error's class and message."""
+    try:
+        g = parse_edge_list(doc)
+    except NbZagrebError as exc:
+        return type(exc), str(exc)
+    return g.n, g.adjacency
+
+
 class TestParserProperties:
     @settings(max_examples=200, deadline=None)
     @given(_graphs(62, 80))
@@ -258,6 +302,27 @@ class TestParserProperties:
         except ParseError:
             return
         assert g.n >= 1 and g.m <= len(lines)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_documents())
+    def test_plain_pass_matches_the_line_loop(self, doc):
+        # A trailing comment line makes any document take the line loop.
+        assert _outcome(doc) == _outcome(doc + "\n# end")
+
+    @pytest.mark.parametrize("doc", [
+        "0 1\n1 2\n", "1 0\r\n2 1", "007 1\n1 0002\n", "3 0\n0 1\r\n2 1\n",
+        "0 " + "0" * (graphs._MAX_DIGITS - 1) + "1\n", "0 5\n",
+    ])
+    def test_plain_documents_take_one_pass(self, doc):
+        assert graphs._plain_edges(doc) is not None
+        assert _outcome(doc) == _outcome(doc + "\n# end")
+
+    @pytest.mark.parametrize("doc", [
+        "0 1\n1 1\n", "0 1\n1 0\n", "0 1\n\n1 2", "0  1", "0\t1", " 0 1", "0 1\r1 2",
+        "n 2\n0 1", "0 1 # c", "0 " + "0" * graphs._MAX_DIGITS + "1", "0 \u0663", "",
+    ])
+    def test_other_documents_go_line_by_line(self, doc):
+        assert graphs._plain_edges(doc) is None
 
 
 class TestDegreeProfile:
@@ -327,33 +392,123 @@ class TestDegreeProfile:
         assert p.dist2_hist == {0: 1, 4999: 5000}
         assert p.diameter == 2
 
+    @pytest.mark.parametrize("build,method", [
+        (lambda: _gnp(60, 0.05, 1), "_stamp_sums"),
+        (lambda: _gnp(60, 0.5, 2), "_bitset_sums"),
+        (lambda: _gnp(300, 0.01, 3), "_stamp_sums"),
+        (lambda: _gnp(300, 0.05, 4), "_bitset_sums"),
+        (lambda: star_graph(400), "_bitset_sums"),
+        (lambda: Graph.from_edges(401, [(v, 400) for v in range(400)]), "_bitset_sums"),
+        (lambda: complete_graph(40), "_bitset_sums"),
+        (lambda: complete_graph(7), "_stamp_sums"),
+    ], ids=["G(60,0.05)", "G(60,0.5)", "G(300,0.01)", "G(300,0.05)", "star_hub_first",
+            "star_hub_last", "K40", "K7"])
+    def test_profile_matches_oracles_across_the_crossover(self, build, method, monkeypatch):
+        # The method follows M1 / (n + 2m): bitsets above the crossover,
+        # where all of these masks fit their cap, stamps below it.
+        g = build()
+        deg = tuple(map(len, g.adjacency))
+        ratio = sum(d * d for d in deg) / (g.n + 2 * g.m)
+        assert (ratio > graphs._BITSET_RATIO) == (method == "_bitset_sums")
+        taken = []
+
+        def spy(name):
+            sums = getattr(graphs, name)
+
+            def wrapper(*args):
+                taken.append(name)
+                return sums(*args)
+
+            return wrapper
+
+        for name in ("_stamp_sums", "_bitset_sums"):
+            monkeypatch.setattr(graphs, name, spy(name))
+        p = degree_profile(g)
+        assert taken == [method]
+        want = (oracle_nbr_degrees(g), oracle_dist2_degrees(g))
+        assert (list(p.nbr_deg), list(p.dist2_deg)) == want
+        # Both methods give the same sums on either side of the crossover.
+        monkeypatch.undo()
+        assert graphs._stamp_sums(g.adjacency, deg) == want
+        assert graphs._bitset_sums(g.adjacency, deg) == want
+
     def test_relabeled_long_path_keeps_no_bitsets(self):
-        # Shuffled labels give most vertices high-numbered neighbors, so the
-        # neighbor bitsets take O(n**2) bits, 36 MB under tracemalloc.  They
-        # live only inside the call: nothing stays on the graph afterwards,
-        # and they are freed before the diameter search.  While the graph
-        # cached them, 36 MB stayed held and the peak was 39.1 MB.
-        n = 20_000
-        rng = random.Random(0)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        g = Graph.from_edges(n, [(perm[v - 1], perm[v]) for v in range(1, n)])
+        # Shuffled labels give most vertices high-numbered neighbors, so
+        # neighbor bitsets would take O(n**2) bits: 36 MB at 20,000 vertices
+        # (the peak was 39.1 MB while they were built).  A path's M1 is
+        # below 2 * (n + 2m), so stamps run in O(n) memory; the peak is
+        # 2.3 MB under tracemalloc, mostly the diameter's BFS lists.
+        assert _relabeled_path_peak(20_000) < 4 << 20
+
+    def test_relabeled_200000_vertex_path_in_bounded_memory(self):
+        # Bitsets would need several GB here; the stamp path peaks at 22.9 MB.
+        assert _relabeled_path_peak(200_000) < 32 << 20
+
+    def test_profile_too_large_is_refused_before_any_mask(self, tmp_path, capsys):
+        # A star of 8,192 leaves whose hub is the last of 32,756 vertices:
+        # each leaf's mask would reach the hub's bit, 268,443,612 bits in
+        # all, just past the 2**28-bit cap, and stamps would take M1 =
+        # 67,117,056 steps, just past their 2**26 budget.  Refused, the call
+        # is O(n); a guard that let either method run would take about 36 MB
+        # (bitsets) or a few seconds (stamps), not more.
+        n, leaves = 32_756, 8_192
+        edges = [(v, n - 1) for v in range(leaves)]
+        g = Graph.from_edges(n, edges)
+        start = time.perf_counter()
+        with pytest.raises(ProfileTooLarge) as info:
+            degree_profile(g)
+        assert time.perf_counter() - start < 1
+        # Traced only once refused: tracing slows the stamp walk 20-fold.
         tracemalloc.start()
         try:
-            p = degree_profile(g)
-            assert p.nbr_hist == {2: 2, 3: 2, 4: n - 4}
-            del p
-            held, peak = tracemalloc.get_traced_memory()
+            with pytest.raises(ProfileTooLarge):
+                degree_profile(g)
+            _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 1 << 20
-        assert peak < 39 << 20
-        assert not hasattr(g, "neighbor_bits")
+        assert peak < 1 << 20
+        assert str(info.value) == (
+            "distance-2 sums need 67,117,056 stamp steps (budget 67,108,864) "
+            "or 268,443,612 mask bits (cap 268,435,456)"
+        )
+        path = tmp_path / "star.edges"
+        path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        start = time.perf_counter()
+        assert main(["compute", "--input", str(path), "--alpha", "2"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "error: ProfileTooLarge: distance-2 sums need" in capsys.readouterr().err
 
     def test_profile_is_frozen(self, figure1):
         p = degree_profile(figure1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.m1 = 0
+
+
+def _relabeled_path_peak(n: int) -> int:
+    """tracemalloc peak of ``degree_profile`` on a path with shuffled labels,
+    after checking its histograms and that it holds nothing afterwards."""
+    rng = random.Random(0)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph.from_edges(n, [(perm[v - 1], perm[v]) for v in range(1, n)])
+    tracemalloc.start()
+    try:
+        p = degree_profile(g)
+        assert p.nbr_hist == {2: 2, 3: 2, 4: n - 4}
+        assert p.dist2_hist == {2: 4, 3: 2, 4: n - 6}
+        assert p.diameter == n - 1
+        del p
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    assert not hasattr(g, "neighbor_bits")
+    return peak
+
+
+def _gnp(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
 
 
 def oracle_diameter(g: Graph) -> int | float:

@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 import nbzagreb
-from nbzagreb import _bulk, enumeration, find_equality_graphs, verify_all
+from conftest import oracle_dist2_degrees, oracle_nbr_degrees
+from nbzagreb import Graph, _bulk, diameter, enumeration, find_equality_graphs, verify_all
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(enumeration.__file__).resolve().parents[1]
@@ -25,7 +26,7 @@ def bench(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    for name, value in {"N": 4, "N_MAX": 4, "PATH_N": 30}.items():
+    for name, value in {"N": 4, "N_MAX": 4, "PATH_N": 30, "DENSE_N": 12, "STAR_LEAVES": 40}.items():
         monkeypatch.setattr(module, name, value)
     return module
 
@@ -45,11 +46,14 @@ def test_help_names_every_target():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    for target in ("enumeration", "scalar", "diameter", "spectral_radius", "startup"):
+    for target in ("enumeration", "scalar", "diameter", "spectral_radius", "degree_profile",
+                   "startup"):
         assert target in result.stdout
 
 
-@pytest.mark.parametrize("target", ["enumeration", "scalar", "diameter", "spectral_radius"])
+@pytest.mark.parametrize(
+    "target", ["enumeration", "scalar", "diameter", "spectral_radius", "degree_profile"]
+)
 def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
     modules = dict(sys.modules)
     record = tmp_path / "runs.json"
@@ -88,6 +92,20 @@ def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
             **{f"skips.{check}.{reason}": count
                for check, reasons in report.skips.items() for reason, count in reasons.items()},
         }
+    elif target == "degree_profile":
+        # Today's per_graph checksums at seed 1; the dense set is K12, a
+        # G(12, 0.3) and the 40-leaf star here.
+        assert [got[name]["graphs"] for name in got] == [40, 44, 3]
+        assert got["per_graph"] == {"graphs": 40, "nbr_deg_sum": 126380,
+                                    "dist2_deg_sum": 395330, "diameter_sum": 3739}
+        dense = [Graph.from_edges(n, edges) for n, edges in bench._dense_specs()]
+        assert got["dense"] == {
+            "graphs": 3,
+            "nbr_deg_sum": sum(sum(oracle_nbr_degrees(g)) for g in dense),
+            "dist2_deg_sum": sum(sum(oracle_dist2_degrees(g)) for g in dense),
+            "diameter_sum": 1 + diameter(dense[1]) + 2,
+        }
+        assert dense[0].m == 66 and dense[2].m == 40
     else:
         # Today's per_graph checksums at seed 1 (BENCH_diameter.json and
         # BENCH_spectral_radius.json); the path has 30 vertices here.

@@ -20,13 +20,17 @@ their units, seconds keys and results:
 * ``scalar``: per mask range of n <= 6, cut to ``UNIT`` masks,
   ``enumeration._scalar_chunk`` (``scalar_s``).  ``graphs``,
   ``failure_count``, nonzero ``checks.<check>``, ``skips.<check>.<reason>``.
-* ``diameter``, ``spectral_radius``: that function per ``UNIT`` graphs of
-  perfbench's 40 ``per_graph`` inputs at seed 1, every connected graph with
-  n <= 6 and the 2000-vertex path (``per_graph_s``, ``connected_n6_s``,
-  ``path2000_s``), built afresh by the tree's ``Graph`` for every run, so
-  caching on the graph is paid for.  Per set ``graphs`` and ``diameter_sum``,
-  or ``rho_sum``, ``rho_sum_rel_err`` against ``numpy.linalg.eigvalsh`` and
-  ``iterations_mean``.
+* ``diameter``, ``spectral_radius``, ``degree_profile``: that function per
+  ``UNIT`` graphs of perfbench's 40 ``per_graph`` inputs at seed 1, every
+  connected graph with n <= 6 and a third set (``per_graph_s``,
+  ``connected_n6_s``, then ``path2000_s`` or ``dense_s``), built afresh by
+  the tree's ``Graph`` for every run, so caching on the graph is paid for.
+  The third set is the 2000-vertex path, but for ``degree_profile`` the
+  dense set: K_DENSE_N, a seeded G(DENSE_N, DENSE_P) and the
+  STAR_LEAVES-leaf star, which perfbench's workloads lack.  Per set
+  ``graphs`` and ``diameter_sum``; or ``rho_sum``, ``rho_sum_rel_err``
+  against ``numpy.linalg.eigvalsh`` and ``iterations_mean``; or the sums of
+  ``nbr_deg``, ``dist2_deg`` and ``diameter``.
 * ``startup``: per command of ``STARTUP``, a fresh interpreter with the
   tree's directory first on ``PYTHONPATH``: ``import nbzagreb.cli``
   (``import_s``), then ``compute``, ``bounds`` and ``spectral`` on
@@ -73,6 +77,9 @@ UNIT = 1024
 N = 7
 N_MAX = 6
 PATH_N = 2000
+DENSE_N = 300
+DENSE_P = 0.3
+STAR_LEAVES = 5000
 ALPHAS = (-1.0, 0.5, 2.0, 3.0)
 TOLERANCE = 1e-9
 SOURCES = ("secant", "unit", "congruence")
@@ -82,7 +89,7 @@ UNCOMPARED = {"rho_sum_rel_err", "iterations_mean"}
 CALLED = {
     "_bulk": ("iter_mask_ranges", "connected_masks", "sweep_chunk"),
     "enumeration": ("enumerate_connected", "find_equality_graphs", "_scalar_chunk"),
-    "graphs": ("Graph", "diameter"),
+    "graphs": ("Graph", "degree_profile", "diameter"),
     "spectral": ("spectral_radius",),
 }
 # Functions timed inside a pass by wrapping them: (module, name, seconds key).
@@ -192,6 +199,15 @@ def _eigvalsh_radius(n, edges) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
+def _dense_specs():
+    """K_DENSE_N, a seeded G(DENSE_N, DENSE_P) and the star with hub 0."""
+    rng = random.Random(1)
+    pairs = [(i, j) for j in range(DENSE_N) for i in range(j)]
+    return [(DENSE_N, pairs),
+            (DENSE_N, [pair for pair in pairs if rng.random() < DENSE_P]),
+            (STAR_LEAVES + 1, [(0, v) for v in range(1, STAR_LEAVES + 1)])]
+
+
 def _per_graph_target(func, tree):
     # perfbench/workloads.py imports nbzagreb: the tree stands in for it while
     # it loads, and no bytecode is written under perfbench/.
@@ -204,8 +220,11 @@ def _per_graph_target(func, tree):
         "per_graph": [workloads.make_graph(i, rng) for i in range(workloads.PER_GRAPH_BATCH)],
         "connected_n6": [(g.n, list(g.edges()))
                          for n in range(1, N_MAX + 1) for g in tree.enumerate_connected(n)],
-        "path2000": [(PATH_N, [(v - 1, v) for v in range(1, PATH_N)])],
     }
+    if func == "degree_profile":
+        sets["dense"] = _dense_specs()
+    else:
+        sets["path2000"] = [(PATH_N, [(v - 1, v) for v in range(1, PATH_N)])]
     units = [partial(_per_graph, func, name, specs[start:start + UNIT])
              for name, specs in sets.items() for start in range(0, len(specs), UNIT)]
 
@@ -216,6 +235,11 @@ def _per_graph_target(func, tree):
             out[name] = {"graphs": len(got)}
             if func == "diameter":
                 out[name]["diameter_sum"] = sum(got)
+                continue
+            if func == "degree_profile":
+                out[name].update(nbr_deg_sum=sum(sum(p.nbr_deg) for p in got),
+                                 dist2_deg_sum=sum(sum(p.dist2_deg) for p in got),
+                                 diameter_sum=sum(p.diameter for p in got))
                 continue
             rho_sum = math.fsum(r.rho for r in got)
             want = math.fsum(_eigvalsh_radius(n, edges) for n, edges in specs)
@@ -246,6 +270,7 @@ TARGETS = {
     "scalar": _scalar_target,
     "diameter": partial(_per_graph_target, "diameter"),
     "spectral_radius": partial(_per_graph_target, "spectral_radius"),
+    "degree_profile": partial(_per_graph_target, "degree_profile"),
     "startup": _startup_target,
 }
 
@@ -291,7 +316,9 @@ def measure(target: str, srcs, pairs: int) -> dict:
     return {
         "target": target,
         "trees": [str(src) for src in srcs],
-        "sizes": {"n": N, "n_max": N_MAX, "path_n": PATH_N, "unit": UNIT, "repeats": REPEATS},
+        "sizes": {"n": N, "n_max": N_MAX, "path_n": PATH_N, "dense_n": DENSE_N,
+                  "dense_p": DENSE_P, "star_leaves": STAR_LEAVES, "unit": UNIT,
+                  "repeats": REPEATS},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         "pairs_s": seconds,
