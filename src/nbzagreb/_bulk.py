@@ -41,9 +41,10 @@ the engines.
 The sweep kernel mirrors the scalar operations in :mod:`nbzagreb.indices`,
 :mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check, so
 that reports from both engines are directly comparable.  A check's
-preconditions are one :func:`_gate`, rungs in its op's raise order: a
-graph is skipped under the first rung it fails and run if it passes all,
-as in the scalar engine's per-graph :func:`nbzagreb.enumeration._gate`.
+preconditions are one :func:`_gate`, rungs in the order of its row in
+:mod:`nbzagreb.claims`: a graph is skipped under the first rung it fails
+and run if it passes all, as in the scalar engine's per-graph
+:func:`nbzagreb.enumeration._gate`.
 """
 
 from __future__ import annotations
@@ -54,26 +55,11 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from .claims import gate_row
 from .errors import NTooLarge
 from .graphs import _g6_pairs, graph6_of_mask, pair_count
 
 CHUNK_BITS = 15
-
-CHECK_NAMES = (
-    "m1_identity",
-    "nm_reconstruct_secant",
-    "nm_reconstruct_unit",
-    "nm_bound_secant",
-    "nm_bound_unit",
-    "nm_bound_congruence",
-    "congruence_classify",
-    "dist2_identity",
-    "nm2_reconstruct_secant",
-    "nm2_reconstruct_unit",
-    "spectral_chain",
-    "spectral_regular",
-    "coefficient_sign_grid",
-)
 
 FAILURE_CAP = 1000
 
@@ -451,14 +437,17 @@ def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
     tally.failure_count += failing.size - kept.size
 
 
-def _gate(tally, checks, reps, *rungs):
+def _gate(tally, checks, nalpha, **rungs):
     """Count the rows of ``checks`` as their per-graph op decides them and
-    return the passing rows.  Each rung is (reason, holds), a per-row bool
-    array, in the op's raise order: a row is skipped under the first rung
-    it fails and run if it passes all, ``reps`` times (once per exponent)."""
-    passing = np.ones(rungs[0][1].shape, dtype=bool)
+    return the passing rows.  ``rungs`` are the preconditions of the row
+    the checks share in :mod:`nbzagreb.claims`, each a per-row bool array
+    under its skip reason, in the row's order: a row is skipped under the
+    first rung it fails and run if it passes all, ``nalpha`` times if the
+    checks count once per exponent."""
+    reps = nalpha if gate_row(checks, tuple(rungs)).per_exponent else 1
+    passing = np.ones(next(iter(rungs.values())).shape, dtype=bool)
     left = passing.size
-    for reason, holds in rungs:
+    for reason, holds in rungs.items():
         passing &= holds
         now = int(np.count_nonzero(passing))
         for check in checks:
@@ -571,23 +560,23 @@ def sweep_chunk(
 
     # --- Neighborhood-degree checks; below n = 3 every graph is
     # neighborhood-regular, so they run on no rows.  Regular rows divide by
-    # 1 and fail an earlier rung of every gate that reads the quotient; no
-    # other quotient is non-positive, as excess >= hi - lo (the vertex at hi).
+    # 1 and fail an earlier rung of every gate that reads the quotient; the
+    # quotient rung fails on no graph, as excess >= hi - lo (the vertex at hi).
     gap = big_delta - delta
     excess = m1 - n * delta
     quot, rem = np.divmod(excess, np.maximum(gap, 1))
     at_rem = _count_between(nbr, delta + rem, delta + rem)
-    n3 = ("n_lt_3", np.full(b, n >= 3))
-    gap2 = ("gap_too_small", gap >= 2)
+    n3 = np.full(b, n >= 3)
     sel = _gate(
         tally,
         ("nm_reconstruct_secant", "nm_reconstruct_unit", "nm_bound_secant", "nm_bound_unit"),
-        nalpha, n3, ("neighborhood_regular", gap > 0),
+        nalpha, n_lt_3=n3, neighborhood_regular=gap > 0,
     )
-    classified = _gate(tally, ("congruence_classify",), 1, n3, gap2)
+    division = dict(n_lt_3=n3, gap_too_small=gap >= 2, non_positive_quotient=excess >= gap)
+    classified = _gate(tally, ("congruence_classify",), nalpha, **division)
     occupied = _gate(
-        tally, ("nm_bound_congruence",), nalpha, n3, gap2,
-        ("remainder_zero", rem >= 1), ("unoccupied_remainder_degree", at_rem >= 1),
+        tally, ("nm_bound_congruence",), nalpha, **division,
+        remainder_zero=rem >= 1, unoccupied_remainder_degree=at_rem >= 1,
     )
 
     # Classification consistency (alpha-independent).
@@ -646,7 +635,7 @@ def sweep_chunk(
         )
 
     # --- Distance-2 identities (diameter exactly 2).
-    _gate(tally, ("dist2_identity",), 1, ("not_diameter_two", diam2))
+    _gate(tally, ("dist2_identity",), nalpha, not_diameter_two=diam2)
     total2 = 2 * m * (n - 1) - m1
     d2_total = _vertex_sum(d2)
     _report_rows(
@@ -657,8 +646,8 @@ def sweep_chunk(
 
     elig2 = _gate(
         tally, ("nm2_reconstruct_secant", "nm2_reconstruct_unit"), nalpha,
-        ("not_diameter_two", diam2), ("zero_min_dist2_degree", d2_min >= 1),
-        ("dist2_regular", d2_min != d2_max),
+        not_diameter_two=diam2, zero_min_dist2_degree=d2_min >= 1,
+        dist2_regular=d2_min != d2_max,
     )
     rows2 = np.flatnonzero(elig2)
     lo2 = d2_min[rows2]
@@ -671,13 +660,13 @@ def sweep_chunk(
 
     # --- Spectral chain and regular-graph equalities.  The links between
     # the two bounds are integer comparisons over the common denominator M1.
-    has_edges = ("no_edges", m1 > 0)
-    _gate(tally, ("spectral_chain",), 1, has_edges)
+    has_edges = m1 > 0
+    _gate(tally, ("spectral_chain",), nalpha, no_edges=has_edges)
     # A connected k-regular graph has A 1 = k 1, so rho = k: only the two
     # bounds need checking.
     regular = _gate(
-        tally, ("spectral_regular",), 1, has_edges,
-        ("not_regular", deg.min(axis=0) == deg.max(axis=0)),
+        tally, ("spectral_regular",), nalpha,
+        no_edges=has_edges, not_regular=deg.min(axis=0) == deg.max(axis=0),
     )
     if n == 1:
         return tally

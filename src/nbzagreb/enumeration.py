@@ -8,10 +8,9 @@ replays every identity, bound and spectral check over the whole space and
 aggregates failures and precondition skips into a report; nothing is ever
 skipped silently.
 
-Two engines run the same checks and word failures alike: ``bulk`` runs
-the vectorized kernels from :mod:`nbzagreb._bulk`, ``scalar`` routes every
-graph through the public per-graph operations and reports the precondition
-an operation raises as the skip reason (see :func:`nbzagreb.errors.reason`).
+Two engines run the checks of :mod:`nbzagreb.claims` and word failures
+alike: ``bulk`` runs the vectorized kernels from :mod:`nbzagreb._bulk`,
+``scalar`` routes every graph through the public per-graph operations.
 The scalar engine is the reference; the bulk engine is what makes n = 7
 sweeps take seconds instead of hours.  Everything around the checks is
 shared: each engine is one function over a range of masks, and
@@ -41,7 +40,6 @@ from . import _bulk
 from ._bulk import (
     BI_DEGREE_SUPPORT,
     CHAIN_EXPECTED,
-    CHECK_NAMES,
     REGULAR_EXPECTED,
     REGULAR_GOT,
     SUM_EXPECTED,
@@ -59,6 +57,7 @@ from .bounds import (
     secant_coefficient,
     unit_coefficient,
 )
+from .claims import CHECK_NAMES, gate_row
 from .errors import NTooLarge, PowerOverflow, PreconditionError, UnknownBoundSource, reason
 from .graphs import (
     DegreeProfile,
@@ -242,50 +241,51 @@ def coefficient_sign_grid(alphas, p_max: int = GRID_P_MAX) -> tuple[int, list[di
 
 # ---------------------------------------------------------------------------
 # Scalar engine
-#
-# Every check counts through one _gate.  Its rungs are the preconditions no
-# op decides, and the first one a graph fails names the skip; past them, a
-# PreconditionError its op raises names it (errors.reason).  n_lt_3 is a rung
-# because the bulk engine reports it where the ops would raise another name.
 
-_NM_OPS = {
-    "nm_reconstruct_secant": nm_reconstruct_secant,
-    "nm_reconstruct_unit": nm_reconstruct_unit,
-}
-
-_NM2_OPS = {
-    "nm2_reconstruct_secant": nm2_reconstruct_secant,
-    "nm2_reconstruct_unit": nm2_reconstruct_unit,
-}
+_NM_OPS = {"nm_reconstruct_secant": nm_reconstruct_secant,
+           "nm_reconstruct_unit": nm_reconstruct_unit}
+_BOUND_OPS = {f"nm_bound_{source}": op for source, op in _SOURCE_OPS.items()}
+_NM2_OPS = {"nm2_reconstruct_secant": nm2_reconstruct_secant,
+            "nm2_reconstruct_unit": nm2_reconstruct_unit}
+# Each check's row, checked against its rungs at the check's first gate in
+# the process; the engine gates each check at one place.
+_ROWS: dict = {}
 
 
-def _gate(tally: Tally, check: str, reps: int, *rungs, op=lambda: True):
-    """Count one graph's ``check`` ``reps`` times and return ``op()``, or
-    None on a skip: the first (reason, holds) rung that fails names the skip
-    and ``op`` is not called; else a PreconditionError from ``op`` names it."""
-    for why, holds in rungs:
-        if not holds:
+def _gate(tally: Tally, check: str, nalpha: int, op=None, **rungs):
+    """Count one graph's ``check`` as its row in :mod:`nbzagreb.claims` says;
+    return ``op()`` (True without one), or None on a skip named by the first
+    failed of ``rungs`` (the row's leading rungs: does each hold?) or by a
+    PreconditionError from ``op`` whose reason the rest lists, else raised."""
+    row = _ROWS.get(check)
+    if row is None:
+        row = _ROWS[check] = gate_row((check,), tuple(rungs), True)
+    reps = nalpha if row.per_exponent else 1
+    for why in rungs:
+        if not rungs[why]:
             tally.skip(check, why, reps)
             return None
     try:
-        result = op()
+        result = op() if op else True
     except PreconditionError as exc:
-        tally.skip(check, reason(exc), reps)
+        if (why := reason(exc)) not in row.rungs[len(rungs):]:
+            raise
+        tally.skip(check, why, reps)
         return None
     tally.checks[check] += reps
     return result
 
 
 def _run_ops(tally: Tally, ops: dict, p: DegreeProfile, alphas: list[Alpha], *args,
-             rungs=()) -> dict:
+             **rungs) -> dict:
     """Each op's results at every exponent, keyed by check, counted through
     :func:`_gate` behind ``rungs``.  On a connected graph no precondition
     depends on the exponent, so an op that raises is skipped at every
     exponent under one reason."""
     results = {}
     for check, op in ops.items():
-        values = _gate(tally, check, len(alphas), *rungs,
-                       op=lambda: [op(p, alpha, *args) for alpha in alphas])
+        values = _gate(tally, check, len(alphas),
+                       lambda: [op(p, alpha, *args) for alpha in alphas], **rungs)
         if values is not None:
             results[check] = values
     return results
@@ -313,8 +313,8 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
     if nbr_total != p.m1:
         fail("m1_identity", SUM_EXPECTED.format("nbr_deg", p.m1), nbr_total)
 
-    n3 = ("n_lt_3", n >= 3)
-    cd = _gate(tally, "congruence_classify", 1, n3, op=lambda: congruence_classify(p))
+    nalpha, n3 = len(alphas), n >= 3
+    cd = _gate(tally, "congruence_classify", nalpha, lambda: congruence_classify(p), n_lt_3=n3)
     if cd is not None:
         lo, hi = p.delta_min, p.delta_max
         if cd.is_bi_degree_case and set(p.nbr_hist) != {lo, hi}:
@@ -322,9 +322,8 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         if cd.r >= 1 and p.nbr_hist.get(hi, 0) == cd.q and not cd.part2_constraints_hold:
             fail("congruence_classify", TOP_COUNT_PATTERN, dict(p.nbr_hist))
 
-    recon = _run_ops(tally, _NM_OPS, p, alphas, rungs=(n3,))
-    bound_ops = {f"nm_bound_{source}": op for source, op in _SOURCE_OPS.items()}
-    bounds = _run_ops(tally, bound_ops, p, alphas, tolerance, rungs=(n3,))
+    recon = _run_ops(tally, _NM_OPS, p, alphas, n_lt_3=n3)
+    bounds = _run_ops(tally, _BOUND_OPS, p, alphas, tolerance, n_lt_3=n3)
     for i, alpha in enumerate(alphas):
         if recon:
             # The secant bound runs wherever the reconstructions do (both
@@ -337,7 +336,7 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
                 expected = bound_expected(rep.direction == UPPER, rep.bound, rep.equality)
                 fail(check, expected, rep.computed, alpha=alpha.value)
 
-    if _gate(tally, "dist2_identity", 1, ("not_diameter_two", p.diameter == 2)):
+    if _gate(tally, "dist2_identity", nalpha, not_diameter_two=p.diameter == 2):
         total2 = 2 * p.m * (n - 1) - p.m1
         d2_total = sum(p.dist2_deg)
         if d2_total != total2:
@@ -347,11 +346,10 @@ def _scalar_graph_checks(g: Graph, alphas: list[Alpha], tolerance: float, tally:
         for i, alpha in enumerate(alphas):
             _compare_identities(fail, recon2, i, alpha, nm2_direct(p, alpha), tolerance)
 
-    has_edges = ("no_edges", p.m1 > 0)
     # A connected k-regular graph has A 1 = k 1, so rho = k.
-    regular = _gate(tally, "spectral_regular", 1, has_edges,
-                    ("not_regular", min(p.deg) == max(p.deg)))
-    if not _gate(tally, "spectral_chain", 1, has_edges):
+    regular = _gate(tally, "spectral_regular", nalpha, no_edges=p.m1 > 0,
+                    not_regular=min(p.deg) == max(p.deg))
+    if not _gate(tally, "spectral_chain", nalpha, no_edges=p.m1 > 0):
         return
     # The chain holds by the integer certificate or by the converged rho,
     # and its second link and the regular-graph equalities are integer
@@ -454,9 +452,10 @@ def verify_all(
     first task, and in-process when that leaves one.  Chunk results are
     merged in range order, so the report does not depend on ``jobs`` beyond
     recording it.  The coefficient sign grid (graph-independent) runs once
-    per call with the same exponents.  An
-    exponent whose powers could leave the float range raises
-    ``PowerOverflow`` before any range runs, for both engines alike.
+    per call with the same exponents.  An exponent whose powers could leave
+    the float range raises ``PowerOverflow`` before any range runs, for both
+    engines alike; a count under a check that :mod:`nbzagreb.claims` lacks
+    raises RuntimeError.
     """
     _check_n(n_max, allow_n8)
     alpha_objs = [as_alpha(a) for a in alphas]
@@ -492,12 +491,12 @@ def verify_all(
     for violation in grid_violations:
         total.fail(**violation)
 
+    stray = {f["check"] for f in total.failures}.union(total.checks, total.skips)
+    if stray := sorted(stray.difference(CHECK_NAMES)):
+        raise RuntimeError(f"checks outside nbzagreb.claims: {', '.join(stray)}")
     checks_run = {name: total.checks.get(name, 0) for name in CHECK_NAMES}
-    skips = {
-        name: dict(sorted(total.skips[name].items()))
-        for name in CHECK_NAMES
-        if name in total.skips
-    }
+    skips = {name: dict(sorted(total.skips[name].items()))
+             for name in CHECK_NAMES if name in total.skips}
     return VerificationReport(
         n_range=tuple(range(1, n_max + 1)),
         alpha_set=tuple(a.value for a in alpha_objs),

@@ -29,7 +29,7 @@ from nbzagreb import (
     spectral_report,
     verify_all,
 )
-from nbzagreb import _bulk, bounds, enumeration, indices, spectral
+from nbzagreb import _bulk, bounds, claims, enumeration, indices, spectral
 from nbzagreb.graphs import (
     _g6_pairs,
     edges_of_mask,
@@ -40,9 +40,11 @@ from nbzagreb.graphs import (
 from nbzagreb.errors import (
     ForbiddenAlpha,
     NeighborhoodRegular,
+    NotDiameterTwo,
     NTooLarge,
     PowerOverflow,
     PreconditionError,
+    RemainderZero,
     UnknownBoundSource,
     UnoccupiedRemainderDegree,
     ZeroMinDist2Degree,
@@ -589,7 +591,7 @@ class TestVerifyAll:
                 assert count > 0
 
     def test_skip_reasons_name_a_precondition(self):
-        # The bulk engine writes its reasons as literals; each must be the
+        # The bulk engine names its reasons by keyword; each must be the
         # name of a PreconditionError subclass, or one of the three reasons
         # that no op decides.
         def subclasses(cls):
@@ -630,6 +632,27 @@ class TestVerifyAll:
         assert report.failure_count == count
         assert len(report.failures) == _bulk.FAILURE_CAP == 1000
 
+    @pytest.mark.parametrize("engine", ["bulk", "scalar"])
+    @pytest.mark.parametrize("where", ["checks", "skips", "failures"])
+    def test_counts_under_a_stray_check_are_refused(self, monkeypatch, engine, where):
+        # A count or skip under a name outside the table would vanish from
+        # the report while that name's failure records stayed in it.
+        chunk = enumeration._ENGINES[engine]
+
+        def misspelled(*args):
+            tally = chunk(*args)
+            if where == "checks":
+                tally.checks["nm_bound_secnt"] += 1
+            elif where == "skips":
+                tally.skip("nm_bound_secnt", "neighborhood_regular")
+            else:
+                tally.fail("Bw", "nm_bound_secnt", 1.0, 2.0, alpha=2.0)
+            return tally
+
+        monkeypatch.setitem(enumeration._ENGINES, engine, misspelled)
+        with pytest.raises(RuntimeError, match="nm_bound_secnt"):
+            verify_all(3, [2.0], engine=engine)
+
     def test_report_to_dict_shape(self):
         doc = verify_all(3, [2.0]).to_dict()
         assert doc["graphs_checked"] == 6
@@ -653,18 +676,24 @@ class TestSkipReasons:
         assert reason(exc("message")) == name
 
     def test_scalar_engine_records_the_op_precondition(self, monkeypatch):
-        # The engine asks the op, so whatever precondition the op raises is
-        # the skip reason; only n <= 2 is decided before the op runs.
+        # The engine asks the op, so a precondition the op raises is the
+        # skip reason when the check's row lists it; only n <= 2 is decided
+        # before the op runs.  A reason outside the row stops the sweep.
         class Synthetic(PreconditionError):
             pass
 
-        def raise_synthetic(*args):
-            raise Synthetic("raised by the test")
+        def raise_as(exc):
+            def op(*args):
+                raise exc("raised by the test")
+            return op
 
-        monkeypatch.setitem(enumeration._SOURCE_OPS, "unit", raise_synthetic)
+        monkeypatch.setitem(enumeration._BOUND_OPS, "nm_bound_unit", raise_as(NeighborhoodRegular))
         report = verify_all(4, [2.0, 0.5], engine="scalar")
-        assert report.skips["nm_bound_unit"] == {"n_lt_3": 4, "synthetic": 84}
+        assert report.skips["nm_bound_unit"] == {"n_lt_3": 4, "neighborhood_regular": 84}
         assert report.checks_run["nm_bound_unit"] == 0
+        monkeypatch.setitem(enumeration._BOUND_OPS, "nm_bound_unit", raise_as(Synthetic))
+        with pytest.raises(Synthetic):
+            verify_all(4, [2.0, 0.5], engine="scalar")
 
 
 RECONSTRUCT_CHECKS = (
@@ -675,18 +704,48 @@ RECONSTRUCT_CHECKS = (
 )
 
 
+NM2_CHECKS = ("nm2_reconstruct_secant", "nm2_reconstruct_unit")
+
+
 class TestGate:
     def test_rows_count_under_their_first_failed_rung(self):
-        # Row 1 fails both rungs and counts under the first only; every
-        # count is multiplied by reps; rows 0 and 4 pass and run.
+        # Row 1 fails two rungs and counts under the first only; the nm2
+        # rows count once per exponent, dist2_identity once; rows 0 and 4
+        # pass and run.
         tally = _bulk.Tally()
         first = np.array([True, False, False, True, True])
         second = np.array([True, False, True, False, True])
-        passing = _bulk._gate(tally, ("a", "b"), 3, ("first", first), ("second", second))
+        passing = _bulk._gate(
+            tally, NM2_CHECKS, 3, not_diameter_two=first, zero_min_dist2_degree=second,
+            dist2_regular=np.ones(5, dtype=bool),
+        )
         assert passing.tolist() == [True, False, False, False, True]
-        for check in ("a", "b"):
-            assert tally.skips[check] == {"first": 6, "second": 3}
+        for check in NM2_CHECKS:
+            assert tally.skips[check] == {"not_diameter_two": 6, "zero_min_dist2_degree": 3}
             assert tally.checks[check] == 6
+        assert _bulk._gate(tally, ("dist2_identity",), 3, not_diameter_two=first).sum() == 3
+        assert tally.skips["dist2_identity"] == {"not_diameter_two": 2}
+        assert tally.checks["dist2_identity"] == 3
+
+    @pytest.mark.parametrize(
+        "checks,rungs",
+        [
+            (("nm2_reconstruct_secnt",), ("not_diameter_two", "zero_min_dist2_degree",
+                                         "dist2_regular")),
+            (NM2_CHECKS, ("not_diameter_two", "zero_min_dist2_degree")),
+            (NM2_CHECKS, ("not_diameter_two", "zero_min_dist2_degree", "dist2_regular",
+                          "no_edges")),
+            (NM2_CHECKS, ("zero_min_dist2_degree", "not_diameter_two", "dist2_regular")),
+            (("spectral_chain", "spectral_regular"), ("no_edges",)),
+            (("nm_bound_secant", "nm_bound_congruence"), ("n_lt_3", "neighborhood_regular")),
+        ],
+        ids=["unknown", "missing", "extra", "reordered", "two-rows-once", "two-rows-per-exponent"],
+    )
+    def test_rungs_other_than_the_row_are_refused(self, checks, rungs):
+        tally = _bulk.Tally()
+        with pytest.raises(ValueError):
+            _bulk._gate(tally, checks, 1, **dict.fromkeys(rungs, np.ones(2, dtype=bool)))
+        assert not tally.checks and tally.skips == {}
 
 
 class TestScalarGate:
@@ -694,26 +753,28 @@ class TestScalarGate:
         tally = _bulk.Tally()
         calls = []
         got = enumeration._gate(
-            tally, "a", 3, ("first", False), ("second", False), op=lambda: calls.append(1)
+            tally, "spectral_regular", 3, lambda: calls.append(1),
+            no_edges=False, not_regular=False,
         )
         assert got is None and calls == []
-        assert tally.skips["a"] == {"first": 3}
-        assert tally.checks["a"] == 0
+        assert tally.skips["spectral_regular"] == {"no_edges": 1}
+        assert tally.checks["spectral_regular"] == 0
 
     def test_op_precondition_names_the_skip_once_the_rungs_pass(self):
         def op():
             raise NeighborhoodRegular("raised by the test")
 
         tally = _bulk.Tally()
-        assert enumeration._gate(tally, "a", 2, ("first", True), op=op) is None
-        assert tally.skips["a"] == {"neighborhood_regular": 2}
-        assert tally.checks["a"] == 0
+        assert enumeration._gate(tally, "nm_bound_unit", 2, op, n_lt_3=True) is None
+        assert tally.skips["nm_bound_unit"] == {"neighborhood_regular": 2}
+        assert tally.checks["nm_bound_unit"] == 0
 
     def test_passing_gate_counts_reps_runs_and_returns_the_result(self):
         tally = _bulk.Tally()
-        assert enumeration._gate(tally, "a", 4, ("first", True), op=lambda: "value") == "value"
-        assert enumeration._gate(tally, "b", 1, ("first", True)) is True
-        assert tally.checks == {"a": 4, "b": 1}
+        got = enumeration._gate(tally, "nm_bound_unit", 4, lambda: "value", n_lt_3=True)
+        assert got == "value"
+        assert enumeration._gate(tally, "dist2_identity", 4, not_diameter_two=True) is True
+        assert tally.checks == {"nm_bound_unit": 4, "dist2_identity": 1}
         assert tally.skips == {}
 
     def test_other_exceptions_propagate(self):
@@ -722,7 +783,42 @@ class TestScalarGate:
 
         tally = _bulk.Tally()
         with pytest.raises(ValueError):
-            enumeration._gate(tally, "a", 1, ("first", True), op=op)
+            enumeration._gate(tally, "nm_bound_unit", 1, op, n_lt_3=True)
+        assert not tally.checks and tally.skips == {}
+
+    @pytest.mark.parametrize(
+        "check,exc,rung",
+        # Another check's precondition, and one that the gate's rungs decide.
+        [("congruence_classify", RemainderZero, "n_lt_3"),
+         ("dist2_identity", NotDiameterTwo, "not_diameter_two")],
+    )
+    def test_op_reason_outside_the_rest_of_the_row_propagates(self, check, exc, rung):
+        def op():
+            raise exc("raised by the test")
+
+        tally = _bulk.Tally()
+        with pytest.raises(exc):
+            enumeration._gate(tally, check, 1, op, **{rung: True})
+        assert not tally.checks and tally.skips == {}
+
+    @pytest.mark.parametrize(
+        "check,rungs",
+        [
+            ("spectral_regulr", ("no_edges",)),
+            ("nm_bound_unit", ("neighborhood_regular",)),
+            ("spectral_regular", ("no_edges", "not_regular", "n_lt_3")),
+            ("spectral_regular", ("not_regular", "no_edges")),
+        ],
+        ids=["unknown", "missing", "extra", "reordered"],
+    )
+    def test_rungs_other_than_a_leading_part_of_the_row_are_refused(
+        self, monkeypatch, check, rungs
+    ):
+        # The engine checks a check's rungs at its first gate in the process.
+        monkeypatch.setattr(enumeration, "_ROWS", {})
+        tally = _bulk.Tally()
+        with pytest.raises(ValueError):
+            enumeration._gate(tally, check, 1, **dict.fromkeys(rungs, True))
         assert not tally.checks and tally.skips == {}
 
     def test_rungs_run_before_ops_in_the_engine(self, monkeypatch):
@@ -826,31 +922,46 @@ class TestBulkReconstructionKernel:
         assert {f["check"] for f in report.failures} <= set(RECONSTRUCT_CHECKS)
 
 
+@pytest.fixture(scope="module")
+def graph_by_graph():
+    """(n, mask, bulk tally, scalar tally) of every connected graph with
+    n <= 5, then of 200 seeded connected graphs of n = 7, each run alone as
+    a one-mask range through both chunk functions."""
+    alphas = (-1.0, 0.5, 2.0, 3.0)
+    cases = [
+        (n, mask)
+        for n in range(1, 6)
+        for mask in _bulk.connected_masks(n, 0, 1 << (n * (n - 1) // 2)).tolist()
+    ]
+    rng = np.random.default_rng(7)
+    cases += [(7, mask) for mask in rng.choice(_bulk.connected_masks(7, 0, 1 << 21), 200,
+                                               replace=False).tolist()]
+    assert len(cases) == sum(LABELED_CONNECTED.values()) + 200
+    return [
+        (n, mask, _bulk.sweep_chunk(n, mask, mask + 1, alphas, 1e-9),
+         enumeration._scalar_chunk(n, mask, mask + 1, alphas, 1e-9))
+        for n, mask in cases
+    ]
+
+
 class TestEngineParity:
     FIELDS = ("graph6", "check", "alpha", "expected", "got")
 
-    def test_engines_agree_graph_by_graph(self):
+    def test_engines_agree_graph_by_graph(self, graph_by_graph):
         # Aggregate counts let two graphs that swap skip reasons cancel
-        # out, so each graph runs alone, as a one-mask range, through both
-        # chunk functions: every connected graph with n <= 5, then 200
-        # seeded connected graphs of n = 7.
-        alphas = (-1.0, 0.5, 2.0, 3.0)
-        cases = [
-            (n, mask)
-            for n in range(1, 6)
-            for mask in _bulk.connected_masks(n, 0, 1 << (n * (n - 1) // 2)).tolist()
-        ]
-        rng = np.random.default_rng(7)
-        cases += [(7, mask) for mask in rng.choice(_bulk.connected_masks(7, 0, 1 << 21), 200,
-                                                   replace=False).tolist()]
-        assert len(cases) == sum(LABELED_CONNECTED.values()) + 200
-        for n, mask in cases:
-            bulk = _bulk.sweep_chunk(n, mask, mask + 1, alphas, 1e-9)
-            scalar = enumeration._scalar_chunk(n, mask, mask + 1, alphas, 1e-9)
+        # out, so each graph runs alone.
+        for n, mask, bulk, scalar in graph_by_graph:
             assert bulk.graphs == scalar.graphs == 1, (n, mask)
             # Counter equality treats a missing check as a zero count.
             assert bulk.checks == scalar.checks, (n, mask)
             assert bulk.skips == scalar.skips, (n, mask)
+
+    def test_skip_reasons_are_rungs_of_the_checks_row(self, graph_by_graph):
+        rungs = {claim.name: claim.rungs for claim in claims.CLAIMS}
+        for n, mask, *tallies in graph_by_graph:
+            for tally in tallies:
+                for check, reasons in tally.skips.items():
+                    assert reasons.keys() <= set(rungs[check]), (n, mask, check)
 
     def test_failing_run_under_fault(self, monkeypatch):
         # Raise 3**alpha by 100 in both engines.  The reconstructions hold
