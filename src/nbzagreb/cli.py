@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -203,7 +202,7 @@ def cmd_bounds(args):
     p = degree_profile(g)
     try:
         cd = congruence_classify(p)
-        congruence_doc = asdict(cd)
+        congruence_doc = dict(vars(cd))
     except PreconditionError as exc:
         congruence_doc = {"inapplicable": reason(exc)}
     alpha_docs = []
@@ -212,7 +211,7 @@ def cmd_bounds(args):
         inapplicable = []
         for source, fn in _SOURCE_OPS.items():
             try:
-                reports.append(asdict(fn(p, alpha, args.tolerance)))
+                reports.append(dict(vars(fn(p, alpha, args.tolerance))))
             except PreconditionError as exc:
                 inapplicable.append({"source": source, "reason": reason(exc)})
         alpha_docs.append(

@@ -95,18 +95,29 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build a graph from (u, v) pairs; isolated vertices share the empty tuple."""
+        """Build a graph from (u, v) pairs; isolated vertices share the empty tuple.
+        Rows are mirrored as built; a duplicate in a row (a self-loop makes
+        one) or n < 1 hands them to the checked constructor."""
         rows: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             rows[u].append(v)
             rows[v].append(u)
         adjacency = [()] * n
+        clean = n >= 1
         for u, row in rows.items():
             if not 0 <= u < n:
                 raise ValueError(f"vertex {u} out of range for n={n}")
             row.sort()
-            adjacency[u] = tuple(row)
-        return cls(n, sum(map(len, adjacency)) // 2, tuple(adjacency))
+            adjacency[u] = row = tuple(row)
+            clean = clean and len(set(row)) == len(row)
+        m = sum(map(len, adjacency)) // 2
+        if not clean:
+            return cls(n, m, tuple(adjacency))
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "m", m)
+        object.__setattr__(g, "adjacency", tuple(adjacency))
+        return g
 
     def edges(self):
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -173,11 +184,9 @@ def degree_profile(g: Graph) -> DegreeProfile:
       the sum over u of max N(u) + 1 bits plus n bits per class, O(n**2)
       bits on a relabeled sparse graph, but a word-parallel OR per step.
 
-    Bitsets run where M1 exceeds ``_BITSET_RATIO`` * (n + 2m), the measured
-    crossover, and their footprint fits ``_BITSET_BITS``; stamps run
-    everywhere else, so every input whose M1 is linear in its size is
-    profiled in O(n + m) memory.  Where the footprint is past the cap and
-    M1 past ``_STAMP_STEPS`` as well, ``ProfileTooLarge`` is raised.
+    Bitsets run past the crossover ``_BITSET_RATIO`` within ``_BITSET_BITS``,
+    stamps elsewhere, so an input whose M1 is linear in its size takes
+    O(n + m) memory; past both caps ``ProfileTooLarge`` is raised.
     """
     adjacency = g.adjacency
     deg = tuple(map(len, adjacency))
@@ -265,31 +274,27 @@ def _bitset_sums(adjacency, deg) -> tuple[list[int], list[int]]:
     return nbr_deg, dist2_deg
 
 
-# Bytes of source bitsets one multi-source BFS in ``diameter`` may hold: a
-# fringe level of k sources runs in blocks of 8 * _REACH_BYTES // n sources.
+# Bytes of source bitsets a ``diameter`` fringe block may hold.
 _REACH_BYTES = 1 << 20
 
 
 def diameter(g: Graph) -> int | float:
     """Largest shortest-path distance; ``math.inf`` when disconnected.
 
-    Exact iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, "On computing the
-    diameter of real-world undirected graphs", Theoret. Comput. Sci. 514
-    (2013) 84-95).  A BFS from vertex 0 settles connectivity and finds a
-    far vertex a; a BFS from a gives the lower bound ecc(a) and a far end
-    b; the middle u of a shortest a-b path roots the levels of a last BFS.
-    Every pair with both ends in levels <= i is at most 2i apart through u,
-    so from the top level i down the search stops as soon as the lower
-    bound reaches 2i, and otherwise raises it to the largest eccentricity
-    on level i, which one bit-parallel multi-source BFS yields.
+    Exact iFUB (Crescenzi et al., Theoret. Comput. Sci. 514 (2013) 84-95).
+    A BFS from vertex 0 settles connectivity and finds a far vertex a; a
+    BFS from a gives the lower bound ecc(a) and a far end b; the middle u
+    of a shortest a-b path roots the levels of a last BFS.  Vertices in
+    levels <= i are at most 2i apart through u, so the fringe, all but a
+    above level lower // 2, deepest first, runs in blocks of
+    8 * _REACH_BYTES // n sources, each one bit-parallel multi-source BFS
+    raising the bound to the block's largest eccentricity, until it reaches
+    2i, i the level of the next block's first vertex.
 
     A connected graph with m = n - 1 is a tree, whose diameter is ecc(a):
     the far end of any BFS ends a longest path, so two passes settle it.
-
-    The cost is three BFS passes, O(n + m) time and memory, plus for each
-    fringe level that does not stop the search O(ecc * m) ORs of bitsets
-    one bit per source.  The sources run in blocks whose bitsets take at
-    most ``_REACH_BYTES``, so nothing of order n**2 is allocated.
+    Otherwise: three BFS passes, O(n + m), and O(ecc * m) ORs of bitsets,
+    one bit per source, per block; nothing of order n**2.
     """
     adjacency = g.adjacency
     order, _ = _bfs(adjacency, 0)
@@ -304,17 +309,17 @@ def diameter(g: Graph) -> int | float:
     while dist_a[u] > (lower + 1) // 2:  # walk back from the far end b
         u = next(w for w in adjacency[u] if dist_a[w] == dist_a[u] - 1)
     order, dist_u = _bfs(adjacency, u)
-    levels: list[list[int]] = [[] for _ in range(dist_u[order[-1]] + 1)]
-    for v in order:
+    fringe = []
+    for v in reversed(order):  # deepest first
+        if dist_u[v] <= lower // 2:
+            break
         if v != a:
-            levels[dist_u[v]].append(v)
+            fringe.append(v)
     block = max(1, 8 * _REACH_BYTES // g.n)
-    for i in range(len(levels) - 1, 0, -1):
-        fringe = levels[i]
-        for start in range(0, len(fringe), block):
-            if lower >= 2 * i:
-                return lower
-            lower = max(lower, _eccentricity_max(adjacency, fringe[start : start + block]))
+    for start in range(0, len(fringe), block):
+        if lower >= 2 * dist_u[fringe[start]]:
+            break
+        lower = max(lower, _eccentricity_max(adjacency, fringe[start : start + block]))
     return lower
 
 
@@ -334,32 +339,35 @@ def _bfs(adjacency, root: int) -> tuple[list[int], list[int]]:
 
 
 def _eccentricity_max(adjacency, sources: list[int]) -> int:
-    """Largest eccentricity among ``sources`` in a connected graph.
-
-    One BFS from all sources at once: bit j of ``reach[v]`` says that
-    source j has reached v, and ``frontier`` maps each vertex reached in
-    the last round to the bits that reached it then.  The answer is the
-    number of rounds that reach something new.
-    """
+    """Largest eccentricity among ``sources`` in a connected graph, by one
+    BFS from all at once: bit j of ``reach[v]`` says source j reached v.
+    A round ORs new bits into ``acc``, then diffs each touched vertex with
+    ``reach``; the answer is the number of rounds that reach anything new."""
     reach = [0] * len(adjacency)
-    frontier = {}
-    for j, s in enumerate(sources):
-        reach[s] = frontier[s] = 1 << j
+    acc = [0] * len(adjacency)
+    frontier = [(s, 1 << j) for j, s in enumerate(sources)]
+    for s, bits in frontier:
+        reach[s] = bits
     rounds = -1
     while frontier:
         rounds += 1
-        grown: dict[int, int] = {}
-        for v, bits in frontier.items():
+        touched = []
+        for v, bits in frontier:
             for w in adjacency[v]:
-                old = reach[w]
-                if not old:  # first reached, so not yet grown: share the int
-                    reach[w] = grown[w] = bits
-                    continue
-                both = old | bits
-                if both != old:
-                    reach[w] = both
-                    grown[w] = grown[w] | (both ^ old) if w in grown else both ^ old
-        frontier = grown
+                old = acc[w]
+                if old:
+                    acc[w] = old | bits
+                else:
+                    acc[w] = bits
+                    touched.append(w)
+        frontier = []
+        for w in touched:
+            old = reach[w]
+            both = old | acc[w]
+            acc[w] = 0
+            if both != old:
+                reach[w] = both
+                frontier.append((w, both ^ old))
     return rounds
 
 

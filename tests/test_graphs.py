@@ -636,16 +636,26 @@ class TestDiameterConnectivity:
         g = SCALE_CASES[name]()
         assert diameter(g) == oracle_diameter(g)
 
-    def test_fringe_levels_run_until_the_stop_rule(self, fringe_calls):
+    def test_fringe_levels_run_until_the_stop_rule(self, fringe_calls, monkeypatch):
         # Trees with extra edges need eccentricities from more than one
-        # level; each level fits one block at this size.
-        levels_run = []
+        # level.  At this size the whole fringe, every level of it, fits one
+        # block, so one multi-source BFS settles each graph.
+        fringes = {}
         for n in (200, 206, 450, 600):
             fringe_calls.clear()
             g = tree_plus_edges(n, n, n)
             assert diameter(g) == oracle_diameter(g)
-            levels_run.append(len(fringe_calls))
-        assert max(levels_run) >= 2
+            (fringes[n],) = fringe_calls
+        # Blocks of 8 cut the 96-vertex fringe of tree206+206, two levels,
+        # into 12.  The first two raise the bound to 8, twice the level of
+        # the third block's first vertex, so the stop rule ends the search
+        # there, before the other ten.
+        g = tree_plus_edges(206, 206, 206)
+        monkeypatch.setattr(graphs, "_REACH_BYTES", g.n)
+        fringe_calls.clear()
+        assert diameter(g) == oracle_diameter(g) == 8
+        assert len(fringes[206]) == 96
+        assert fringe_calls == [fringes[206][:8], fringes[206][8:16]]
         # On a path the far end's eccentricity already meets the stop rule
         # at the top level, so no fringe search runs.
         fringe_calls.clear()
@@ -735,6 +745,67 @@ class TestDiameterConnectivity:
         assert peak < 8_000_000
 
 
+def _property_graphs():
+    """Seeded graphs whose diameter the oracle settles: trees plus k extra
+    edges, G(n, p) near the connectivity threshold ln(n) / n (some of them
+    disconnected), complete graphs, and the graphs on 1 and 2 vertices."""
+    cases = {f"tree{n}+{k}": tree_plus_edges(n, k, 100 * n + k)
+             for n in (40, 120) for k in (1, 2, 5, 20, n)}
+    for n in (50, 120):
+        for c in (0.7, 1.0, 1.4):
+            for seed in range(3):
+                cases[f"gnp{n}x{c}#{seed}"] = _gnp(n, c * math.log(n) / n, seed)
+    cases.update({f"K{n}": complete_graph(n) for n in (1, 2, 3, 10, 40)})
+    cases.update({"empty1": Graph.from_edges(1, []), "empty2": Graph.from_edges(2, [])})
+    return cases
+
+
+PROPERTY_GRAPHS = _property_graphs()
+
+
+class TestDiameterProperties:
+    def test_cases_cover_each_outcome(self, fringe_calls):
+        outcomes = [oracle_diameter(g) for g in PROPERTY_GRAPHS.values()]
+        assert outcomes.count(math.inf) >= 5 and 0 in outcomes
+        assert sum(d not in (0, 1, math.inf) for d in outcomes) >= 15
+        # Fringes of more than 3 sources, which blocks of 3 cut.
+        for g in PROPERTY_GRAPHS.values():
+            diameter(g)
+        assert sum(len(sources) > 3 for sources in fringe_calls) >= 8
+
+    @pytest.mark.parametrize("budget", ["default", "blocks_of_3"])
+    @pytest.mark.parametrize("name", PROPERTY_GRAPHS)
+    def test_matches_every_vertex_bfs(self, name, budget, fringe_calls, monkeypatch):
+        g = PROPERTY_GRAPHS[name]
+        if budget == "blocks_of_3":
+            # ceil(3n / 8) bytes hold 3 sources for every n > 8, so a level
+            # of more than three fringe vertices spans blocks.
+            monkeypatch.setattr(graphs, "_REACH_BYTES", -(-3 * g.n // 8))
+        assert diameter(g) == oracle_diameter(g)
+        if budget == "blocks_of_3" and g.n > 8:
+            assert all(len(sources) <= 3 for sources in fringe_calls)
+
+    def test_every_labeled_graph_up_to_5_in_blocks_of_2(self, monkeypatch):
+        # Blocks of two sources.  Small graphs reach every case of the stop
+        # rule, a bound one short of twice the next level among them.
+        for n in range(1, 6):
+            monkeypatch.setattr(graphs, "_REACH_BYTES", 2 * n)
+            for g in all_graphs(n):
+                assert diameter(g) == oracle_diameter(g)
+
+    def test_eccentricity_max_is_the_largest_single_bfs_eccentricity(self):
+        rng = random.Random(29)
+        for name, g in PROPERTY_GRAPHS.items():
+            if not is_connected(g):
+                continue
+            ecc = [max(oracle_bfs_distances(g, v)) for v in range(g.n)]
+            subsets = [[v] for v in range(min(g.n, 5))] + [list(range(g.n))]
+            subsets += [rng.sample(range(g.n), rng.randint(1, g.n)) for _ in range(5)]
+            for sources in subsets:
+                got = graphs._eccentricity_max(g.adjacency, sources)
+                assert got == max(ecc[v] for v in sources), (name, sources)
+
+
 class TestHelpers:
     def test_is_path(self):
         assert is_path(path_graph(4))
@@ -764,6 +835,46 @@ class TestHelpers:
         ]:
             with pytest.raises(ValueError):
                 Graph(n, m, adjacency)
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (4, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+            (3, [(0, 1), (1, 2), (0, 1)], "duplicate neighbor entries at vertex 0"),
+            (3, [(0, 1), (1, 2), (1, 0)], "duplicate neighbor entries at vertex 0"),
+            (3, [(1, 1), (0, 2), (2, 0)], "duplicate neighbor entries at vertex 0"),
+            (3, [(0, 1), (1, 3)], "vertex 3 out of range for n=3"),
+            (3, [(5, 1)], "vertex 5 out of range for n=3"),
+            (3, [(-1, 0)], "vertex -1 out of range for n=3"),
+            (3, [(0, 1), (0, -2)], "vertex -2 out of range for n=3"),
+            (3, [(0, 0), (0, 7)], "vertex 7 out of range for n=3"),
+            (0, [], "graph needs at least one vertex"),
+            (0, [(0, 1)], "vertex 0 out of range for n=0"),
+        ],
+        ids=["self_loop", "duplicate", "duplicate_reversed", "duplicate_after_loop",
+             "v_too_large", "u_too_large", "negative_u", "negative_v", "range_after_loop",
+             "n0", "n0_with_edge"],
+    )
+    def test_from_edges_refuses_like_the_checked_constructor(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(n, edges)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_from_edges_equals_the_checked_constructor(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            rows = [[] for _ in range(n)]
+            for u, v in edges:
+                rows[u].append(v)
+                rows[v].append(u)
+            want = Graph(n, len(edges), tuple(tuple(sorted(row)) for row in rows))
+            got = Graph.from_edges(n, edges)
+            assert got == want and hash(got) == hash(want)
+            assert type(got) is Graph and all(type(row) is tuple for row in got.adjacency)
 
     def test_graph_is_frozen(self):
         g = path_graph(3)

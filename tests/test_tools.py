@@ -1,10 +1,12 @@
 """Tests of the A/B timing harness ``tools/bench_ab.py``, at tiny sizes."""
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
 import json
 import math
+import random
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,9 @@ import pytest
 
 import nbzagreb
 from conftest import oracle_dist2_degrees, oracle_nbr_degrees
-from nbzagreb import Graph, _bulk, diameter, enumeration, find_equality_graphs, verify_all
+from nbzagreb import (
+    Graph, _bulk, diameter, enumerate_connected, enumeration, find_equality_graphs, verify_all,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(enumeration.__file__).resolve().parents[1]
@@ -47,12 +51,13 @@ def test_help_names_every_target():
     )
     assert result.returncode == 0, result.stderr
     for target in ("enumeration", "scalar", "diameter", "spectral_radius", "degree_profile",
-                   "startup"):
+                   "parse_edge_list", "startup"):
         assert target in result.stdout
 
 
 @pytest.mark.parametrize(
-    "target", ["enumeration", "scalar", "diameter", "spectral_radius", "degree_profile"]
+    "target",
+    ["enumeration", "scalar", "diameter", "spectral_radius", "degree_profile", "parse_edge_list"],
 )
 def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
     modules = dict(sys.modules)
@@ -92,6 +97,25 @@ def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
             **{f"skips.{check}.{reason}": count
                for check, reasons in report.skips.items() for reason, count in reasons.items()},
         }
+    elif target == "parse_edge_list":
+        # Each set parses to the graphs it was written from, row for row.
+        workloads = bench._workloads(SimpleNamespace(package="nbzagreb"))
+        rng = random.Random(1)
+        specs = [workloads.make_graph(i, rng) for i in range(workloads.PER_GRAPH_BATCH)]
+        want = {
+            "per_graph": [Graph.from_edges(n, edges).adjacency for n, edges in specs],
+            "connected_n6": [g.adjacency for n in range(1, 5) for g in enumerate_connected(n)],
+        }
+        assert list(got) == list(want)
+        for name, rows in want.items():
+            assert got[name] == {
+                "graphs": len(rows),
+                "edges": sum(len(row) for adjacency in rows for row in adjacency) // 2,
+                "adjacency_sha256": hashlib.sha256(repr(rows).encode()).hexdigest(),
+            }
+        assert got["per_graph"]["edges"] == sum(len(edges) for _n, edges in specs)
+        assert got["connected_n6"]["graphs"] == 44
+        assert s["total_s"] >= s["per_graph_s"] > 0
     elif target == "degree_profile":
         # Today's per_graph checksums at seed 1; the dense set is K12, a
         # G(12, 0.3) and the 40-leaf star here.

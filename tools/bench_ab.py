@@ -31,6 +31,11 @@ their units, seconds keys and results:
   ``graphs`` and ``diameter_sum``; or ``rho_sum``, ``rho_sum_rel_err``
   against ``numpy.linalg.eigvalsh`` and ``iterations_mean``; or the sums of
   ``nbr_deg``, ``dist2_deg`` and ``diameter``.
+* ``parse_edge_list``: ``graphs.parse_edge_list`` per ``UNIT`` documents:
+  perfbench's 40 ``per_graph`` edge-list files at seed 1, as the workload
+  writes them, and every connected graph with n <= 6 as 'u v' lines
+  (``per_graph_s``, ``connected_n6_s``).  Per set ``graphs``, ``edges`` and
+  ``adjacency_sha256``, a digest of every parsed adjacency row in order.
 * ``startup``: per command of ``STARTUP``, a fresh interpreter with the
   tree's directory first on ``PYTHONPATH``: ``import nbzagreb.cli``
   (``import_s``), then ``compute``, ``bounds`` and ``spectral`` on
@@ -50,6 +55,7 @@ radius sums to 1e-9 relative).  Any disagreement exits 1; else
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import inspect
 import json
@@ -89,7 +95,7 @@ UNCOMPARED = {"rho_sum_rel_err", "iterations_mean"}
 CALLED = {
     "_bulk": ("iter_mask_ranges", "connected_masks", "sweep_chunk"),
     "enumeration": ("enumerate_connected", "find_equality_graphs", "_scalar_chunk"),
-    "graphs": ("Graph", "degree_profile", "diameter"),
+    "graphs": ("Graph", "degree_profile", "diameter", "parse_edge_list"),
     "spectral": ("spectral_radius",),
 }
 # Functions timed inside a pass by wrapping them: (module, name, seconds key).
@@ -208,13 +214,17 @@ def _dense_specs():
             (STAR_LEAVES + 1, [(0, v) for v in range(1, STAR_LEAVES + 1)])]
 
 
-def _per_graph_target(func, tree):
-    # perfbench/workloads.py imports nbzagreb: the tree stands in for it while
-    # it loads, and no bytecode is written under perfbench/.
+def _workloads(tree):
+    """perfbench/workloads.py, which imports nbzagreb: the tree stands in for
+    it while it loads, and no bytecode is written under perfbench/."""
     with mock.patch.dict(sys.modules, nbzagreb=sys.modules[tree.package]), \
             mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]), \
             mock.patch.object(sys, "dont_write_bytecode", True):
-        workloads = importlib.import_module("workloads")
+        return importlib.import_module("workloads")
+
+
+def _per_graph_target(func, tree):
+    workloads = _workloads(tree)
     rng = random.Random(1)  # the per_graph workload's seed
     sets = {
         "per_graph": [workloads.make_graph(i, rng) for i in range(workloads.PER_GRAPH_BATCH)],
@@ -250,6 +260,39 @@ def _per_graph_target(func, tree):
     return units, summary
 
 
+def _parse(set_name, texts, tree):
+    seconds, graphs = _pass(tree, f"{set_name}_s", (),
+                            lambda: [tree.parse_edge_list(text) for text in texts])
+    return seconds, (set_name, [g.adjacency for g in graphs])
+
+
+def _edge_text(g) -> str:
+    """'u v' lines of g's edges; a header alone for a graph without edges."""
+    return "".join(f"{u} {v}\n" for u, v in g.edges()) or f"n {g.n}\n"
+
+
+def _parse_target(tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        per_graph = _workloads(tree).PerGraph(1, Path(tmp))  # the workload's seed-1 files
+        sets = {"per_graph": [g.path.read_text() for g in per_graph.graphs]}
+    sets["connected_n6"] = [_edge_text(g) for n in range(1, N_MAX + 1)
+                            for g in tree.enumerate_connected(n)]
+    units = [partial(_parse, name, texts[start:start + UNIT])
+             for name, texts in sets.items() for start in range(0, len(texts), UNIT)]
+
+    def summary(values):
+        out = {}
+        for name in sets:
+            got = [adjacency for set_name, chunk in values if set_name == name
+                   for adjacency in chunk]
+            out[name] = {"graphs": len(got),
+                         "edges": sum(len(row) for adjacency in got for row in adjacency) // 2,
+                         "adjacency_sha256": hashlib.sha256(repr(got).encode()).hexdigest()}
+        return out
+
+    return units, summary
+
+
 def _startup(name, tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree.src), env.get("PYTHONPATH")]))
@@ -271,6 +314,7 @@ TARGETS = {
     "diameter": partial(_per_graph_target, "diameter"),
     "spectral_radius": partial(_per_graph_target, "spectral_radius"),
     "degree_profile": partial(_per_graph_target, "degree_profile"),
+    "parse_edge_list": _parse_target,
     "startup": _startup_target,
 }
 
