@@ -24,12 +24,12 @@ full mask.  Only :func:`batched_power_iteration` expands rows to dense
 open, which a clean sweep never has.
 
 The reconstructions are evaluated per vertex, on the neighborhood and
-distance-2 degrees, rather than over a per-graph histogram of every
-possible degree value.  Each vertex's correction term is one lookup in a
-table of coefficients indexed by the row's (min, max) degrees and the
-vertex's degree, built per exponent in every :func:`sweep_chunk` call.
-The same tables hold each line's secant slope, per (min, max) pair, and
-unit step, per min, so a row's line is a lookup too.
+distance-2 degrees, not over a per-graph histogram of every possible
+degree value.  Each vertex's correction term is one lookup in a table
+indexed by the row's (min, max) degrees and the vertex's degree, built
+per exponent in every :func:`sweep_chunk` call, as are each line's secant
+slope, per (min, max) pair, and unit step, per min.  A bound is its
+reconstruction's base plus the table entries it keeps.
 Both engines add a graph's direct sum NM_a vertex by vertex, left to right
 (see :func:`_vertex_fsum`), so they fail the same bound instances even at
 tolerance 1e-300, where every inexact comparison fails.  Only the
@@ -477,9 +477,8 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
     n * lo, one exponent of ``tables`` (alpha, pw and the four tables of
     :func:`_correction_tables`, all ``width`` degrees wide) at a time, on
     the rows their :func:`_gate` passed and counted.  After checking an
-    exponent, yields what the bounds reuse: (alpha, pw with pw[k] =
-    k**alpha, the direct sums, their tolerances, lo**alpha, the secant
-    slope, the unit table, the two reconstruction bases)."""
+    exponent, yields what the bounds reuse: (alpha, the direct sums, their
+    tolerances, the secant and unit tables, the two reconstruction bases)."""
     # Flat gather positions, in intp: numpy gathers far faster with intp
     # indices than with narrow ones.
     x = x.astype(np.intp)
@@ -490,8 +489,7 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
         direct = _vertex_fsum(pw[x])
         tol = tolerance * np.maximum(1.0, np.abs(direct))
         lo_pow = pw[lo]
-        slope = slopes[pair]
-        base_secant = n * lo_pow + excess * slope
+        base_secant = n * lo_pow + excess * slopes[pair]
         base_unit = n * lo_pow + excess * steps[lo]
         for form, base, table, index in (
             ("secant", base_secant, secant, secant_index),
@@ -504,7 +502,7 @@ def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, ta
                 tally, check, masks, n, bad,
                 lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
             )
-        yield alpha, pw, direct, tol, lo_pow, slope, unit, base_secant, base_unit
+        yield alpha, direct, tol, secant, unit, base_secant, base_unit
 
 
 def sweep_chunk(
@@ -607,11 +605,11 @@ def sweep_chunk(
     bi_support_s = bi_support[rows_s]
     interior2 = _count_between(nbr_s, lo + 2, hi - 1)
     occ = np.flatnonzero(occupied[rows_s])
-    r_c = rem[rows_c]
-    lo_r_c = delta[rows_c] + r_c
+    # The one secant-table entry each congruence row keeps, at lo + r.
+    at_c = (_pair_row(lo[occ], hi[occ]), delta[rows_c] + rem[rows_c])
     pattern = ((h_hi == quot) & (at_rem == 1) & (h_lo == n - quot - 1))[rows_c]
     del gap, quot, at_rem, h_lo, h_hi, interior
-    for alpha, pw, direct, tol, lo_pow, slope, unit, base_secant, base_unit in (
+    for alpha, direct, tol, secant, unit, base_secant, base_unit in (
         _check_reconstructions(
             tally, "nm", masks_s, n, nbr_s, lo, hi, excess[rows_s], width, tables, tolerance
         )
@@ -628,7 +626,7 @@ def sweep_chunk(
             tally, "nm_bound_unit", masks_s, n, direct, bound_u, tol,
             not upper, interior2 == 0, alpha,
         )
-        bound_c = base_secant[occ] + pw[lo_r_c] - lo_pow[occ] - r_c * slope[occ]
+        bound_c = base_secant[occ] + secant[at_c]
         _check_bound(
             tally, "nm_bound_congruence", masks[rows_c], n, direct[occ], bound_c, tol[occ],
             upper, pattern, alpha,

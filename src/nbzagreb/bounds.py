@@ -2,7 +2,12 @@
 
 Each bound is a reconstruction of :mod:`nbzagreb.indices` that keeps only
 some histogram entries, so direct - bound is the sum of n_d * coefficient
-over the dropped entries, whose sign is fixed by the exponent regime:
+over the dropped entries, the histogram minus the kept ones.  The
+coefficients' sign is fixed by the exponent regime, and they vanish only
+at the line's ends lo and top, so a bound is attained exactly when every
+dropped entry lies at one of them (:func:`_bound`).  Equality flags are
+thus structural (decided from the histogram), not numeric; sweeps
+cross-check them against the numeric slack.
 
 * secant form, keeping no entry: the coefficients are <= 0 for a < 0 or
   a > 1 and >= 0 for 0 < a < 1, so it is an upper (resp. lower) bound,
@@ -14,9 +19,6 @@ over the dropped entries, whose sign is fixed by the exponent regime:
   M1 - n*lo = q*(hi - lo) + r, that correction sharpens the secant bound
   whenever r >= 1 and the degree lo + r is occupied; equality needs the
   histogram to be exactly {hi: q, lo + r: 1, lo: n - q - 1}.
-
-Equality flags are structural (decided from the histogram), not numeric;
-sweeps cross-check them against the numeric slack.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .errors import (
 )
 from .graphs import DegreeProfile
 from .indices import (
-    HIGH, LOW, Alpha, _correction, _finite, _line, _nbr_extremes, _pow, _reconstruct, as_alpha,
-    nm_direct,
+    MID, Alpha, _correction, _line, _nbr_extremes, _reconstruct, as_alpha, nm_direct,
 )
 
 __all__ = [
@@ -153,6 +154,19 @@ def _report(
     )
 
 
+def _bound(source: str, p: DegreeProfile, alpha: Alpha, kept: dict[int, int], top: int,
+           outer_upper: bool, tolerance: float) -> BoundReport:
+    """NM_a's reconstruction on the line from lo = delta_min to ``top``,
+    keeping only the ``kept`` entries: an upper bound for a < 0 or a > 1
+    exactly when ``outer_upper``, with equality when no dropped entry lies
+    off the line's ends."""
+    lo = p.delta_min
+    bound = _reconstruct(kept, p.n, p.m1, lo, top, alpha)
+    direction = UPPER if outer_upper == (alpha.regime != MID) else LOWER
+    equality = all(d in (lo, top) for d, c in p.nbr_hist.items() if c > kept.get(d, 0))
+    return _report(source, alpha, direction, bound, nm_direct(p, alpha), equality, tolerance)
+
+
 def nm_bound_secant(
     p: DegreeProfile, a: float | Alpha, tolerance: float = DEFAULT_TOLERANCE
 ) -> BoundReport:
@@ -164,11 +178,8 @@ def nm_bound_secant(
     """
     alpha = as_alpha(a)
     _check_tolerance(tolerance)
-    lo, hi = _nbr_extremes(p)
-    bound = _reconstruct({}, p.n, p.m1, lo, hi, alpha)
-    direction = UPPER if alpha.regime in (LOW, HIGH) else LOWER
-    equality = set(p.nbr_hist) == {lo, hi}
-    return _report("secant", alpha, direction, bound, nm_direct(p, alpha), equality, tolerance)
+    _lo, hi = _nbr_extremes(p)
+    return _bound("secant", p, alpha, {}, hi, True, tolerance)
 
 
 def nm_bound_unit(
@@ -183,10 +194,7 @@ def nm_bound_unit(
     alpha = as_alpha(a)
     _check_tolerance(tolerance)
     lo, hi = _nbr_extremes(p)
-    bound = _reconstruct({hi: p.nbr_hist.get(hi, 0)}, p.n, p.m1, lo, lo + 1, alpha)
-    direction = LOWER if alpha.regime in (LOW, HIGH) else UPPER
-    equality = all(p.nbr_hist.get(lo + i, 0) == 0 for i in range(2, hi - lo))
-    return _report("unit", alpha, direction, bound, nm_direct(p, alpha), equality, tolerance)
+    return _bound("unit", p, alpha, {hi: p.nbr_hist.get(hi, 0)}, lo + 1, False, tolerance)
 
 
 def congruence_classify(p: DegreeProfile) -> CongruenceData:
@@ -228,21 +236,12 @@ def nm_bound_congruence(
     alpha = as_alpha(a)
     _check_tolerance(tolerance)
     cd = congruence_classify(p)
-    lo, hi = p.delta_min, p.delta_max
+    lo_r = p.delta_min + cd.r
     if cd.r == 0:
         raise RemainderZero("remainder is 0; the secant bound is already tight here")
-    if p.nbr_hist.get(lo + cd.r, 0) == 0:
-        raise UnoccupiedRemainderDegree(f"no vertex has neighborhood degree {lo + cd.r}")
-    base = _reconstruct({}, p.n, p.m1, lo, hi, alpha)
-    lo_pow, slope = _line(lo, hi, alpha)
-    # The lo + r correction is added term by term, in the bulk kernel's order.
-    bound = _finite(base + _pow(lo + cd.r, alpha) - lo_pow - cd.r * slope)
-    direction = UPPER if alpha.regime in (LOW, HIGH) else LOWER
-    expected_hist = {hi: cd.q, lo + cd.r: 1, lo: p.n - cd.q - 1}
-    equality = p.nbr_hist == {d: c for d, c in expected_hist.items() if c > 0}
-    return _report(
-        "congruence", alpha, direction, bound, nm_direct(p, alpha), equality, tolerance
-    )
+    if p.nbr_hist.get(lo_r, 0) == 0:
+        raise UnoccupiedRemainderDegree(f"no vertex has neighborhood degree {lo_r}")
+    return _bound("congruence", p, alpha, {lo_r: 1}, p.delta_max, True, tolerance)
 
 
 # Every bound form by source name.

@@ -508,21 +508,14 @@ def _edge_lines(text: str) -> tuple[int | None, set[tuple[int, int]]]:
         first_content = False
         if len(tokens) != 2:
             raise MalformedLine(f"line {lineno}: expected 'u v', got {_echo(line)}")
-        left, right = tokens
-        # Short ASCII digit tokens are what int() reads exactly; _decimal
-        # vets and names everything else.
-        if (len(left) <= _MAX_DIGITS >= len(right) and left.isascii() and right.isascii()
-                and left.isdigit() and right.isdigit()):
-            u, v = int(left), int(right)
-        else:
-            try:
-                u, v = _decimal(left), _decimal(right)
-            except OverflowError:
-                raise MalformedLine(
-                    f"line {lineno}: vertex id too long (over {_MAX_DIGITS} digits) in {_echo(line)}"
-                )
-            except ValueError:
-                raise MalformedLine(f"line {lineno}: non-decimal vertex id in {_echo(line)}")
+        try:
+            u, v = _decimal(tokens[0]), _decimal(tokens[1])
+        except OverflowError:
+            raise MalformedLine(
+                f"line {lineno}: vertex id too long (over {_MAX_DIGITS} digits) in {_echo(line)}"
+            )
+        except ValueError:
+            raise MalformedLine(f"line {lineno}: non-decimal vertex id in {_echo(line)}")
         if u == v:
             raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)

@@ -187,6 +187,9 @@ def test_criterion_09_chemical_tree_identity():
         n2, n3 = p.deg_hist.get(2, 0), p.deg_hist.get(3, 0)
         assert first_zagreb(g) == chemical_tree_m1(g.n, n2, n3)
 
+    with pytest.raises(ValueError, match="^tree sweep needs n >= 2$"):
+        tree_identity_sweep(1)
+
     spider9 = Graph.from_edges(
         9, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8)]
     )

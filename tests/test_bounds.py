@@ -11,6 +11,7 @@ from nbzagreb import (
     nm_bound_congruence,
     nm_bound_secant,
     nm_bound_unit,
+    nm_reconstruct_secant,
     path_graph,
     secant_coefficient,
     star_graph,
@@ -178,6 +179,14 @@ class TestCongruenceBound:
         assert rep.direction == "LOWER"
         assert rep.holds and rep.equality
         assert rep.computed == pytest.approx(oracle_nm(figure2, 0.5), rel=1e-12)
+
+    def test_figure2_bound_is_the_reconstruction(self, figure2):
+        # Every entry it drops lies at lo or hi, so the bound is the secant
+        # reconstruction term for term, and here the direct sum to the bit.
+        p = degree_profile(figure2)
+        rep = nm_bound_congruence(p, 0.5)
+        assert rep.bound == nm_reconstruct_secant(p, 0.5)
+        assert rep.slack == 0.0
 
     def test_figure1_remainder_zero(self, figure1):
         with pytest.raises(RemainderZero):

@@ -519,6 +519,15 @@ class TestSerialization:
         assert dumps_stable([True, False]) == "[true, false]"
         assert dumps_stable([]) == dumps_stable(()) == "[]"
 
+    @pytest.mark.parametrize("value, error, message", [
+        (float("nan"), ValueError, "NaN is not serializable"),
+        (object(), TypeError, "cannot serialize object"),
+    ])
+    def test_unserializable_values(self, value, error, message):
+        with pytest.raises(error) as info:
+            dumps_stable(value)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_twelve_significant_digits(self):
         assert dumps_stable(7.333333333333333) == "7.33333333333"
         assert dumps_stable(1e-10) == "1e-10"

@@ -5,6 +5,7 @@ import os
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
 from itertools import islice
 
@@ -380,7 +381,7 @@ class TestNeighborRows:
             got = _bulk._vertex_fsum(values)
             np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
-    @pytest.mark.parametrize("lo,failures", [(0, 18_969), ((1 << 28) - (1 << 15), 67_953)])
+    @pytest.mark.parametrize("lo,failures", [(0, 18_937), ((1 << 28) - (1 << 15), 67_928)])
     def test_n8_failure_count_at_zero_tolerance(self, lo, failures):
         # At tolerance 1e-300 every inexact float comparison fails, so the
         # count moves with any change in float summation order.
@@ -401,7 +402,7 @@ class TestFailureRecords:
         )
         lo = 40 << 15
         tally = _bulk.sweep_chunk(7, lo, lo + (1 << 15), (-1.0, 0.5, 2.0, 3.0), 1e-300)
-        assert tally.failure_count == 64_551
+        assert tally.failure_count == 64_476
         assert len(calls) == len(tally.failures) == _bulk.FAILURE_CAP
 
     def test_scalar_formats_kept_records_only(self, monkeypatch):
@@ -409,7 +410,7 @@ class TestFailureRecords:
         encode = enumeration.encode_graph6
         monkeypatch.setattr(enumeration, "encode_graph6", lambda g: calls.append(g) or encode(g))
         tally = enumeration._scalar_chunk(5, 0, 1 << 10, (-1.0, 0.5, 2.0, 3.0), 1e-300)
-        assert tally.failure_count == 2048
+        assert tally.failure_count == 1988
         assert len(calls) == len(tally.failures) == _bulk.FAILURE_CAP
 
 
@@ -624,7 +625,7 @@ class TestVerifyAll:
             with pytest.raises(ValueError):
                 verify_all(3, [2.0], **kwargs)
 
-    @pytest.mark.parametrize("engine,count", [("bulk", 1981), ("scalar", 2100)])
+    @pytest.mark.parametrize("engine,count", [("bulk", 1921), ("scalar", 2040)])
     def test_failures_capped_once(self, engine, count):
         # A tolerance below one ulp fails every inexact instance; the report
         # keeps the first FAILURE_CAP records of the whole sweep.
@@ -889,25 +890,50 @@ class TestBulkReconstructionKernel:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_line_lookups_equal_the_expressions_they_replace(self, n):
-        # The kernel reads each row's slope, unit step and unit top term
-        # from the correction tables; over every degree pair lo < hi of the
-        # sweep's width they must give the per-row expressions' bits.
+        # The kernel reads each row's slope, unit step, unit top term and
+        # congruence correction from the correction tables; over every
+        # degree pair lo < hi of the sweep's width, and every lo < k < hi,
+        # they must give the per-row expressions' bits.
         width = (n - 1) ** 2 + 1
         hi, lo = np.tril_indices(width, -1)
         lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        triples = itertools.combinations(range(width), 3)
+        k_lo, k, k_hi = np.array(list(triples), dtype=np.int64).reshape(-1, 3).T
         for alpha in (-1.0, 0.5, 2.0, 3.0):
             pw = _bulk._powers(width, alpha)
-            _secant, unit, slopes, steps = _bulk._correction_tables(pw)
+            secant, unit, slopes, steps = _bulk._correction_tables(pw)
             lo_pow = pw[lo]
             slope = (pw[hi] - lo_pow) / (hi - lo)
             step = pw[lo + 1] - lo_pow
             top = pw[hi] - lo_pow - (hi - lo) * step
+            k_slope = (pw[k_hi] - pw[k_lo]) / (k_hi - k_lo)
             for got, want in (
                 (slopes[_bulk._pair_row(lo, hi)], slope),
                 (steps[lo], step),
                 (unit[lo, hi], top),
+                (secant[_bulk._pair_row(k_lo, k_hi), k], pw[k] - pw[k_lo] - (k - k_lo) * k_slope),
             ):
                 assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_congruence_bound_reads_the_secant_table(self, monkeypatch):
+        # The congruence bound keeps the secant entry at lo + r, so a fault
+        # in the secant table reaches it: at n <= 5 every instance is tight
+        # and fails, next to the secant reconstructions.
+        real = _bulk._correction_tables
+
+        def shifted(pw):
+            secant, *rest = real(pw)
+            secant[secant != 0] += 1e-3
+            return secant, *rest
+
+        monkeypatch.setattr(_bulk, "_correction_tables", shifted)
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        report = verify_all(5, (-1, 0.5, 2, 3))
+        failed = Counter(f["check"] for f in report.failures)
+        assert failed.keys() == {
+            "nm_reconstruct_secant", "nm2_reconstruct_secant", "nm_bound_congruence"
+        }
+        assert failed["nm_bound_congruence"] == report.checks_run["nm_bound_congruence"] == 480
 
     def test_reconstruction_checks_compare(self, monkeypatch):
         # Shifting the per-vertex sum by 1.0 must fail every reconstruction
@@ -964,26 +990,10 @@ class TestEngineParity:
                     assert reasons.keys() <= set(rungs[check]), (n, mask, check)
 
     def test_failing_run_under_fault(self, monkeypatch):
-        # Raise 3**alpha by 100 in both engines.  The reconstructions hold
-        # for any power table; the bounds and the sign grid rest on
-        # convexity and fail, and both engines must report the same records.
-        pow_, powersum, powers = indices._pow, indices._powersum, _bulk._powers
-
-        def faulty_pow(base, a):
-            return pow_(base, a) + (100.0 if base == 3 else 0.0)
-
-        def faulty_powersum(values, a, what):
-            return powersum(values, a, what) + 100.0 * values.count(3)
-
-        def faulty_powers(width, alpha):
-            pw = powers(width, alpha)
-            pw[3:4] += 100.0
-            return pw
-
-        monkeypatch.setattr(indices, "_pow", faulty_pow)
-        monkeypatch.setattr(bounds, "_pow", faulty_pow)
-        monkeypatch.setattr(indices, "_powersum", faulty_powersum)
-        monkeypatch.setattr(_bulk, "_powers", faulty_powers)
+        # The reconstructions hold for any power table; the bounds and the
+        # sign grid rest on convexity and fail, and both engines must
+        # report the same records.
+        _raise_power_of_three(monkeypatch)
 
         def records(engine):
             report = verify_all(5, (2.0,), engine=engine)
@@ -1192,7 +1202,8 @@ def _shift_bounds_off_tightness(monkeypatch):
 
 def _shift_corrections(monkeypatch):
     # Every histogram entry off the reconstruction line is miscorrected, so
-    # reconstructions with interior entries and the unit bound fail.
+    # reconstructions with interior entries and the bounds that keep an
+    # entry fail.
     correction = indices._correction
     monkeypatch.setattr(indices, "_correction", lambda *args: correction(*args) + 1e-3)
 
@@ -1208,7 +1219,6 @@ def _raise_power_of_three(monkeypatch):
         return pw
 
     monkeypatch.setattr(indices, "_pow", lambda b, a: pow_(b, a) + (100.0 if b == 3 else 0.0))
-    monkeypatch.setattr(bounds, "_pow", indices._pow)
     monkeypatch.setattr(
         indices, "_powersum", lambda v, a, what: powersum(v, a, what) + 100.0 * v.count(3)
     )
@@ -1294,7 +1304,7 @@ class TestReplay:
                                            "nm_bound_congruence"}),
             (_shift_corrections, {"nm_reconstruct_secant", "nm_reconstruct_unit",
                                   "nm2_reconstruct_secant", "nm2_reconstruct_unit",
-                                  "nm_bound_unit"}),
+                                  "nm_bound_unit", "nm_bound_congruence"}),
             (_raise_power_of_three, {"nm_bound_secant", "nm_bound_unit"}),
         ],
     )

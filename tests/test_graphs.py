@@ -73,7 +73,8 @@ class TestParseEdgeList:
         with pytest.raises(DuplicateEdge):
             parse_edge_list("0 1\n1 0")
 
-    @pytest.mark.parametrize("text", ["0", "0 1 2", "a b", "0 -1", "0 1_0", "+0 1", "n 1_0"])
+    @pytest.mark.parametrize("text", ["0", "0 1 2", "a b", "0 -1", "0 1_0", "+0 1", "n 1_0",
+                                      "n 3\n0 -1", "n 3\n0 1_0", "n 3\n+0 1", "n 3\n0 \u0663"])
     def test_malformed_lines(self, text):
         with pytest.raises(MalformedLine):
             parse_edge_list(text)
@@ -96,6 +97,7 @@ class TestParseEdgeList:
         assert parse_edge_list("n " + "0" * 5000 + "3").n == 3
         assert list(parse_edge_list("n 10\n007 1").edges()) == [(1, 7)]
         assert list(parse_edge_list("0 " + "0" * 25 + "1").edges()) == [(0, 1)]
+        assert list(parse_edge_list("n 2\n0 " + "0" * 25 + "1").edges()) == [(0, 1)]
 
     @pytest.mark.parametrize("text,error,message", [
         ("0 \u0663", MalformedLine, "line 1: non-decimal vertex id in '0 \u0663'"),
@@ -105,6 +107,14 @@ class TestParseEdgeList:
          f"in '0 {'1' * (graphs._MAX_DIGITS + 1)}'"),
         ("0 1\n2 2", SelfLoop, "line 2: self-loop at vertex 2"),
         ("0 1\n1 2 # c\n2 0\n0 2", DuplicateEdge, "line 4: duplicate edge (0, 2)"),
+        ("n 5 6\n0 1\n", MalformedLine, "line 1: header must be 'n <count>'"),
+        # The same lines under a header.
+        ("n 3\n0 1\n2 2", SelfLoop, "line 3: self-loop at vertex 2"),
+        ("n 3\n0 1\n1 0", DuplicateEdge, "line 3: duplicate edge (0, 1)"),
+        ("n 3\n0 \u00b2", MalformedLine, "line 2: non-decimal vertex id in '0 \u00b2'"),
+        ("n 3\n0 " + "1" * (graphs._MAX_DIGITS + 1), MalformedLine,
+         f"line 2: vertex id too long (over {graphs._MAX_DIGITS} digits) "
+         f"in '0 {'1' * (graphs._MAX_DIGITS + 1)}'"),
     ])
     def test_edge_line_errors(self, text, error, message):
         # Digits that are not ASCII pass str.isdigit(), and int() would read
@@ -835,6 +845,17 @@ class TestHelpers:
         ]:
             with pytest.raises(ValueError):
                 Graph(n, m, adjacency)
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Graph(2, 0, ((),)), ValueError, "adjacency length does not match n"),
+        (lambda: encode_graph6(path_graph(63)), InvalidGraph6,
+         "short-form graph6 supports at most 62 vertices"),
+        (lambda: cycle_graph(2), ValueError, "cycles need at least 3 vertices"),
+    ])
+    def test_construction_errors(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize(
         "n, edges, message",

@@ -203,6 +203,13 @@ class TestReconstructions:
         with pytest.raises(NeighborhoodRegular):
             nm_reconstruct_unit(p, 2)
 
+    def test_negative_alpha_needs_positive_extremes(self):
+        # An isolated vertex puts lo at 0, which the line cannot raise to -1.
+        p = degree_profile(Graph.from_edges(3, [(0, 1)]))
+        with pytest.raises(ZeroBaseNegativeExponent) as info:
+            nm_reconstruct_secant(p, -1)
+        assert str(info.value) == "0 raised to a negative exponent"
+
     def test_secant_slope_needs_two_extremes(self):
         assert secant_slope(degree_profile(path_graph(5)), 2) == (16 - 4) / 2
         with pytest.raises(NeighborhoodRegular):

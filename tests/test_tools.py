@@ -144,6 +144,17 @@ def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
             assert all(entry["iterations_mean"] > 0 for entry in got.values())
 
 
+def test_units_below_a_millisecond_keep_their_precision(bench, capsys):
+    # The 30-vertex path's diameter takes microseconds: seconds keep 4
+    # significant digits, and each gap comes from the unrounded totals.
+    code, result, err = _run(bench, capsys, "diameter", [SRC, SRC])
+    assert code == 0, err
+    (pair,) = result["pairs_s"]
+    assert all(seconds["path2000_s"] > 0 for seconds in pair)
+    first, second = pair
+    assert result["gaps"][0] == pytest.approx(second["total_s"] / first["total_s"] - 1, abs=1e-3)
+
+
 # One injected fault per engine: NM_2 + 1 where each engine computes it.
 FAULTS = {
     "enumeration": ("_bulk.py", "return (nbr * nbr).sum(axis=0)", "failures"),

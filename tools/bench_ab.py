@@ -44,9 +44,10 @@ their units, seconds keys and results:
   and ``stdout``.
 
 Prints as JSON ``target``, ``trees``, ``sizes``, ``machine``, each pair's
-seconds (``pairs_s``), each tree's ``median_s`` and ``quartiles_s``, each
-pair's relative gap of the second tree's ``total_s`` (``gaps``),
-``median_gap``, ``second_faster``, each tree's ``results`` and their
+seconds (``pairs_s``), each tree's ``median_s`` and ``quartiles_s``, all
+to 4 significant digits, each pair's relative gap of the second tree's
+``total_s`` (``gaps``, from the unrounded totals), ``median_gap``,
+``second_faster``, each tree's ``results`` and their
 ``disagreements`` (counts, diameter sums, exit codes and stdout exactly,
 radius sums to 1e-9 relative).  Any disagreement exits 1; else
 ``--record FILE`` appends the object to the ``runs`` list of FILE.
@@ -327,6 +328,12 @@ def _disagreements(a, b, where: str = "results") -> list[str]:
     return [] if same else [f"{where}: {a!r} vs {b!r}"]
 
 
+def _sig(seconds: float) -> float:
+    """seconds to 4 significant digits, so units below a millisecond keep
+    their precision."""
+    return float(f"{seconds:.4g}")
+
+
 def measure(target: str, srcs, pairs: int) -> dict:
     """Time ``pairs`` alternating pairs of ``target`` on the trees under ``srcs``."""
     # Each tree is imported from a copy under a name of its own; on exit
@@ -353,7 +360,7 @@ def measure(target: str, srcs, pairs: int) -> dict:
                         seconds_u, values[i][u] = unit(trees[i])
                         best = {k: min(v, best.get(k, v)) for k, v in seconds_u.items()}
                     sums[i].update(best)
-            seconds.append([{k: round(v, 4) for k, v in tree_s.items()} for tree_s in sums])
+            seconds.append(sums)
         results = [summary(tree_values) for tree_values in values]
     per_tree = [{k: [pair[i][k] for pair in seconds] for k in seconds[0][i]} for i in (0, 1)]
     gaps = [second["total_s"] / first["total_s"] - 1 for first, second in seconds]
@@ -365,10 +372,10 @@ def measure(target: str, srcs, pairs: int) -> dict:
                   "repeats": REPEATS},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
-        "pairs_s": seconds,
-        "median_s": [{k: round(float(np.median(v)), 4) for k, v in tree_s.items()}
-                     for tree_s in per_tree],
-        "quartiles_s": [{k: [round(float(q), 4) for q in np.percentile(v, [25, 75])]
+        "pairs_s": [[{k: _sig(v) for k, v in tree_s.items()} for tree_s in pair]
+                    for pair in seconds],
+        "median_s": [{k: _sig(np.median(v)) for k, v in tree_s.items()} for tree_s in per_tree],
+        "quartiles_s": [{k: [_sig(q) for q in np.percentile(v, [25, 75])]
                          for k, v in tree_s.items()} for tree_s in per_tree],
         "gaps": [round(gap, 4) for gap in gaps],
         "median_gap": round(float(np.median(gaps)), 4),
