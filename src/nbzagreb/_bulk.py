@@ -4,8 +4,11 @@ Graphs on n vertices are named by their edge masks, the graph6 bitstream
 read as one integer (slot k, the k-th pair in graph6 column-major order,
 at bit npairs-1-k).  :mod:`nbzagreb.graphs` owns the codec of a single
 mask; this module decodes masks only in batches (:func:`_bits_of`,
-:func:`_adj_of`, and :func:`_decode` for a whole range), and all kernels
-work on contiguous mask ranges in numpy batches.
+:func:`_adj_of`, and :func:`_decode` for a whole range).  The sweep
+kernel's entry point is :func:`sweep_rows`, which checks any batch of
+connected graphs given as masks and rows; :func:`sweep_chunk`, what the
+sweeps map over their workers, decodes a contiguous mask range, keeps its
+connected graphs and hands them to it.
 
 A batch of decoded graphs is an (n, graphs) array of neighbor bitmasks,
 one set-word per vertex as in nauty: bit u of rows[v, g] is set when uv is
@@ -27,7 +30,7 @@ The reconstructions are evaluated per vertex, on the neighborhood and
 distance-2 degrees, not over a per-graph histogram of every possible
 degree value.  Each vertex's correction term is one lookup in a table
 indexed by the row's (min, max) degrees and the vertex's degree, built
-per exponent in every :func:`sweep_chunk` call, as are each line's secant
+per exponent in every :func:`sweep_rows` call, as are each line's secant
 slope, per (min, max) pair, and unit step, per min.  A bound is its
 reconstruction's base plus the table entries it keeps.
 Both engines add a graph's direct sum NM_a vertex by vertex, left to right
@@ -40,7 +43,10 @@ the engines.
 
 The sweep kernel mirrors the scalar operations in :mod:`nbzagreb.indices`,
 :mod:`nbzagreb.bounds` and :mod:`nbzagreb.spectral` check for check, so
-that reports from both engines are directly comparable.  A check's
+that reports from both engines are directly comparable.  After the
+profiles and the M1 identity, :func:`sweep_rows` runs one stage per check
+family, :func:`_nm_checks`, :func:`_nm2_checks` and
+:func:`_spectral_checks`, each owning its gates and temporaries.  A check's
 preconditions are one :func:`_gate`, rungs in the order of its row in
 :mod:`nbzagreb.claims`: a graph is skipped under the first rung it fails
 and run if it passes all, as in the scalar engine's per-graph
@@ -217,12 +223,6 @@ def _connected(rows: np.ndarray) -> np.ndarray:
     return reach == rows.dtype.type((1 << n) - 1)
 
 
-def _dense(rows: np.ndarray) -> np.ndarray:
-    """(graphs, n, n) float64 adjacency matrices of an (n, graphs) row batch."""
-    n = rows.shape[0]
-    return ((rows.T[:, :, None] >> np.arange(n, dtype=rows.dtype)) & 1).astype(np.float64)
-
-
 def _vertex_sum(values: np.ndarray) -> np.ndarray:
     """int64 per-graph sum of an (n, graphs) integer array, accumulated in
     its own dtype (see :func:`_sum_dtype`)."""
@@ -341,11 +341,15 @@ def batched_power_iteration(rows: np.ndarray, ratio: np.ndarray, settled: np.nda
     Returns (rho_sq, solves): solves is an int64 count per graph, 0 on
     settled graphs and 1 on solved ones.  The name and ``result[1]`` stay
     for perfbench's ``bulk.power_iteration*`` metrics; the re-pin of
-    ROADMAP item 9 inlines this function into :func:`sweep_chunk`.
+    ROADMAP item 9 inlines this function into the spectral stage,
+    :func:`_spectral_checks`.
     """
     open_rows = ~settled
+    sub = rows.compress(open_rows, axis=1)
+    # The open graphs' (graphs, n, n) float64 adjacency matrices.
+    dense = ((sub.T[:, :, None] >> np.arange(len(sub), dtype=sub.dtype)) & 1).astype(np.float64)
     rho_sq = ratio.copy()
-    rho_sq[open_rows] = np.linalg.eigvalsh(_dense(rows.compress(open_rows, axis=1)))[:, -1] ** 2
+    rho_sq[open_rows] = np.linalg.eigvalsh(dense)[:, -1] ** 2
     return rho_sq, open_rows.astype(np.int64)
 
 
@@ -363,8 +367,7 @@ def _row_hist(values: np.ndarray, width: int) -> np.ndarray:
 def _powers(width: int, alpha: float) -> np.ndarray:
     # Slot 0 stays 0; no row that reaches a reconstruction has a zero degree.
     pw = np.zeros(width)
-    if width > 1:
-        pw[1:] = np.arange(1, width, dtype=np.float64) ** alpha
+    pw[1:] = np.arange(1, width, dtype=np.float64) ** alpha
     return pw
 
 
@@ -471,17 +474,18 @@ def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, al
     )
 
 
-def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, excess, width, tables, tolerance):
+def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, total, width, tables, tolerance):
     """Secant and unit reconstructions of sum_v x_v**alpha on the graphs
-    of (n, graphs) degrees x that span lo < hi, with excess = sum_v x_v -
-    n * lo, one exponent of ``tables`` (alpha, pw and the four tables of
-    :func:`_correction_tables`, all ``width`` degrees wide) at a time, on
-    the rows their :func:`_gate` passed and counted.  After checking an
+    of (n, graphs) degrees x that span lo < hi, with total = sum_v x_v (M1
+    or the distance-2 total), one exponent of ``tables`` (alpha, pw and the
+    four tables of :func:`_correction_tables`, all ``width`` degrees wide)
+    at a time, on the rows their :func:`_gate` passed and counted.  After checking an
     exponent, yields what the bounds reuse: (alpha, the direct sums, their
     tolerances, the secant and unit tables, the two reconstruction bases)."""
     # Flat gather positions, in intp: numpy gathers far faster with intp
     # indices than with narrow ones.
     x = x.astype(np.intp)
+    excess = total - n * lo
     pair = _pair_row(lo, hi)
     secant_index = pair * width + x
     unit_index = lo * width + x
@@ -513,32 +517,31 @@ def sweep_chunk(
     tolerance: float,
 ) -> Tally:
     """Run every applicable check on all connected masks in a range."""
-    tally = Tally()
     masks, rows = _decode(n, mask_lo, mask_hi)
     keep = _connected(rows)
     # compress keeps (n, graphs) arrays C-contiguous; rows[:, keep] would
     # hand back a column-major copy and slow every later step.
-    masks, rows = masks[keep], rows.compress(keep, axis=1)
-    b = masks.size
-    tally.graphs = b
-    nalpha = len(alphas)
+    return sweep_rows(n, masks[keep], rows.compress(keep, axis=1), alphas, tolerance)
 
+
+def sweep_rows(n: int, masks: np.ndarray, rows: np.ndarray, alphas: tuple[float, ...],
+               tolerance: float) -> Tally:
+    """Run every applicable check on a batch of connected graphs on n
+    vertices, in any order: ``masks`` their edge masks and ``rows`` their
+    C-contiguous (n, graphs) neighbor rows.  Each check reports its failing
+    graphs in batch order."""
+    tally = Tally(graphs=masks.size)
     deg = _degrees(rows)
-    m = _vertex_sum(deg) // 2
     m1 = _vertex_sum(deg * deg)
     nbr = _over_bits(np.add, rows, deg)
     delta = nbr.min(axis=0).astype(np.int64)
-    big_delta = nbr.max(axis=0).astype(np.int64)
 
     # closed: N[v] = N(v) + v; two_step: the vertices two steps from v.
     full = (1 << n) - 1
     closed = rows | (rows.dtype.type(1) << np.arange(n, dtype=rows.dtype))[:, None]
     two_step = _over_bits(np.bitwise_or, rows, rows)
     d2 = _over_bits(np.add, two_step & ~closed, deg)
-    d2_min = d2.min(axis=0).astype(np.int64)
-    d2_max = d2.max(axis=0).astype(np.int64)
-    complete = (closed == full).all(axis=0)
-    diam2 = ((closed | two_step) == full).all(axis=0) & ~complete
+    diam2 = ((closed | two_step) == full).all(axis=0) & (closed != full).any(axis=0)
 
     # Every neighborhood and distance-2 degree is at most (n - 1)**2.
     width = (n - 1) ** 2 + 1
@@ -548,23 +551,44 @@ def sweep_chunk(
         tables.append((alpha, pw, *_correction_tables(pw)))
 
     # --- M1 identity: sum of neighborhood degrees equals sum of deg^2.
-    tally.checks["m1_identity"] += b
+    tally.checks["m1_identity"] += masks.size
     nbr_total = _vertex_sum(nbr)
     _report_rows(
         tally, "m1_identity", masks, n, nbr_total != m1,
         lambda r: SUM_EXPECTED.format("nbr_deg", int(m1[r])),
         lambda r: int(nbr_total[r]),
     )
+    # The NM stage's last direct sums and tolerances live until the sweep
+    # ends.  Freed at the stage's return, they let glibc trim the top of the
+    # heap, and the later stages fault those pages back in: 12-13% more
+    # kernel time on the n = 7 mask ranges (tools/bench_ab.py).
+    held = _nm_checks(tally, masks, n, nbr, m1, delta, width, tables, tolerance)
+    _nm2_checks(tally, masks, n, deg, m1, d2, diam2, width, tables, tolerance)
+    _spectral_checks(tally, masks, n, rows, deg, nbr, m1, delta, len(alphas))
+    return tally
 
-    # --- Neighborhood-degree checks; below n = 3 every graph is
-    # neighborhood-regular, so they run on no rows.  Regular rows divide by
-    # 1 and fail an earlier rung of every gate that reads the quotient; the
-    # quotient rung fails on no graph, as excess >= hi - lo (the vertex at hi).
+
+def _nm_checks(tally, masks, n, nbr, m1, delta, width, tables, tolerance):
+    """The neighborhood-degree checks: the congruence classification, then
+    per exponent the NM reconstructions and the three bounds.
+
+    Below n = 3 every graph is neighborhood-regular, so they run on no
+    rows.  Regular rows divide by 1 and fail an earlier rung of every gate
+    that reads the quotient; the quotient rung fails on no graph, as excess
+    >= hi - lo (the vertex at hi).  As in :func:`nbzagreb.bounds._bound`, a
+    bound is attained exactly when every vertex it drops lies at its line's
+    ends, so the count of vertices strictly between lo and hi (``inside``)
+    decides the secant form's equality (none) and the congruence form's
+    (only the kept vertex at lo + r).  Returns the last exponent's direct
+    sums and tolerances, None without exponents, for :func:`sweep_rows` to
+    hold."""
+    nalpha = len(tables)
+    big_delta = nbr.max(axis=0).astype(np.int64)
     gap = big_delta - delta
     excess = m1 - n * delta
     quot, rem = np.divmod(excess, np.maximum(gap, 1))
     at_rem = _count_between(nbr, delta + rem, delta + rem)
-    n3 = np.full(b, n >= 3)
+    n3 = np.full(masks.size, n >= 3)
     sel = _gate(
         tally,
         ("nm_reconstruct_secant", "nm_reconstruct_unit", "nm_bound_secant", "nm_bound_unit"),
@@ -579,14 +603,13 @@ def sweep_chunk(
 
     # Classification consistency (alpha-independent).
     h_hi = _count_between(nbr, big_delta, big_delta)
-    h_lo = _count_between(nbr, delta, delta)
+    inside = _count_between(nbr, delta + 1, big_delta - 1)
 
     def nbr_hist(r):
         hist = _row_hist(nbr[:, r : r + 1], width)[0]
         return {d: c for d, c in enumerate(hist.tolist()) if c}
 
-    bi_support = h_lo + h_hi == n
-    bad = classified & (rem == 0) & (h_hi == quot) & ~bi_support
+    bad = classified & (rem == 0) & (h_hi == quot) & (inside != 0)
     _report_rows(tally, "congruence_classify", masks, n, bad, BI_DEGREE_SUPPORT, nbr_hist)
     interior = _count_between(nbr, delta + rem + 1, big_delta - 1)
     bad = classified & (rem >= 1) & (h_hi == quot) & ((interior != 0) | (at_rem > 1))
@@ -596,45 +619,54 @@ def sweep_chunk(
     # rows (at positions occ among them).  Row indices gather far faster than
     # sparse bool masks, and the loop runs faster with the full-row counts freed.
     rows_s = np.flatnonzero(sel)
-    rows_c = np.flatnonzero(occupied)
     masks_s = masks[rows_s]
     nbr_s = nbr.compress(sel, axis=1)
     lo = delta[rows_s]
     hi = big_delta[rows_s]
     h_hi_s = h_hi[rows_s]
-    bi_support_s = bi_support[rows_s]
+    inside_s = inside[rows_s]
     interior2 = _count_between(nbr_s, lo + 2, hi - 1)
     occ = np.flatnonzero(occupied[rows_s])
-    # The one secant-table entry each congruence row keeps, at lo + r.
-    at_c = (_pair_row(lo[occ], hi[occ]), delta[rows_c] + rem[rows_c])
-    pattern = ((h_hi == quot) & (at_rem == 1) & (h_lo == n - quot - 1))[rows_c]
-    del gap, quot, at_rem, h_lo, h_hi, interior
+    # The one secant-table entry each congruence row keeps, at lo + r; its
+    # gate puts a vertex there, inside.
+    at_c = (_pair_row(lo[occ], hi[occ]), lo[occ] + rem[rows_s[occ]])
+    del gap, quot, at_rem, h_hi, inside, interior
+    direct = tol = None
     for alpha, direct, tol, secant, unit, base_secant, base_unit in (
         _check_reconstructions(
-            tally, "nm", masks_s, n, nbr_s, lo, hi, excess[rows_s], width, tables, tolerance
+            tally, "nm", masks_s, n, nbr_s, lo, hi, m1[rows_s], width, tables, tolerance
         )
     ):
         upper = alpha < 0.0 or alpha > 1.0
-        # Secant form: equality exactly on bi-supported rows.
+        # Secant form, keeping no entry: equality when no vertex is inside.
         _check_bound(
             tally, "nm_bound_secant", masks_s, n, direct, base_secant, tol,
-            upper, bi_support_s, alpha,
+            upper, inside_s == 0, alpha,
         )
-        # Unit form with the top histogram term; the direction flips.
+        # Unit form, keeping the top entry: its line ends at lo + 1, and the
+        # direction flips.
         bound_u = base_unit + h_hi_s * unit[lo, hi]
         _check_bound(
             tally, "nm_bound_unit", masks_s, n, direct, bound_u, tol,
             not upper, interior2 == 0, alpha,
         )
+        # Congruence form, keeping the vertex at lo + r: equality when it is
+        # the only one inside.
         bound_c = base_secant[occ] + secant[at_c]
         _check_bound(
-            tally, "nm_bound_congruence", masks[rows_c], n, direct[occ], bound_c, tol[occ],
-            upper, pattern, alpha,
+            tally, "nm_bound_congruence", masks_s[occ], n, direct[occ], bound_c, tol[occ],
+            upper, inside_s[occ] == 1, alpha,
         )
+    return direct, tol
 
-    # --- Distance-2 identities (diameter exactly 2).
+
+def _nm2_checks(tally, masks, n, deg, m1, d2, diam2, width, tables, tolerance):
+    """The distance-2 identity and NM2 reconstructions, on the graphs of
+    diameter exactly 2."""
+    nalpha = len(tables)
     _gate(tally, ("dist2_identity",), nalpha, not_diameter_two=diam2)
-    total2 = 2 * m * (n - 1) - m1
+    # 2m (n - 1) - M1, with 2m the degree sum.
+    total2 = _vertex_sum(deg) * (n - 1) - m1
     d2_total = _vertex_sum(d2)
     _report_rows(
         tally, "dist2_identity", masks, n, diam2 & (d2_total != total2),
@@ -642,22 +674,25 @@ def sweep_chunk(
         lambda r: int(d2_total[r]),
     )
 
+    d2_min = d2.min(axis=0).astype(np.int64)
+    d2_max = d2.max(axis=0).astype(np.int64)
     elig2 = _gate(
         tally, ("nm2_reconstruct_secant", "nm2_reconstruct_unit"), nalpha,
         not_diameter_two=diam2, zero_min_dist2_degree=d2_min >= 1,
         dist2_regular=d2_min != d2_max,
     )
     rows2 = np.flatnonzero(elig2)
-    lo2 = d2_min[rows2]
-    excess2 = total2[rows2] - n * lo2
     for _ in _check_reconstructions(
-        tally, "nm2", masks[rows2], n, d2.compress(elig2, axis=1), lo2, d2_max[rows2],
-        excess2, width, tables, tolerance,
+        tally, "nm2", masks[rows2], n, d2.compress(elig2, axis=1), d2_min[rows2],
+        d2_max[rows2], total2[rows2], width, tables, tolerance,
     ):
         pass
 
-    # --- Spectral chain and regular-graph equalities.  The links between
-    # the two bounds are integer comparisons over the common denominator M1.
+
+def _spectral_checks(tally, masks, n, rows, deg, nbr, m1, delta, nalpha):
+    """The spectral chain and the regular-graph equalities.  The links
+    between the two bounds are integer comparisons over the common
+    denominator M1."""
     has_edges = m1 > 0
     _gate(tally, ("spectral_chain",), nalpha, no_edges=has_edges)
     # A connected k-regular graph has A 1 = k 1, so rho = k: only the two
@@ -667,11 +702,10 @@ def sweep_chunk(
         no_edges=has_edges, not_regular=deg.min(axis=0) == deg.max(axis=0),
     )
     if n == 1:
-        return tally
+        return
     nm2 = _nm2(nbr)
     ratio_bound = nm2 / m1
     min_nbr_num = m1 * (2 * delta + 1) - n * delta * delta - n * delta
-    min_nbr_bound = min_nbr_num / m1
     exact, strict = ratio_certificates(rows, deg, nbr, m1, nm2)
     # Exact rows report rho**2 == NM_2 / M1 if the second link fails; a
     # strict row that fails it needs the eigensolve's rho**2.  The verdict
@@ -682,7 +716,7 @@ def sweep_chunk(
     bad = (rho_sq < ratio_bound) | (nm2 < min_nbr_num)
     _report_rows(
         tally, "spectral_chain", masks, n, bad,
-        lambda r: CHAIN_EXPECTED.format(float(ratio_bound[r]), float(min_nbr_bound[r])),
+        lambda r: CHAIN_EXPECTED.format(float(ratio_bound[r]), float(min_nbr_num[r] / m1[r])),
         lambda r: float(rho_sq[r]),
     )
 
@@ -691,9 +725,8 @@ def sweep_chunk(
     _report_rows(
         tally, "spectral_regular", masks, n, bad,
         lambda r: REGULAR_EXPECTED.format(int(k2[r])),
-        lambda r: REGULAR_GOT.format(float(ratio_bound[r]), float(min_nbr_bound[r])),
+        lambda r: REGULAR_GOT.format(float(ratio_bound[r]), float(min_nbr_num[r] / m1[r])),
     )
-    return tally
 
 
 # ---------------------------------------------------------------------------

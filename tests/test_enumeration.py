@@ -389,6 +389,50 @@ class TestNeighborRows:
         assert tally.failure_count == failures
         assert len(tally.failures) == _bulk.FAILURE_CAP
 
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-300])
+    def test_sweep_rows_checks_any_batch_of_rows(self, monkeypatch, tolerance):
+        # The connected rows of two n = 7 ranges apart, concatenated in
+        # range order and with their columns reversed, give the two ranges'
+        # sweep_chunk tallies merged.  A merge keeps records range by range
+        # and sweep_rows check by check over the batch, so in range order
+        # each (check, alpha) keeps the same records in the same order.
+        monkeypatch.setattr(_bulk, "FAILURE_CAP", 10**6)
+        alphas = (-1.0, 0.5, 2.0, 3.0)
+        merged, masks, rows = _bulk.Tally(), [], []
+        for lo in (1 << 20, (1 << 21) - 4096):
+            merged.merge(_bulk.sweep_chunk(7, lo, lo + 4096, alphas, tolerance))
+            range_masks, range_rows = _bulk._decode(7, lo, lo + 4096)
+            keep = _bulk._connected(range_rows)
+            masks.append(range_masks[keep])
+            rows.append(range_rows.compress(keep, axis=1))
+        masks, rows = np.concatenate(masks), np.concatenate(rows, axis=1)
+        in_order = _bulk.sweep_rows(7, masks, rows, alphas, tolerance)
+        backwards = _bulk.sweep_rows(
+            7, masks[::-1].copy(), np.ascontiguousarray(rows[:, ::-1]), alphas, tolerance
+        )
+        assert (merged.failure_count > 0) == (tolerance == 1e-300)
+        for tally in (in_order, backwards):
+            assert tally.graphs == merged.graphs == masks.size > 5000
+            assert tally.checks == merged.checks
+            assert tally.skips == merged.skips
+            assert tally.failure_count == merged.failure_count == len(tally.failures)
+            assert sorted(map(repr, tally.failures)) == sorted(map(repr, merged.failures))
+
+        def by_check(records):
+            return sorted(records, key=lambda f: (f["check"], repr(f["alpha"])))
+
+        assert by_check(in_order.failures) == by_check(merged.failures)
+
+    def test_kernel_runs_without_exponents(self):
+        # With no exponent the per-exponent checks count nothing, and the
+        # others count as in the scalar engine.
+        bulk = _bulk.sweep_chunk(5, 0, 1 << 10, (), 1e-9)
+        scalar = enumeration._scalar_chunk(5, 0, 1 << 10, (), 1e-9)
+        assert bulk.graphs == scalar.graphs == 728
+        assert bulk.checks == scalar.checks and bulk.checks["spectral_chain"] == 728
+        assert bulk.skips == scalar.skips
+        assert bulk.failure_count == scalar.failure_count == 0
+
 
 class TestFailureRecords:
     """A tally keeps the first FAILURE_CAP records and counts the rest, so

@@ -83,7 +83,7 @@ def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
         assert got["checks"] > 0 and got["failures"] == 0
         want = sum(len(find_equality_graphs(4, 2.0, source)) for source in bench.SOURCES)
         assert got["extremal_records"] == want > 0
-        stages = ("kernel_decode_s", "kernel_connected_s", "kernel_reconstruct_s")
+        stages = [key for _module, _name, key in bench.KERNEL_STAGES]
         assert 0 < sum(s[key] for key in stages) <= s["kernel_s"]
         assert 0 < s["orbit_keys_s"] <= s["extremal_s"]
         # total_s adds each unit's fastest total, not the sum of its fastest parts.
@@ -229,6 +229,25 @@ def test_wrapped_stages_are_timed_and_restored(bench):
         after = vars(module)
         assert after.keys() == names.keys()
         assert all(after[name] is obj for name, obj in names.items())
+
+
+def test_a_stage_one_tree_lacks_reads_zero_there(bench, capsys, tmp_path):
+    # A parent tree need not define every stage the harness wraps: the
+    # pair still runs, and only that tree reads 0 s for the stage.
+    lacking = tmp_path / "src"
+    shutil.copytree(SRC / "nbzagreb", lacking / "nbzagreb",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = lacking / "nbzagreb" / "_bulk.py"
+    assert path.read_text().count("_nm2_checks(") == 2  # its definition and its call
+    path.write_text(path.read_text().replace("_nm2_checks(", "_distance_two_checks("))
+    code, result, err = _run(bench, capsys, "enumeration", [SRC, lacking])
+    assert code == 0, err
+    assert result["disagreements"] == []
+    (pair,) = result["pairs_s"]
+    for _module, _name, key in bench.KERNEL_STAGES:
+        assert pair[0][key] > 0
+        assert (pair[1][key] == 0) == (key == "kernel_nm2_s"), key
+    assert sum(pair[1][key] for *_, key in bench.KERNEL_STAGES) <= pair[1]["kernel_s"]
 
 
 def test_every_called_and_wrapped_attribute_exists(bench):

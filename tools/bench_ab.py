@@ -11,9 +11,13 @@ their units, seconds keys and results:
 
 * ``enumeration``: per mask range of n = 7, ``_bulk.connected_masks``
   (``connected_masks_s``) and ``_bulk.sweep_chunk`` at ``ALPHAS`` and
-  ``TOLERANCE`` (``kernel_s``), with its time inside ``_decode``,
-  ``_connected`` and, while it runs, ``_check_reconstructions``
-  (``kernel_decode_s``, ``kernel_connected_s``, ``kernel_reconstruct_s``);
+  ``TOLERANCE`` (``kernel_s``), with its time inside each of
+  ``KERNEL_STAGES``, which do not nest: ``_decode``, ``_connected``,
+  ``_correction_tables`` and the check families ``_nm_checks``,
+  ``_nm2_checks`` and ``_spectral_checks`` (``kernel_decode_s``,
+  ``kernel_connected_s``, ``kernel_tables_s``, ``kernel_nm_s``,
+  ``kernel_nm2_s``, ``kernel_spectral_s``; 0 in a tree that lacks the
+  function);
   per bound source, ``find_equality_graphs(7, 2.0, source)``
   (``extremal_s``), with its time inside ``_orbit_keys`` (``orbit_keys_s``).
   ``connected``, ``graphs``, ``checks``, ``failures``, ``extremal_records``.
@@ -99,10 +103,14 @@ CALLED = {
     "graphs": ("Graph", "degree_profile", "diameter", "parse_edge_list"),
     "spectral": ("spectral_radius",),
 }
-# Functions timed inside a pass by wrapping them: (module, name, seconds key).
+# Functions timed inside a pass by wrapping them, where the tree defines
+# them: (module, name, seconds key).
 KERNEL_STAGES = (("_bulk", "_decode", "kernel_decode_s"),
                  ("_bulk", "_connected", "kernel_connected_s"),
-                 ("_bulk", "_check_reconstructions", "kernel_reconstruct_s"))
+                 ("_bulk", "_correction_tables", "kernel_tables_s"),
+                 ("_bulk", "_nm_checks", "kernel_nm_s"),
+                 ("_bulk", "_nm2_checks", "kernel_nm2_s"),
+                 ("_bulk", "_spectral_checks", "kernel_spectral_s"))
 EXTREMAL_STAGES = (("enumeration", "_orbit_keys", "orbit_keys_s"),)
 # The startup target's commands: interpreter arguments by name.
 FIGURE1 = ("--input", str(ROOT / "fixtures" / "figure1.edges"))
@@ -132,12 +140,13 @@ def _timed(func, key, seconds):
 
 
 def _pass(tree, key, stages, call):
-    """Seconds of ``call()`` as ``key`` and ``total_s``, of each wrapped stage, and its result."""
+    """Seconds of ``call()`` as ``key`` and ``total_s``, of each wrapped stage, and its result.
+    A stage the tree does not define stays at 0."""
     seconds = Counter({stage: 0.0 for _mod, _name, stage in stages})
-    originals = [(tree.modules[mod], name, getattr(tree.modules[mod], name))
-                 for mod, name, _key in stages]
+    originals = [(tree.modules[mod], name, getattr(tree.modules[mod], name), stage)
+                 for mod, name, stage in stages if hasattr(tree.modules[mod], name)]
     try:
-        for (module, name, func), (_mod, _name, stage) in zip(originals, stages):
+        for module, name, func, stage in originals:
             setattr(module, name, _timed(func, stage, seconds))
         t0 = time.perf_counter()
         result = call()
@@ -145,7 +154,7 @@ def _pass(tree, key, stages, call):
         seconds.update({key: elapsed, "total_s": elapsed})
         return seconds, result
     finally:
-        for module, name, func in originals:
+        for module, name, func, _stage in originals:
             setattr(module, name, func)
 
 
