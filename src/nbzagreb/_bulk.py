@@ -20,19 +20,23 @@ graph length, and every reduction over the vertices is n - 1 such steps.
 Degrees are popcounts, and the neighborhood degrees, distance-2 degrees
 and A(Ad) are sums of per-vertex values over each row's bits, held in the
 narrow signed dtype of :func:`_sum_dtype` (int16 at every sweep n); the
-per-graph totals, products and certificates are int64.  Connectivity, the
-two-step rows and the diameter-2 test are ORs and comparisons against the
-full mask.  Only :func:`batched_power_iteration` expands rows to dense
-(graphs, n, n) matrices, and only the rows the integer certificates leave
-open, which a clean sweep never has.
+per-graph totals, products and certificates are int64.  Float and index
+work runs one vertex row at a time, so no (n, graphs) array of 8-byte
+values is built.  Connectivity, the two-step rows and the diameter-2 test
+are ORs and comparisons against the full mask.  Only
+:func:`batched_power_iteration` expands rows to dense (graphs, n, n)
+matrices, and only the rows the integer certificates leave open, which a
+clean sweep never has.
 
-The reconstructions are evaluated per vertex, on the neighborhood and
-distance-2 degrees, not over a per-graph histogram of every possible
-degree value.  Each vertex's correction term is one lookup in a table
-indexed by the row's (min, max) degrees and the vertex's degree, built
-per exponent in every :func:`sweep_rows` call, as are each line's secant
-slope, per (min, max) pair, and unit step, per min.  A bound is its
-reconstruction's base plus the table entries it keeps.
+The reconstructions are evaluated one vertex row at a time, on the
+neighborhood and distance-2 degrees, not over a per-graph histogram of
+every possible degree value.  Each vertex's correction term is one gather
+from a table indexed by the row's (min, max) degrees and the vertex's
+degree, built per exponent in every :func:`sweep_rows` call, as are each
+line's secant slope, per (min, max) pair, and unit step, per min; the
+terms of each vertex row are folded into one sum per graph
+(:func:`_gather_fsum`).  A bound is its reconstruction's base plus the
+table entries it keeps.
 Both engines add a graph's direct sum NM_a vertex by vertex, left to right
 (see :func:`_vertex_fsum`), so they fail the same bound instances even at
 tolerance 1e-300, where every inexact comparison fails.  Only the
@@ -201,14 +205,15 @@ def _over_bits(ufunc, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int8)
-
-
 def _degrees(rows: np.ndarray) -> np.ndarray:
     """Popcount of each neighbor row, in the dtype of :func:`_sum_dtype`."""
-    # numpy gathers far faster with intp indices than with uint8 ones.
-    counts = _POPCOUNT[rows.view(np.uint8).astype(np.intp)].reshape(*rows.shape, rows.itemsize)
-    return counts.sum(axis=-1, dtype=_sum_dtype(rows.shape[0]))
+    # Bit-parallel popcount of each byte, in uint8 throughout: pairs, then
+    # nibbles, then the byte's two nibbles.
+    count = rows.view(np.uint8)
+    count = count - ((count >> 1) & 0x55)
+    count = (count & 0x33) + ((count >> 2) & 0x33)
+    count = (count + (count >> 4)) & 0x0F
+    return count.reshape(*rows.shape, rows.itemsize).sum(axis=-1, dtype=_sum_dtype(rows.shape[0]))
 
 
 def _connected(rows: np.ndarray) -> np.ndarray:
@@ -229,13 +234,31 @@ def _vertex_sum(values: np.ndarray) -> np.ndarray:
     return values.sum(axis=0, dtype=values.dtype).astype(np.int64)
 
 
-def _vertex_fsum(terms: np.ndarray) -> np.ndarray:
-    """Per graph, the sum of (n, graphs) float terms added vertex by vertex,
-    left to right, as the scalar engine adds them."""
-    total = terms[0].copy()
-    for row in terms[1:]:
+def _vertex_fsum(terms) -> np.ndarray:
+    """Per graph, the sum of float terms added vertex by vertex, left to
+    right, as the scalar engine adds them.  ``terms`` yields one
+    graph-length row per vertex, as an (n, graphs) array does."""
+    terms = iter(terms)
+    total = next(terms).copy()
+    for row in terms:
         total += row
     return total
+
+
+def _gather_fsum(values: np.ndarray, start, x: np.ndarray) -> np.ndarray:
+    """Per graph, the :func:`_vertex_fsum` of values[start + x_v] over the
+    rows x_v of (n, graphs) integers x, with ``start`` a scalar or one
+    offset per graph.  Each row's flat index and terms go to one
+    graph-length intp and float buffer, reused row after row, so no (n,
+    graphs) array is built and the loop allocates nothing.  numpy gathers
+    far faster with intp indices than with narrow ones; the indices lie in
+    range by construction, and mode="clip" spares the bounds check that
+    would copy the output."""
+    index = np.empty(x.shape[1], dtype=np.intp)
+    term = np.empty(x.shape[1])
+    return _vertex_fsum(
+        values.take(np.add(start, row, out=index), out=term, mode="clip") for row in x
+    )
 
 
 def iter_mask_ranges(n: int, bits: int = CHUNK_BITS):
@@ -294,9 +317,10 @@ def connected_masks(n: int, mask_lo: int, mask_hi: int) -> np.ndarray:
 
 
 def _nm2(nbr: np.ndarray) -> np.ndarray:
-    """NM_2, the sum of squared neighborhood degrees, per graph, in int64."""
-    nbr = nbr.astype(np.int64)
-    return (nbr * nbr).sum(axis=0)
+    """NM_2, the sum of squared neighborhood degrees, per graph, in int64.
+    Each square fits the dtype of :func:`_sum_dtype`; only their sum needs
+    int64."""
+    return (nbr * nbr).sum(axis=0, dtype=np.int64)
 
 
 def ratio_certificates(rows, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray]:
@@ -318,12 +342,15 @@ def ratio_certificates(rows, deg, nbr, m1, nm2) -> tuple[np.ndarray, np.ndarray]
     >= W_4**2), so on a correct program every graph is exact or strict and
     never both.  Every x3_v is at most (n - 1)**3 and M1 at most
     n (n - 1)**2, so |x3|**2 * M1 <= n**2 (n - 1)**8, 3.7e8 at n = 8; the
-    products are int64.
+    products are int64, formed one vertex row at a time.
     """
-    x3 = _over_bits(np.add, rows, nbr).astype(np.int64)
-    exact = (x3 * m1 == nm2 * deg).all(axis=0)
-    strict = (x3 * x3).sum(axis=0) * m1 > nm2 * nm2
-    return exact, strict
+    exact = np.ones(m1.shape, dtype=bool)
+    norm = np.zeros(m1.shape, dtype=np.int64)
+    for x3, d in zip(_over_bits(np.add, rows, nbr), deg):
+        x3 = x3.astype(np.int64)
+        exact &= x3 * m1 == nm2 * d
+        norm += x3 * x3
+    return exact, norm * m1 > nm2 * nm2
 
 
 def batched_power_iteration(rows: np.ndarray, ratio: np.ndarray, settled: np.ndarray):
@@ -408,20 +435,23 @@ def _correction_tables(pw: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _count_between(x: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Per graph of (n, graphs) x, how many vertices have first <= x_v <=
-    last, with per-graph bounds."""
+    last, with per-graph bounds, in int8 (n <= 64 fits)."""
     # The bounds lie within one of the graph's degree range, so they fit
-    # x's dtype, and the comparisons stay narrow.
-    inside = (x >= first.astype(x.dtype)) & (x <= last.astype(x.dtype))
-    return inside.view(np.int8).sum(axis=0, dtype=np.int8).astype(np.int64)
+    # x's dtype, and the comparisons stay narrow, one vertex row at a time.
+    first, last = first.astype(x.dtype), last.astype(x.dtype)
+    count = np.zeros(x.shape[1], dtype=np.int8)
+    for row in x:
+        count += (row >= first) & (row <= last)
+    return count
 
 
-def _line_excess_sum(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _line_excess_sum(table: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per graph, the sum over its vertices of the correction-table entries
-    at an (n, graphs) array of flat positions, row * width + x_v with row
-    the graph's row of the table (see :func:`_correction_tables`): the sum
-    over the vertices inside the form of x_v**alpha - lo**alpha - (x_v -
-    lo) * rate."""
-    return _vertex_fsum(table.ravel()[index])
+    table[row, x_v], with ``row`` the graph's row of the table (see
+    :func:`_correction_tables`) and x its (n, graphs) degrees: the sum over
+    the vertices inside the form of x_v**alpha - lo**alpha - (x_v - lo) *
+    rate."""
+    return _gather_fsum(table.ravel(), row * table.shape[1], x)
 
 
 def _report_rows(tally, check, masks, n, rows, expected, got, alpha=None):
@@ -474,39 +504,37 @@ def _check_bound(tally, check, masks, n, direct, bound, tol, upper, equality, al
     )
 
 
-def _check_reconstructions(tally, prefix, masks, n, x, lo, hi, total, width, tables, tolerance):
+def _check_reconstructions(tally, prefix, masks, n, x, lo, pair, excess, table, tolerance):
     """Secant and unit reconstructions of sum_v x_v**alpha on the graphs
-    of (n, graphs) degrees x that span lo < hi, with total = sum_v x_v (M1
-    or the distance-2 total), one exponent of ``tables`` (alpha, pw and the
-    four tables of :func:`_correction_tables`, all ``width`` degrees wide)
-    at a time, on the rows their :func:`_gate` passed and counted.  After checking an
-    exponent, yields what the bounds reuse: (alpha, the direct sums, their
-    tolerances, the secant and unit tables, the two reconstruction bases)."""
-    # Flat gather positions, in intp: numpy gathers far faster with intp
-    # indices than with narrow ones.
-    x = x.astype(np.intp)
-    excess = total - n * lo
-    pair = _pair_row(lo, hi)
-    secant_index = pair * width + x
-    unit_index = lo * width + x
-    for alpha, pw, secant, unit, slopes, steps in tables:
-        direct = _vertex_fsum(pw[x])
-        tol = tolerance * np.maximum(1.0, np.abs(direct))
-        lo_pow = pw[lo]
-        base_secant = n * lo_pow + excess * slopes[pair]
-        base_unit = n * lo_pow + excess * steps[lo]
-        for form, base, table, index in (
-            ("secant", base_secant, secant, secant_index),
-            ("unit", base_unit, unit, unit_index),
-        ):
-            check = f"{prefix}_reconstruct_{form}"
-            recon = base + _line_excess_sum(table, index)
-            bad = np.abs(recon - direct) > tol
-            _report_rows(
-                tally, check, masks, n, bad,
-                lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
-            )
-        yield alpha, direct, tol, secant, unit, base_secant, base_unit
+    of (n, graphs) degrees x that span lo < hi, with pair = _pair_row(lo,
+    hi) and excess = sum_v x_v - n lo, at one exponent of the tables
+    (alpha, pw and the four tables of :func:`_correction_tables`), on the
+    rows their :func:`_gate` passed and counted.  Every sum is gathered one
+    vertex row at a time (:func:`_gather_fsum`).  Returns what the bounds
+    reuse: the direct sums, their tolerances and the two reconstruction
+    bases."""
+    alpha, pw, secant, unit, slopes, steps = table
+    direct = _gather_fsum(pw, 0, x)
+    # In place where the bits allow (a sum's operands commute): each
+    # graph-length temporary freed here is heap that glibc may trim and the
+    # next exponent fault back in.
+    tol = np.abs(direct)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= tolerance
+    lo_pow = pw[lo]
+    base_secant = n * lo_pow + excess * slopes[pair]
+    base_unit = n * lo_pow + excess * steps[lo]
+    for form, base, entries, row in (
+        ("secant", base_secant, secant, pair),
+        ("unit", base_unit, unit, lo),
+    ):
+        recon = _line_excess_sum(entries, row, x)
+        recon += base
+        _report_rows(
+            tally, f"{prefix}_reconstruct_{form}", masks, n, np.abs(recon - direct) > tol,
+            lambda r: float(direct[r]), lambda r: float(recon[r]), alpha,
+        )
+    return direct, tol, base_secant, base_unit
 
 
 def sweep_chunk(
@@ -520,8 +548,10 @@ def sweep_chunk(
     masks, rows = _decode(n, mask_lo, mask_hi)
     keep = _connected(rows)
     # compress keeps (n, graphs) arrays C-contiguous; rows[:, keep] would
-    # hand back a column-major copy and slow every later step.
-    return sweep_rows(n, masks[keep], rows.compress(keep, axis=1), alphas, tolerance)
+    # hand back a column-major copy and slow every later step.  The full
+    # range's arrays are released before the checks run.
+    masks, rows = masks[keep], rows.compress(keep, axis=1)
+    return sweep_rows(n, masks, rows, alphas, tolerance)
 
 
 def sweep_rows(n: int, masks: np.ndarray, rows: np.ndarray, alphas: tuple[float, ...],
@@ -542,6 +572,7 @@ def sweep_rows(n: int, masks: np.ndarray, rows: np.ndarray, alphas: tuple[float,
     two_step = _over_bits(np.bitwise_or, rows, rows)
     d2 = _over_bits(np.add, two_step & ~closed, deg)
     diam2 = ((closed | two_step) == full).all(axis=0) & (closed != full).any(axis=0)
+    del closed, two_step
 
     # Every neighborhood and distance-2 degree is at most (n - 1)**2.
     width = (n - 1) ** 2 + 1
@@ -558,12 +589,9 @@ def sweep_rows(n: int, masks: np.ndarray, rows: np.ndarray, alphas: tuple[float,
         lambda r: SUM_EXPECTED.format("nbr_deg", int(m1[r])),
         lambda r: int(nbr_total[r]),
     )
-    # The NM stage's last direct sums and tolerances live until the sweep
-    # ends.  Freed at the stage's return, they let glibc trim the top of the
-    # heap, and the later stages fault those pages back in: 12-13% more
-    # kernel time on the n = 7 mask ranges (tools/bench_ab.py).
-    held = _nm_checks(tally, masks, n, nbr, m1, delta, width, tables, tolerance)
-    _nm2_checks(tally, masks, n, deg, m1, d2, diam2, width, tables, tolerance)
+    del nbr_total
+    _nm_checks(tally, masks, n, nbr, m1, delta, width, tables, tolerance)
+    _nm2_checks(tally, masks, n, deg, m1, d2, diam2, tables, tolerance)
     _spectral_checks(tally, masks, n, rows, deg, nbr, m1, delta, len(alphas))
     return tally
 
@@ -579,9 +607,7 @@ def _nm_checks(tally, masks, n, nbr, m1, delta, width, tables, tolerance):
     bound is attained exactly when every vertex it drops lies at its line's
     ends, so the count of vertices strictly between lo and hi (``inside``)
     decides the secant form's equality (none) and the congruence form's
-    (only the kept vertex at lo + r).  Returns the last exponent's direct
-    sums and tolerances, None without exponents, for :func:`sweep_rows` to
-    hold."""
+    (only the kept vertex at lo + r)."""
     nalpha = len(tables)
     big_delta = nbr.max(axis=0).astype(np.int64)
     gap = big_delta - delta
@@ -617,26 +643,29 @@ def _nm_checks(tally, masks, n, nbr, m1, delta, width, tables, tolerance):
 
     # The bounds run on the lo < hi rows, the congruence bound on its gate's
     # rows (at positions occ among them).  Row indices gather far faster than
-    # sparse bool masks, and the loop runs faster with the full-row counts freed.
+    # sparse bool masks.  The full-row arrays are freed before the loop, so
+    # the kernel's peak holds the selected rows alone.
     rows_s = np.flatnonzero(sel)
     masks_s = masks[rows_s]
     nbr_s = nbr.compress(sel, axis=1)
     lo = delta[rows_s]
     hi = big_delta[rows_s]
+    pair = _pair_row(lo, hi)
+    excess_s = excess[rows_s]
     h_hi_s = h_hi[rows_s]
     inside_s = inside[rows_s]
     interior2 = _count_between(nbr_s, lo + 2, hi - 1)
     occ = np.flatnonzero(occupied[rows_s])
     # The one secant-table entry each congruence row keeps, at lo + r; its
     # gate puts a vertex there, inside.
-    at_c = (_pair_row(lo[occ], hi[occ]), lo[occ] + rem[rows_s[occ]])
-    del gap, quot, at_rem, h_hi, inside, interior
-    direct = tol = None
-    for alpha, direct, tol, secant, unit, base_secant, base_unit in (
-        _check_reconstructions(
-            tally, "nm", masks_s, n, nbr_s, lo, hi, m1[rows_s], width, tables, tolerance
+    at_c = (pair[occ], lo[occ] + rem[rows_s[occ]])
+    del big_delta, gap, excess, quot, rem, at_rem, n3, sel, division, classified, occupied
+    del h_hi, inside, interior, bad, rows_s
+    for table in tables:
+        alpha, _pw, secant, unit, _slopes, _steps = table
+        direct, tol, base_secant, base_unit = _check_reconstructions(
+            tally, "nm", masks_s, n, nbr_s, lo, pair, excess_s, table, tolerance
         )
-    ):
         upper = alpha < 0.0 or alpha > 1.0
         # Secant form, keeping no entry: equality when no vertex is inside.
         _check_bound(
@@ -657,10 +686,12 @@ def _nm_checks(tally, masks, n, nbr, m1, delta, width, tables, tolerance):
             tally, "nm_bound_congruence", masks_s[occ], n, direct[occ], bound_c, tol[occ],
             upper, inside_s[occ] == 1, alpha,
         )
-    return direct, tol
+        # Freed before the next exponent allocates its own, so the peak
+        # holds one exponent's arrays.
+        del direct, tol, base_secant, base_unit, bound_u, bound_c
 
 
-def _nm2_checks(tally, masks, n, deg, m1, d2, diam2, width, tables, tolerance):
+def _nm2_checks(tally, masks, n, deg, m1, d2, diam2, tables, tolerance):
     """The distance-2 identity and NM2 reconstructions, on the graphs of
     diameter exactly 2."""
     nalpha = len(tables)
@@ -674,19 +705,20 @@ def _nm2_checks(tally, masks, n, deg, m1, d2, diam2, width, tables, tolerance):
         lambda r: int(d2_total[r]),
     )
 
-    d2_min = d2.min(axis=0).astype(np.int64)
-    d2_max = d2.max(axis=0).astype(np.int64)
+    d2_min = d2.min(axis=0)
+    d2_max = d2.max(axis=0)
     elig2 = _gate(
         tally, ("nm2_reconstruct_secant", "nm2_reconstruct_unit"), nalpha,
         not_diameter_two=diam2, zero_min_dist2_degree=d2_min >= 1,
         dist2_regular=d2_min != d2_max,
     )
     rows2 = np.flatnonzero(elig2)
-    for _ in _check_reconstructions(
-        tally, "nm2", masks[rows2], n, d2.compress(elig2, axis=1), d2_min[rows2],
-        d2_max[rows2], total2[rows2], width, tables, tolerance,
-    ):
-        pass
+    masks2, d2 = masks[rows2], d2.compress(elig2, axis=1)
+    lo, hi = d2_min[rows2].astype(np.int64), d2_max[rows2].astype(np.int64)
+    pair, excess2 = _pair_row(lo, hi), total2[rows2] - n * lo
+    del total2, d2_total, d2_min, d2_max, elig2, rows2, hi
+    for table in tables:
+        _check_reconstructions(tally, "nm2", masks2, n, d2, lo, pair, excess2, table, tolerance)
 
 
 def _spectral_checks(tally, masks, n, rows, deg, nbr, m1, delta, nalpha):

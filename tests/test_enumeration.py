@@ -323,6 +323,20 @@ class TestNeighborRows:
             tracemalloc.stop()
         assert peak < 40_000_000
 
+    def test_kernel_working_set_is_graph_length(self):
+        # No (n, graphs) float or index array: one n = 7 range of 27,062
+        # connected graphs peaked at 607 bytes a graph with them and at 256
+        # with the per-row gathers.
+        lo = 40 << 15
+        tracemalloc.start()
+        try:
+            tally = _bulk.sweep_chunk(7, lo, lo + (1 << 15), (-1.0, 0.5, 2.0, 3.0), 1e-9)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tally.graphs == 27_062
+        assert peak / tally.graphs < 280
+
     @pytest.mark.parametrize("lo", [0x5A5A000, (1 << 28) - 1024])
     def test_bulk_matches_scalar_at_n8(self, lo):
         # n = 8 fills every bit of a uint8 row; the top range ends at K8.
@@ -380,6 +394,29 @@ class TestNeighborRows:
                 want.append(total)
             got = _bulk._vertex_fsum(values)
             np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 9, 16, 17, 64])
+    def test_gather_fold_adds_left_to_right(self, n):
+        # The reconstructions gather each vertex row's terms from a table
+        # and fold them into one sum per graph, so the fold must give the
+        # scalar engine's left-to-right bits too, with one table row per
+        # graph (the correction sums) and with none (the direct sums).
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((40, 50)) * 10.0 ** rng.integers(-6, 7, (40, 50))
+        for graphs, order in ((5000, "C"), (1, "C"), (2, "C"), (5000, "F")):
+            row = rng.integers(0, 40, graphs)
+            x = np.asarray(rng.integers(0, 50, (n, graphs)), dtype=np.int16, order=order)
+            for got, entry in (
+                (_bulk._line_excess_sum(table, row, x), lambda g, v: table[row[g], x[v, g]]),
+                (_bulk._gather_fsum(table[0], 0, x), lambda g, v: table[0, x[v, g]]),
+            ):
+                want = []
+                for g in range(graphs):
+                    total = 0.0
+                    for v in range(n):
+                        total += float(entry(g, v))
+                    want.append(total)
+                np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     @pytest.mark.parametrize("lo,failures", [(0, 18_937), ((1 << 28) - (1 << 15), 67_928)])
     def test_n8_failure_count_at_zero_tolerance(self, lo, failures):
@@ -927,7 +964,7 @@ class TestBulkReconstructionKernel:
         else:
             rate, first, last = pw[lo + 1] - pw[lo], lo + 2, hi
             table, row = unit, np.array([lo], dtype=np.int32)
-        got = _bulk._line_excess_sum(table, row * table.shape[1] + x[:, None])[0]
+        got = _bulk._line_excess_sum(table, row, x[:, None])[0]
         expected, scale = _grid_excess_sum(x, alpha, lo, rate, first, last)
         # Same terms summed in another order: relative to their total size.
         assert abs(got - expected) <= 1e-12 * scale

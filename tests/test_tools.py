@@ -157,7 +157,7 @@ def test_units_below_a_millisecond_keep_their_precision(bench, capsys):
 
 # One injected fault per engine: NM_2 + 1 where each engine computes it.
 FAULTS = {
-    "enumeration": ("_bulk.py", "return (nbr * nbr).sum(axis=0)", "failures"),
+    "enumeration": ("_bulk.py", "return (nbr * nbr).sum(axis=0, dtype=np.int64)", "failures"),
     "scalar": ("spectral.py", "return sum(d * d for d in p.nbr_deg)", "failure_count"),
 }
 
@@ -259,3 +259,15 @@ def test_every_called_and_wrapped_attribute_exists(bench):
     for module, name, _key in bench.KERNEL_STAGES + bench.EXTREMAL_STAGES:
         func = getattr(importlib.import_module(f"nbzagreb.{module}"), name, None)
         assert inspect.isfunction(func), f"nbzagreb.{module}.{name} is gone"
+
+
+def test_enumeration_reports_kernel_faults_and_peak(bench, capsys, monkeypatch):
+    # At n = 4 the one mask range starts at 0, so it is the traced one.
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "PEAK_LO", 0)
+    code, result, err = _run(bench, capsys, "enumeration", [SRC, SRC])
+    assert code == 0, err
+    assert result["sizes"]["peak_lo"] == 0
+    for counts in (*result["pairs_s"][0], *result["median_s"]):
+        assert counts["kernel_minflt"] >= 0
+        assert counts["kernel_peak_mb"] > 0

@@ -17,7 +17,14 @@ their units, seconds keys and results:
   ``_nm2_checks`` and ``_spectral_checks`` (``kernel_decode_s``,
   ``kernel_connected_s``, ``kernel_tables_s``, ``kernel_nm_s``,
   ``kernel_nm2_s``, ``kernel_spectral_s``; 0 in a tree that lacks the
-  function);
+  function); two counts ride along with the seconds, each the least of
+  the ``REPEATS`` runs as they are: ``kernel_minflt``, the minor page
+  faults of the process (``getrusage``) across the timed ``sweep_chunk``
+  call, and ``kernel_peak_mb``, the tracemalloc peak in MB of one untimed
+  ``sweep_chunk`` call on the range that starts at ``PEAK_LO`` (0 on the
+  other ranges).  Both trees share one process, and glibc's heap trim
+  threshold grows with the largest block the process has freed, so one
+  tree's faults depend on what the other allocates;
   per bound source, ``find_equality_graphs(7, 2.0, source)``
   (``extremal_s``), with its time inside ``_orbit_keys`` (``orbit_keys_s``).
   ``connected``, ``graphs``, ``checks``, ``failures``, ``extremal_records``.
@@ -48,8 +55,8 @@ their units, seconds keys and results:
   and ``stdout``.
 
 Prints as JSON ``target``, ``trees``, ``sizes``, ``machine``, each pair's
-seconds (``pairs_s``), each tree's ``median_s`` and ``quartiles_s``, all
-to 4 significant digits, each pair's relative gap of the second tree's
+seconds and counts (``pairs_s``), each tree's ``median_s`` and
+``quartiles_s``, all to 4 significant digits, each pair's relative gap of the second tree's
 ``total_s`` (``gaps``, from the unrounded totals), ``median_gap``,
 ``second_faster``, each tree's ``results`` and their
 ``disagreements`` (counts, diameter sums, exit codes and stdout exactly,
@@ -68,11 +75,13 @@ import math
 import os
 import platform
 import random
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -93,6 +102,7 @@ DENSE_P = 0.3
 STAR_LEAVES = 5000
 ALPHAS = (-1.0, 0.5, 2.0, 3.0)
 TOLERANCE = 1e-9
+PEAK_LO = 40 << 15  # the n = 7 mask range whose kernel peak is traced
 SOURCES = ("secant", "unit", "congruence")
 # Reported, not compared: they may differ between correct versions.
 UNCOMPARED = {"rho_sum_rel_err", "iterations_mean"}
@@ -158,10 +168,27 @@ def _pass(tree, key, stages, call):
             setattr(module, name, func)
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _peak_mb(call) -> float:
+    """The tracemalloc peak of ``call()``, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def _mask_range(lo, hi, tree):
     seconds, masks = _pass(tree, "connected_masks_s", (), lambda: tree.connected_masks(N, lo, hi))
-    kernel, tally = _pass(tree, "kernel_s", KERNEL_STAGES,
-                          lambda: tree.sweep_chunk(N, lo, hi, ALPHAS, TOLERANCE))
+    sweep = partial(tree.sweep_chunk, N, lo, hi, ALPHAS, TOLERANCE)
+    faults = _minflt()
+    kernel, tally = _pass(tree, "kernel_s", KERNEL_STAGES, sweep)
+    kernel["kernel_minflt"] = _minflt() - faults
+    kernel["kernel_peak_mb"] = _peak_mb(sweep) if lo == PEAK_LO else 0.0
     seconds.update(kernel)
     return seconds, {"connected": masks.size, "graphs": tally.graphs,
                      "checks": sum(tally.checks.values()), "failures": tally.failure_count}
@@ -378,7 +405,7 @@ def measure(target: str, srcs, pairs: int) -> dict:
         "trees": [str(src) for src in srcs],
         "sizes": {"n": N, "n_max": N_MAX, "path_n": PATH_N, "dense_n": DENSE_N,
                   "dense_p": DENSE_P, "star_leaves": STAR_LEAVES, "unit": UNIT,
-                  "repeats": REPEATS},
+                  "repeats": REPEATS, "peak_lo": PEAK_LO},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         "pairs_s": [[{k: _sig(v) for k, v in tree_s.items()} for tree_s in pair]
