@@ -15,7 +15,11 @@ The scalar engine is the reference; the bulk engine is what makes n = 7
 sweeps take seconds instead of hours.  Everything around the checks is
 shared: each engine is one function over a range of masks, and
 ``verify_all`` builds one task list of ranges, runs it sequentially or on
-a process pool, and merges the results in range order.
+a process pool, and merges the results in range order.  Pool workers,
+processes the library starts and owns, tell glibc at start-up to keep the
+heap they free, so each range reuses the pages of the one before instead
+of faulting them in again; an in-process run leaves the caller's
+allocator as it is.
 
 Isomorphism dedup is by full permutation minimization: the canonical form
 of a graph is the lexicographically smallest adjacency bitstring over all
@@ -396,6 +400,32 @@ _ENGINES = {"bulk": _bulk.sweep_chunk, "scalar": _scalar_chunk}
 _TASK_BITS = {"bulk": _bulk.CHUNK_BITS, "scalar": 10}
 
 
+def _keep_freed_heap() -> None:
+    """Pool worker set-up: on glibc, keep the heap the worker frees.
+
+    Each kernel range frees its working set, a few MB, when it returns;
+    under glibc's dynamic thresholds the worker hands those pages back to
+    the OS and faults them in again on the next range.  Setting either
+    threshold turns the dynamic ones off, and a worker with only the trim
+    threshold set still maps and unmaps its larger blocks, so both are set.
+    Where glibc, libc or ``mallopt`` is missing the defaults stay; this
+    never raises, since a raising initializer breaks the pool.
+    """
+    import ctypes
+    import platform
+
+    try:
+        if platform.libc_ver()[0] != "glibc":
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's cap on 64-bit
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _report_doc(fields) -> dict:
     """``asdict`` factory with JSON-shaped values: tuples become lists."""
     return {k: list(v) if isinstance(v, tuple) else v for k, v in fields}
@@ -449,7 +479,10 @@ def verify_all(
     smaller for the scalar engine) and the engine's chunk function runs once
     per range, in up to ``jobs`` worker processes: no more of them than
     there are ranges or CPUs, since a pool starts all of its workers at the
-    first task, and in-process when that leaves one.  Chunk results are
+    first task, and in-process when that leaves one.  Pool workers keep the
+    heap they free (:func:`_keep_freed_heap`), since each range frees a
+    working set the next one needs again; an in-process run keeps the
+    caller's allocator settings.  Chunk results are
     merged in range order, so the report does not depend on ``jobs`` beyond
     recording it.  The coefficient sign grid (graph-independent) runs once
     per call with the same exponents.  An exponent whose powers could leave
@@ -477,7 +510,9 @@ def verify_all(
     total = Tally()
     by_n: dict[int, int] = {}
     workers = min(jobs, len(ns), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_keep_freed_heap
+    ) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         tallies = mapper(
             chunk, ns, los, his, itertools.repeat(alpha_values), itertools.repeat(tolerance)

@@ -1,12 +1,16 @@
+import ctypes
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
+import platform
+import resource
 import sys
 import time
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -495,6 +499,15 @@ class TestFailureRecords:
         assert len(calls) == len(tally.failures) == _bulk.FAILURE_CAP
 
 
+def _refaults_of_a_freed_block() -> int:
+    """Minor faults of a 4 MB ``np.ones`` made right after an equal one is freed."""
+    block = np.ones(1 << 19)
+    del block
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    block = np.ones(1 << 19)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 class TestVerifyAll:
     def test_small_sweep_passes(self):
         report = verify_all(4, [2.0, 0.5])
@@ -555,14 +568,25 @@ class TestVerifyAll:
         bound_checks = sum(report.checks_run[f"nm_bound_{s}"] for s in bounds.BOUND_SOURCES)
         assert len(calls) == bound_checks == 6320
 
-    @pytest.mark.parametrize("engine", ["bulk", "scalar"])
-    def test_parallel_matches_sequential(self, engine):
-        seq = verify_all(4, [2.0, 0.5], jobs=1, engine=engine)
-        par = verify_all(4, [2.0, 0.5], jobs=2, engine=engine)
+    # At tolerance 1e-300 the n <= 5 sweeps fail, so the pool's failure
+    # records are compared too: pool workers keep their freed heap, and a
+    # kernel array read before it is written would see an earlier range's
+    # bytes.
+    @pytest.mark.parametrize("engine,n_max,tolerance", [
+        pytest.param("bulk", 4, bounds.DEFAULT_TOLERANCE, id="bulk"),
+        pytest.param("scalar", 4, bounds.DEFAULT_TOLERANCE, id="scalar"),
+        pytest.param("bulk", 5, 1e-300, id="bulk-n5-failing"),
+        pytest.param("scalar", 5, 1e-300, id="scalar-n5-failing"),
+    ])
+    def test_parallel_matches_sequential(self, engine, n_max, tolerance):
+        seq = verify_all(n_max, [2.0, 0.5], jobs=1, engine=engine, tolerance=tolerance)
+        par = verify_all(n_max, [2.0, 0.5], jobs=2, engine=engine, tolerance=tolerance)
         assert seq.graphs_checked == par.graphs_checked
         assert seq.checks_run == par.checks_run
         assert seq.skips == par.skips
         assert seq.failures == par.failures
+        assert seq.failure_count == par.failure_count
+        assert (seq.failure_count > 0) == (tolerance < bounds.DEFAULT_TOLERANCE)
 
     def test_scalar_engine_dispatches_chunks_to_the_pool(self, monkeypatch):
         chunks = []
@@ -570,8 +594,9 @@ class TestVerifyAll:
         class RecordingPool:
             """Runs tasks in-process and records the (n, lo, hi) of each."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 assert max_workers == 2
+                assert initializer is enumeration._keep_freed_heap
 
             def __enter__(self):
                 return self
@@ -646,7 +671,7 @@ class TestVerifyAll:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -664,6 +689,31 @@ class TestVerifyAll:
         assert sizes == workers
         assert report.jobs == 10**6
         assert report.graphs_checked == sum(LABELED_CONNECTED[n] for n in range(1, n_max + 1))
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+    def test_pool_workers_keep_freed_heap(self):
+        # A spawned worker starts with glibc's default thresholds, under
+        # which a freed 4 MB block goes back to the OS and its pages fault
+        # in again (over 400 faults); a worker that keeps its heap reuses them.
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, context, initializer=enumeration._keep_freed_heap) as pool:
+            assert pool.submit(_refaults_of_a_freed_block).result(timeout=120) < 64
+
+    @pytest.mark.parametrize("libc", [
+        pytest.param(None, id="no-libc"),
+        pytest.param(object(), id="no-mallopt"),
+    ])
+    def test_worker_setup_leaves_the_defaults_where_it_cannot_set_them(
+        self, monkeypatch, libc
+    ):
+        def load(name):
+            if libc is None:
+                raise OSError("no libc")
+            return libc
+
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        assert enumeration._keep_freed_heap() is None
 
     def test_skip_reasons_are_named(self):
         report = verify_all(4, [2.0])

@@ -51,13 +51,14 @@ def test_help_names_every_target():
     )
     assert result.returncode == 0, result.stderr
     for target in ("enumeration", "scalar", "diameter", "spectral_radius", "degree_profile",
-                   "parse_edge_list", "startup"):
+                   "parse_edge_list", "startup", "pool"):
         assert target in result.stdout
 
 
 @pytest.mark.parametrize(
     "target",
-    ["enumeration", "scalar", "diameter", "spectral_radius", "degree_profile", "parse_edge_list"],
+    ["enumeration", "scalar", "diameter", "spectral_radius", "degree_profile", "parse_edge_list",
+     "pool"],
 )
 def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
     modules = dict(sys.modules)
@@ -97,6 +98,15 @@ def test_one_tree_against_itself_agrees(bench, capsys, tmp_path, target):
             **{f"skips.{check}.{reason}": count
                for check, reasons in report.skips.items() for reason, count in reasons.items()},
         }
+    elif target == "pool":
+        # Each sweep ran in a fresh interpreter, on a pool whose workers it waited for.
+        report = verify_all(4, bench.ALPHAS, jobs=1)
+        assert got == {
+            "graphs": report.graphs_checked, "failure_count": 0,
+            **{f"checks.{check}": count for check, count in report.checks_run.items()},
+        }
+        assert s["total_s"] == s["pool_s"] > 0
+        assert s["pool_minflt"] > 0 and s["pool_maxrss_mb"] > 0
     elif target == "parse_edge_list":
         # Each set parses to the graphs it was written from, row for row.
         workloads = bench._workloads(SimpleNamespace(package="nbzagreb"))
@@ -155,10 +165,12 @@ def test_units_below_a_millisecond_keep_their_precision(bench, capsys):
     assert result["gaps"][0] == pytest.approx(second["total_s"] / first["total_s"] - 1, abs=1e-3)
 
 
-# One injected fault per engine: NM_2 + 1 where each engine computes it.
+# One injected fault per engine, and the bulk one again in the pool's
+# workers: NM_2 + 1 where each engine computes it.
 FAULTS = {
     "enumeration": ("_bulk.py", "return (nbr * nbr).sum(axis=0, dtype=np.int64)", "failures"),
     "scalar": ("spectral.py", "return sum(d * d for d in p.nbr_deg)", "failure_count"),
+    "pool": ("_bulk.py", "return (nbr * nbr).sum(axis=0, dtype=np.int64)", "failure_count"),
 }
 
 

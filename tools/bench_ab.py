@@ -3,7 +3,8 @@
     python tools/bench_ab.py --target T --src OLD/src --src NEW/src [--pairs 10] [--record FILE]
 
 Both packages are copied under names of their own and imported side by
-side; the ``startup`` target runs each tree in fresh interpreters instead.
+side; the ``startup`` and ``pool`` targets run each tree in fresh
+interpreters instead.
 A pair runs each work unit on both trees, the first tree alternating
 between pairs, and sums per tree each unit's fastest of ``REPEATS``
 back-to-back runs (``total_s``); inputs are built off the clock.  Targets,
@@ -53,6 +54,14 @@ their units, seconds keys and results:
   ``fixtures/figure1.edges`` (``compute_s``, ``bounds_s``, ``spectral_s``),
   wall time including the interpreter's own start.  Per command ``exit``
   and ``stdout``.
+* ``pool``: ``verify_all(N, ALPHAS, jobs=2)``, the bulk sweep on a process
+  pool, once in each of ``REPEATS`` fresh interpreters set up as for
+  ``startup``, so every sweep starts its workers from a new process as
+  perfbench's ``sweep_bulk`` does: the sweep's wall time (``pool_s``), and
+  two counts of its workers from ``getrusage(RUSAGE_CHILDREN)``, each the
+  least of the runs: ``pool_minflt``, their minor page faults, and
+  ``pool_maxrss_mb``, their largest resident set in MB.  ``graphs``,
+  ``failure_count`` and ``checks.<check>`` of the report.
 
 Prints as JSON ``target``, ``trees``, ``sizes``, ``machine``, each pair's
 seconds and counts (``pairs_s``), each tree's ``median_s`` and
@@ -330,11 +339,16 @@ def _parse_target(tree):
     return units, summary
 
 
-def _startup(name, tree):
+def _tree_env(tree) -> dict:
+    """The environment with the tree's directory first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree.src), env.get("PYTHONPATH")]))
+    return env
+
+
+def _startup(name, tree):
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *STARTUP[name]], env=env,
+    proc = subprocess.run([sys.executable, *STARTUP[name]], env=_tree_env(tree),
                           capture_output=True, text=True, timeout=120)
     elapsed = time.perf_counter() - t0
     result = {"exit": proc.returncode, "stdout": proc.stdout}
@@ -345,6 +359,35 @@ def _startup_target(tree):
     return [partial(_startup, name) for name in STARTUP], dict
 
 
+# Run by the pool target in a fresh interpreter: argv is N and ALPHAS as JSON.
+POOL_SWEEP = """
+import json, resource, sys, time
+from nbzagreb import verify_all
+n, alphas = json.loads(sys.argv[1])
+t0 = time.perf_counter()
+report = verify_all(n, alphas, jobs=2)
+elapsed = time.perf_counter() - t0
+workers = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"pool_s": elapsed, "total_s": elapsed, "pool_minflt": workers.ru_minflt,
+                  "pool_maxrss_mb": workers.ru_maxrss / 1024}))
+print(json.dumps({"graphs": report.graphs_checked, "failure_count": report.failure_count,
+                  **{f"checks.{check}": count for check, count in report.checks_run.items()}}))
+"""
+
+
+def _pool(tree):
+    proc = subprocess.run([sys.executable, "-c", POOL_SWEEP, json.dumps([N, ALPHAS])],
+                          env=_tree_env(tree), capture_output=True, text=True, timeout=600)
+    if proc.returncode:
+        raise RuntimeError(f"the pool sweep of {tree.src} exited {proc.returncode}:\n{proc.stderr}")
+    seconds, counts = map(json.loads, proc.stdout.splitlines())
+    return seconds, counts
+
+
+def _pool_target(tree):
+    return [_pool], _counts
+
+
 TARGETS = {
     "enumeration": _enumeration_target,
     "scalar": _scalar_target,
@@ -353,6 +396,7 @@ TARGETS = {
     "degree_profile": partial(_per_graph_target, "degree_profile"),
     "parse_edge_list": _parse_target,
     "startup": _startup_target,
+    "pool": _pool_target,
 }
 
 
