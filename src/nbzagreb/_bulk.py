@@ -3,8 +3,9 @@
 Graphs on n vertices are named by their edge masks, the graph6 bitstream
 read as one integer (slot k, the k-th pair in graph6 column-major order,
 at bit npairs-1-k).  :mod:`nbzagreb.graphs` owns the codec of a single
-mask; this module decodes masks only in batches (:func:`_bits_of`,
-:func:`_adj_of`, and :func:`_decode` for a whole range).  The sweep
+mask; this module decodes masks in batches: :func:`_bits_of` and
+:func:`_adj_of` any array of masks, and :func:`_decode` a whole range,
+each aligned block's first column from the one-mask codec.  The sweep
 kernel's entry point is :func:`sweep_rows`, which checks any batch of
 connected graphs given as masks and rows; :func:`sweep_chunk`, what the
 sweeps map over their workers, decodes a contiguous mask range, keeps its
@@ -67,7 +68,7 @@ import numpy as np
 
 from .claims import gate_row
 from .errors import NTooLarge
-from .graphs import _g6_pairs, graph6_of_mask, pair_count
+from .graphs import _g6_pairs, graph6_of_mask, mask_rows, pair_count
 
 CHUNK_BITS = 15
 
@@ -219,12 +220,18 @@ def _degrees(rows: np.ndarray) -> np.ndarray:
 def _connected(rows: np.ndarray) -> np.ndarray:
     """Per graph of an (n, graphs) row batch: is it connected?  The set
     reached from vertex 0 grows by the rows of the vertices in it; n - 1
-    passes over the vertices reach every vertex within distance n - 1."""
+    passes over the vertices reach every vertex within distance n - 1.  It
+    takes at most n - 1 passes, stopping at the first that reaches nothing
+    new in any graph of the batch, since every later pass would repeat it."""
     n, b = rows.shape
     reach = np.ones(b, dtype=rows.dtype)
+    before = np.empty_like(reach)
     for _ in range(n - 1):
+        np.copyto(before, reach)
         for v, row in enumerate(rows):
             reach |= ((reach >> v) & 1) * row
+        if np.array_equal(reach, before):
+            break
     return reach == rows.dtype.type((1 << n) - 1)
 
 
@@ -275,8 +282,9 @@ def _decode(n: int, mask_lo: int, mask_hi: int) -> tuple[np.ndarray, np.ndarray]
 
     The range is cut into aligned power-of-two blocks, each the largest
     that starts at the current mask and ends by mask_hi.  A block's first
-    mask is decoded alone; low bit b of a mask is slot npairs - 1 - b, so
-    the block doubles once per low bit, its new half the old rows with that
+    column comes from the one-mask codec, :func:`nbzagreb.graphs.mask_rows`,
+    in Python integers; low bit b of a mask is slot npairs - 1 - b, so the
+    block doubles once per low bit, its new half the old rows with that
     slot's two bits set."""
     npairs = pair_count(n)
     mask_lo, mask_hi = int(mask_lo), int(mask_hi)
@@ -297,7 +305,7 @@ def _decode(n: int, mask_lo: int, mask_hi: int) -> tuple[np.ndarray, np.ndarray]
         if lo:
             size = min(size, (lo & -lo).bit_length() - 1)
         start = lo - mask_lo
-        rows[:, start : start + 1] = _adj_of(_bits_of(np.array([lo]), npairs), n)
+        rows[:, start] = [sum(1 << u for u in row) for row in mask_rows(n, lo)]
         for b in range(size):
             width = 1 << b
             old = rows[:, start : start + width]

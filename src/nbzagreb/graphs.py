@@ -113,10 +113,16 @@ class Graph:
         m = sum(map(len, adjacency)) // 2
         if not clean:
             return cls(n, m, tuple(adjacency))
+        return cls._unchecked(n, m, tuple(adjacency))
+
+    @classmethod
+    def _unchecked(cls, n: int, m: int, adjacency) -> "Graph":
+        """A graph from rows its caller built to the invariants, which are
+        not checked again."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "m", m)
-        object.__setattr__(g, "adjacency", tuple(adjacency))
+        object.__setattr__(g, "adjacency", adjacency)
         return g
 
     def edges(self):
@@ -187,6 +193,14 @@ def degree_profile(g: Graph) -> DegreeProfile:
     Bitsets run past the crossover ``_BITSET_RATIO`` within ``_BITSET_BITS``,
     stamps elsewhere, so an input whose M1 is linear in its size takes
     O(n + m) memory; past both caps ``ProfileTooLarge`` is raised.
+
+    Either walk also tells whether every vertex reaches all the others
+    within two steps.  If so (n >= 2), the diameter is 1 on K_n and 2
+    otherwise, and iFUB (:func:`diameter`) does not run; it runs on every
+    other graph, disconnected ones included.  The diameter is never read
+    from the identity sum dist2_deg = 2m(n - 1) - M1, which holds exactly
+    at diameter 2: the ``dist2_identity`` check tests that identity
+    wherever the diameter is 2, and it would be vacuous if it chose them.
     """
     adjacency = g.adjacency
     deg = tuple(map(len, adjacency))
@@ -202,7 +216,12 @@ def degree_profile(g: Graph) -> DegreeProfile:
                 f"distance-2 sums need {m1:,} stamp steps (budget {_STAMP_STEPS:,}) "
                 f"or {bits:,} mask bits (cap {_BITSET_BITS:,})"
             )
-    nbr_deg, dist2_deg = map(tuple, sums(adjacency, deg))
+    nbr_deg, dist2_deg, near = sums(adjacency, deg)
+    if near:
+        diam = 1 if 2 * g.m == g.n * (g.n - 1) else 2
+    else:
+        diam = diameter(g)
+    nbr_deg, dist2_deg = tuple(nbr_deg), tuple(dist2_deg)
     return DegreeProfile(
         n=g.n,
         m=g.m,
@@ -217,17 +236,22 @@ def degree_profile(g: Graph) -> DegreeProfile:
         d2_min=min(dist2_deg),
         d2_max=max(dist2_deg),
         m1=m1,
-        diameter=diameter(g),
+        diameter=diam,
     )
 
 
-def _stamp_sums(adjacency, deg) -> tuple[list[int], list[int]]:
+def _stamp_sums(adjacency, deg) -> tuple[list[int], list[int], bool]:
     """Neighborhood and distance-2 degree sums by a stamp array: N[u] is
     stamped u, then every w in N(v), v in N(u), not yet stamped u is at
-    distance 2, is stamped and adds deg(w)."""
+    distance 2, is stamped and adds deg(w).  Third, whether every vertex
+    lies within distance 2 of every other: u reaches all n vertices,
+    itself included, when n entries hold its stamp.  That O(n) count runs
+    up to the first vertex that falls short; each vertex before it reached
+    all n - 1 others, so its walk already took at least n - 1 steps."""
     n = len(adjacency)
     stamp = [-1] * n
     nbr_deg, dist2_deg = [0] * n, [0] * n
+    near = any(deg)  # an isolated vertex, or n = 1, rules out diameter <= 2
     for u in itertools.compress(range(n), deg):  # the others keep 0 in both sums
         nbrs = adjacency[u]
         stamp[u] = u
@@ -243,13 +267,17 @@ def _stamp_sums(adjacency, deg) -> tuple[list[int], list[int]]:
                     stamp[w] = u
                     total += deg[w]
         dist2_deg[u] = total
-    return nbr_deg, dist2_deg
+        if near:
+            near = stamp.count(u) == n
+    return nbr_deg, dist2_deg, near
 
 
-def _bitset_sums(adjacency, deg) -> tuple[list[int], list[int]]:
+def _bitset_sums(adjacency, deg) -> tuple[list[int], list[int], bool]:
     """Neighborhood and distance-2 degree sums by neighbor bitsets: the
     distance-2 sum of u is sum_d d * |N2(u) & V_d|, one popcount per nonzero
-    degree class V_d."""
+    degree class V_d.  Third, as in :func:`_stamp_sums`, whether every
+    vertex lies within distance 2 of every other: deg(u) + |N2(u)| = n - 1
+    for every u."""
     n = len(adjacency)
     bits = []
     for nbrs in adjacency:
@@ -263,6 +291,7 @@ def _bitset_sums(adjacency, deg) -> tuple[list[int], list[int]]:
         class_bits[deg[u]] = class_bits.get(deg[u], 0) | 1 << u
     classes = list(class_bits.items())
     nbr_deg, dist2_deg = [0] * n, [0] * n
+    near = bool(linked)  # an isolated vertex, or n = 1, rules out diameter <= 2
     for u in linked:
         two_hop = total = 0
         for v in adjacency[u]:
@@ -271,7 +300,9 @@ def _bitset_sums(adjacency, deg) -> tuple[list[int], list[int]]:
         nbr_deg[u] = total
         two_hop &= ~(bits[u] | 1 << u)
         dist2_deg[u] = sum([d * (two_hop & mask).bit_count() for d, mask in classes])
-    return nbr_deg, dist2_deg
+        if near:
+            near = deg[u] + two_hop.bit_count() == n - 1
+    return nbr_deg, dist2_deg, near
 
 
 # Bytes of source bitsets a ``diameter`` fringe block may hold.
@@ -533,9 +564,9 @@ def _edge_lines(text: str) -> tuple[int | None, set[tuple[int, int]]]:
 # of ``_g6_pairs(n)``, is bit pair_count(n) - 1 - k.  So numeric order on
 # masks is lexicographic order on bitstreams, and the six-bit data
 # characters of graph6 are the mask's bits, zero-padded on the right.
-# ``mask_of_edges``, ``edges_of_mask``, ``graph_of_mask`` and
-# ``graph6_of_mask`` are the one codec of a single mask; ``parse_graph6``
-# decodes through ``graph_of_mask``.
+# ``mask_of_edges``, ``edges_of_mask``, ``mask_rows``, ``graph_of_mask``
+# and ``graph6_of_mask`` are the one codec of a single mask;
+# ``parse_graph6`` decodes through ``graph_of_mask``.
 
 
 def pair_count(n: int) -> int:
@@ -566,9 +597,24 @@ def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
     return [pair for pair, bit in zip(pairs, format(mask, f"0{len(pairs)}b")) if bit == "1"]
 
 
+def mask_rows(n: int, mask: int) -> list[list[int]]:
+    """Neighbor lists of a mask below 2**pair_count(n), from one walk over
+    its slots in order.  Slots run column by column, so v's lower
+    neighbors, in slots (u, v), u ascending, come before its higher ones,
+    in slots (v, w), w ascending, and each list comes out sorted."""
+    pairs = _g6_pairs(n)
+    rows = [[] for _ in range(n)]
+    for (i, j), bit in zip(pairs, format(mask, f"0{len(pairs)}b")):
+        if bit == "1":
+            rows[i].append(j)
+            rows[j].append(i)
+    return rows
+
+
 def graph_of_mask(n: int, mask: int) -> Graph:
     """The graph on n vertices whose edges are the mask's set slots."""
-    return Graph.from_edges(n, edges_of_mask(n, mask))
+    adjacency = tuple(map(tuple, mask_rows(n, mask)))
+    return Graph._unchecked(n, sum(map(len, adjacency)) // 2, adjacency)
 
 
 def graph6_of_mask(n: int, mask: int) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     Dist2Regular,
@@ -64,9 +64,15 @@ HIGH = "HIGH"  # a > 1
 
 @dataclass(frozen=True)
 class Alpha:
-    """Validated exponent; rejects anything within 1e-12 of 0 or 1."""
+    """Validated exponent; rejects anything within 1e-12 of 0 or 1.
+
+    ``_int_exponent`` is the exponent of the exact integer path of
+    :func:`_pow` and :func:`_powersum`, set for integral values >= 2 and 0
+    for the float path.  It is cut at 1024: a base of at least 2 overflows
+    there, and the powers of 0 and 1 do not depend on the exponent."""
 
     value: float
+    _int_exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = self.value
@@ -78,6 +84,8 @@ class Alpha:
             raise ForbiddenAlpha(f"exponent must be finite, got {v!r}")
         if abs(v) <= _ALPHA_EPS or abs(v - 1.0) <= _ALPHA_EPS:
             raise ForbiddenAlpha(f"exponent {v!r} is too close to the excluded values 0 and 1")
+        k = int(min(v, 1024.0)) if v.is_integer() and v >= 2.0 else 0
+        object.__setattr__(self, "_int_exponent", k)
 
     @property
     def regime(self) -> str:
@@ -90,19 +98,6 @@ def as_alpha(a: float | Alpha) -> Alpha:
     return a if isinstance(a, Alpha) else Alpha(a)
 
 
-def _int_exponent(top: int, v: float) -> int:
-    """v as the exponent of the exact integer path for bases up to ``top``.
-
-    Raises OverflowError before building top**v when it is at least
-    2**1024, which no float holds.  Past 1024 only the bases 0 and 1 are
-    left, and their powers do not depend on the exponent, so it is cut
-    there."""
-    k = int(min(v, 1024.0))
-    if (top.bit_length() - 1) * k >= 1024:
-        raise OverflowError
-    return k
-
-
 def _finite(x: float) -> float:
     if not math.isfinite(x):
         raise PowerOverflow("a sum of powers leaves the float range")
@@ -111,26 +106,29 @@ def _finite(x: float) -> float:
 
 def _pow(base: int, a: Alpha) -> float:
     """base**a with an exact integer path for integral a >= 2."""
-    v = a.value
+    v, k = a.value, a._int_exponent
     if base == 0 and v < 0.0:
         raise ZeroBaseNegativeExponent("0 raised to a negative exponent")
     try:
-        if v.is_integer() and v >= 2.0:
-            return float(base ** _int_exponent(base, v))
+        if k:
+            if (base.bit_length() - 1) * k >= 1024:  # base**k >= 2**1024, past every float
+                raise OverflowError
+            return float(base**k)
         return float(base) ** v
     except OverflowError:
         raise PowerOverflow(f"{base}**{v!r} leaves the float range") from None
 
 
 def _powersum(values: tuple[int, ...], a: Alpha, what: str) -> float:
-    v = a.value
+    v, k = a.value, a._int_exponent
     if v < 0.0 and min(values) == 0:
         raise ZeroBaseNegativeExponent(
             f"negative exponent requires every {what} to be at least 1"
         )
     try:
-        if v.is_integer() and v >= 2.0:
-            k = _int_exponent(max(values), v)
+        if k:
+            if (max(values).bit_length() - 1) * k >= 1024:  # as in _pow
+                raise OverflowError
             return _finite(float(sum(x**k for x in values)))
         total = 0.0
         for x in values:

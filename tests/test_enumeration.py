@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import platform
+import random
 import resource
 import sys
 import time
@@ -177,12 +178,17 @@ class TestCanonicalForm:
             assert keys.dtype == np.int64
             assert sorted(keys.tolist()) == sorted(relabeled)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_graph_of_mask_matches_both_decoders(self, n):
-        for mask in range(1 << _bulk.pair_count(n)):
+        # Every mask up to n = 6, 500 seeded ones at n = 7 and 8.
+        total = 1 << _bulk.pair_count(n)
+        rng = random.Random(n)
+        masks = range(total) if n <= 6 else [rng.randrange(total) for _ in range(500)]
+        for mask in masks:
             g = graph_of_mask(n, mask)
             assert g == parse_graph6(graph6_of_mask(n, mask))
             assert g == Graph.from_edges(n, edges_of_mask(n, mask))
+            assert g == Graph(g.n, g.m, g.adjacency)  # the checked constructor accepts it
 
     def test_mask_known_answers(self):
         # K4 sets all six slots: bitstream 111111 is data character 63 + 63.
@@ -223,6 +229,21 @@ class TestNeighborRows:
             g = Graph.from_edges(n, edges_of_mask(n, mask))
             assert row == [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
             assert got == is_connected(g)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_connected_runs_until_no_graph_of_the_batch_grows(self, n):
+        # The path labeled 0, n - 2, n - 3, ..., 1, n - 1 gains one vertex a
+        # pass, so it takes all n - 1, the most of any path labeling at
+        # n <= 7.  Around it sit K_n and the star at 0, which every pass
+        # after the first leaves as it is, and the path without its last
+        # edge, which never reaches n - 1.
+        order = [0, *range(n - 2, 0, -1), n - 1]
+        path = list(zip(order, order[1:]))
+        batch = [[(i, j) for j in range(n) for i in range(j)], path,
+                 [(0, v) for v in range(1, n)], path[:-1]]
+        masks = np.array([mask_of_edges(n, edges) for edges in batch])
+        rows = _bulk._adj_of(_bulk._bits_of(masks, _bulk.pair_count(n)), n)
+        assert _bulk._connected(rows).tolist() == [True, True, True, False]
 
     @pytest.mark.parametrize(
         "n,dtype",

@@ -388,6 +388,32 @@ class TestDegreeProfile:
                 if p.diameter == 2:
                     assert sum(p.dist2_deg) == 2 * p.m * (p.n - 1) - p.m1
 
+    def test_profile_diameter_matches_ifub_on_every_graph_up_to_6(self):
+        # Connected or not: the walks settle diameter <= 2, iFUB the rest.
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                assert degree_profile(g).diameter == diameter(g)
+
+    @pytest.mark.parametrize("g,want", [
+        (Graph.from_edges(1, []), 0),
+        (complete_graph(2), 1),
+        (Graph.from_edges(2, []), math.inf),
+        (complete_graph(40), 1),
+    ], ids=["K1", "K2", "two_isolated", "K40"])
+    def test_profile_diameter_edge_cases(self, g, want):
+        assert degree_profile(g).diameter == diameter(g) == want
+
+    def test_profile_runs_ifub_only_above_diameter_2(self, monkeypatch):
+        calls = []
+        ifub = graphs.diameter
+        monkeypatch.setattr(graphs, "diameter", lambda g: calls.append(g) or ifub(g))
+        assert degree_profile(cycle_graph(5)).diameter == 2
+        assert degree_profile(complete_graph(5)).diameter == 1
+        assert calls == []
+        p4 = path_graph(4)
+        assert degree_profile(p4).diameter == 3
+        assert calls == [p4]
+
     def test_large_star_in_linear_time(self):
         # Distance-2 sums by degree class: each leaf sees the other leaves
         # through two popcounts, not one big-int step per leaf.
@@ -439,8 +465,8 @@ class TestDegreeProfile:
         assert (list(p.nbr_deg), list(p.dist2_deg)) == want
         # Both methods give the same sums on either side of the crossover.
         monkeypatch.undo()
-        assert graphs._stamp_sums(g.adjacency, deg) == want
-        assert graphs._bitset_sums(g.adjacency, deg) == want
+        assert graphs._stamp_sums(g.adjacency, deg)[:2] == want
+        assert graphs._bitset_sums(g.adjacency, deg)[:2] == want
 
     def test_relabeled_long_path_keeps_no_bitsets(self):
         # Shuffled labels give most vertices high-numbered neighbors, so

@@ -27,7 +27,11 @@ their units, seconds keys and results:
   threshold grows with the largest block the process has freed, so one
   tree's faults depend on what the other allocates;
   per bound source, ``find_equality_graphs(7, 2.0, source)``
-  (``extremal_s``), with its time inside ``_orbit_keys`` (``orbit_keys_s``).
+  (``extremal_s``), with its time inside each of ``EXTREMAL_STAGES``,
+  which do not nest: ``_orbit_keys``, ``_bulk._decode``,
+  ``_bulk._connected``, ``graphs.graph_of_mask`` and
+  ``graphs.degree_profile`` (``orbit_keys_s``, ``extremal_decode_s``,
+  ``extremal_connected_s``, ``graph_of_mask_s``, ``degree_profile_s``).
   ``connected``, ``graphs``, ``checks``, ``failures``, ``extremal_records``.
 * ``scalar``: per mask range of n <= 6, cut to ``UNIT`` masks,
   ``enumeration._scalar_chunk`` (``scalar_s``).  ``graphs``,
@@ -130,7 +134,11 @@ KERNEL_STAGES = (("_bulk", "_decode", "kernel_decode_s"),
                  ("_bulk", "_nm_checks", "kernel_nm_s"),
                  ("_bulk", "_nm2_checks", "kernel_nm2_s"),
                  ("_bulk", "_spectral_checks", "kernel_spectral_s"))
-EXTREMAL_STAGES = (("enumeration", "_orbit_keys", "orbit_keys_s"),)
+EXTREMAL_STAGES = (("enumeration", "_orbit_keys", "orbit_keys_s"),
+                   ("_bulk", "_decode", "extremal_decode_s"),
+                   ("_bulk", "_connected", "extremal_connected_s"),
+                   ("graphs", "graph_of_mask", "graph_of_mask_s"),
+                   ("graphs", "degree_profile", "degree_profile_s"))
 # The startup target's commands: interpreter arguments by name.
 FIGURE1 = ("--input", str(ROOT / "fixtures" / "figure1.edges"))
 STARTUP = {
@@ -160,10 +168,13 @@ def _timed(func, key, seconds):
 
 def _pass(tree, key, stages, call):
     """Seconds of ``call()`` as ``key`` and ``total_s``, of each wrapped stage, and its result.
-    A stage the tree does not define stays at 0."""
+    A stage is wrapped in every module of the tree that binds it, since a
+    from-import copies the name; one the tree does not define stays at 0."""
     seconds = Counter({stage: 0.0 for _mod, _name, stage in stages})
-    originals = [(tree.modules[mod], name, getattr(tree.modules[mod], name), stage)
-                 for mod, name, stage in stages if hasattr(tree.modules[mod], name)]
+    originals = [(module, name, func, stage)
+                 for mod, name, stage in stages if hasattr(tree.modules[mod], name)
+                 for func in (getattr(tree.modules[mod], name),)
+                 for module in tree.modules.values() if getattr(module, name, None) is func]
     try:
         for module, name, func, stage in originals:
             setattr(module, name, _timed(func, stage, seconds))
