@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, islice
 
 import numpy as np
@@ -277,6 +278,17 @@ def iter_mask_ranges(n: int, bits: int = CHUNK_BITS):
         yield lo, min(lo + step, total)
 
 
+@lru_cache(maxsize=8)
+def _edge_rows(n: int) -> np.ndarray:
+    """(npairs, n, 1) neighbor rows: entry b holds the one edge at low mask
+    bit b, the slot npairs - 1 - b."""
+    edge = np.zeros((pair_count(n), n, 1), dtype=_row_dtype(n))
+    for b, (i, j) in enumerate(reversed(_g6_pairs(n))):
+        edge[b, i] = 1 << j
+        edge[b, j] = 1 << i
+    return edge
+
+
 def _decode(n: int, mask_lo: int, mask_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Masks in [mask_lo, mask_hi) and their (n, masks) neighbor rows.
 
@@ -285,20 +297,15 @@ def _decode(n: int, mask_lo: int, mask_hi: int) -> tuple[np.ndarray, np.ndarray]
     column comes from the one-mask codec, :func:`nbzagreb.graphs.mask_rows`,
     in Python integers; low bit b of a mask is slot npairs - 1 - b, so the
     block doubles once per low bit, its new half the old rows with that
-    slot's two bits set."""
+    slot's two bits set (:func:`_edge_rows`)."""
     npairs = pair_count(n)
     mask_lo, mask_hi = int(mask_lo), int(mask_hi)
     if not 0 <= mask_lo <= mask_hi <= 1 << npairs:
         raise ValueError(
             f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << npairs}) for n = {n}"
         )
-    dtype = _row_dtype(n)
-    # edge[b]: the (n, 1) rows of the one edge at low bit b.
-    edge = np.zeros((npairs, n, 1), dtype=dtype)
-    for b, (i, j) in enumerate(reversed(_g6_pairs(n))):
-        edge[b, i] = 1 << j
-        edge[b, j] = 1 << i
-    rows = np.empty((n, mask_hi - mask_lo), dtype=dtype)
+    edge = _edge_rows(n)
+    rows = np.empty((n, mask_hi - mask_lo), dtype=edge.dtype)
     lo = mask_lo
     while lo < mask_hi:
         size = (mask_hi - lo).bit_length() - 1

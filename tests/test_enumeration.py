@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import functools
 import itertools
 import math
 import multiprocessing
@@ -213,6 +214,73 @@ class TestCanonicalForm:
         assert padded != text
         assert parse_graph6(padded).adjacency == complete_graph(n).adjacency
         assert encode_graph6(parse_graph6(padded)) == text
+
+
+# n = 1 .. 7: graphs on n vertices, connected or not, and labeled connected graphs.
+A000088 = (1, 2, 4, 11, 34, 156, 1044)
+A001187 = (1, 1, 4, 38, 728, 26_704, 1_866_256)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_bits(n: int) -> np.ndarray:
+    """[u, v, p]: the mask bit of pair uv under the p-th permutation of range(n)."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).T
+    i = np.minimum(perms[:, None], perms[None, :])
+    j = np.maximum(perms[:, None], perms[None, :])
+    return np.int64(1) << (_bulk.pair_count(n) - 1 - j * (j - 1) // 2 - i)
+
+
+def _relabelings(n: int, mask: int) -> np.ndarray:
+    """The masks of every relabeling of a mask, one per permutation of
+    range(n), from its edges: no orbit key table is read."""
+    bits = _pair_bits(n)
+    keys = np.zeros(bits.shape[2], dtype=np.int64)
+    for u, v in edges_of_mask(n, mask):
+        keys |= bits[u, v]
+    return keys
+
+
+class TestOrderlyGeneration:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_representatives_are_the_first_unseen_connected_masks(self, n):
+        # Brute force: every connected mask in ascending order, each one
+        # whose orbit has not come up yet being its representative.
+        seen, want = set(), []
+        for mask in _bulk.connected_masks(n, 0, 1 << _bulk.pair_count(n)).tolist():
+            if mask not in seen:
+                seen.update(_relabelings(n, mask).tolist())
+                want.append(mask)
+        got = [mask_of_edges(n, g.edges()) for g in enumerate_connected(n, dedup=True)]
+        assert got == want
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_lower_levels_are_every_graph_once_and_orbit_minimal(self, k):
+        masks = enumeration._canonical_graphs(k)
+        assert masks.dtype == np.int64 and len(masks) == A000088[k - 1]
+        assert np.all(np.diff(masks) > 0)
+        for mask in masks.tolist():
+            assert _relabelings(k, mask).min() == mask
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_class_weights_sum_to_the_labeled_count(self, n):
+        # n!/|Aut| labeled graphs per class; |Aut| is how often the orbit
+        # keys reach the mask itself.
+        total = 0
+        for g in enumerate_connected(n, dedup=True):
+            mask = mask_of_edges(n, g.edges())
+            keys = enumeration._orbit_keys(n, mask)
+            total += len(keys) // int(np.count_nonzero(keys == mask))
+        assert total == A001187[n - 1]
+
+    def test_one_and_two_vertices(self):
+        assert enumeration._canonical_graphs(0).tolist() == [0]
+        assert enumeration._canonical_graphs(1).tolist() == [0]
+        assert enumeration._canonical_graphs(2).tolist() == [0, 1]
+        (k1,) = enumerate_connected(1, dedup=True)
+        (k2,) = enumerate_connected(2, dedup=True)
+        assert (k1.n, k1.m, k2.n, k2.m) == (1, 0, 2, 1)
+        assert enumeration._orbit_keys(1, 0).tolist() == [0]
+        assert enumeration._orbit_keys(2, 1).tolist() == [1, 1]
 
 
 class TestNeighborRows:

@@ -28,10 +28,11 @@ their units, seconds keys and results:
   tree's faults depend on what the other allocates;
   per bound source, ``find_equality_graphs(7, 2.0, source)``
   (``extremal_s``), with its time inside each of ``EXTREMAL_STAGES``,
-  which do not nest: ``_orbit_keys``, ``_bulk._decode``,
-  ``_bulk._connected``, ``graphs.graph_of_mask`` and
-  ``graphs.degree_profile`` (``orbit_keys_s``, ``extremal_decode_s``,
-  ``extremal_connected_s``, ``graph_of_mask_s``, ``degree_profile_s``).
+  which do not nest: ``_orbit_keys``, ``_canonical_graphs`` (the class
+  population's lower levels), ``_bulk._connected``,
+  ``graphs.graph_of_mask`` and ``graphs.degree_profile``
+  (``orbit_keys_s``, ``canonical_graphs_s``, ``extremal_connected_s``,
+  ``graph_of_mask_s``, ``degree_profile_s``).
   ``connected``, ``graphs``, ``checks``, ``failures``, ``extremal_records``.
 * ``scalar``: per mask range of n <= 6, cut to ``UNIT`` masks,
   ``enumeration._scalar_chunk`` (``scalar_s``).  ``graphs``,
@@ -135,7 +136,7 @@ KERNEL_STAGES = (("_bulk", "_decode", "kernel_decode_s"),
                  ("_bulk", "_nm2_checks", "kernel_nm2_s"),
                  ("_bulk", "_spectral_checks", "kernel_spectral_s"))
 EXTREMAL_STAGES = (("enumeration", "_orbit_keys", "orbit_keys_s"),
-                   ("_bulk", "_decode", "extremal_decode_s"),
+                   ("enumeration", "_canonical_graphs", "canonical_graphs_s"),
                    ("_bulk", "_connected", "extremal_connected_s"),
                    ("graphs", "graph_of_mask", "graph_of_mask_s"),
                    ("graphs", "degree_profile", "degree_profile_s"))
