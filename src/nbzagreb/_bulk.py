@@ -56,6 +56,10 @@ preconditions are one :func:`_gate`, rungs in the order of its row in
 :mod:`nbzagreb.claims`: a graph is skipped under the first rung it fails
 and run if it passes all, as in the scalar engine's per-graph
 :func:`nbzagreb.enumeration._gate`.
+
+The extremal search reads the bounds' equality flags alone, from
+:func:`equality_flags`, which restates the three flags of
+:func:`_nm_checks` over a batch of rows in integers, at no exponent.
 """
 
 from __future__ import annotations
@@ -774,6 +778,36 @@ def _spectral_checks(tally, masks, n, rows, deg, nbr, m1, delta, nalpha):
         lambda r: REGULAR_EXPECTED.format(int(k2[r])),
         lambda r: REGULAR_GOT.format(float(ratio_bound[r]), float(min_nbr_num[r] / m1[r])),
     )
+
+
+# ---------------------------------------------------------------------------
+# Equality flags of the extremal search
+
+
+def equality_flags(rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Per bound source and per graph of an (n, graphs) batch of connected
+    neighbor rows: does the source's bound in :mod:`nbzagreb.bounds` run,
+    and report equality?  Integer work only, and the same at every
+    exponent, since each flag is structural (see :func:`_nm_checks`).
+
+    With lo and hi the least and greatest neighborhood degree, the secant
+    and unit bounds run when lo < hi, which no connected graph on fewer
+    than 3 vertices has.  The secant form is attained when no vertex lies
+    strictly between lo and hi, and the unit form when none lies in
+    [lo + 2, hi - 1].  The congruence form is attained when exactly one
+    vertex lies strictly between, and that alone implies its
+    preconditions: with the vertex at lo + t and k >= 1 vertices at hi,
+    M1 - n lo = k (hi - lo) + t with 0 < t < hi - lo, so the gap is at
+    least 2, the quotient k at least 1, and the remainder t is at least 1
+    and occupied."""
+    nbr = _over_bits(np.add, rows, _degrees(rows))
+    lo, hi = nbr.min(axis=0), nbr.max(axis=0)
+    inside = _count_between(nbr, lo + 1, hi - 1)
+    return {
+        "secant": (lo < hi) & (inside == 0),
+        "unit": (lo < hi) & (_count_between(nbr, lo + 2, hi - 1) == 0),
+        "congruence": inside == 1,
+    }
 
 
 # ---------------------------------------------------------------------------

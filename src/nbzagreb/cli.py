@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float, action="append", required=True,
         help="index exponent, repeatable (not 0 or 1)",
     )
-    allow_n8_flag = dict(action="store_true", help="permit the 2^28-mask sweep at n = 8")
 
     def add_input_flags(sp):
         sp.add_argument("--input", required=True, help="graph file, or '-' for stdin")
@@ -333,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", **alpha_flag)
     sp.add_argument("--tolerance", **tolerance_flag)
     sp.add_argument("--jobs", type=int, default=1, help="at most this many worker processes")
-    sp.add_argument("--allow-n8", **allow_n8_flag)
+    sp.add_argument("--allow-n8", action="store_true",
+                    help="permit the 2^28-mask sweep at n = 8")
     sp.add_argument("--engine", choices=("bulk", "scalar"), default="bulk")
     sp.set_defaults(func=cmd_verify)
 
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--source", required=True,
                     help=f"bound source: one of {', '.join(BOUND_SOURCES)}")
-    sp.add_argument("--allow-n8", **allow_n8_flag)
+    sp.add_argument("--allow-n8", action="store_true",
+                    help="permit n = 8 (11,117 classes, a few seconds)")
     sp.set_defaults(func=cmd_extremal)
     return parser
 

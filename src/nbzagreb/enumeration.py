@@ -31,7 +31,15 @@ an n-vertex mask are the graph induced on vertices 0 .. n - 2, and the
 prefix of an orbit-minimal mask is orbit-minimal too, since a smaller
 relabeling of the prefix that leaves the last vertex fixed would give a
 smaller mask.  So every representative extends a canonical graph on one
-vertex fewer by a last column, and no mask space is scanned.
+vertex fewer by a last column, and no mask space is scanned.  The walk
+(:func:`_connected_classes`) gives the representatives' masks together
+with their neighbor rows, decoded once.
+
+The extremal search screens those rows in one integer pass
+(:func:`nbzagreb._bulk.equality_flags`) and runs the per-graph bound only
+on the classes the screen flags; that operation gives each record's slack
+and must confirm the flag, so the two engines cross-check each other on
+every record.
 """
 
 from __future__ import annotations
@@ -206,33 +214,24 @@ def _canonical_graphs(k: int) -> np.ndarray:
     return masks
 
 
-def enumerate_connected(
-    n: int, dedup: bool = False, *, allow_n8: bool = False
-) -> Iterator[Graph]:
-    """Yield every connected labeled graph on n vertices in ascending mask
-    order; with ``dedup``, one canonical representative per isomorphism
-    class, the orbit-minimal mask, in ascending mask order.
+def _connected_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One canonical representative per isomorphism class of connected
+    graphs on n vertices: their orbit-minimal masks, ascending, and their
+    (n, classes) neighbor rows.
 
-    Without dedup the mask space is filtered one range at a time by
-    :func:`nbzagreb._bulk.connected_masks`.  Dedup scans no mask space, in
-    two levels.  The lower levels are :func:`_canonical_graphs` on n - 1
-    vertices, connected or not (156 at n = 7).  Each representative's
-    prefix is among them (see the module docstring), so the candidates are
-    those prefixes, each extended by every last column (9,984 at n = 7,
-    against 2,097,152 masks).  The last level walks the connected
-    candidates in ascending order: the first unseen one of each orbit is
-    its minimum, so it is yielded and its orbit marked seen, its n!
-    relabeled masks from :func:`_orbit_keys` found among the candidates
-    through a table from each prefix to its candidate row, with a sink row
-    for the prefixes that are not canonical.  That is one orbit key call
-    per class.
+    The walk scans no mask space, in two levels.  The lower levels are
+    :func:`_canonical_graphs` on n - 1 vertices, connected or not (156 at
+    n = 7).  Each representative's prefix is among them (see the module
+    docstring), so the candidates are those prefixes, each extended by
+    every last column (9,984 at n = 7, against 2,097,152 masks), decoded
+    once.  The last level walks the connected candidates in ascending
+    order: the first unseen one of each orbit is its minimum, so it is kept
+    and its orbit marked seen, its n! relabeled masks from
+    :func:`_orbit_keys` found among the candidates through a table from
+    each prefix to its candidate row, with a sink row for the prefixes that
+    are not canonical.  That is one orbit key call per class, and the kept
+    candidates' rows are the classes' rows.
     """
-    _check_n(n, allow_n8)
-    if not dedup:
-        for lo, hi in _bulk.iter_mask_ranges(n):
-            for mask in _bulk.connected_masks(n, lo, hi).tolist():
-                yield graph_of_mask(n, mask)
-        return
     prefixes = _canonical_graphs(n - 1)
     width = 1 << (n - 1)
     candidates = (prefixes[:, None] << (n - 1) | np.arange(width)).ravel()
@@ -243,12 +242,34 @@ def enumerate_connected(
     start = np.full(1 << pair_count(n - 1), prefixes.size * width, dtype=np.int32)
     start[prefixes] = np.arange(prefixes.size) * width
     seen = np.zeros((prefixes.size + 1) * width, dtype=bool)
+    kept = []
     for index in np.flatnonzero(_bulk._connected(rows)).tolist():
         if seen[index]:
             continue
-        mask = int(candidates[index])
-        keys = _orbit_keys(n, mask)
+        keys = _orbit_keys(n, int(candidates[index]))
         seen[start.take(keys >> (n - 1)) | keys & (width - 1)] = True
+        kept.append(index)
+    return candidates.take(kept), rows.take(kept, axis=1)
+
+
+def enumerate_connected(
+    n: int, dedup: bool = False, *, allow_n8: bool = False
+) -> Iterator[Graph]:
+    """Yield every connected labeled graph on n vertices in ascending mask
+    order; with ``dedup``, one canonical representative per isomorphism
+    class, the orbit-minimal mask, in ascending mask order.
+
+    Without dedup the mask space is filtered one range at a time by
+    :func:`nbzagreb._bulk.connected_masks`; with it the classes come from
+    the orderly walk of :func:`_connected_classes`, all at the first item.
+    """
+    _check_n(n, allow_n8)
+    if not dedup:
+        for lo, hi in _bulk.iter_mask_ranges(n):
+            for mask in _bulk.connected_masks(n, lo, hi).tolist():
+                yield graph_of_mask(n, mask)
+        return
+    for mask in _connected_classes(n)[0].tolist():
         yield graph_of_mask(n, mask)
 
 
@@ -635,7 +656,14 @@ def find_equality_graphs(
 ) -> list[ExtremalRecord]:
     """All isomorphism classes on n vertices attaining the named bound with
     equality, sorted by graph6 encoding.  An exponent whose powers could
-    leave the float range raises ``PowerOverflow`` before the search."""
+    leave the float range raises ``PowerOverflow`` before the search.
+
+    The classes of :func:`_connected_classes` are screened in one batch by
+    :func:`nbzagreb._bulk.equality_flags`, and only the flagged ones go
+    through the bound's per-graph operation, which gives the slack.  Both
+    decide equality structurally, each on its own code; a flagged class
+    whose operation raises a precondition or reports no equality raises
+    RuntimeError, naming the class."""
     op = _SOURCE_OPS.get(source)
     if op is None:
         raise UnknownBoundSource(
@@ -644,18 +672,22 @@ def find_equality_graphs(
     _check_n(n, allow_n8)
     a = as_alpha(alpha)
     _refuse_overflow(n, (n - 1) ** 2, [a])
+    masks, rows = _connected_classes(n)
     records = []
-    for g in enumerate_connected(n, dedup=True, allow_n8=allow_n8):
+    for mask in masks[_bulk.equality_flags(rows)[source]].tolist():
+        g = graph_of_mask(n, mask)
+        graph6 = encode_graph6(g)
+        disagree = f"the batched equality flag and the {source} bound disagree on {graph6}"
         p = degree_profile(g)
         try:
             rep = op(p, a)
-        except PreconditionError:
-            continue
+        except PreconditionError as exc:
+            raise RuntimeError(f"{disagree}: {exc}") from exc
         if not rep.equality:
-            continue
+            raise RuntimeError(disagree)
         records.append(
             ExtremalRecord(
-                graph=encode_graph6(g),
+                graph=graph6,
                 bound_source=source,
                 alpha=a.value,
                 slack=rep.slack,

@@ -31,6 +31,7 @@ from nbzagreb import (
     find_equality_graphs,
     coefficient_sign_grid,
     is_connected,
+    is_path,
     parse_graph6,
     path_graph,
     spectral_report,
@@ -216,8 +217,10 @@ class TestCanonicalForm:
         assert encode_graph6(parse_graph6(padded)) == text
 
 
-# n = 1 .. 7: graphs on n vertices, connected or not, and labeled connected graphs.
+# n = 1 .. 7: graphs on n vertices, connected or not, connected classes and
+# labeled connected graphs.
 A000088 = (1, 2, 4, 11, 34, 156, 1044)
+A001349 = (1, 1, 2, 6, 21, 112, 853)
 A001187 = (1, 1, 4, 38, 728, 26_704, 1_866_256)
 
 
@@ -271,6 +274,14 @@ class TestOrderlyGeneration:
             keys = enumeration._orbit_keys(n, mask)
             total += len(keys) // int(np.count_nonzero(keys == mask))
         assert total == A001187[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_class_rows_are_their_masks_rows(self, n):
+        masks, rows = enumeration._connected_classes(n)
+        want = _bulk._adj_of(_bulk._bits_of(masks, _bulk.pair_count(n)), n)
+        assert masks.dtype == np.int64 and len(masks) == A001349[n - 1]
+        assert rows.dtype == want.dtype and rows.flags.c_contiguous
+        assert np.array_equal(rows, want)
 
     def test_one_and_two_vertices(self):
         assert enumeration._canonical_graphs(0).tolist() == [0]
@@ -1676,7 +1687,7 @@ class TestExponentRange:
         def no_search(*args, **kwargs):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(enumeration, "enumerate_connected", no_search)
+        monkeypatch.setattr(enumeration, "_connected_classes", no_search)
         with pytest.raises(PowerOverflow):
             find_equality_graphs(5, alpha, "unit")
 
@@ -1705,7 +1716,64 @@ class TestExponentRange:
         assert got == want
 
 
+def _per_graph_records(classes, alpha, source):
+    """find_equality_graphs' records from every (class, profile) through the
+    per-graph operation, keeping those it reports attained."""
+    op, records = bounds._SOURCE_OPS[source], []
+    for g, p in classes:
+        try:
+            rep = op(p, alpha)
+        except PreconditionError:
+            continue
+        if rep.equality:
+            records.append(enumeration.ExtremalRecord(
+                graph=encode_graph6(g), bound_source=source, alpha=float(alpha),
+                slack=rep.slack, structural_match=source != "unit" or is_path(g),
+            ))
+    return sorted(records, key=lambda r: r.graph)
+
+
+def _flag_everything(rows):
+    return dict.fromkeys(bounds.BOUND_SOURCES, np.ones(rows.shape[1], dtype=bool))
+
+
 class TestFindEqualityGraphs:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_batched_flags_select_what_the_operations_attain(self, n):
+        classes = [(g, degree_profile(g)) for g in enumerate_connected(n, dedup=True)]
+        for alpha in (-1.0, 0.5, 2.0, 3.0):
+            for source in bounds.BOUND_SOURCES:
+                assert find_equality_graphs(n, alpha, source) == _per_graph_records(
+                    classes, alpha, source)
+
+    def test_flag_counts_at_seven_vertices(self):
+        masks, rows = enumeration._connected_classes(7)
+        flags = _bulk.equality_flags(rows)
+        assert {s: int(f.sum()) for s, f in flags.items()} == {
+            "secant": 30, "unit": 69, "congruence": 20}
+        assert all(f.shape == masks.shape and f.dtype == bool for f in flags.values())
+
+    def test_every_class_flagged_raises(self, monkeypatch):
+        # Passing over the refuted flags would return the attained classes
+        # alone, hiding that the engines disagree.
+        monkeypatch.setattr(_bulk, "equality_flags", _flag_everything)
+        with pytest.raises(RuntimeError, match="disagree on"):
+            find_equality_graphs(5, 2.0, "unit")
+
+    @pytest.mark.parametrize("graph, cause", [
+        (path_graph(5), type(None)),  # runs, with two vertices inside (2, 4)
+        (complete_graph(5), NeighborhoodRegular),
+    ])
+    def test_a_refuted_flag_names_its_class(self, monkeypatch, graph, cause):
+        mask = mask_of_edges(5, canonical_form(graph).edges())
+        masks = np.array([mask], dtype=np.int64)
+        rows = _bulk._adj_of(_bulk._bits_of(masks, _bulk.pair_count(5)), 5)
+        monkeypatch.setattr(enumeration, "_connected_classes", lambda n: (masks, rows))
+        monkeypatch.setattr(_bulk, "equality_flags", _flag_everything)
+        with pytest.raises(RuntimeError, match=graph6_of_mask(5, mask)) as info:
+            find_equality_graphs(5, 2.0, "secant")
+        assert type(info.value.__cause__) is cause
+
     def test_unit_form_returns_p4(self):
         records = find_equality_graphs(4, 2.0, "unit")
         p4 = encode_graph6(canonical_form(path_graph(4)))

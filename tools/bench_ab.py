@@ -30,9 +30,10 @@ their units, seconds keys and results:
   (``extremal_s``), with its time inside each of ``EXTREMAL_STAGES``,
   which do not nest: ``_orbit_keys``, ``_canonical_graphs`` (the class
   population's lower levels), ``_bulk._connected``,
+  ``_bulk.equality_flags`` (the batched screen of the classes),
   ``graphs.graph_of_mask`` and ``graphs.degree_profile``
   (``orbit_keys_s``, ``canonical_graphs_s``, ``extremal_connected_s``,
-  ``graph_of_mask_s``, ``degree_profile_s``).
+  ``equality_flags_s``, ``graph_of_mask_s``, ``degree_profile_s``).
   ``connected``, ``graphs``, ``checks``, ``failures``, ``extremal_records``.
 * ``scalar``: per mask range of n <= 6, cut to ``UNIT`` masks,
   ``enumeration._scalar_chunk`` (``scalar_s``).  ``graphs``,
@@ -138,6 +139,7 @@ KERNEL_STAGES = (("_bulk", "_decode", "kernel_decode_s"),
 EXTREMAL_STAGES = (("enumeration", "_orbit_keys", "orbit_keys_s"),
                    ("enumeration", "_canonical_graphs", "canonical_graphs_s"),
                    ("_bulk", "_connected", "extremal_connected_s"),
+                   ("_bulk", "equality_flags", "equality_flags_s"),
                    ("graphs", "graph_of_mask", "graph_of_mask_s"),
                    ("graphs", "degree_profile", "degree_profile_s"))
 # The startup target's commands: interpreter arguments by name.
